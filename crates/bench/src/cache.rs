@@ -6,8 +6,8 @@
 //! strategy rung, the full decomposition (grid, foldings, per-nest and
 //! per-array placement), the resolved machine configuration field by
 //! field, and the result-relevant simulation options. Host-side knobs
-//! that are proven bit-identical (`threads`, `fast_path`) are *excluded*
-//! by construction — they never reach the key builder.
+//! that are proven bit-identical (`fast_path`) are *excluded* by
+//! construction — they never reach the key builder.
 //!
 //! Entries live under `<root>/<2-hex-shard>/<key>.json` and reuse the v2
 //! checkpoint envelope from [`crate::sweep`] (schema + crc64 + flat cell
@@ -43,7 +43,7 @@ pub const CACHE_KEY_SCHEMA: u32 = 1;
 
 /// Everything that may influence a cell's simulated result. Build one of
 /// these and call [`cell_cache_key`]; there is deliberately no way to
-/// feed `threads` or `fast_path` in.
+/// feed `fast_path` in.
 #[derive(Clone, Debug)]
 pub struct KeyInputs<'a> {
     /// The *source* program of the cell (pre-compilation).

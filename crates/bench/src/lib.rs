@@ -25,7 +25,7 @@ pub use chaos::{
     render_chaos, run_chaos, ChaosConfig, ChaosReport, Fault, FaultInjector, FaultPlan,
     FaultSite, RetryPolicy, RetryRung,
 };
-pub use explain::{explain, explain_cached, explain_json, explain_strategies, explain_threads, render_explain, ExplainResult, ExplainRun, StrategyExplain};
+pub use explain::{explain, explain_cached, explain_json, explain_strategies, render_explain, ExplainResult, ExplainRun, StrategyExplain};
 pub use harness::{atomic_write_sync, figure, run_figure, run_figure_parallel, table1, FigureResult, FigureSpec, StrategyCurve, Table1Row, ThreadBudget};
 pub use native_check::{render_native_check, run_native_check, run_native_check_cached, NativeCell, NativeVerdict};
 pub use sweep::{

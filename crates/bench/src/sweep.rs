@@ -14,7 +14,7 @@
 //! cancels a wedged cell cooperatively at its next sync-point boundary
 //! (see [`dct_ir::CancelToken`]), and failed cells retry with bounded
 //! seeded backoff down a degradation ladder whose rungs are all
-//! bit-identical (threads, fast path — never the science). A cell that
+//! bit-identical (the fast path — never the science). A cell that
 //! fails every attempt is quarantined with a structured reason; the sweep
 //! keeps going. Partial results always render: a table with holes beats
 //! no table.
@@ -164,11 +164,23 @@ pub fn cell_to_json(c: &Cell) -> String {
     s
 }
 
+/// The text that follows `"key":` in a flat JSON object, ASCII whitespace
+/// skipped (`json.dumps` writes `"key": value`); `None` = key absent.
+fn json_value<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let start = s.find(&pat)? + pat.len();
+    Some(s[start..].trim_start_matches(|c: char| c.is_ascii_whitespace()))
+}
+
+/// Is `key` present in a flat JSON object, whatever its value? Lets a
+/// caller tell an absent field from one whose value does not parse.
+pub fn json_has(s: &str, key: &str) -> bool {
+    json_value(s, key).is_some()
+}
+
 /// Extract `"key":"..."` from a flat JSON object (handles escapes we emit).
 pub fn json_str(s: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = s.find(&pat)? + pat.len();
-    let rest = &s[start..];
+    let rest = json_value(s, key)?.strip_prefix('"')?;
     let mut out = String::new();
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
@@ -191,11 +203,20 @@ pub fn json_str(s: &str, key: &str) -> Option<String> {
 
 /// Extract a numeric field from a flat JSON object.
 pub fn json_num(s: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let start = s.find(&pat)? + pat.len();
     let digits: String =
-        s[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '-').collect();
+        json_value(s, key)?.chars().take_while(|c| c.is_ascii_digit() || *c == '-').collect();
     digits.parse().ok()
+}
+
+/// Extract a `true`/`false` field from a flat JSON object.
+pub fn json_bool(s: &str, key: &str) -> Option<bool> {
+    let v = json_value(s, key)?;
+    let word = v.split(|c: char| !c.is_ascii_alphabetic()).next()?;
+    match word {
+        "true" => Some(true),
+        "false" => Some(false),
+        _ => None,
+    }
 }
 
 /// Extract a hex-string u64 field written by [`cell_to_json`].
@@ -433,10 +454,6 @@ pub struct SweepConfig {
     /// Run every cell with the memory profiler on; its rows join the
     /// cell fingerprint (pure observer — cycles unchanged).
     pub profile: bool,
-    /// Sharded-engine threads inside each cell. Cells run one at a time
-    /// here (checkpointing is serial by design), so the whole host
-    /// budget defaults intra-cell; bit-identical at any value.
-    pub threads: usize,
     /// Retry policy of the self-healing executor (attempts, backoff).
     pub retry: RetryPolicy,
     /// Watchdog: cancel an attempt that has produced nothing after this
@@ -469,7 +486,6 @@ impl SweepConfig {
             only: None,
             race_check: false,
             profile: false,
-            threads: dct_spmd::default_threads(),
             retry: RetryPolicy::default(),
             stuck_wall_secs: None,
             injector: None,
@@ -479,7 +495,7 @@ impl SweepConfig {
     }
 
     /// The cache-key inputs of one cell under this config. Note what is
-    /// absent: `threads`, `fast_path`, retry policy, watchdog — every
+    /// absent: `fast_path`, retry policy, watchdog — every
     /// knob the bit-identity proofs cover stays out of the key.
     pub fn key_inputs<'a>(&'a self, prog: &'a dct_ir::Program, kind: &'a str, procs: usize) -> crate::cache::KeyInputs<'a> {
         crate::cache::KeyInputs {
@@ -539,13 +555,11 @@ impl CellSim {
 
 /// Simulate one cell once, on one rung, under a cancellation token,
 /// catching panics. Runs on the supervised worker thread.
-#[allow(clippy::too_many_arguments)]
 fn compute_attempt(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
     kind: &str,
     procs: usize,
-    threads: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
@@ -581,7 +595,6 @@ fn compute_attempt(
         opts.max_wall_secs = cfg.max_wall_secs;
         opts.race_detect = cfg.race_check;
         opts.profile = cfg.profile;
-        opts.threads = threads.max(1);
         opts.fast_path = fast_path;
         opts.cancel = Some(token.clone());
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
@@ -602,8 +615,7 @@ fn compute_attempt(
             });
         }
         // The bit-identity fingerprint: checksum bits plus every enabled
-        // observer's full output. `par_regions` and friends legitimately
-        // vary with the thread count and must stay out.
+        // observer's full output.
         let bits = r.checksum.to_bits();
         if cfg.native_check {
             native_cross_check(&compiled, &opts, bits, inj, token, ctx)?;
@@ -693,13 +705,11 @@ fn native_cross_check(
 /// worker produces nothing within `stuck_wall_secs`, the supervisor fires
 /// the cancellation token and the attempt dies at its next sync-point
 /// boundary (then gets retried on a weaker rung).
-#[allow(clippy::too_many_arguments)]
 fn supervised_attempt(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
     kind: &str,
     procs: usize,
-    threads: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
@@ -708,8 +718,7 @@ fn supervised_attempt(
     std::thread::scope(|s| {
         let worker_token = token.clone();
         s.spawn(move || {
-            let sim =
-                compute_attempt(prog, cfg, kind, procs, threads, fast_path, &worker_token, ctx);
+            let sim = compute_attempt(prog, cfg, kind, procs, fast_path, &worker_token, ctx);
             let _ = tx.send(sim);
         });
         match cfg.stuck_wall_secs {
@@ -774,10 +783,10 @@ fn compute_cell_supervised(
     let mut last_err = "no attempt was made".to_string();
     for attempt in 0..max_attempts {
         let rung = RetryRung::for_attempt(attempt);
-        let (threads, fast_path) = rung.params(cfg.threads);
+        let fast_path = rung.params();
         let token = CancelToken::new();
         let ctx = format!("{cell_id} attempt {} (rung {})", attempt + 1, rung.label());
-        let sim = supervised_attempt(prog, cfg, kind, procs, threads, fast_path, &token, &ctx);
+        let sim = supervised_attempt(prog, cfg, kind, procs, fast_path, &token, &ctx);
         if token.is_cancelled() {
             rep.cancelled += 1;
         }
@@ -878,10 +887,7 @@ pub fn run_cell_supervised(
 /// cell is simulated on a supervised worker and checkpointed the moment
 /// it finishes; the report carries everything the run had to survive.
 pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
-    eprintln!(
-        "[thread budget: 1 cell in flight x {} intra-cell thread(s) (checkpointed sweep is serial)]",
-        cfg.threads.max(1)
-    );
+    eprintln!("[thread budget: 1 cell in flight (checkpointed sweep is serial)]");
     let inj = cfg.injector.as_deref();
     let mut rep = SweepReport::default();
     let done: Vec<Cell> = if cfg.resume {
@@ -1024,6 +1030,27 @@ mod tests {
             assert_eq!(back.checksum_bits, Some(0xdead_beef_0bad_f00d));
             assert_eq!(back.fingerprint, Some(7));
         }
+        // A request body as `json.dumps` writes it (space after the
+        // colon) reads like the compact form this crate writes.
+        for body in [
+            "{\"bench\": \"stencil\", \"procs\": 8, \"race_check\": true}",
+            "{\"bench\":\"stencil\",\"procs\":8,\"race_check\":true}",
+            "{\"bench\":\t\"stencil\",\"procs\":\n 8,\"race_check\":  true }",
+        ] {
+            assert_eq!(json_str(body, "bench").as_deref(), Some("stencil"), "{body}");
+            assert_eq!(json_num(body, "procs"), Some(8), "{body}");
+            assert_eq!(json_bool(body, "race_check"), Some(true), "{body}");
+            assert!(!json_has(body, "scale_milli"), "{body}");
+        }
+        // Present but unparseable is distinguishable from absent.
+        let bad = "{\"procs\": \"eight\", \"race_check\": truthy, \"bench\": 3}";
+        for key in ["procs", "race_check", "bench"] {
+            assert!(json_has(bad, key), "{key}");
+        }
+        assert_eq!(json_num(bad, "procs"), None);
+        assert_eq!(json_bool(bad, "race_check"), None);
+        assert_eq!(json_str(bad, "bench"), None);
+        assert_eq!(json_bool("{\"race_check\":false}", "race_check"), Some(false));
     }
 
     #[test]

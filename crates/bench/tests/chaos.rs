@@ -41,7 +41,6 @@ fn small_chaos(dir: &Scratch, seed: u64, faults: usize) -> ChaosConfig {
     let mut cfg = ChaosConfig::new(seed, faults, dir.0.clone());
     cfg.procs = 4;
     cfg.scale = 0.05;
-    cfg.threads = 2;
     cfg.only = Some(vec!["stencil".to_string()]);
     cfg.race_check = true;
     cfg.stuck_wall_secs = 0.3;
@@ -114,14 +113,14 @@ fn cancel_token_aborts_simulation_as_structured_error() {
     let token = CancelToken::new();
     token.cancel();
     let err = c
-        .simulate_supervised(&compiled, 4, &params, 2, token)
+        .simulate_supervised(&compiled, 4, &params, token)
         .expect_err("a cancelled run must not return a result");
     assert!(err.is_cancelled(), "wrong error kind: {err}");
 
     // An un-fired token changes nothing: the run completes and matches
     // an unsupervised run bit for bit.
-    let free = c.simulate_supervised(&compiled, 4, &params, 2, CancelToken::new()).unwrap();
-    let plain = c.simulate_threads(&compiled, 4, &params, 2).unwrap();
+    let free = c.simulate_supervised(&compiled, 4, &params, CancelToken::new()).unwrap();
+    let plain = c.simulate(&compiled, 4, &params).unwrap();
     assert_eq!(free.cycles, plain.cycles);
     assert_eq!(free.checksum.to_bits(), plain.checksum.to_bits());
 }
@@ -133,7 +132,6 @@ fn repeated_failures_quarantine_the_cell_and_resume_retries() {
     let dir = Scratch::new();
     let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
     cfg.only = Some(vec!["stencil".to_string()]);
-    cfg.threads = 2;
     cfg.retry.max_attempts = 3;
     cfg.retry.backoff_base_ms = 1;
     // Panic the worker on its first three arrivals: exactly the first
@@ -178,7 +176,6 @@ fn native_faults_heal_bit_identical() {
     let mk = |dir: &Scratch| {
         let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
         cfg.only = Some(vec!["stencil".to_string()]);
-        cfg.threads = 2;
         cfg.retry.backoff_base_ms = 1;
         cfg.stuck_wall_secs = Some(0.3);
         cfg.native_check = true;
@@ -225,7 +222,6 @@ fn injected_kill_is_survived_by_resume() {
     let dir = Scratch::new();
     let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
     cfg.only = Some(vec!["stencil".to_string()]);
-    cfg.threads = 2;
     let plan = FaultPlan {
         seed: 0,
         faults: vec![Fault { site: FaultSite::KillSweep, occurrence: 1 }],

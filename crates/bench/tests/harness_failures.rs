@@ -12,7 +12,7 @@ fn injected_panicking_cell_does_not_poison_the_sweep() {
             panic!("injected failure for the fault-tolerance test");
         }
     };
-    let rows = table1_parallel_with_hook(4, 0.05, ThreadBudget::clamp(2, Some(2)), Some(&hook));
+    let rows = table1_parallel_with_hook(4, 0.05, ThreadBudget::clamp(2), Some(&hook));
     assert!(!rows.is_empty());
 
     let stencil = rows.iter().find(|r| r.program == "stencil").unwrap();

@@ -13,12 +13,10 @@ pub mod cache;
 pub mod classify;
 pub mod config;
 pub mod probe;
-pub mod shard;
 pub mod system;
 
 pub use cache::{Cache, LineState};
 pub use classify::{Classifier, FastHash, MissClasses, ShadowLru};
 pub use config::MachineConfig;
 pub use probe::{AccessLevel, MemProbe};
-pub use shard::{Effect, ShardCommit, ShardMachine};
-pub use system::{Machine, ProcSlice, ProcStats, SegAccess, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS};
+pub use system::{Machine, ProcStats, SegAccess, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS};

@@ -15,10 +15,8 @@
 //! repro --race-check        # certify every benchmark x strategy race-free
 //! repro explain stencil     # why is it slow? ranked miss/sharing tables
 //!                           # (text here, JSON -> results/explain_stencil.json)
-//! repro fig8 --threads 4    # sharded engine: 4 threads inside each cell
-//!                           # (bit-identical to --threads 1; workers clamp
-//!                           #  so cells x threads <= host parallelism)
-//! repro table1 --workers 8  # cap concurrently-running cells
+//! repro table1 --workers 8  # cap concurrently-running cells (clamped to
+//!                           # the host's parallelism)
 //! repro chaos --seed 42 --faults 6
 //!                           # fault-injection oracle: sweep under seeded
 //!                           # kills/crashes/corruption must converge
@@ -70,7 +68,6 @@ fn main() {
     let mut scale = 1.0f64;
     let mut procs: Vec<usize> = PAPER_PROCS.to_vec();
     let mut workers = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(4);
-    let mut threads: Option<usize> = None;
     let mut profile = false;
     let mut race_check = false;
     let mut resume = false;
@@ -129,13 +126,6 @@ fn main() {
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--max-wall needs seconds")),
-                )
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--threads needs a positive integer")),
                 )
             }
             "--workers" => {
@@ -200,7 +190,7 @@ fn main() {
             max_cache_bytes,
             out_dir: out_dir.clone().unwrap_or_else(|| "results/serve".to_string()).into(),
             workers,
-            threads: ThreadBudget::single_cell(threads).intra,
+            threads: 1,
         };
         match dct_serve::Server::start(&cfg) {
             Ok(server) => {
@@ -232,10 +222,8 @@ fn main() {
         // the paper's 32 processors (figure targets restrict the sweep).
         let figs: Vec<String> =
             targets.iter().filter(|t| t.starts_with("fig") && t.as_str() != "fig2" && t.as_str() != "fig3").cloned().collect();
-        let budget = ThreadBudget::single_cell(threads);
-        eprintln!("[profile pairs: 1-thread vs {}-thread runs per cell]", budget.intra);
         let t0 = Instant::now();
-        let profiles = dct_bench::profile::profile_all(&figs, 32, scale, budget.intra);
+        let profiles = dct_bench::profile::profile_all(&figs, 32, scale);
         let total = t0.elapsed().as_secs_f64();
         print!("{}", dct_bench::profile::render_text(&profiles));
         let json = dct_bench::profile::render_json(&profiles, total);
@@ -255,7 +243,7 @@ fn main() {
         // through the table sweep below.
         let procs = procs.iter().copied().max().unwrap_or(32);
         let t0 = Instant::now();
-        let cells = harness::race_check(procs, scale, ThreadBudget::clamp(workers, threads));
+        let cells = harness::race_check(procs, scale, ThreadBudget::clamp(workers));
         print!("{}", harness::render_race_check(&cells, procs));
         eprintln!("[race-check done in {:?}]", t0.elapsed());
         if cells.iter().any(|c| !c.is_clean()) {
@@ -283,13 +271,12 @@ fn main() {
             die("explain needs a benchmark name (e.g. `repro explain stencil`)")
         };
         let procs = procs.iter().copied().max().unwrap_or(32);
-        let cell_threads = ThreadBudget::single_cell(threads).intra;
         let t0 = Instant::now();
         // With --cache the rendered text + JSON pair is an artifact in
         // the content-addressed store: a warm repeat never simulates.
         let result = match &store {
-            Some(s) => dct_bench::explain_cached(&bench, scale, procs, cell_threads, s),
-            None => dct_bench::explain_threads(&bench, scale, procs, cell_threads)
+            Some(s) => dct_bench::explain_cached(&bench, scale, procs, s),
+            None => dct_bench::explain(&bench, scale, procs)
                 .map(|r| (dct_bench::render_explain(&r), dct_bench::explain_json(&r))),
         };
         match result {
@@ -368,7 +355,6 @@ fn main() {
         } else {
             procs.iter().copied().max().unwrap_or(8)
         };
-        ccfg.threads = ThreadBudget::single_cell(threads).intra;
         ccfg.only = bench.map(|b| vec![b]);
         ccfg.race_check = true;
         ccfg.native_check = native;
@@ -416,9 +402,6 @@ fn main() {
                     cfg.race_check = race_check;
                     cfg.native_check = native;
                     cfg.cache = store.clone();
-                    if let Some(t) = threads {
-                        cfg.threads = t;
-                    }
                     match dct_bench::run_sweep_supervised(&cfg) {
                         Ok(rep) => {
                             println!(
@@ -439,10 +422,10 @@ fn main() {
                         Err(e) => die(&format!("sweep failed: {e}")),
                     }
                 } else {
-                    let rows = harness::table1_parallel(32, scale, ThreadBudget::clamp(workers, threads));
+                    let rows = harness::table1_parallel(32, scale, ThreadBudget::clamp(workers));
                     println!("{}", harness::render_table1(&rows, 32));
                     if race_check {
-                        let cells = harness::race_check(32, scale, ThreadBudget::clamp(workers, threads));
+                        let cells = harness::race_check(32, scale, ThreadBudget::clamp(workers));
                         print!("{}", harness::render_race_check(&cells, 32));
                         if cells.iter().any(|c| !c.is_clean()) {
                             std::process::exit(1);
@@ -459,7 +442,7 @@ fn main() {
                 Some(spec) => match harness::run_figure_parallel(
                     &spec,
                     &procs,
-                    ThreadBudget::clamp(workers, threads),
+                    ThreadBudget::clamp(workers),
                 ) {
                     Ok(r) => println!("{}", r.render()),
                     Err(e) => eprintln!("{fig} failed: {e}"),

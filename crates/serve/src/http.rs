@@ -44,14 +44,13 @@ pub struct ServeConfig {
     pub out_dir: PathBuf,
     /// Queue worker threads.
     pub workers: usize,
-    /// Sharded-engine threads inside each cell.
+    /// Inert (never read); goes with the follow-up benchmark PR.
     pub threads: usize,
 }
 
 struct State {
     queue: Arc<JobQueue>,
     store: Arc<ResultStore>,
-    threads: usize,
     stop: AtomicBool,
     port: u16,
 }
@@ -71,17 +70,10 @@ impl Server {
             out_dir: cfg.out_dir.clone(),
             store: Arc::clone(&store),
             workers: cfg.workers,
-            threads: cfg.threads,
         });
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
-        let state = Arc::new(State {
-            queue,
-            store,
-            threads: cfg.threads,
-            stop: AtomicBool::new(false),
-            port,
-        });
+        let state = Arc::new(State { queue, store, stop: AtomicBool::new(false), port });
         let st = Arc::clone(&state);
         let accept = thread::spawn(move || {
             for conn in listener.incoming() {
@@ -239,14 +231,31 @@ fn api_stats(st: &State, stream: &mut TcpStream) {
     respond(stream, "200 OK", "application/json", &body);
 }
 
+/// One optional field of a sweep request body: `Ok(None)` when the key is
+/// absent, `Err` when it is present but its value does not parse (a typo
+/// must not silently run the default sweep).
+fn body_field<T>(
+    body: &str,
+    key: &str,
+    get: fn(&str, &str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match get(body, key) {
+        None if sweep::json_has(body, key) => Err(format!("field \"{key}\" has an unreadable value")),
+        v => Ok(v),
+    }
+}
+
+fn parse_job_spec(body: &str) -> Result<JobSpec, String> {
+    Ok(JobSpec {
+        bench: body_field(body, "bench", sweep::json_str)?,
+        scale: body_field(body, "scale_milli", sweep::json_num)?.map_or(1.0, |m| m as f64 / 1000.0),
+        procs: body_field(body, "procs", sweep::json_num)?.map_or(32, |p| p.max(1) as usize),
+        race_check: body_field(body, "race_check", sweep::json_bool)?.unwrap_or(false),
+    })
+}
+
 fn api_sweep(st: &State, stream: &mut TcpStream, body: &str) {
-    let spec = JobSpec {
-        bench: sweep::json_str(body, "bench"),
-        scale: sweep::json_num(body, "scale_milli").map(|m| m as f64 / 1000.0).unwrap_or(1.0),
-        procs: sweep::json_num(body, "procs").map(|p| p.max(1) as usize).unwrap_or(32),
-        race_check: body.contains("\"race_check\":true"),
-    };
-    match st.queue.submit(&spec) {
+    match parse_job_spec(body).and_then(|spec| st.queue.submit(&spec)) {
         Ok(job) => respond(
             stream,
             "200 OK",
@@ -368,7 +377,7 @@ fn race_certificate(job: &crate::queue::Job) -> String {
 fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
     let bench = &path["/api/explain/".len()..];
     let (scale, procs) = query_scale_procs(query);
-    match dct_bench::explain_cached(bench, scale, procs, st.threads, &st.store) {
+    match dct_bench::explain_cached(bench, scale, procs, &st.store) {
         Some((text, json)) => {
             if query_param(query, "format").as_deref() == Some("json") {
                 respond(stream, "200 OK", "application/json", &json);
@@ -404,7 +413,7 @@ fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
             return respond(stream, "200 OK", "text/plain", &text);
         }
     }
-    match harness::run_figure_parallel(&spec, &procs_list, ThreadBudget::single_cell(Some(st.threads))) {
+    match harness::run_figure_parallel(&spec, &procs_list, ThreadBudget::clamp(1)) {
         Ok(r) => {
             let text = r.render();
             if let Some(k) = &key {

@@ -30,9 +30,6 @@ pub struct QueueConfig {
     pub store: Arc<ResultStore>,
     /// Worker threads draining the queue (cells in flight at once).
     pub workers: usize,
-    /// Sharded-engine threads inside each cell (bit-identical at any
-    /// value, so not part of the cache key).
-    pub threads: usize,
 }
 
 /// One cell's lifecycle. `Done` keeps the cache-hit bit so `/api/stats`
@@ -165,7 +162,6 @@ impl JobQueue {
     fn cell_config(&self, slot: &CellSlot) -> SweepConfig {
         let mut cfg = SweepConfig::new(slot.procs, slot.scale, self.cfg.out_dir.clone());
         cfg.race_check = slot.race_check;
-        cfg.threads = self.cfg.threads;
         cfg.cache = Some(Arc::clone(&self.cfg.store));
         cfg
     }

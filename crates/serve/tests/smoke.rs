@@ -112,7 +112,6 @@ fn serve_smoke_end_to_end() {
     // must render the exact same bytes.
     let mut cfg = SweepConfig::new(4, 0.05, dir.path("direct"));
     cfg.only = Some(vec!["stencil".to_string()]);
-    cfg.threads = 2;
     let direct = run_sweep_supervised(&cfg).expect("direct sweep");
     assert_eq!(
         table,
@@ -143,6 +142,22 @@ fn serve_smoke_end_to_end() {
     assert!(cert.contains("certificate: all 4 cells race-free"), "certificate: {cert}");
     // The non-racy job has no certificate to give.
     assert_eq!(http(port, "GET", &format!("/api/job/{job}/races"), "").0, 400);
+
+    // The body as Python's `json.dumps` writes it (a space after every
+    // colon) means the same job as the compact form: stencil only, at
+    // 8 processors, race-checked — not the whole suite at the defaults.
+    let spaced = submit(port, "{\"bench\": \"stencil\", \"procs\": 8, \"race_check\": true}");
+    wait_done(port, spaced);
+    let (_, status_json) = http(port, "GET", &format!("/api/job/{spaced}"), "");
+    assert!(status_json.contains("\"total\":4"), "spaced job: {status_json}");
+    assert!(status_json.contains("\"kind\":\"full\",\"procs\":8"), "spaced job: {status_json}");
+    let (status, cert) = http(port, "GET", &format!("/api/job/{spaced}/races"), "");
+    assert_eq!(status, 200, "spaced race_check was dropped: {cert}");
+    assert!(cert.contains("(8 procs"), "certificate: {cert}");
+    assert!(cert.contains("certificate: all 4 cells race-free"), "certificate: {cert}");
+    // A known key whose value does not parse is refused, not defaulted.
+    let (status, err) = http(port, "POST", "/api/sweep", "{\"bench\": \"stencil\", \"procs\": \"eight\"}");
+    assert_eq!(status, 400, "unparseable procs must be refused: {err}");
 
     // Explain is served (and cached) synchronously.
     let (status, text) = http(port, "GET", "/api/explain/stencil?scale_milli=50&procs=4", "");

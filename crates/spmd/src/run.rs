@@ -42,11 +42,7 @@ pub struct SimOptions {
     /// a `MemProfile` with per-nest/array/processor miss classification
     /// and the true/false sharing split).
     pub profile: bool,
-    /// Host threads used to shard one simulation between sync points.
-    /// `1` runs the exact sequential walk; any other value produces
-    /// bit-identical cycles, checksums, race reports, and profiles
-    /// (regions that fail the independence analysis fall back to the
-    /// sequential walk on their own).
+    /// Inert (never read); goes with the follow-up benchmark PR.
     pub threads: usize,
     /// Abort a runaway simulation once the slowest processor clock exceeds
     /// this many simulated cycles; the result comes back `timed_out`.
@@ -73,7 +69,7 @@ impl SimOptions {
             seg_kernels: true,
             race_detect: false,
             profile: false,
-            threads: default_threads(),
+            threads: 1,
             max_cycles: None,
             max_wall_secs: None,
             cancel: None,
@@ -96,16 +92,15 @@ fn build_executor<'a>(
     ex.seg_kernels &= opts.seg_kernels;
     ex.race_detect = opts.race_detect;
     ex.profile = opts.profile;
-    ex.threads = opts.threads.max(1);
     ex.max_cycles = opts.max_cycles;
     ex.max_wall = opts.max_wall_secs.map(std::time::Duration::from_secs_f64);
     ex.cancel = opts.cancel.clone();
     ex
 }
 
-/// Default intra-simulation thread count: the host's available
-/// parallelism (callers sharing the host across concurrent simulations
-/// clamp this down; see the bench harness).
+/// The host's available parallelism, which clamps the bench harness's
+/// `--workers`. Inert as a simulation option; the name goes with the
+/// follow-up benchmark PR.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

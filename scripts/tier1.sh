@@ -13,18 +13,14 @@ cd "$(dirname "$0")/.."
 
 BUDGET="${1:-120}"
 
-echo "== tier1: cargo build --release --workspace"
-# --workspace so the repro binary itself is rebuilt (a bare root build
-# only rebuilds the dct-bench *library* the root package depends on).
-cargo build --release --workspace
+echo "== tier1: cargo build --release"
+# default-members covers crates/*, so this builds the repro binary too.
+cargo build --release
 
 echo "== tier1: cargo test -q"
+# The whole workspace (default-members): the differential, chaos, native
+# and serve suites, and the 256-case three-way fuzz smoke among them.
 cargo test -q
-
-echo "== tier1: differential fuzz smoke (256 cases, three-way oracle)"
-# Each case runs the reference walk, the strided fast path, AND the
-# native threaded backend; all three must agree bit for bit.
-cargo test -q -p dct-bench --test fuzz_smoke
 
 echo "== tier1: panic-site ratchet"
 # New panic!/unwrap() sites must not appear in the compiler crates above
@@ -74,17 +70,6 @@ if [ "${race_panics:-0}" -ne 0 ]; then
 fi
 echo "  spmd/src/race.rs: 0 panic sites"
 
-echo "== tier1: parallel engine is panic-free"
-# The sharded engine runs conflict analysis and worker merges inside
-# every multi-threaded cell; a panic there would take down a sweep that
-# the sequential path would have completed.
-par_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/spmd/src/par.rs || true)
-if [ "${par_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/spmd/src/par.rs has $par_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  spmd/src/par.rs: 0 panic sites"
-
 echo "== tier1: segment kernels are panic-free"
 # The fused kernels run raw-pointer sweeps over arena slices inside the
 # innermost loop of every simulation; any failure must be a fallback to
@@ -118,39 +103,11 @@ if [ "${serve_panics:-0}" -ne 0 ]; then
 fi
 echo "  serve/src: 0 panic sites"
 
-echo "== tier1: sharded engine determinism (--threads 1 vs --threads 4)"
-# The parallel engine must be bit-identical to the sequential walk with
-# every observer attached: plain figure cells, the race detector, and
-# the memory profiler (explain). Budget banners go to stderr, so stdout
-# diffs are clean.
-seq_out=$(./target/release/repro fig8 --scale 0.15 --procs 8 --threads 1 2>/dev/null)
-par_out=$(./target/release/repro fig8 --scale 0.15 --procs 8 --threads 4 2>/dev/null)
-if [ "$seq_out" != "$par_out" ]; then
-    echo "tier1 FAIL: fig8 output differs between --threads 1 and --threads 4" >&2
-    diff <(echo "$seq_out") <(echo "$par_out") >&2 || true
-    exit 1
-fi
-seq_rc=$(./target/release/repro --race-check --scale 0.15 --procs 8 --threads 1 2>/dev/null)
-par_rc=$(./target/release/repro --race-check --scale 0.15 --procs 8 --threads 4 2>/dev/null)
-if [ "$seq_rc" != "$par_rc" ]; then
-    echo "tier1 FAIL: race-check output differs between --threads 1 and --threads 4" >&2
-    diff <(echo "$seq_rc") <(echo "$par_rc") >&2 || true
-    exit 1
-fi
-seq_ex=$(./target/release/repro explain stencil --scale 0.15 --procs 32 --threads 1 2>/dev/null)
-par_ex=$(./target/release/repro explain stencil --scale 0.15 --procs 32 --threads 4 2>/dev/null)
-if [ "$seq_ex" != "$par_ex" ]; then
-    echo "tier1 FAIL: explain output differs between --threads 1 and --threads 4" >&2
-    diff <(echo "$seq_ex") <(echo "$par_ex") >&2 || true
-    exit 1
-fi
-echo "  fig8 + race-check + explain: bit-identical at 1 and 4 threads"
-
 echo "== tier1: segment kernels bit-identity (fig8 kernels off vs on)"
 # The fused-kernel engine must not perturb a single reported number; the
 # interpreter run is the oracle.
-kern_on=$(./target/release/repro fig8 --scale 0.15 --procs 8 --threads 1 2>/dev/null)
-kern_off=$(./target/release/repro fig8 --scale 0.15 --procs 8 --threads 1 --no-kernels 2>/dev/null)
+kern_on=$(./target/release/repro fig8 --scale 0.15 --procs 8 2>/dev/null)
+kern_off=$(./target/release/repro fig8 --scale 0.15 --procs 8 --no-kernels 2>/dev/null)
 if [ "$kern_on" != "$kern_off" ]; then
     echo "tier1 FAIL: fig8 output differs between kernels on and --no-kernels" >&2
     diff <(echo "$kern_on") <(echo "$kern_off") >&2 || true
@@ -185,7 +142,7 @@ echo "== tier1: repro chaos smoke (seeded fault injection, bit-identity)"
 # checkpoint corruption, stuck cells, whole-sweep kills) must converge
 # bit-identical to a fault-free sweep. The binary exits non-zero on any
 # divergence; we additionally require the seed to actually fire faults.
-chaos_out=$(./target/release/repro chaos stencil --scale 0.1 --seed 42 --faults 6 --threads 2 --out results/chaos-smoke 2>/dev/null)
+chaos_out=$(./target/release/repro chaos stencil --scale 0.1 --seed 42 --faults 6 --out results/chaos-smoke 2>/dev/null)
 echo "$chaos_out"
 if ! grep -q "BIT-IDENTICAL" <<<"$chaos_out"; then
     echo "tier1 FAIL: chaos sweep did not converge bit-identical" >&2
@@ -247,7 +204,7 @@ rm -rf results/serve-smoke
 mkdir -p results/serve-smoke
 ./target/release/repro serve --port 0 \
     --cache-dir results/serve-smoke/cache --out results/serve-smoke/ckpt \
-    --workers 2 --threads 2 \
+    --workers 2 \
     >results/serve-smoke/stdout.log 2>results/serve-smoke/stderr.log &
 serve_pid=$!
 port=""
@@ -329,15 +286,6 @@ done
 if [ "$elapsed" -gt "$BUDGET" ]; then
     echo "tier1 FAIL: smoke run took ${elapsed}s > budget ${BUDGET}s" >&2
     exit 1
-fi
-
-# Opt-in scaling measurement: multi-core hosts set TIER1_SIM_SCALING=1 to
-# produce the ROADMAP item-1/item-3 thread-scaling artifact (criterion
-# output under target/criterion/). Off by default — on a one-core CI box
-# the numbers are meaningless and the run is slow.
-if [ -n "${TIER1_SIM_SCALING:-}" ]; then
-    echo "== tier1: sim_scaling bench (TIER1_SIM_SCALING set)"
-    cargo bench -p dct-bench --bench sim_scaling
 fi
 
 echo "tier1 OK"
