@@ -37,7 +37,7 @@ use std::time::SystemTime;
 /// Version of the cache key derivation. Mixed into every key; bump it
 /// whenever the key walk (not the IR walk — that has its own
 /// [`dct_ir::FP_SCHEMA`]) changes shape, so stale entries miss cleanly.
-pub const CACHE_KEY_SCHEMA: u32 = 1;
+pub const CACHE_KEY_SCHEMA: u32 = 2;
 
 // ----------------------------------------------------------------- key --
 
@@ -187,7 +187,6 @@ fn hash_machine(h: &mut FpHasher, m: &MachineConfig) {
     h.write_u64(m.barrier_base);
     h.write_u64(m.barrier_per_proc);
     h.write_u64(m.lock_cost);
-    h.write_bool(m.classify_misses);
 }
 
 /// Derive the content-addressed key of one cell. Compiles the program
@@ -549,7 +548,7 @@ mod tests {
         assert_eq!(full.procs, 8);
         assert_eq!(
             full.filename(),
-            "stencil-full-p8-e99659a8094124ce1df25f635ef10669.json",
+            "stencil-full-p8-909179d77f8a7ed1d6c1bee12528b4a4.json",
             "cache key walk changed; bump CACHE_KEY_SCHEMA and repin deliberately"
         );
         let seq = stencil_key("seq");

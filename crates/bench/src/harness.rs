@@ -6,11 +6,12 @@
 //! of poisoning the whole sweep.
 
 use crate::programs;
-use dct_core::{sequential_cycles, speedup_curve, Compiler, SpeedupPoint, Strategy};
+use dct_core::{sequential_cycles, Compiler, SpeedupPoint, Strategy};
 use dct_ir::{panic_message, DctError, DctResult, Phase, Program};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Atomically and durably write a result artifact: temp file in the same
 /// directory, write, fsync the file, rename over the target, fsync the
@@ -74,6 +75,41 @@ impl std::fmt::Display for ThreadBudget {
             self.workers, self.host
         )
     }
+}
+
+/// The harness's one worker pool: `f(i)` for every `i < n` on
+/// `budget.workers` scoped threads pulling indices off a shared counter,
+/// results in index order. A panicking index becomes `Err(message)` while
+/// the other indices keep their results — a bad cell never poisons a sweep.
+fn par_map<T: Send>(
+    budget: ThreadBudget,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<Result<T, String>> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            let r = catch_unwind(AssertUnwindSafe(|| f(i)))
+                .map_err(|p| format!("worker panicked: {}", panic_message(p.as_ref())));
+            done.push((i, r));
+        }
+    };
+    let mut out: Vec<Result<T, String>> =
+        (0..n).map(|_| Err("worker died before running this cell".to_string())).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..budget.workers.max(1)).map(|_| scope.spawn(worker)).collect();
+        // A join error means a worker died outside `catch_unwind`; its
+        // cells keep the placeholder error.
+        for (i, r) in handles.into_iter().flat_map(|h| h.join().unwrap_or_default()) {
+            out[i] = r;
+        }
+    });
+    out
 }
 
 /// A figure specification: which benchmark, at which size.
@@ -171,125 +207,52 @@ pub fn figure(id: &str, scale: f64) -> Option<FigureSpec> {
 pub const ALL_FIGURES: &[&str] =
     &["fig4", "fig6", "fig6b", "fig8", "fig10", "fig10b", "fig11", "fig12", "fig13"];
 
-/// Run a figure: the three strategies across `procs_list`.
+/// Run a figure: the three strategies across `procs_list`, one point at
+/// a time.
 pub fn run_figure(spec: &FigureSpec, procs_list: &[usize]) -> DctResult<FigureResult> {
-    let params = spec.program.default_params();
-    let seq = sequential_cycles(&spec.program, &params)?;
-    let curves = Strategy::ALL
-        .iter()
-        .map(|&strategy| {
-            Ok(StrategyCurve {
-                strategy,
-                points: speedup_curve(&spec.program, strategy, procs_list, &params, seq)?,
-            })
-        })
-        .collect::<DctResult<Vec<_>>>()?;
-    Ok(FigureResult {
-        spec_id: spec.id.to_string(),
-        benchmark: spec.benchmark.to_string(),
-        size_label: spec.size_label.clone(),
-        seq_cycles: seq,
-        curves,
-    })
+    figure_on(spec, procs_list, ThreadBudget::clamp(1))
 }
 
-/// Parallel variant of [`run_figure`]: simulation points are independent,
-/// so they are swept with a scoped worker pool whose size respects the
-/// thread budget. A panicking worker is caught and surfaced as an error
-/// for its point, not a process abort.
+/// [`run_figure`] with the independent simulation points swept by a worker
+/// pool sized by the thread budget. A failing or panicking point is
+/// surfaced as the figure's error, not a process abort.
 pub fn run_figure_parallel(
     spec: &FigureSpec,
     procs_list: &[usize],
     budget: ThreadBudget,
 ) -> DctResult<FigureResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     eprintln!("[{budget}]");
-    let workers = budget.workers;
+    figure_on(spec, procs_list, budget)
+}
+
+fn figure_on(
+    spec: &FigureSpec,
+    procs_list: &[usize],
+    budget: ThreadBudget,
+) -> DctResult<FigureResult> {
     let params = spec.program.default_params();
     let seq = sequential_cycles(&spec.program, &params)?;
-
-    // Task list: (strategy index, procs index).
-    let tasks: Vec<(usize, usize)> = (0..Strategy::ALL.len())
-        .flat_map(|s| (0..procs_list.len()).map(move |k| (s, k)))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Vec<Option<Result<SpeedupPoint, String>>>>> =
-        Mutex::new(vec![vec![None; procs_list.len()]; Strategy::ALL.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| {
-                // Each worker compiles lazily per strategy (compilation is
-                // cheap relative to simulation).
-                let mut compiled: Vec<Option<Result<(Compiler, dct_core::Compiled), String>>> =
-                    (0..Strategy::ALL.len()).map(|_| None).collect();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= tasks.len() {
-                        break;
-                    }
-                    let (si, ki) = tasks[t];
-                    let strategy = Strategy::ALL[si];
-                    if compiled[si].is_none() {
-                        let c = Compiler::new(strategy);
-                        let cc = catch_unwind(AssertUnwindSafe(|| c.compile(&spec.program)));
-                        compiled[si] = Some(match cc {
-                            Ok(Ok(cc)) => Ok((c, cc)),
-                            Ok(Err(e)) => Err(e.to_string()),
-                            Err(p) => Err(panic_message(p.as_ref())),
-                        });
-                    }
-                    let procs = procs_list[ki];
-                    let point = match compiled[si].as_ref().unwrap() {
-                        Err(e) => Err(e.clone()),
-                        Ok((c, cc)) => {
-                            match catch_unwind(AssertUnwindSafe(|| c.simulate(cc, procs, &params))) {
-                                Ok(Ok(r)) => Ok(SpeedupPoint {
-                                    procs,
-                                    cycles: r.cycles,
-                                    speedup: seq as f64 / r.cycles as f64,
-                                }),
-                                Ok(Err(e)) => Err(e.to_string()),
-                                Err(p) => Err(panic_message(p.as_ref())),
-                            }
-                        }
-                    };
-                    results.lock().unwrap()[si][ki] = Some(point);
-                }
-            });
-        }
+    let np = procs_list.len();
+    // Point t: strategy t / np at procs_list[t % np].
+    let points = par_map(budget, Strategy::ALL.len() * np, |t| -> Result<SpeedupPoint, String> {
+        let (c, procs) = (Compiler::new(Strategy::ALL[t / np]), procs_list[t % np]);
+        let compiled = c.compile(&spec.program).map_err(|e| e.to_string())?;
+        let r = c.simulate(&compiled, procs, &params).map_err(|e| e.to_string())?;
+        Ok(SpeedupPoint { procs, cycles: r.cycles, speedup: seq as f64 / r.cycles as f64 })
     });
-
-    let results = results.into_inner().unwrap();
-    let mut curves = Vec::with_capacity(Strategy::ALL.len());
-    for (si, &strategy) in Strategy::ALL.iter().enumerate() {
-        let mut points = Vec::with_capacity(procs_list.len());
-        for (ki, slot) in results[si].iter().enumerate() {
-            match slot {
-                Some(Ok(p)) => points.push(*p),
-                Some(Err(e)) => {
-                    return Err(DctError::new(
-                        Phase::Sim,
-                        format!(
-                            "{} under {} at {} procs: {e}",
-                            spec.id,
-                            strategy.label(),
-                            procs_list[ki]
-                        ),
-                    ))
-                }
-                None => {
-                    return Err(DctError::internal(
-                        Phase::Sim,
-                        format!("{}: sweep point never ran", spec.id),
-                    ))
-                }
-            }
-        }
-        curves.push(StrategyCurve { strategy, points });
-    }
+    let curve_of = |(si, &strategy): (usize, &Strategy)| {
+        let point = |(ki, &procs): (usize, &usize)| {
+            points[si * np + ki].clone().and_then(|p| p).map_err(|e| {
+                DctError::new(
+                    Phase::Sim,
+                    format!("{} under {} at {procs} procs: {e}", spec.id, strategy.label()),
+                )
+            })
+        };
+        let points = procs_list.iter().enumerate().map(point).collect::<DctResult<_>>()?;
+        Ok(StrategyCurve { strategy, points })
+    };
+    let curves = Strategy::ALL.iter().enumerate().map(curve_of).collect::<DctResult<_>>()?;
     Ok(FigureResult {
         spec_id: spec.id.to_string(),
         benchmark: spec.benchmark.to_string(),
@@ -319,27 +282,21 @@ type CellResult = Result<u64, String>;
 /// three strategies.
 const CELL_LABELS: [&str; 4] = ["sequential", "base", "comp-decomp", "full"];
 
-/// Run one Table 1 cell, catching panics so a bad benchmark cannot
-/// poison the sweep.
+/// Run one Table 1 cell: `k` = 0 is the sequential reference, else
+/// `Strategy::ALL[k - 1]` at `procs`.
 fn run_cell(prog: &Program, params: &[i64], procs: usize, k: usize) -> CellResult {
-    let body = || -> Result<u64, String> {
-        match k {
-            0 => sequential_cycles(prog, params).map_err(|e| e.to_string()),
-            _ => {
-                let c = Compiler::new(Strategy::ALL[k - 1]);
-                let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-                c.simulate(&compiled, procs, params).map(|r| r.cycles).map_err(|e| e.to_string())
-            }
+    match k {
+        0 => sequential_cycles(prog, params).map_err(|e| e.to_string()),
+        _ => {
+            let c = Compiler::new(Strategy::ALL[k - 1]);
+            let compiled = c.compile(prog).map_err(|e| e.to_string())?;
+            c.simulate(&compiled, procs, params).map(|r| r.cycles).map_err(|e| e.to_string())
         }
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(r) => r,
-        Err(p) => Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
     }
 }
 
 /// Assemble one Table 1 row from its four cells.
-fn assemble_row(name: &str, prog: &Program, cy: &[CellResult; 4]) -> Table1Row {
+fn assemble_row(name: &str, prog: &Program, cy: &[CellResult]) -> Table1Row {
     let mut notes: Vec<String> = Vec::new();
     for (k, c) in cy.iter().enumerate() {
         if let Err(e) = c {
@@ -392,83 +349,30 @@ fn assemble_row(name: &str, prog: &Program, cy: &[CellResult; 4]) -> Table1Row {
 /// Regenerate Table 1 at `procs` processors and `scale` of the paper
 /// sizes, one cell at a time.
 pub fn table1(procs: usize, scale: f64) -> Vec<Table1Row> {
-    let suite = programs::suite(scale);
-    suite
-        .iter()
-        .map(|b| {
-            let params = b.program.default_params();
-            let cy: [CellResult; 4] =
-                std::array::from_fn(|k| run_cell(&b.program, &params, procs, k));
-            assemble_row(b.name, &b.program, &cy)
-        })
-        .collect()
+    table1_on(procs, scale, ThreadBudget::clamp(1))
 }
 
-/// Parallel variant of [`table1`]: the 4 simulations per benchmark
-/// (sequential reference + three strategies) are independent, so all
-/// `suite.len() * 4` of them are swept with a scoped worker pool sized
-/// by the thread budget. Rows are assembled in suite order afterwards
-/// — the output is identical to the sequential version. A failing or
-/// panicking cell becomes a failed cell in its row, never a poisoned
-/// sweep.
+/// [`table1`] with the `suite.len() * 4` independent cells (sequential
+/// reference + three strategies per benchmark) swept by a worker pool
+/// sized by the thread budget. Rows are assembled in suite order, so the
+/// output is identical. A failing or panicking cell becomes a failed cell
+/// in its row.
 pub fn table1_parallel(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
-    table1_parallel_with_hook(procs, scale, budget, None)
+    eprintln!("[{budget}]");
+    table1_on(procs, scale, budget)
 }
 
-/// Testing back door for [`table1_parallel`]: `hook(bench, k)` runs inside
-/// the worker before cell `(bench, k)` and may panic to simulate a crashed
-/// cell.
-#[doc(hidden)]
-pub fn table1_parallel_with_hook(
-    procs: usize,
-    scale: f64,
-    budget: ThreadBudget,
-    hook: Option<&(dyn Fn(&str, usize) + Sync)>,
-) -> Vec<Table1Row> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    eprintln!("[{budget}]");
-    let workers = budget.workers;
-    if workers <= 1 && hook.is_none() {
-        // No across-cell parallelism: the pool is pure overhead.
-        return table1(procs, scale);
-    }
+fn table1_on(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
     let suite = programs::suite(scale);
-    // Task (b, k): benchmark b, run k = 0 sequential reference, else
-    // Strategy::ALL[k - 1] at `procs`.
-    let tasks: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|b| (0..4).map(move |k| (b, k))).collect();
-    let next = AtomicUsize::new(0);
-    let cells: Mutex<Vec<[CellResult; 4]>> =
-        Mutex::new(vec![std::array::from_fn(|_| Err("never ran".to_string())); suite.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks.len() {
-                    break;
-                }
-                let (b, k) = tasks[t];
-                let bench = &suite[b];
-                let params = bench.program.default_params();
-                let c = match catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(h) = hook {
-                        h(bench.name, k);
-                    }
-                    run_cell(&bench.program, &params, procs, k)
-                })) {
-                    Ok(r) => r,
-                    Err(p) => Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
-                };
-                cells.lock().unwrap()[b][k] = c;
-            });
-        }
-    });
-
-    let cells = cells.into_inner().unwrap();
-    suite.iter().zip(&cells).map(|(b, cy)| assemble_row(b.name, &b.program, cy)).collect()
+    // Cell t: benchmark t / 4, run t % 4.
+    let cells: Vec<CellResult> = par_map(budget, suite.len() * 4, |t| {
+        let prog = &suite[t / 4].program;
+        run_cell(prog, &prog.default_params(), procs, t % 4)
+    })
+    .into_iter()
+    .map(|c| c.and_then(|c| c))
+    .collect();
+    suite.iter().zip(cells.chunks(4)).map(|(b, cy)| assemble_row(b.name, &b.program, cy)).collect()
 }
 
 /// One benchmark × strategy cell of the race-check sweep: the detector's
@@ -495,19 +399,13 @@ fn run_race_cell(
     procs: usize,
     strategy: Strategy,
 ) -> Result<dct_ir::RaceReport, String> {
-    let body = || -> Result<dct_ir::RaceReport, String> {
-        let c = Compiler::new(strategy);
-        let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-        let mut opts = dct_core::rung_sim_options(compiled.rung, procs, params.to_vec());
-        opts.race_detect = true;
-        let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
-            .map_err(|e| e.to_string())?;
-        r.race.ok_or_else(|| "detector produced no report".to_string())
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(r) => r,
-        Err(p) => Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
-    }
+    let c = Compiler::new(strategy);
+    let compiled = c.compile(prog).map_err(|e| e.to_string())?;
+    let mut opts = dct_core::rung_sim_options(compiled.rung, procs, params.to_vec());
+    opts.race_detect = true;
+    let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
+        .map_err(|e| e.to_string())?;
+    r.race.ok_or_else(|| "detector produced no report".to_string())
 }
 
 /// Certify every Table 1 benchmark under every strategy at `procs`
@@ -517,40 +415,22 @@ fn run_race_cell(
 /// detector is the only oracle that can see missing synchronization, since
 /// the deterministic simulator never produces "racy but lucky" values.
 pub fn race_check(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<RaceCheckCell> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     eprintln!("[{budget}]");
-    let workers = budget.workers;
     let suite = programs::suite(scale);
-    let tasks: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|b| (0..Strategy::ALL.len()).map(move |s| (b, s))).collect();
-    let next = AtomicUsize::new(0);
-    let cells: Mutex<Vec<Option<RaceCheckCell>>> = Mutex::new(vec![None; tasks.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks.len() {
-                    break;
-                }
-                let (b, s) = tasks[t];
-                let bench = &suite[b];
-                let strategy = Strategy::ALL[s];
-                let params = bench.program.default_params();
-                let outcome = run_race_cell(&bench.program, &params, procs, strategy);
-                cells.lock().unwrap()[t] =
-                    Some(RaceCheckCell { program: bench.name.to_string(), strategy, outcome });
-            });
-        }
+    let ns = Strategy::ALL.len();
+    // Cell t: benchmark t / ns under strategy t % ns.
+    let outcomes = par_map(budget, suite.len() * ns, |t| {
+        let prog = &suite[t / ns].program;
+        run_race_cell(prog, &prog.default_params(), procs, Strategy::ALL[t % ns])
     });
-
-    cells
-        .into_inner()
-        .unwrap()
+    outcomes
         .into_iter()
-        .map(|c| c.expect("race-check cell never ran"))
+        .enumerate()
+        .map(|(t, outcome)| RaceCheckCell {
+            program: suite[t / ns].name.to_string(),
+            strategy: Strategy::ALL[t % ns],
+            outcome: outcome.and_then(|o| o),
+        })
         .collect()
 }
 
@@ -617,4 +497,47 @@ pub fn render_table1(rows: &[Table1Row], procs: usize) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panicking index becomes `Err(message)`; every other index keeps
+    /// its result, in index order, at any worker count.
+    #[test]
+    fn par_map_isolates_a_panicking_index() {
+        for workers in [1, 2] {
+            let budget = ThreadBudget { host: workers, workers, intra: 1 };
+            let out = par_map(budget, 5, |i| {
+                if i == 3 {
+                    panic!("injected failure");
+                }
+                i * 10
+            });
+            assert_eq!(out.len(), 5);
+            for (i, r) in out.iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!((i != 3, *v), (true, i * 10)),
+                    Err(e) => assert!(i == 3 && e.contains("injected failure"), "{i}: {e}"),
+                }
+            }
+        }
+        assert!(par_map(ThreadBudget::clamp(2), 0, |i| i).is_empty());
+    }
+
+    /// A failed cell is `None` in its row plus a note, which the renderer
+    /// prints as `fail`; the row's other cells keep their numbers.
+    #[test]
+    fn failed_cell_renders_as_fail_with_its_note() {
+        let prog = programs::stencil(16, 2);
+        let cy = [Ok(100), Ok(50), Ok(40), Err("worker panicked: injected failure".to_string())];
+        let row = assemble_row("stencil", &prog, &cy);
+        assert_eq!(row.base_speedup, Some(2.0));
+        assert_eq!(row.full_speedup, None);
+        assert_eq!(row.notes, ["full: worker panicked: injected failure"]);
+        let table = render_table1(&[row], 4);
+        assert!(table.contains("fail"), "{table}");
+        assert!(table.contains("! full: worker panicked: injected failure"), "{table}");
+    }
 }

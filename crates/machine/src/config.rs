@@ -38,12 +38,14 @@ pub struct MachineConfig {
     pub barrier_per_proc: u64,
     /// Cost of a lock acquire/release pair (pipelining synchronization).
     pub lock_cost: u64,
-    /// Classify misses into cold/coherence/conflict/capacity (the 4 C's).
-    /// Off by default: roughly doubles simulation cost.
-    pub classify_misses: bool,
 }
 
 impl MachineConfig {
+    /// Most processors a machine can have: the directory keeps sharers in a
+    /// 64-bit mask. Input that names a processor count is checked against
+    /// this where it enters (CLI, HTTP).
+    pub const MAX_PROCS: usize = 64;
+
     /// The Stanford DASH prototype as described in Section 6.1: 33 MHz
     /// R3000s in clusters of 4, 64 KB direct-mapped L1 and 256 KB
     /// direct-mapped L2 with 16-byte lines, latency ratios roughly
@@ -68,7 +70,6 @@ impl MachineConfig {
             barrier_base: 200,
             barrier_per_proc: 30,
             lock_cost: 60,
-            classify_misses: false,
         }
     }
 
@@ -92,7 +93,6 @@ impl MachineConfig {
             barrier_base: 200,
             barrier_per_proc: 30,
             lock_cost: 60,
-            classify_misses: false,
         }
     }
 

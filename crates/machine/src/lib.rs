@@ -10,13 +10,11 @@
 #![allow(clippy::needless_range_loop, clippy::manual_memcpy)]
 
 pub mod cache;
-pub mod classify;
 pub mod config;
 pub mod probe;
 pub mod system;
 
 pub use cache::{Cache, LineState};
-pub use classify::{Classifier, FastHash, MissClasses, ShadowLru};
 pub use config::MachineConfig;
 pub use probe::{AccessLevel, MemProbe};
 pub use system::{Machine, ProcStats, SegAccess, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS};

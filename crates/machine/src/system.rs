@@ -8,7 +8,6 @@
 //! accumulates per-processor clocks.
 
 use crate::cache::{Cache, LineState};
-use crate::classify::{Classifier, MissClasses};
 use crate::config::MachineConfig;
 use crate::probe::{AccessLevel, MemProbe};
 
@@ -242,24 +241,21 @@ pub struct Machine {
     /// Memoised `cfg.cluster_of(proc)` (a divide by `procs_per_cluster`).
     cluster: Vec<u32>,
     pub stats: Stats,
-    /// Optional 4-C miss classifiers (one per processor).
-    classifiers: Option<Vec<Classifier>>,
 }
 
 impl Machine {
     pub fn new(cfg: MachineConfig) -> Machine {
         cfg.validate();
-        assert!(cfg.nprocs <= 64, "directory bitmask supports up to 64 processors");
+        assert!(
+            cfg.nprocs <= MachineConfig::MAX_PROCS,
+            "directory bitmask supports up to 64 processors"
+        );
         let l1 = (0..cfg.nprocs)
             .map(|_| Cache::new(cfg.l1_bytes, cfg.line_bytes, cfg.l1_assoc))
             .collect();
         let l2 = (0..cfg.nprocs)
             .map(|_| Cache::new(cfg.l2_bytes, cfg.line_bytes, cfg.l2_assoc))
             .collect();
-        let classifiers = cfg.classify_misses.then(|| {
-            let lines = cfg.l1_bytes / cfg.line_bytes;
-            (0..cfg.nprocs).map(|_| Classifier::new(lines)).collect()
-        });
         Machine {
             stats: Stats {
                 per_proc: vec![ProcStats::default(); cfg.nprocs],
@@ -275,7 +271,6 @@ impl Machine {
             l2,
             dir: DirTable::new(),
             page_home: PageHomes::new(),
-            classifiers,
         }
     }
 
@@ -285,13 +280,6 @@ impl Machine {
             Some(s) => byte_addr >> s,
             None => byte_addr / self.cfg.page_bytes as u64,
         }
-    }
-
-    /// Per-processor miss-class counters (when classification is enabled).
-    pub fn miss_classes(&self) -> Option<Vec<MissClasses>> {
-        self.classifiers
-            .as_ref()
-            .map(|cs| cs.iter().map(|c| c.classes).collect())
     }
 
     /// Pre-assign the home cluster of the page containing `byte_addr`
@@ -347,9 +335,6 @@ impl Machine {
         // Shared line must take the upgrade path below.
         let ll = self.last_line[proc];
         if ll.line == line && (!write || ll.state == LineState::Modified) {
-            if let Some(cs) = &mut self.classifiers {
-                cs[proc].note_hit(line);
-            }
             if let Some(p) = probe.as_deref_mut() {
                 p.access(proc, line, word, write, AccessLevel::L1, self.cfg.lat_l1);
             }
@@ -365,9 +350,6 @@ impl Machine {
 
         // L1.
         if let Some(state) = self.l1[proc].probe(line) {
-            if let Some(cs) = &mut self.classifiers {
-                cs[proc].note_hit(line);
-            }
             self.stats.per_proc[proc].l1_hits += 1;
             let mut cost = self.cfg.lat_l1;
             if write && state == LineState::Shared {
@@ -384,9 +366,6 @@ impl Machine {
 
         // L2.
         if let Some(state) = self.l2[proc].probe(line) {
-            if let Some(cs) = &mut self.classifiers {
-                cs[proc].note_hit(line);
-            }
             self.stats.per_proc[proc].l2_hits += 1;
             let mut cost = self.cfg.lat_l2;
             if write && state == LineState::Shared {
@@ -404,9 +383,6 @@ impl Machine {
         }
 
         // Memory (through the directory).
-        if let Some(cs) = &mut self.classifiers {
-            cs[proc].classify_miss(line);
-        }
         let mut cost;
         let level;
         let entry = self.dir.get(line);
@@ -423,9 +399,6 @@ impl Machine {
                     self.l2[owner].invalidate(line);
                     if self.last_line[owner].line == line {
                         self.last_line[owner] = LastLine::NONE;
-                    }
-                    if let Some(cs) = &mut self.classifiers {
-                        cs[owner].note_invalidation(line);
                     }
                     if let Some(p) = probe.as_deref_mut() {
                         p.invalidated(owner, line, proc, word);
@@ -537,9 +510,6 @@ impl Machine {
                 self.l2[q].invalidate(line);
                 if self.last_line[q].line == line {
                     self.last_line[q] = LastLine::NONE;
-                }
-                if let Some(cs) = &mut self.classifiers {
-                    cs[q].note_invalidation(line);
                 }
                 if let Some(p) = probe.as_deref_mut() {
                     p.invalidated(q, line, proc, word);
@@ -659,7 +629,7 @@ impl Machine {
     /// last-line memo chain — both replayed in bulk without touching the
     /// caches. Runs end at the first line-boundary crossing of any slot.
     /// Anything the bulk replay cannot prove exact — an attached probe,
-    /// miss classifiers, an associative L1 (whose probes bump LRU ticks),
+    /// an associative L1 (whose probes bump LRU ticks),
     /// an oversized vector, or a slot whose line is not steady after the
     /// first round (set conflicts inside the vector) — falls back to the
     /// per-element path, so exactness never rests on the fast case.
@@ -684,7 +654,6 @@ impl Machine {
             .iter()
             .any(|a| a.dbyte != 0 && a.dbyte.unsigned_abs() >= line_bytes);
         if probe.is_some()
-            || self.classifiers.is_some()
             || !self.l1[proc].is_direct()
             || accs.len() > MAX_SEG_SLOTS
             || unbatchable

@@ -19,11 +19,9 @@
 //! [`dct_ir::DctError`]s, never as a panic or a deadlock.
 
 pub mod barrier;
-pub mod plan;
 pub mod run;
 
 pub use barrier::AbortableBarrier;
-pub use plan::{NativePlan, NestStep, SyncAction};
 pub use run::{
     arena_padding, execute, execute_with_values, run_native, run_native_with_values, ArenaPad,
     NativeOptions, NativeRun,

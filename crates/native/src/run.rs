@@ -8,7 +8,8 @@
 //! bit-identical because
 //!
 //! 1. every worker walks exactly the iteration subset the simulator's
-//!    lane walks (same `owned_iter`, same gates, same tile math), and
+//!    lane walks (same `owned_iter`; steps, gates, chains and tiles come
+//!    from the one shared [`dct_spmd::Schedule`] the simulator reads), and
 //!    evaluates statement bodies with the same recursive f64 operation
 //!    order — so each individual write stores the identical bits;
 //! 2. the certified schedule is race-free between sync points (the
@@ -38,12 +39,14 @@
 //! workers stop at a boundary or none do.
 
 use crate::barrier::{AbortableBarrier, WaitOutcome};
-use crate::plan::{NativePlan, NestStep, SyncAction};
 use dct_ir::{
     checksum_arenas, panic_message, ArrayRef, BinOp, CancelToken, ChecksumAcc, DctError,
     DctResult, Expr, Phase,
 };
-use dct_spmd::{owned_iter, LevelSched, SpmdNest, SpmdProgram};
+use dct_spmd::{
+    owned_iter, schedule, LevelSched, PipelinePlan, Schedule, SpmdNest, SpmdProgram, Step, Steps,
+    SyncKind,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -203,6 +206,8 @@ enum WorkerOut {
 
 struct Shared<'a> {
     sp: &'a SpmdProgram,
+    /// The lowered schedule, shared with the simulator and the C emitter.
+    sched: Schedule<'a>,
     /// Arena element bits (`f64::to_bits`), cache-line padded per
     /// [`ArenaPad`]. `Relaxed` everywhere: the schedule is race-free and
     /// the sync edges carry all ordering.
@@ -210,7 +215,6 @@ struct Shared<'a> {
     /// Physical slot mapping of each arena (logical addresses from the
     /// layout pass through here before touching `arenas`).
     pads: Vec<ArenaPad>,
-    coords: Vec<Vec<usize>>,
     barrier: AbortableBarrier,
     /// Published stop verdict (sticky; written by sync-point leaders).
     stop: AtomicBool,
@@ -325,124 +329,67 @@ impl Worker<'_> {
     }
 
     /// Whole program, this worker's lane.
-    fn run(&mut self, plan: &NativePlan) -> Result<(), Halt> {
-        let sp = self.sh.sp;
-        let mut params = sp.params.clone();
-        if let Some(tp) = sp.time_param {
-            params[tp] = 0;
-        }
-        for step in &plan.init_steps {
-            self.run_step(step, &params)?;
-            self.sync(SyncAction::Barrier)?;
-        }
-        for t in 0..plan.time_steps {
-            if let Some(tp) = sp.time_param {
-                params[tp] = t;
-            }
-            for (j, step) in plan.steps.iter().enumerate() {
-                self.run_step(step, &params)?;
-                // The trailing sync of the very last nest execution is
-                // skipped; the thread join plays that role (exactly like
-                // the simulator's final clock max).
-                let last = t == plan.time_steps - 1 && j == plan.steps.len() - 1;
-                if !last {
-                    self.sync(step.sync)?;
-                }
-            }
+    fn run(&mut self) -> Result<(), Halt> {
+        let mut steps = Steps::new(self.sh.sp);
+        while let Some((step, params)) = steps.next() {
+            self.run_step(step, params)?;
+            self.sync(step.sync)?;
         }
         Ok(())
     }
 
-    fn run_step(&mut self, step: &NestStep, params: &[i64]) -> Result<(), Halt> {
-        let sp = self.sh.sp;
-        let nest = if step.init { &sp.init[step.nest] } else { &sp.nests[step.nest] };
-        if step.leader_only {
-            // Replicated-write nest: every processor's pass sweeps the
-            // same shared slots, so the leader runs all passes in
-            // ascending order — the simulator's sequential semantics,
-            // reproduced exactly (the nest is barrier-bounded).
+    fn run_step(&mut self, step: Step, params: &[i64]) -> Result<(), Halt> {
+        let nest = step.nest;
+        let sched = &self.sh.sched;
+        if nest.replicated_write {
+            // Every processor's pass sweeps the same shared slots, so the
+            // leader runs all passes in ascending order — the simulator's
+            // sequential semantics, reproduced exactly (the nest is
+            // barrier-bounded).
             if self.p == 0 {
-                for q in 0..sp.nprocs {
+                for q in sched.participants(nest, params) {
                     self.walk_nest(nest, q, params, None);
                 }
             }
             Ok(())
-        } else if step.pipelined {
-            self.run_pipelined(nest, params)
+        } else if let Some(plan) = sched.pipeline_plan(nest, params) {
+            self.run_pipelined(nest, &plan, params)
         } else {
-            if self.participates(nest, params) {
+            if sched.participates(self.p, nest, params) {
                 self.walk_nest(nest, self.p, params, None);
             }
             Ok(())
         }
     }
 
-    fn participates(&self, nest: &SpmdNest, params: &[i64]) -> bool {
-        proc_participates(self.sh.sp, &self.sh.coords, self.p, nest, params)
-    }
-
     /// Doacross pipeline: chain members advance tile-by-tile behind their
-    /// predecessor through the per-pair token channels. Chain structure
-    /// and tile math mirror the simulator's `exec_pipelined` exactly.
-    fn run_pipelined(&mut self, nest: &SpmdNest, params: &[i64]) -> Result<(), Halt> {
-        let Some(spec) = nest.pipeline else {
-            if self.participates(nest, params) {
-                self.walk_nest(nest, self.p, params, None);
-            }
+    /// predecessor through the per-pair token channels. Every worker
+    /// derives the identical plan (a pure function of the program and
+    /// params), so the token protocol needs no setup.
+    fn run_pipelined(
+        &mut self,
+        nest: &SpmdNest,
+        plan: &PipelinePlan,
+        params: &[i64],
+    ) -> Result<(), Halt> {
+        let Some((chain, pos)) = plan
+            .chains
+            .iter()
+            .find_map(|c| c.iter().position(|&q| q == self.p).map(|pos| (c, pos)))
+        else {
             return Ok(());
         };
-        let sh = self.sh;
-        let parts: Vec<usize> = (0..sh.sp.nprocs)
-            .filter(|&p| proc_participates(sh.sp, &sh.coords, p, nest, params))
-            .collect();
-        let pipe_dim = match nest.sched[spec.seq_level] {
-            LevelSched::Dist { proc_dim, .. } => proc_dim,
-            _ => 0,
-        };
-        let zeros = vec![0i64; nest.source.depth];
-        let tlo = nest.source.bounds[spec.tile_level].eval_lo(&zeros, params);
-        let thi = nest.source.bounds[spec.tile_level].eval_hi(&zeros, params);
-        let span = (thi - tlo + 1).max(0);
-        if span == 0 {
-            return Ok(());
-        }
-        let ntiles = spec.tiles.min(span).max(1);
-        let tile = (span + ntiles - 1) / ntiles;
-
-        // Same grouping as the simulator: chains keyed by the coords with
-        // the pipeline dim zeroed, members ordered by pipeline coord.
-        // Every worker derives the identical structure (pure function of
-        // the program and params), so the token protocol needs no setup.
-        let mut chains: std::collections::BTreeMap<Vec<usize>, Vec<usize>> = Default::default();
-        for &p in &parts {
-            let mut key = sh.coords[p].clone();
-            if pipe_dim < key.len() {
-                key[pipe_dim] = 0;
-            }
-            chains.entry(key).or_default().push(p);
-        }
-        let mut mine: Option<Vec<usize>> = None;
-        for chain in chains.values_mut() {
-            chain.sort_by_key(|&p| sh.coords[p].get(pipe_dim).copied().unwrap_or(0));
-            if chain.contains(&self.p) {
-                mine = Some(chain.clone());
-            }
-        }
-        let Some(chain) = mine else { return Ok(()) };
-        let Some(pos) = chain.iter().position(|&q| q == self.p) else { return Ok(()) };
         let pred = if pos > 0 { Some(chain[pos - 1]) } else { None };
         let succ = chain.get(pos + 1).copied();
-        for r in 0..ntiles {
-            let rlo = tlo + r * tile;
-            let rhi = (rlo + tile - 1).min(thi);
+        for &(rlo, rhi) in &plan.tiles {
             if let Some(q) = pred {
-                // The predecessor's token for tile r is the certified
-                // handoff edge: its writes up to tile r happen-before
-                // this member's tile r.
+                // The predecessor's token for this tile is the certified
+                // handoff edge: its writes up to the tile happen-before
+                // this member's tile.
                 self.recv_ctl(q)?;
                 self.maybe_yield();
             }
-            self.walk_nest(nest, self.p, params, Some((spec.tile_level, rlo, rhi)));
+            self.walk_nest(nest, self.p, params, Some((plan.tile_level, rlo, rhi)));
             if let Some(q) = succ {
                 let _ = self.txs[q].send(CONT);
             }
@@ -450,11 +397,11 @@ impl Worker<'_> {
         Ok(())
     }
 
-    fn sync(&mut self, action: SyncAction) -> Result<(), Halt> {
-        match action {
-            SyncAction::Barrier => self.barrier_point(),
-            SyncAction::Handoff => self.handoff_point(),
-            SyncAction::None => Ok(()),
+    fn sync(&mut self, sync: SyncKind) -> Result<(), Halt> {
+        match sync {
+            SyncKind::Barrier => self.barrier_point(),
+            SyncKind::ProducerWait => self.handoff_point(),
+            SyncKind::None => Ok(()),
         }
     }
 
@@ -570,7 +517,7 @@ impl Worker<'_> {
                 }
             }
             LevelSched::Dist { proc_dim, folding, extent, offset } => {
-                let q = self.sh.coords[proc].get(*proc_dim).copied().unwrap_or(0) as i64;
+                let q = self.sh.sched.coords()[proc].get(*proc_dim).copied().unwrap_or(0) as i64;
                 let procs = self.sh.sp.grid.get(*proc_dim).copied().unwrap_or(1) as i64;
                 let off = offset.eval(&[], params);
                 for v in owned_iter(lo, hi, off, *extent, procs, q, *folding) {
@@ -631,25 +578,6 @@ impl Worker<'_> {
     }
 }
 
-fn proc_participates(
-    sp: &SpmdProgram,
-    coords: &[Vec<usize>],
-    p: usize,
-    nest: &SpmdNest,
-    params: &[i64],
-) -> bool {
-    nest.gates.iter().all(|g| {
-        let v = g.aff.eval(&[], params);
-        let procs = sp.grid.get(g.proc_dim).copied().unwrap_or(1) as i64;
-        let owner = if g.extent >= i64::MAX / 2 {
-            v.rem_euclid(procs.max(1))
-        } else {
-            g.folding.owner(v, g.extent, procs.max(1))
-        };
-        coords[p].get(g.proc_dim).map_or(0, |&c| c as i64) == owner
-    })
-}
-
 /// Execute the compiled program natively.
 pub fn execute(sp: &SpmdProgram, opts: &NativeOptions) -> DctResult<NativeRun> {
     execute_inner(sp, opts).map(|(run, _)| run)
@@ -662,7 +590,7 @@ pub fn execute_with_values(
     opts: &NativeOptions,
 ) -> DctResult<(NativeRun, Vec<Vec<f64>>)> {
     let (run, arenas) = execute_inner(sp, opts)?;
-    let vals = (0..sp.layouts.len()).map(|x| values_of(sp, &arenas, x)).collect();
+    let vals = (0..sp.layouts.len()).map(|x| schedule::read_out(sp, x, &arenas[x])).collect();
     Ok((run, vals))
 }
 
@@ -670,17 +598,16 @@ fn execute_inner(
     sp: &SpmdProgram,
     opts: &NativeOptions,
 ) -> DctResult<(NativeRun, Vec<Vec<f64>>)> {
-    let plan = NativePlan::lower(sp);
     let n = sp.nprocs.max(1);
     let pads = arena_padding(sp);
     let shared = Shared {
         sp,
+        sched: Schedule::new(sp),
         arenas: pads
             .iter()
             .map(|pad| (0..pad.physical_size()).map(|_| AtomicU64::new(0)).collect())
             .collect(),
         pads,
-        coords: (0..n).map(|p| sp.coords_of(p)).collect(),
         barrier: AbortableBarrier::new(n),
         stop: AtomicBool::new(false),
         aborted: AtomicBool::new(false),
@@ -703,7 +630,6 @@ fn execute_inner(
     }
     let started = std::time::Instant::now();
     let shared_ref = &shared;
-    let plan_ref = &plan;
     let outs: Vec<WorkerOut> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(n);
         for (p, (txs, rxs)) in rows_tx.drain(..).zip(rows_rx.drain(..)).enumerate() {
@@ -728,7 +654,7 @@ fn execute_inner(
                     if let Some(h) = &hook {
                         h(p);
                     }
-                    let r = w.run(plan_ref);
+                    let r = w.run();
                     (r, w.acc.finish())
                 }));
                 match res {
@@ -800,30 +726,6 @@ fn execute_inner(
         nprocs: n,
     };
     Ok((run, arenas))
-}
-
-/// Array values in original index order (first dim fastest), identical
-/// to the simulator's `Executor::values`.
-fn values_of(sp: &SpmdProgram, arenas: &[Vec<f64>], x: usize) -> Vec<f64> {
-    let lay = &sp.layouts[x];
-    let dims = lay.layout.orig_dims().to_vec();
-    let mut out = Vec::with_capacity(dims.iter().product::<i64>().max(0) as usize);
-    let mut idx = vec![0i64; dims.len()];
-    loop {
-        out.push(arenas[x][lay.layout.address_of(&idx) as usize]);
-        let mut d = 0;
-        loop {
-            if d == dims.len() {
-                return out;
-            }
-            idx[d] += 1;
-            if idx[d] < dims[d] {
-                break;
-            }
-            idx[d] = 0;
-            d += 1;
-        }
-    }
 }
 
 /// Lower and natively execute one configuration: the same certified

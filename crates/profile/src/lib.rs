@@ -57,10 +57,30 @@
 #![allow(clippy::needless_range_loop)]
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dct_ir::{MemProfile, MemRow};
-use dct_machine::{AccessLevel, FastHash, MemProbe};
+use dct_machine::{AccessLevel, MemProbe};
+
+/// Multiply-shift hasher for u64 keys (line numbers). The default SipHash
+/// is needlessly slow for the millions of lookups classification performs.
+#[derive(Default)]
+struct FastHash(u64);
+
+impl Hasher for FastHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        let h = x.wrapping_mul(0x9E3779B97F4A7C15);
+        self.0 = h ^ (h >> 29);
+    }
+}
 
 type FastMap<V> = HashMap<u64, V, BuildHasherDefault<FastHash>>;
 

@@ -4,7 +4,8 @@
 //! repro all                 # every figure + table 1
 //! repro fig6                # one figure (LU 256x256)
 //! repro fig2 fig3           # the data-transformation index tables
-//! repro table1              # the summary table
+//! repro table1              # the summary table (at 32 processors)
+//! repro table1 --procs 8    # ... at the largest listed count (1..=64)
 //! repro fig8 --scale 0.5    # half the paper problem size
 //! repro fig6 --procs 1,8,32 # custom processor counts
 //! repro --profile           # simulator throughput -> BENCH_sim_throughput.json
@@ -53,6 +54,7 @@
 //! cells.
 
 use dct_bench::harness::{self, ThreadBudget, ALL_FIGURES, PAPER_PROCS};
+use dct_core::machine::MachineConfig;
 use dct_layout::{diagram, DataLayout};
 use std::path::Path;
 use std::time::Instant;
@@ -92,17 +94,20 @@ fn main() {
                 scale = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a numeric value"))
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .unwrap_or_else(|| die("--scale needs a positive finite number"))
             }
             "--procs" => {
                 procs = it
                     .next()
                     .map(|v| {
                         v.split(',')
-                            .map(|x| {
-                                x.parse().unwrap_or_else(|_| {
-                                    die(&format!("--procs: '{x}' is not a processor count"))
-                                })
+                            .map(|x| match x.parse() {
+                                Ok(p) if (1..=MachineConfig::MAX_PROCS).contains(&p) => p,
+                                _ => die(&format!(
+                                    "--procs: '{x}' is not a processor count in 1..={}",
+                                    MachineConfig::MAX_PROCS
+                                )),
                             })
                             .collect()
                     })
@@ -181,6 +186,10 @@ fn main() {
             other => targets.push(other.to_string()),
         }
     }
+    // The single-point targets (table1, explain, race check) run at the
+    // largest requested count; the default list tops out at the paper's 32.
+    let max_procs = procs.iter().copied().max().unwrap_or(32);
+
     // `serve`: the HTTP service owns its own store instance (rooted at
     // --cache-dir), job queue and shutdown; nothing below runs.
     if targets.iter().any(|t| t == "serve") {
@@ -241,10 +250,9 @@ fn main() {
         // compiler's barrier elision and doacross pipelining sound. With
         // an explicit `table1` target the flag instead threads detection
         // through the table sweep below.
-        let procs = procs.iter().copied().max().unwrap_or(32);
         let t0 = Instant::now();
-        let cells = harness::race_check(procs, scale, ThreadBudget::clamp(workers));
-        print!("{}", harness::render_race_check(&cells, procs));
+        let cells = harness::race_check(max_procs, scale, ThreadBudget::clamp(workers));
+        print!("{}", harness::render_race_check(&cells, max_procs));
         eprintln!("[race-check done in {:?}]", t0.elapsed());
         if cells.iter().any(|c| !c.is_clean()) {
             std::process::exit(1);
@@ -270,13 +278,12 @@ fn main() {
         } else {
             die("explain needs a benchmark name (e.g. `repro explain stencil`)")
         };
-        let procs = procs.iter().copied().max().unwrap_or(32);
         let t0 = Instant::now();
         // With --cache the rendered text + JSON pair is an artifact in
         // the content-addressed store: a warm repeat never simulates.
         let result = match &store {
-            Some(s) => dct_bench::explain_cached(&bench, scale, procs, s),
-            None => dct_bench::explain(&bench, scale, procs)
+            Some(s) => dct_bench::explain_cached(&bench, scale, max_procs, s),
+            None => dct_bench::explain(&bench, scale, max_procs)
                 .map(|r| (dct_bench::render_explain(&r), dct_bench::explain_json(&r))),
         };
         match result {
@@ -353,7 +360,7 @@ fn main() {
         ccfg.procs = if procs.as_slice() == PAPER_PROCS {
             8
         } else {
-            procs.iter().copied().max().unwrap_or(8)
+            max_procs
         };
         ccfg.only = bench.map(|b| vec![b]);
         ccfg.race_check = true;
@@ -389,10 +396,9 @@ fn main() {
                 if checkpointed {
                     // Crash-safe path: per-cell checkpoints + resume +
                     // budgets (+ the content-addressed cache with
-                    // --cache). Honors --procs; default is the paper's 32.
-                    let sweep_procs = procs.iter().copied().max().unwrap_or(32);
+                    // --cache).
                     let mut cfg = dct_bench::SweepConfig::new(
-                        sweep_procs,
+                        max_procs,
                         scale,
                         out_dir.clone().unwrap_or_else(|| "results".to_string()),
                     );
@@ -406,7 +412,7 @@ fn main() {
                         Ok(rep) => {
                             println!(
                                 "{}",
-                                dct_bench::sweep::render_sweep(&rep.cells, sweep_procs, scale)
+                                dct_bench::sweep::render_sweep(&rep.cells, max_procs, scale)
                             );
                             if let Some(s) = &store {
                                 // Stats go to stderr so warm and cold
@@ -422,11 +428,12 @@ fn main() {
                         Err(e) => die(&format!("sweep failed: {e}")),
                     }
                 } else {
-                    let rows = harness::table1_parallel(32, scale, ThreadBudget::clamp(workers));
-                    println!("{}", harness::render_table1(&rows, 32));
+                    let budget = ThreadBudget::clamp(workers);
+                    let rows = harness::table1_parallel(max_procs, scale, budget);
+                    println!("{}", harness::render_table1(&rows, max_procs));
                     if race_check {
-                        let cells = harness::race_check(32, scale, ThreadBudget::clamp(workers));
-                        print!("{}", harness::render_race_check(&cells, 32));
+                        let cells = harness::race_check(max_procs, scale, budget);
+                        print!("{}", harness::render_race_check(&cells, max_procs));
                         if cells.iter().any(|c| !c.is_clean()) {
                             std::process::exit(1);
                         }

@@ -23,6 +23,7 @@
 use crate::queue::{JobQueue, JobSpec, QueueConfig};
 use dct_bench::sweep::{self, render_sweep, scale_key, CellOutcome};
 use dct_bench::{artifact_cache_key, harness, ResultStore, ThreadBudget};
+use dct_core::machine::MachineConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -173,16 +174,42 @@ fn query_param(query: &str, key: &str) -> Option<String> {
         .map(|(_, v)| v.to_string())
 }
 
-/// `scale_milli` / `procs` with server defaults (paper scale, 8 procs —
-/// modest because synchronous endpoints run on the request thread).
-fn query_scale_procs(query: &str) -> (f64, usize) {
-    let scale = query_param(query, "scale_milli")
-        .and_then(|v| v.parse::<i64>().ok())
-        .map(|m| m as f64 / 1000.0)
-        .unwrap_or(1.0);
+const PROCS_RANGE: std::ops::RangeInclusive<i64> = 1..=MachineConfig::MAX_PROCS as i64;
+/// Arena allocation grows with the square of the scale; an oversized one
+/// aborts the process where no `catch_unwind` reaches.
+const SCALE_MILLI_RANGE: std::ops::RangeInclusive<i64> = 1..=4000;
+
+/// Range-check a size that arrived in a request.
+fn checked_size(name: &str, v: i64, range: std::ops::RangeInclusive<i64>) -> Result<i64, String> {
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("\"{name}\" must be in {}..={}, got {v}", range.start(), range.end()))
+    }
+}
+
+/// `scale_milli` / `procs` (a comma-separated list) with server defaults
+/// (paper scale, 8 procs — modest because synchronous endpoints run on the
+/// request thread).
+fn query_scale_procs(query: &str) -> Result<(f64, Vec<usize>), String> {
+    let scale_milli =
+        query_param(query, "scale_milli").and_then(|v| v.parse::<i64>().ok()).unwrap_or(1000);
+    let procs: Vec<i64> = query_param(query, "procs")
+        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
+        .unwrap_or_else(|| vec![8]);
+    let scale = checked_size("scale_milli", scale_milli, SCALE_MILLI_RANGE)? as f64 / 1000.0;
     let procs =
-        query_param(query, "procs").and_then(|v| v.parse().ok()).unwrap_or(8);
-    (scale, procs)
+        procs.into_iter().map(|p| checked_size("procs", p, PROCS_RANGE).map(|p| p as usize));
+    Ok((scale, procs.collect::<Result<_, _>>()?))
+}
+
+fn bad_request(stream: &mut TcpStream, msg: &str) {
+    respond(
+        stream,
+        "400 Bad Request",
+        "application/json",
+        &format!("{{\"error\":\"{}\"}}\n", sweep::esc(msg)),
+    );
 }
 
 // ---------------------------------------------------------- handlers --
@@ -246,10 +273,12 @@ fn body_field<T>(
 }
 
 fn parse_job_spec(body: &str) -> Result<JobSpec, String> {
+    let scale_milli = body_field(body, "scale_milli", sweep::json_num)?.unwrap_or(1000);
+    let procs = body_field(body, "procs", sweep::json_num)?.unwrap_or(32);
     Ok(JobSpec {
         bench: body_field(body, "bench", sweep::json_str)?,
-        scale: body_field(body, "scale_milli", sweep::json_num)?.map_or(1.0, |m| m as f64 / 1000.0),
-        procs: body_field(body, "procs", sweep::json_num)?.map_or(32, |p| p.max(1) as usize),
+        scale: checked_size("scale_milli", scale_milli, SCALE_MILLI_RANGE)? as f64 / 1000.0,
+        procs: checked_size("procs", procs, PROCS_RANGE)? as usize,
         race_check: body_field(body, "race_check", sweep::json_bool)?.unwrap_or(false),
     })
 }
@@ -262,12 +291,7 @@ fn api_sweep(st: &State, stream: &mut TcpStream, body: &str) {
             "application/json",
             &format!("{{\"job\":{},\"cells\":{}}}\n", job.id, job.cells.len()),
         ),
-        Err(e) => respond(
-            stream,
-            "400 Bad Request",
-            "application/json",
-            &format!("{{\"error\":\"{}\"}}\n", sweep::esc(&e)),
-        ),
+        Err(e) => bad_request(stream, &e),
     }
 }
 
@@ -376,7 +400,10 @@ fn race_certificate(job: &crate::queue::Job) -> String {
 
 fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
     let bench = &path["/api/explain/".len()..];
-    let (scale, procs) = query_scale_procs(query);
+    let (scale, procs) = match query_scale_procs(query) {
+        Ok((scale, procs)) => (scale, procs.into_iter().max().unwrap_or(8)),
+        Err(e) => return bad_request(stream, &e),
+    };
     match dct_bench::explain_cached(bench, scale, procs, &st.store) {
         Some((text, json)) => {
             if query_param(query, "format").as_deref() == Some("json") {
@@ -391,10 +418,10 @@ fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
 
 fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
     let fig = &path["/api/figure/".len()..];
-    let (scale, procs) = query_scale_procs(query);
-    let procs_list: Vec<usize> = query_param(query, "procs")
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|| vec![procs]);
+    let (scale, procs_list) = match query_scale_procs(query) {
+        Ok(sizes) => sizes,
+        Err(e) => return bad_request(stream, &e),
+    };
     let spec = match harness::figure(fig, scale) {
         Some(s) => s,
         None => return respond(stream, "404 Not Found", "text/plain", "unknown figure\n"),

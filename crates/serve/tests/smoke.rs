@@ -158,6 +158,19 @@ fn serve_smoke_end_to_end() {
     // A known key whose value does not parse is refused, not defaulted.
     let (status, err) = http(port, "POST", "/api/sweep", "{\"bench\": \"stencil\", \"procs\": \"eight\"}");
     assert_eq!(status, 400, "unparseable procs must be refused: {err}");
+    // Sizes out of range are refused where they enter: this scale used to
+    // abort the whole server on a 20 PB allocation, this processor count
+    // to trip the machine's 64-processor assert on every retry.
+    for body in [
+        "{\"bench\":\"stencil\",\"scale_milli\":100000000,\"procs\":8}",
+        "{\"bench\":\"stencil\",\"scale_milli\":100,\"procs\":100000}",
+    ] {
+        let (status, err) = http(port, "POST", "/api/sweep", body);
+        assert_eq!(status, 400, "{body}: {err}");
+    }
+    assert_eq!(http(port, "GET", "/api/explain/stencil?scale_milli=100000000", "").0, 400);
+    assert_eq!(http(port, "GET", "/api/figure/fig8?scale_milli=50&procs=4,100000", "").0, 400);
+    assert_eq!(http(port, "GET", "/api/stats", "").0, 200, "the server survived");
 
     // Explain is served (and cached) synchronously.
     let (status, text) = http(port, "GET", "/api/explain/stencil?scale_milli=50&procs=4", "");

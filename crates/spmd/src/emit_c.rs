@@ -15,6 +15,7 @@
 //! doubles as human-readable documentation of what the compiler decided.
 
 use crate::codegen::{LevelSched, SpmdNest, SpmdProgram, SyncKind};
+use crate::schedule;
 use dct_decomp::Folding;
 use dct_ir::{Aff, BinOp, Expr, Program};
 use std::fmt::Write;
@@ -73,42 +74,44 @@ pub fn emit_c(prog: &Program, sp: &SpmdProgram) -> String {
     let coords = grid_coord_decls(sp);
     out.push_str(&coords);
 
-    for (k, nest) in sp.init.iter().enumerate() {
-        let _ = writeln!(out, "\n  /* --- init nest {} ({}) --- */", k, nest.source.name);
-        emit_nest(&mut out, prog, sp, nest, 1);
-        let _ = writeln!(out, "  dct_barrier();");
+    for step in schedule::init_steps(sp) {
+        let _ =
+            writeln!(out, "\n  /* --- init nest {} ({}) --- */", step.idx, step.nest.source.name);
+        emit_nest(&mut out, prog, sp, step.nest, 1);
+        emit_sync(&mut out, step.sync, 1);
     }
 
-    if sp.time_steps > 1 || sp.time_param.is_some() {
+    let time_loop = sp.time_steps > 1 || sp.time_param.is_some();
+    if time_loop {
         let _ = writeln!(out, "\n  for (long t = 0; t < {}; t++) {{", sp.time_steps);
     }
-    let indent = if sp.time_steps > 1 || sp.time_param.is_some() { 2 } else { 1 };
-    for (j, nest) in sp.nests.iter().enumerate() {
+    let indent = if time_loop { 2 } else { 1 };
+    for step in schedule::body_steps(sp) {
         let _ = writeln!(
             out,
             "\n{}/* --- nest {} ({}) --- */",
             "  ".repeat(indent),
-            j,
-            nest.source.name
+            step.idx,
+            step.nest.source.name
         );
-        emit_nest(&mut out, prog, sp, nest, indent);
-        match nest.sync_after {
-            SyncKind::Barrier => {
-                let _ = writeln!(out, "{}dct_barrier();", "  ".repeat(indent));
-            }
-            SyncKind::ProducerWait => {
-                let _ = writeln!(out, "{}dct_lock_handoff();", "  ".repeat(indent));
-            }
-            SyncKind::None => {
-                let _ = writeln!(out, "{}/* barrier eliminated: accesses owner-aligned */", "  ".repeat(indent));
-            }
-        }
+        emit_nest(&mut out, prog, sp, step.nest, indent);
+        emit_sync(&mut out, step.sync, indent);
     }
-    if sp.time_steps > 1 || sp.time_param.is_some() {
+    if time_loop {
         let _ = writeln!(out, "  }}");
     }
     let _ = writeln!(out, "}}");
     out
+}
+
+/// The runtime call (or elision comment) a step's sync renders as.
+fn emit_sync(out: &mut String, sync: SyncKind, indent: usize) {
+    let pad = "  ".repeat(indent);
+    let _ = match sync {
+        SyncKind::Barrier => writeln!(out, "{pad}dct_barrier();"),
+        SyncKind::ProducerWait => writeln!(out, "{pad}dct_lock_handoff();"),
+        SyncKind::None => writeln!(out, "{pad}/* barrier eliminated: accesses owner-aligned */"),
+    };
 }
 
 /// Declarations of the processor's grid coordinates.

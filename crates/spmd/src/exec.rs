@@ -31,8 +31,9 @@ use crate::codegen::{LevelSched, SpmdNest, SpmdProgram, SyncKind};
 use crate::cost::CostModel;
 use crate::kernel::{self, KernelPlan, RdStream, WrStream};
 use crate::race::Detector;
+use crate::schedule::{self, PipelinePlan, Schedule, Step, Steps};
 use dct_ir::{ArrayRef, BinOp, Expr, MemProfile, RaceReport};
-use dct_machine::{Machine, MachineConfig, MemProbe, MissClasses, SegAccess, Stats, SyncOp};
+use dct_machine::{Machine, MachineConfig, MemProbe, SegAccess, Stats, SyncOp};
 use dct_profile::{LineRange, Profiler};
 
 /// Executor-level fast-path counters (observability only; never feeds
@@ -102,9 +103,6 @@ pub struct RunResult {
     pub checksum: f64,
     /// Barriers executed.
     pub barriers: u64,
-    /// 4-C miss classification per processor, when the machine was
-    /// configured with `classify_misses`.
-    pub miss_classes: Option<Vec<MissClasses>>,
     /// Total busy cycles per compute nest (summed over processors and time
     /// steps) — which nest dominates the execution.
     pub nest_cycles: Vec<u64>,
@@ -269,6 +267,8 @@ impl<'n> WalkCtx<'n> {
 /// The interpreter.
 pub struct Executor<'a> {
     sp: &'a SpmdProgram,
+    /// The shared lowered schedule: gates and doacross plans.
+    sched: Schedule<'a>,
     machine: Machine,
     arenas: Vec<Vec<f64>>,
     clocks: Vec<u64>,
@@ -304,8 +304,6 @@ pub struct Executor<'a> {
     /// cancelled; polling costs one atomic load
     /// per boundary, nothing on the innermost path.
     pub cancel: Option<dct_ir::CancelToken>,
-    /// Per-processor grid coordinates, precomputed.
-    coords: Vec<Vec<usize>>,
     /// Reusable iteration vector (hoisted out of the per-processor and
     /// per-tile loops; the walk leaves it zeroed on exit).
     scratch_ivec: Vec<i64>,
@@ -331,9 +329,9 @@ impl<'a> Executor<'a> {
     pub fn new(sp: &'a SpmdProgram, machine_cfg: MachineConfig, cost: CostModel) -> Executor<'a> {
         assert_eq!(machine_cfg.nprocs, sp.nprocs);
         let arenas = sp.layouts.iter().map(|l| vec![0.0f64; l.layout.size() as usize]).collect();
-        let coords = (0..sp.nprocs).map(|p| sp.coords_of(p)).collect();
         Executor {
             sp,
+            sched: Schedule::new(sp),
             machine: Machine::new(machine_cfg),
             arenas,
             clocks: vec![0; sp.nprocs],
@@ -346,7 +344,6 @@ impl<'a> Executor<'a> {
             max_cycles: None,
             max_wall: None,
             cancel: None,
-            coords,
             scratch_ivec: Vec::with_capacity(8),
             scratch: Scratch::default(),
             fast: FastPathStats::default(),
@@ -400,48 +397,21 @@ impl<'a> Executor<'a> {
         let started = std::time::Instant::now();
         let mut timed_out = false;
         let mut cancelled = false;
-        let mut params = self.sp.params.clone();
-        if let Some(tp) = self.sp.time_param {
-            params[tp] = 0;
-        }
-        'run: {
-            for k in 0..self.sp.init.len() {
-                self.exec_nest_idx(true, k, &params);
-                self.barrier();
-                if self.cancel_requested() {
-                    cancelled = true;
-                    break 'run;
-                }
-                if self.over_budget(started) {
-                    timed_out = true;
-                    break 'run;
-                }
+        let mut steps = Steps::new(self.sp);
+        while let Some((step, params)) = steps.next() {
+            self.exec_step(step, params);
+            match step.sync {
+                SyncKind::Barrier => self.barrier(),
+                SyncKind::ProducerWait => self.producer_wait(),
+                SyncKind::None => {}
             }
-            for t in 0..self.sp.time_steps {
-                if let Some(tp) = self.sp.time_param {
-                    params[tp] = t;
-                }
-                for j in 0..self.sp.nests.len() {
-                    self.exec_nest_idx(false, j, &params);
-                    // Skip the trailing sync of the very last nest execution;
-                    // the final max() below plays that role.
-                    let last = t == self.sp.time_steps - 1 && j == self.sp.nests.len() - 1;
-                    if !last {
-                        match self.sp.nests[j].sync_after {
-                            SyncKind::Barrier => self.barrier(),
-                            SyncKind::ProducerWait => self.producer_wait(),
-                            SyncKind::None => {}
-                        }
-                    }
-                    if self.cancel_requested() {
-                        cancelled = true;
-                        break 'run;
-                    }
-                    if self.over_budget(started) {
-                        timed_out = true;
-                        break 'run;
-                    }
-                }
+            if self.cancel_requested() {
+                cancelled = true;
+                break;
+            }
+            if self.over_budget(started) {
+                timed_out = true;
+                break;
             }
         }
         let cycles = self.clocks.iter().copied().max().unwrap_or(0);
@@ -451,7 +421,6 @@ impl<'a> Executor<'a> {
             stats: self.machine.stats.clone(),
             checksum: self.checksum(),
             barriers: self.barriers,
-            miss_classes: self.machine.miss_classes(),
             nest_cycles: self.nest_cycles.clone(),
             init_cycles: self.init_cycles,
             fast: self.fast,
@@ -496,26 +465,7 @@ impl<'a> Executor<'a> {
 
     /// Read an array's values in original index order (for verification).
     pub fn values(&self, x: usize) -> Vec<f64> {
-        let lay = &self.sp.layouts[x];
-        let dims = lay.layout.orig_dims().to_vec();
-        let mut out = Vec::with_capacity(dims.iter().product::<i64>() as usize);
-        let mut idx = vec![0i64; dims.len()];
-        loop {
-            out.push(self.arenas[x][lay.layout.address_of(&idx) as usize]);
-            // Odometer increment (first dim fastest = column-major order).
-            let mut d = 0;
-            loop {
-                if d == dims.len() {
-                    return out;
-                }
-                idx[d] += 1;
-                if idx[d] < dims[d] {
-                    break;
-                }
-                idx[d] = 0;
-                d += 1;
-            }
-        }
+        schedule::read_out(self.sp, x, &self.arenas[x])
     }
 
     pub fn checksum(&self) -> f64 {
@@ -547,24 +497,20 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn exec_nest_idx(&mut self, init: bool, idx: usize, params: &[i64]) {
-        // Reborrowing through the shared program reference detaches the
-        // nest's lifetime from `self`, so no clone of the scheduling
-        // metadata is needed during execution.
-        let sp = self.sp;
-        let nest: &'a SpmdNest = if init { &sp.init[idx] } else { &sp.nests[idx] };
+    fn exec_step(&mut self, step: Step<'a>, params: &[i64]) {
+        let Step { nest, idx, init, .. } = step;
+        let ninit = self.sp.init.len();
         self.current_acc = if init { None } else { Some(idx) };
         if let Some(d) = self.race.as_deref_mut() {
-            d.set_site(init, idx, sp.init.len());
+            d.set_site(init, idx, ninit);
         }
         if let Some(pf) = self.profiler.as_deref_mut() {
-            pf.set_site(if init { idx } else { sp.init.len() + idx });
+            pf.set_site(if init { idx } else { ninit + idx });
         }
         self.seq_regions += 1;
-        if nest.pipeline.is_some() {
-            self.exec_pipelined(nest, params);
-        } else {
-            self.exec_doall(nest, params);
+        match self.sched.pipeline_plan(nest, params) {
+            Some(plan) => self.exec_pipelined(nest, &plan, params),
+            None => self.exec_doall(nest, params),
         }
         self.current_acc = None;
     }
@@ -577,36 +523,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Which processors participate, given the gates at this time step.
-    fn participants(&self, nest: &SpmdNest, params: &[i64]) -> Vec<usize> {
-        (0..self.sp.nprocs)
-            .filter(|&p| {
-                nest.gates.iter().all(|g| {
-                    let v = g.aff.eval(&[], params);
-                    let procs = self.sp.grid.get(g.proc_dim).copied().unwrap_or(1) as i64;
-                    let owner = if g.extent >= i64::MAX / 2 {
-                        v.rem_euclid(procs.max(1))
-                    } else {
-                        g.folding.owner(v, g.extent, procs.max(1))
-                    };
-                    self.coords[p].get(g.proc_dim).map_or(0, |&c| c as i64) == owner
-                })
-            })
-            .collect()
-    }
-
     fn exec_doall(&mut self, nest: &SpmdNest, params: &[i64]) {
         let ctx = WalkCtx::new(nest);
         let mut ivec = std::mem::take(&mut self.scratch_ivec);
         ivec.clear();
         ivec.resize(nest.source.depth, 0);
-        // Replicated writes run on every processor (each initializes its
-        // own replica); otherwise only the gate-selected participants.
-        let procs: Vec<usize> = if nest.replicated_write {
-            (0..self.sp.nprocs).collect()
-        } else {
-            self.participants(nest, params)
-        };
+        let procs = self.sched.participants(nest, params);
         let mut total = 0u64;
         let token = self.cancel.clone();
         // Built from individual fields (not a helper method) so the
@@ -614,7 +536,7 @@ impl<'a> Executor<'a> {
         let mut lane = Lane {
             sp: self.sp,
             cost: &self.cost,
-            coords: &self.coords,
+            coords: self.sched.coords(),
             machine: &mut self.machine,
             arenas: &mut self.arenas,
             profiler: self.profiler.as_deref_mut(),
@@ -642,34 +564,8 @@ impl<'a> Executor<'a> {
 
     /// Doacross pipeline: processors along the pipeline grid dimension
     /// proceed tile-by-tile behind their predecessor.
-    fn exec_pipelined(&mut self, nest: &SpmdNest, params: &[i64]) {
-        let spec = nest.pipeline.unwrap();
-        let parts = self.participants(nest, params);
-        let pipe_dim = match nest.sched[spec.seq_level] {
-            LevelSched::Dist { proc_dim, .. } => proc_dim,
-            _ => 0,
-        };
-        // Tile ranges along tile_level (bounds must be outer-invariant).
-        let zeros = vec![0i64; nest.source.depth];
-        let tlo = nest.source.bounds[spec.tile_level].eval_lo(&zeros, params);
-        let thi = nest.source.bounds[spec.tile_level].eval_hi(&zeros, params);
-        let span = (thi - tlo + 1).max(0);
-        if span == 0 {
-            return;
-        }
-        let ntiles = spec.tiles.min(span).max(1);
-        let tile = (span + ntiles - 1) / ntiles;
-
-        // Group participants into chains: same coords on every dim except
-        // the pipeline dim, ordered by pipeline coordinate.
-        let mut chains: std::collections::BTreeMap<Vec<usize>, Vec<usize>> = Default::default();
-        for &p in &parts {
-            let mut key = self.coords[p].clone();
-            if pipe_dim < key.len() {
-                key[pipe_dim] = 0;
-            }
-            chains.entry(key).or_default().push(p);
-        }
+    fn exec_pipelined(&mut self, nest: &SpmdNest, plan: &PipelinePlan, params: &[i64]) {
+        let ntiles = plan.tiles.len();
         let ctx = WalkCtx::new(nest);
         let mut ivec = std::mem::take(&mut self.scratch_ivec);
         ivec.clear();
@@ -680,7 +576,7 @@ impl<'a> Executor<'a> {
         let mut lane = Lane {
             sp: self.sp,
             cost: &self.cost,
-            coords: &self.coords,
+            coords: self.sched.coords(),
             machine: &mut self.machine,
             arenas: &mut self.arenas,
             profiler: self.profiler.as_deref_mut(),
@@ -690,24 +586,21 @@ impl<'a> Executor<'a> {
             scratch: &mut self.scratch,
             fast: FastPathStats::default(),
         };
-        for (_, mut chain) in chains {
-            chain.sort_by_key(|&p| self.coords[p].get(pipe_dim).copied().unwrap_or(0));
-            let mut prev_done: Vec<u64> = vec![0; ntiles as usize];
+        for chain in &plan.chains {
+            let mut prev_done: Vec<u64> = vec![0; ntiles];
             // Predecessor's released detector clocks, one per tile (empty
             // when detection is off or for the chain head).
             let mut prev_rel: Vec<Vec<u64>> = Vec::new();
             let mut head = true;
-            for &p in &chain {
+            for &p in chain {
                 // Chain-member handoffs are sync-point boundaries too.
                 if token.as_ref().is_some_and(|t| t.is_cancelled()) {
                     break;
                 }
                 let mut clock = self.clocks[p];
-                let mut done = Vec::with_capacity(ntiles as usize);
+                let mut done = Vec::with_capacity(ntiles);
                 let mut rel: Vec<Vec<u64>> = Vec::new();
-                for r in 0..ntiles {
-                    let rlo = tlo + r * tile;
-                    let rhi = (rlo + tile - 1).min(thi);
+                for (r, &(rlo, rhi)) in plan.tiles.iter().enumerate() {
                     // Chain members behind a predecessor acquire its
                     // per-tile handoff (same lock cost the clock model
                     // already charges).
@@ -715,12 +608,12 @@ impl<'a> Executor<'a> {
                         lock
                     } else {
                         let c = lane.machine.sync(SyncOp::PipelineHandoff);
-                        lane.race_acquire(p, r as usize, &prev_rel);
+                        lane.race_acquire(p, r, &prev_rel);
                         c
                     };
-                    let start = clock.max(prev_done[r as usize].saturating_add(lk));
+                    let start = clock.max(prev_done[r].saturating_add(lk));
                     let busy =
-                        lane.walk(&ctx, p, 0, &mut ivec, params, Some((spec.tile_level, rlo, rhi)));
+                        lane.walk(&ctx, p, 0, &mut ivec, params, Some((plan.tile_level, rlo, rhi)));
                     total += busy;
                     clock = start + busy;
                     done.push(clock);

@@ -15,6 +15,7 @@ pub mod exec;
 pub mod kernel;
 pub mod race;
 pub mod run;
+pub mod schedule;
 
 pub use codegen::{codegen, Gate, LevelSched, PipelineSpec, SpmdNest, SpmdOptions, SpmdProgram, StmtCost, SyncKind};
 pub use cost::CostModel;
@@ -23,3 +24,4 @@ pub use emit_c::{emit_c, emit_runtime_header};
 pub use exec::{owned_iter, Executor, RunResult};
 pub use race::Detector;
 pub use run::{default_threads, lower, simulate, simulate_with_values, SimOptions};
+pub use schedule::{PipelinePlan, Schedule, Step, Steps};

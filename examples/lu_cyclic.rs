@@ -13,7 +13,6 @@
 //! removes it.
 
 use dct_bench::programs;
-use dct_core::machine::MachineConfig;
 use dct_core::{sequential_cycles, Compiler, Strategy};
 
 fn main() {
@@ -50,24 +49,19 @@ fn main() {
         let c = Compiler::new(strategy);
         let cc = c.compile(&prog).unwrap();
         let mut opts = c.sim_options(32, params.clone());
-        let mut mc = MachineConfig::dash(32);
-        mc.classify_misses = true;
-        opts.machine = Some(mc);
+        opts.profile = true;
         let r = dct_core::spmd::simulate(&cc.program, &cc.decomposition, &opts).unwrap();
-        let mut total = dct_core::machine::MissClasses::default();
-        for m in r.miss_classes.as_ref().unwrap() {
-            total.cold += m.cold;
-            total.coherence += m.coherence;
-            total.conflict += m.conflict;
-            total.capacity += m.capacity;
-        }
+        // The profiler classifies per (nest, array, processor); the
+        // program-wide picture is the sum over its rows.
+        let rows = &r.mem_profile.as_ref().unwrap().rows;
+        let total = |f: fn(&dct_core::ir::MemRow) -> u64| rows.iter().map(f).sum::<u64>();
         println!(
             "{:28} cold {:>8}  coherence {:>8}  conflict {:>9}  capacity {:>8}",
             strategy.label(),
-            total.cold,
-            total.coherence,
-            total.conflict,
-            total.capacity
+            total(|r| r.cold),
+            total(|r| r.coherence()),
+            total(|r| r.conflict),
+            total(|r| r.capacity)
         );
     }
 

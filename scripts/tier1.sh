@@ -81,6 +81,16 @@ if [ "${kern_panics:-0}" -ne 0 ]; then
 fi
 echo "  spmd/src/kernel.rs: 0 panic sites"
 
+echo "== tier1: the shared schedule is panic-free"
+# Every back end (simulator, native threads, C emitter) reads its steps,
+# gates and doacross plans from this one module.
+sched_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/spmd/src/schedule.rs || true)
+if [ "${sched_panics:-0}" -ne 0 ]; then
+    echo "tier1 FAIL: crates/spmd/src/schedule.rs has $sched_panics panic!/unwrap() sites (must be 0)" >&2
+    exit 1
+fi
+echo "  spmd/src/schedule.rs: 0 panic sites"
+
 echo "== tier1: chaos supervisor is panic-free"
 # The fault-injection supervisor catches panics and heals the sweep; it
 # must never be able to take down what it supervises. (The one injected
