@@ -23,6 +23,9 @@ pub struct ExplainRun {
     pub profile: MemProfile,
     /// The rung actually realized (after any strategy degradation).
     pub rung_label: String,
+    /// The run's walk counters; `memo` reads `Observed` here, because
+    /// explain profiles every run.
+    pub fast: dct_spmd::exec::FastPathStats,
 }
 
 /// One benchmark x strategy cell of the explain sweep.
@@ -75,7 +78,8 @@ fn run_explain_cell(
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
             .map_err(|e| e.to_string())?;
         let profile = r.mem_profile.ok_or_else(|| "profiler produced no profile".to_string())?;
-        Ok(ExplainRun { cycles: r.cycles, profile, rung_label: compiled.rung.label().to_string() })
+        let rung_label = compiled.rung.label().to_string();
+        Ok(ExplainRun { cycles: r.cycles, profile, rung_label, fast: r.fast })
     };
     match catch_unwind(AssertUnwindSafe(body)) {
         Ok(r) => r,
@@ -236,10 +240,12 @@ pub fn explain_json(r: &ExplainResult) -> String {
         match &s.outcome {
             Ok(run) => {
                 out.push_str(&format!(
-                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"profile\": {}}}{comma}\n",
+                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, \"profile\": {}}}{comma}\n",
                     s.strategy.label(),
                     run.rung_label,
                     run.cycles,
+                    run.fast.memo,
+                    run.fast.replayed_steps,
                     run.profile.to_json("    ")
                 ));
             }
@@ -282,5 +288,6 @@ mod tests {
         let json = explain_json(&r);
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
         assert!(json.contains("\"false_sharing\""), "{json}");
+        assert!(json.contains("\"memo\": \"Observed\", \"replayed_steps\": 0"), "{json}");
     }
 }

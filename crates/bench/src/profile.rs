@@ -34,12 +34,20 @@ pub struct StrategyProfile {
     /// Kernel-shape histogram: iterations executed per recognized shape,
     /// labels from [`dct_spmd::kernel::SHAPE_NAMES`].
     pub kernel_shapes: [u64; 6],
+    /// Time steps the plain run replayed instead of simulating, and why it
+    /// could or could not ([`dct_spmd::MemoOutcome`]).
+    pub replayed_steps: u64,
+    pub memo: dct_spmd::MemoOutcome,
     /// Wall time of the same simulation with the memory profiler
     /// attached (`SimOptions::profile`).
     pub profiled_wall_secs: f64,
     /// Profiler overhead: profiled wall time over plain wall time. The
     /// profiler is a pure observer, so simulated cycles are identical —
-    /// only host time grows.
+    /// only host time grows. The plain leg of a time-looped cell replays
+    /// its repeating steps (`replayed_steps`) and the profiled leg cannot,
+    /// so on those cells the ratio also holds the steps the plain leg did
+    /// not simulate: it rose with time-step replay without the profiler
+    /// having got slower.
     pub profile_overhead: f64,
     /// Wall time of the same cell executed for real on the native
     /// threaded backend (one OS thread per simulated processor); its
@@ -114,6 +122,8 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize) -> FigureProfile {
                 },
                 kernelized_ratio: r.fast.kernelized_ratio(),
                 kernel_shapes: r.fast.kernel_shapes,
+                replayed_steps: r.fast.replayed_steps,
+                memo: r.fast.memo,
                 profiled_wall_secs: profiled_wall,
                 profile_overhead: if wall > 0.0 { profiled_wall / wall } else { 0.0 },
                 native_wall_secs: native_wall,
@@ -136,10 +146,18 @@ pub fn profile_all(ids: &[String], procs: usize, scale: f64) -> Vec<FigureProfil
     } else {
         ids.iter().map(|s| s.as_str()).collect()
     };
-    ids.iter()
-        .filter_map(|id| figure(id, scale))
-        .map(|spec| profile_figure(&spec, procs))
-        .collect()
+    let specs: Vec<FigureSpec> = ids.iter().filter_map(|id| figure(id, scale)).collect();
+    // One untimed simulation first, so that the first timed leg does not
+    // pay the process's cold start (page faults, lazy set-up) and read
+    // slower than its own profiled leg. A failure here fails the timed leg
+    // too, where it is reported.
+    if let Some(spec) = specs.first() {
+        let c = Compiler::new(Strategy::ALL[0]);
+        if let Ok(compiled) = c.compile(&spec.program) {
+            let _ = c.simulate(&compiled, procs, &spec.program.default_params());
+        }
+    }
+    specs.iter().map(|spec| profile_figure(spec, procs)).collect()
 }
 
 fn json_escape(s: &str) -> String {
@@ -191,6 +209,8 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
                 }
             }
             out.push_str("},\n");
+            out.push_str(&format!("          \"replayed_steps\": {},\n", s.replayed_steps));
+            out.push_str(&format!("          \"memo\": \"{:?}\",\n", s.memo));
             out.push_str(&format!("          \"profiled_wall_secs\": {:.4},\n", s.profiled_wall_secs));
             out.push_str(&format!("          \"profile_overhead\": {:.3},\n", s.profile_overhead));
             out.push_str(&format!("          \"native_wall_secs\": {:.4}\n", s.native_wall_secs));
@@ -261,6 +281,7 @@ mod tests {
         assert!(j.contains("native_wall_secs"));
         assert!(j.contains("kernelized_ratio"));
         assert!(j.contains("kernel_shapes"));
+        assert!(j.contains("\"replayed_steps\": 3") && j.contains("\"memo\": \"Replayed\""), "{j}");
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

@@ -204,6 +204,15 @@ impl Cache {
         matches!(self.repr, Repr::Direct { .. })
     }
 
+    /// The packed slots of a direct-mapped cache (`None` when associative):
+    /// its complete state, one word per set.
+    pub fn direct_slots(&self) -> Option<&[u64]> {
+        match &self.repr {
+            Repr::Direct { slots } => Some(slots),
+            Repr::Assoc { .. } => None,
+        }
+    }
+
     /// Resident line occupying the set that `line_addr` maps to, if any
     /// (direct-mapped only; associative caches return `None`).
     pub fn occupant(&self, line_addr: u64) -> Option<(u64, LineState)> {

@@ -134,6 +134,39 @@ pub struct ProcStats {
     pub mem_cycles: u64,
 }
 
+impl ProcStats {
+    /// Add `o`'s counters to `self`.
+    pub fn add(&mut self, o: &ProcStats) {
+        self.accesses += o.accesses;
+        self.l1_hits += o.l1_hits;
+        self.l1_fast_hits += o.l1_fast_hits;
+        self.l2_hits += o.l2_hits;
+        self.local_mem += o.local_mem;
+        self.remote_mem += o.remote_mem;
+        self.remote_dirty += o.remote_dirty;
+        self.upgrades += o.upgrades;
+        self.invalidations_received += o.invalidations_received;
+        self.mem_cycles += o.mem_cycles;
+    }
+
+    /// The counters accrued since `base`, an earlier reading of the same
+    /// processor.
+    pub fn since(&self, base: &ProcStats) -> ProcStats {
+        ProcStats {
+            accesses: self.accesses - base.accesses,
+            l1_hits: self.l1_hits - base.l1_hits,
+            l1_fast_hits: self.l1_fast_hits - base.l1_fast_hits,
+            l2_hits: self.l2_hits - base.l2_hits,
+            local_mem: self.local_mem - base.local_mem,
+            remote_mem: self.remote_mem - base.remote_mem,
+            remote_dirty: self.remote_dirty - base.remote_dirty,
+            upgrades: self.upgrades - base.upgrades,
+            invalidations_received: self.invalidations_received - base.invalidations_received,
+            mem_cycles: self.mem_cycles - base.mem_cycles,
+        }
+    }
+}
+
 /// Synchronization events routed through [`Machine::sync`]. These count
 /// *schedule structure* (how many barriers and handoffs the generated
 /// code executed), so they are identical across executor modes for a
@@ -177,16 +210,7 @@ impl Stats {
     pub fn total(&self) -> ProcStats {
         let mut t = ProcStats::default();
         for p in &self.per_proc {
-            t.accesses += p.accesses;
-            t.l1_hits += p.l1_hits;
-            t.l1_fast_hits += p.l1_fast_hits;
-            t.l2_hits += p.l2_hits;
-            t.local_mem += p.local_mem;
-            t.remote_mem += p.remote_mem;
-            t.remote_dirty += p.remote_dirty;
-            t.upgrades += p.upgrades;
-            t.invalidations_received += p.invalidations_received;
-            t.mem_cycles += p.mem_cycles;
+            t.add(p);
         }
         t
     }
@@ -577,6 +601,75 @@ impl Machine {
                 self.cfg.lock_cost
             }
         }
+    }
+}
+
+/// Multipliers of the two [`Machine::state_digest`] lanes (odd, unrelated).
+const DIGEST_K: (u64, u64) = (0x9E37_79B9_7F4A_7C15, 0xD6E8_FEB8_6659_FD93);
+
+impl Machine {
+    /// Every word of state a later access can observe, in one fixed order:
+    /// each L1 and L2 slot (tag and state bit), the directory's sharer masks
+    /// and dirty owners, the page homes, and the last-line memos. Section
+    /// lengths are part of the sequence, so content cannot slide from one
+    /// section into the next. Left out, because they can never change an
+    /// outcome: the counters in `stats`, and the `last_page` memos, which
+    /// only repeat what `page_home` holds (a home never changes once
+    /// assigned). `None` when a cache level is associative: its LRU ticks
+    /// only grow, so such a machine never returns to an earlier state.
+    fn state_words(&self, mut f: impl FnMut(u64)) -> Option<()> {
+        for c in self.l1.iter().chain(&self.l2) {
+            for &w in c.direct_slots()? {
+                f(w);
+            }
+        }
+        f(self.dir.sharers.len() as u64);
+        for &w in &self.dir.sharers {
+            f(w);
+        }
+        for ch in self.dir.dirty.chunks(8) {
+            let mut owners = [NO_OWNER; 8];
+            owners[..ch.len()].copy_from_slice(ch);
+            f(u64::from_le_bytes(owners));
+        }
+        f(self.page_home.homes.len() as u64);
+        for &h in &self.page_home.homes {
+            f(h as u64);
+        }
+        for ll in &self.last_line {
+            f(ll.line);
+            f((ll.state == LineState::Modified) as u64);
+        }
+        Some(())
+    }
+
+    /// A 128-bit digest of the machine's complete state (see
+    /// `state_words` for what that is): two machines with equal digests
+    /// answer every later access stream with the same costs, counter
+    /// changes and final state. One pass, one word at a time, no copy.
+    /// The low lane is a bijection of its accumulator for a given word and
+    /// of the word for a given accumulator, so two states that differ in
+    /// exactly one word always differ in it; the high lane folds a full
+    /// 64x64 product, so high bits reach low ones. `None` when a cache
+    /// level is associative.
+    pub fn state_digest(&self) -> Option<u128> {
+        let (mut hi, mut lo) = (DIGEST_K.1, DIGEST_K.0);
+        self.state_words(|w| {
+            let m = ((hi ^ w).wrapping_add(DIGEST_K.0) as u128) * DIGEST_K.1 as u128;
+            hi = m as u64 ^ (m >> 64) as u64;
+            lo = (lo ^ w).wrapping_mul(DIGEST_K.0).rotate_left(29);
+        })?;
+        Some((hi as u128) << 64 | lo as u128)
+    }
+
+    /// The words [`Machine::state_digest`] hashes, copied out: debug builds
+    /// compare these whenever two digests match, so that a replay taken
+    /// under `cargo test` is proved a true recurrence of the state.
+    #[cfg(debug_assertions)]
+    pub fn state_image(&self) -> Option<Vec<u64>> {
+        let mut v = Vec::new();
+        self.state_words(|w| v.push(w))?;
+        Some(v)
     }
 }
 
@@ -1054,6 +1147,46 @@ mod tests {
         assert_eq!(mach.stats.per_proc[0].l1_fast_hits, 3);
         assert_eq!(mach.stats.per_proc[0].l1_hits, 3);
         assert_eq!(mach.stats.per_proc[0].accesses, 4);
+    }
+
+    /// Changing any single component of the state changes the digest; the
+    /// same stream on a fresh machine reproduces it.
+    #[test]
+    fn state_digest_sees_every_component() {
+        fn warmed() -> Machine {
+            let mut mach = m(4);
+            for (p, a, w) in [(0, 0, true), (1, 16, false), (2, 16, false), (3, 4096, true)] {
+                mach.access(p, a, w);
+            }
+            mach
+        }
+        let base = warmed().state_digest();
+        assert!(base.is_some());
+        assert_eq!(warmed().state_digest(), base);
+        type Poke = fn(&mut Machine);
+        let pokes: [(&str, Poke); 10] = [
+            ("l1 tag", |x| {
+                x.l1[1].insert(77, LineState::Shared);
+            }),
+            ("l1 state bit", |x| x.l1[1].set_state(1, LineState::Modified)),
+            ("l2 tag", |x| {
+                x.l2[2].insert(77, LineState::Shared);
+            }),
+            ("l2 state bit", |x| x.l2[0].set_state(0, LineState::Shared)),
+            ("sharer bit", |x| x.dir.sharers[1] ^= 1 << 3),
+            ("dirty owner", |x| x.dir.dirty[0] = 2),
+            ("clean to dirty", |x| x.dir.dirty[1] = 1),
+            ("page home", |x| x.page_home.homes[0] ^= 1),
+            ("last-line line", |x| x.last_line[2].line = 5),
+            ("last-line state", |x| x.last_line[1].state = LineState::Modified),
+        ];
+        for (what, poke) in pokes {
+            let mut mach = warmed();
+            poke(&mut mach);
+            assert_ne!(mach.state_digest(), base, "{what}");
+        }
+        let assoc = Machine::new(MachineConfig { l1_assoc: 2, ..MachineConfig::tiny(2) });
+        assert_eq!(assoc.state_digest(), None);
     }
 
     #[test]

@@ -60,6 +60,46 @@ proptest! {
         prop_assert_eq!(c, cfg.lat_l1, "writer keeps ownership until someone intervenes");
     }
 
+    /// The state digest is a function of the access stream, and a digest
+    /// that recurs at the start of a repeated stream means the repeat
+    /// costs and counts exactly what the previous round did — the property
+    /// the executor's time-step replay rests on. (That the digest covers
+    /// every component of the state is a unit test beside it.)
+    #[test]
+    fn recurring_state_digest_means_a_repeating_round(
+        warm in stream(4),
+        round in proptest::collection::vec((0usize..4, 0u64..512, any::<bool>()), 1..80),
+    ) {
+        let warmed = || {
+            let mut m = Machine::new(MachineConfig::tiny(4));
+            for &(p, a, w) in &warm {
+                m.access(p, a, w);
+            }
+            m
+        };
+        let (mut m, twin) = (warmed(), warmed());
+        prop_assert_eq!(m.state_digest(), twin.state_digest(), "same stream, different digest");
+        let mut prev: Option<(Option<u128>, Vec<u64>, Vec<dct_machine::ProcStats>)> = None;
+        let mut recurred = false;
+        for _ in 0..6 {
+            let digest = m.state_digest();
+            let before = m.stats.per_proc.clone();
+            let costs: Vec<u64> = round.iter().map(|&(p, a, w)| m.access(p, a, w)).collect();
+            let delta: Vec<_> =
+                m.stats.per_proc.iter().zip(&before).map(|(now, was)| now.since(was)).collect();
+            if let Some((d, c, s)) = &prev {
+                if *d == digest {
+                    recurred = true;
+                    prop_assert_eq!(c, &costs, "state recurred, costs did not");
+                    prop_assert_eq!(s, &delta, "state recurred, counters did not");
+                }
+            }
+            prev = Some((digest, costs, delta));
+        }
+        // A direct-mapped machine driven by one repeated round settles.
+        prop_assert!(recurred, "no recurrence in six rounds");
+    }
+
     /// Disjoint per-processor address regions never interfere: every
     /// processor's stream behaves as if it ran alone.
     #[test]

@@ -31,6 +31,7 @@ use crate::codegen::{LevelSched, SpmdNest, SpmdProgram, SyncKind};
 use crate::cost::CostModel;
 use crate::kernel::{self, KernelPlan, RdStream, WrStream};
 use crate::race::Detector;
+use crate::replay::{MemoOutcome, StepMemo};
 use crate::schedule::{self, PipelinePlan, Schedule, Step, Steps};
 use dct_ir::{ArrayRef, BinOp, Expr, MemProfile, RaceReport};
 use dct_machine::{Machine, MachineConfig, MemProbe, SegAccess, Stats, SyncOp};
@@ -54,6 +55,11 @@ pub struct FastPathStats {
     /// Kernel-shape histogram, indexed like
     /// [`crate::kernel::SHAPE_NAMES`]: iterations executed per shape.
     pub kernel_shapes: [u64; 6],
+    /// Time steps that were replayed from the recorded one instead of
+    /// being simulated access by access (see [`crate::replay`]).
+    pub replayed_steps: u64,
+    /// Why the run replayed, or why it could not.
+    pub memo: MemoOutcome,
 }
 
 impl FastPathStats {
@@ -87,6 +93,8 @@ impl FastPathStats {
         for (a, b) in self.kernel_shapes.iter_mut().zip(&o.kernel_shapes) {
             *a += b;
         }
+        self.replayed_steps += o.replayed_steps;
+        self.memo = self.memo.max(o.memo);
     }
 }
 
@@ -323,6 +331,8 @@ pub struct Executor<'a> {
     profiler: Option<Box<Profiler>>,
     /// Sync-free regions (nest executions) walked.
     seq_regions: u64,
+    /// Time-step recorder and replayer (see [`crate::replay`]).
+    memo: StepMemo,
 }
 
 impl<'a> Executor<'a> {
@@ -353,6 +363,23 @@ impl<'a> Executor<'a> {
             race: None,
             profiler: None,
             seq_regions: 0,
+            memo: StepMemo::new(MemoOutcome::default()),
+        }
+    }
+
+    /// May this run replay time steps, and if not, why not?
+    /// `NoRecurrence` is the eligible answer until a step repeats.
+    fn memo_verdict(&self) -> MemoOutcome {
+        if !self.fast_path {
+            MemoOutcome::ReferenceWalk
+        } else if self.race_detect || self.profile {
+            MemoOutcome::Observed
+        } else if self.sp.time_steps < 3 {
+            MemoOutcome::NoTimeLoop
+        } else if !self.sched.time_invariant() {
+            MemoOutcome::TimeDependent
+        } else {
+            MemoOutcome::NoRecurrence
         }
     }
 
@@ -397,9 +424,14 @@ impl<'a> Executor<'a> {
         let started = std::time::Instant::now();
         let mut timed_out = false;
         let mut cancelled = false;
+        self.memo = StepMemo::new(self.memo_verdict());
         let mut steps = Steps::new(self.sp);
         while let Some((step, params)) = steps.next() {
+            if !step.init && step.idx == 0 {
+                self.memo.begin_step(&self.machine);
+            }
             self.exec_step(step, params);
+            self.memo.end_nest(&mut self.machine.stats.per_proc);
             match step.sync {
                 SyncKind::Barrier => self.barrier(),
                 SyncKind::ProducerWait => self.producer_wait(),
@@ -415,6 +447,8 @@ impl<'a> Executor<'a> {
             }
         }
         let cycles = self.clocks.iter().copied().max().unwrap_or(0);
+        self.fast.replayed_steps = self.memo.replayed_steps;
+        self.fast.memo = self.memo.outcome;
         RunResult {
             cycles,
             clocks: self.clocks.clone(),
@@ -543,6 +577,7 @@ impl<'a> Executor<'a> {
             race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
             kernels: self.seg_kernels,
+            values_only: self.memo.replaying(),
             scratch: &mut self.scratch,
             fast: FastPathStats::default(),
         };
@@ -552,7 +587,7 @@ impl<'a> Executor<'a> {
             if token.as_ref().is_some_and(|t| t.is_cancelled()) {
                 break;
             }
-            let busy = lane.walk(&ctx, p, 0, &mut ivec, params, None);
+            let busy = self.memo.walk_busy(lane.walk(&ctx, p, 0, &mut ivec, params, None));
             total += busy;
             self.clocks[p] += busy;
         }
@@ -583,6 +618,7 @@ impl<'a> Executor<'a> {
             race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
             kernels: self.seg_kernels,
+            values_only: self.memo.replaying(),
             scratch: &mut self.scratch,
             fast: FastPathStats::default(),
         };
@@ -612,8 +648,8 @@ impl<'a> Executor<'a> {
                         c
                     };
                     let start = clock.max(prev_done[r].saturating_add(lk));
-                    let busy =
-                        lane.walk(&ctx, p, 0, &mut ivec, params, Some((plan.tile_level, rlo, rhi)));
+                    let tile = Some((plan.tile_level, rlo, rhi));
+                    let busy = self.memo.walk_busy(lane.walk(&ctx, p, 0, &mut ivec, params, tile));
                     total += busy;
                     clock = start + busy;
                     done.push(clock);
@@ -683,6 +719,10 @@ struct Lane<'e> {
     /// Dispatch strided segments to fused kernels when the nest has a
     /// plan (false = postfix interpreter for every segment).
     kernels: bool,
+    /// A replayed time step: compute values, send the machine nothing. The
+    /// busy cycles a walk then returns are meaningless; the caller takes
+    /// them from the recorded step (see [`crate::replay`]).
+    values_only: bool,
     scratch: &'e mut Scratch,
     fast: FastPathStats,
 }
@@ -695,6 +735,8 @@ impl Lane<'_> {
             Some(p) => {
                 self.machine.access_probed(proc, byte_addr, write, Some(p as &mut dyn MemProbe))
             }
+            // Tested on this arm only: a profiled run never replays.
+            None if self.values_only => 0,
             None => self.machine.access(proc, byte_addr, write),
         }
     }
@@ -862,15 +904,18 @@ impl Lane<'_> {
             }
         }
         // Machine access vector: per statement, reads in postfix order
-        // then the write — exactly the interpreter's access order.
-        let mut k = 0usize;
-        for sp in &plan.stmts {
-            let w = sc.cursors[k];
-            for c in &sc.cursors[k + 1..k + 1 + sp.nreads] {
-                sc.seg_accs.push(SegAccess { byte: c.byte, dbyte: c.dbyte, write: false });
+        // then the write — exactly the interpreter's access order. Left
+        // empty on a replayed step: `access_seg` of no slots does nothing.
+        if !self.values_only {
+            let mut k = 0usize;
+            for sp in &plan.stmts {
+                let w = sc.cursors[k];
+                for c in &sc.cursors[k + 1..k + 1 + sp.nreads] {
+                    sc.seg_accs.push(SegAccess { byte: c.byte, dbyte: c.dbyte, write: false });
+                }
+                sc.seg_accs.push(SegAccess { byte: w.byte, dbyte: w.dbyte, write: true });
+                k += 1 + sp.nreads;
             }
-            sc.seg_accs.push(SegAccess { byte: w.byte, dbyte: w.dbyte, write: true });
-            k += 1 + sp.nreads;
         }
         // Unrolled sweeps require the write stream to alias no read
         // stream (single-statement bodies only; multi-statement bodies

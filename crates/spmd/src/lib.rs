@@ -14,6 +14,7 @@ pub mod emit_c;
 pub mod exec;
 pub mod kernel;
 pub mod race;
+pub mod replay;
 pub mod run;
 pub mod schedule;
 
@@ -23,5 +24,6 @@ pub use dct_ir::{Race, RaceAccess, RaceKind, RaceReport};
 pub use emit_c::{emit_c, emit_runtime_header};
 pub use exec::{owned_iter, Executor, RunResult};
 pub use race::Detector;
+pub use replay::MemoOutcome;
 pub use run::{default_threads, lower, simulate, simulate_with_values, SimOptions};
 pub use schedule::{PipelinePlan, Schedule, Step, Steps};

@@ -13,6 +13,7 @@
 //! sync is realized (clock joins versus real barriers and channels).
 
 use crate::codegen::{Gate, LevelSched, SpmdNest, SpmdProgram, SyncKind};
+use dct_ir::{Aff, ArrayRef};
 
 /// One nest execution in program order.
 #[derive(Clone, Copy)]
@@ -156,6 +157,33 @@ impl<'a> Schedule<'a> {
     /// The processors executing `nest` under `params`, ascending.
     pub fn participants(&self, nest: &SpmdNest, params: &[i64]) -> Vec<usize> {
         (0..self.sp.nprocs).filter(|&p| self.participates(p, nest, params)).collect()
+    }
+
+    /// Is every time step the same work at the same addresses? True when no
+    /// loop bound, array subscript, distribution offset or gate of any
+    /// compute nest has a non-zero coefficient on the time parameter, so
+    /// the step number can reach neither an iteration set nor an address
+    /// (statement bodies hold no parameters at all). Vacuously true
+    /// without a time loop.
+    pub fn time_invariant(&self) -> bool {
+        let Some(tp) = self.sp.time_param else { return true };
+        let free = |a: &Aff| a.param_coeffs.get(tp).is_none_or(|&c| c == 0);
+        let free_ref = |r: &ArrayRef| {
+            let m = &r.access.param_mat;
+            tp >= m.cols() || (0..m.rows()).all(|d| m[(d, tp)] == 0)
+        };
+        self.sp.nests.iter().all(|n| {
+            let bounds = n.source.bounds.iter().flat_map(|b| b.los.iter().chain(&b.his));
+            let offsets = n.sched.iter().filter_map(|l| match l {
+                LevelSched::Dist { offset, .. } => Some(offset),
+                LevelSched::Seq => None,
+            });
+            bounds.map(|f| &f.aff).chain(offsets).chain(n.gates.iter().map(|g| &g.aff)).all(free)
+                && n.source.body.iter().all(|s| {
+                    let (writes, reads) = s.refs();
+                    writes.into_iter().chain(reads).all(free_ref)
+                })
+        })
     }
 
     /// The doacross plan of `nest` under `params`; `None` when the nest is
@@ -381,6 +409,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each of the four places the time parameter can enter — a bound, a
+    /// subscript, a distribution offset, a gate — rules time invariance
+    /// out, in compute nests only.
+    #[test]
+    fn time_invariance_sees_bounds_subscripts_offsets_and_gates() {
+        let base = || time_stepped(4);
+        let tp = base().time_param.expect("time-stepped");
+        assert!(Schedule::new(&base()).time_invariant());
+        type Edit = fn(&mut SpmdProgram, usize);
+        let edits: [(&str, Edit); 5] = [
+            ("bound", |sp, tp| sp.nests[0].source.bounds[1].los[0].aff = Aff::param(tp)),
+            ("write subscript", |sp, tp| {
+                sp.nests[1].source.body[0].lhs.access.param_mat[(0, tp)] = 1
+            }),
+            ("read subscript", |sp, tp| {
+                let Expr::Bin(_, read, _) = &mut sp.nests[0].source.body[0].rhs else { return };
+                if let Expr::Ref(r) = &mut **read {
+                    r.access.param_mat[(1, tp)] = -1;
+                }
+            }),
+            ("offset", |sp, tp| {
+                let (proc_dim, folding) = (0, Folding::Block);
+                sp.nests[1].sched[0] =
+                    LevelSched::Dist { proc_dim, folding, extent: N, offset: Aff::param(tp) }
+            }),
+            ("gate", |sp, tp| {
+                let (proc_dim, folding) = (0, Folding::Block);
+                sp.nests[0].gates.push(Gate { proc_dim, folding, extent: N, aff: Aff::param(tp) })
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut sp = base();
+            edit(&mut sp, tp);
+            assert!(!Schedule::new(&sp).time_invariant(), "{what}");
+        }
+        // Init nests run once, before the time loop.
+        let mut sp = base();
+        sp.init[0].source.bounds[0].his[0].aff = Aff::param(tp);
+        assert!(Schedule::new(&sp).time_invariant());
+        sp.time_param = None;
+        assert!(Schedule::new(&sp).time_invariant());
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! fast path only changes how addresses are computed, never which machine
 //! accesses happen or in what order; this test is the executable form of
 //! that invariant.
+//!
+//! The second half pins time-step replay (`dct_spmd::replay`) the same way:
+//! the default run, which replays a repeating time step, against the
+//! reference walk, which never does.
 
+use dct_bench::programs::suite;
+use dct_core::{rung_sim_options, Compiler, Strategy as Compile};
 use dct_decomp::{decompose, Folding};
 use dct_dep::{analyze_nest, DepConfig};
 use dct_ir::{Aff, Expr, Program, ProgramBuilder};
-use dct_spmd::{simulate, SimOptions};
+use dct_machine::MachineConfig;
+use dct_spmd::{simulate, MemoOutcome, RunResult, SimOptions};
 use proptest::prelude::*;
 
 /// A randomized 2-array time-stepped program: an init nest, a gather
@@ -20,7 +27,9 @@ fn arb_program() -> impl Strategy<Value = Program> {
     (
         8i64..=14,
         proptest::collection::vec((-1i64..=1, -1i64..=1, 1i64..=2), 1..4),
-        1i64..=2,
+        // Three steps and more replay (every folding, so also through the
+        // general walk of a block-cyclic level).
+        1i64..=4,
     )
         .prop_map(|(n, offsets, steps)| {
             let mut pb = ProgramBuilder::new("diff-rand");
@@ -89,6 +98,9 @@ proptest! {
                 prop_assert!(rf.fast.fast_iters > 0 || matches!(folding, Folding::BlockCyclic { .. }),
                     "fast path never engaged (P={procs}, {folding:?})");
                 prop_assert_eq!(rs.fast.fast_iters, 0, "reference walk took the fast path");
+                let steps = prog.time_step_count(&params) as u64;
+                prop_assert_eq!(rf.fast.replayed_steps, steps.saturating_sub(2),
+                    "replayed steps (P={}, {:?})", procs, folding);
 
                 prop_assert_eq!(rf.cycles, rs.cycles, "cycles differ (P={}, {:?})", procs, folding);
                 prop_assert_eq!(&rf.clocks, &rs.clocks, "clocks differ (P={}, {:?})", procs, folding);
@@ -99,6 +111,197 @@ proptest! {
                 prop_assert!(rf.checksum == rs.checksum,
                     "checksum differs: {} != {} (P={procs}, {folding:?})", rf.checksum, rs.checksum);
             }
+        }
+    }
+}
+
+/// Everything a run reports except the walk-mode counters: a replayed run
+/// and a reference walk agree on all of it.
+fn assert_same_results(what: &str, a: &RunResult, b: &RunResult) {
+    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
+    assert_eq!(a.clocks, b.clocks, "{what}: clocks");
+    assert_eq!(a.stats.per_proc, b.stats.per_proc, "{what}: per-processor counters");
+    assert_eq!(a.stats.sync, b.stats.sync, "{what}: sync counters");
+    assert_eq!(a.checksum.to_bits(), b.checksum.to_bits(), "{what}: checksum");
+    assert_eq!(a.barriers, b.barriers, "{what}: barriers");
+    assert_eq!(a.nest_cycles, b.nest_cycles, "{what}: nest cycles");
+    assert_eq!(a.init_cycles, b.init_cycles, "{what}: init cycles");
+    assert_eq!(a.seq_regions, b.seq_regions, "{what}: regions");
+    assert_eq!((a.timed_out, a.cancelled), (b.timed_out, b.cancelled), "{what}: completion");
+}
+
+/// Replay changes how a step is accounted for, never which iterations run
+/// on which path: the walk counters equal those of a run that cannot
+/// replay.
+fn assert_same_walk(what: &str, a: &RunResult, b: &RunResult) {
+    let (a, b) = (a.fast, b.fast);
+    assert_eq!(
+        (a.fast_iters, a.slow_iters, a.segments, a.kernel_iters, a.kernel_shapes),
+        (b.fast_iters, b.slow_iters, b.segments, b.kernel_iters, b.kernel_shapes),
+        "{what}: walk counters"
+    );
+}
+
+fn reference(opts: &SimOptions) -> SimOptions {
+    SimOptions { fast_path: false, ..opts.clone() }
+}
+
+/// The paper suite: 7 benchmarks x 3 strategies x procs {1, 3, 8, 32}.
+/// Every time-invariant benchmark replays all but its first two steps and
+/// still lands on the reference walk's results; nothing else replays.
+#[test]
+fn suite_replays_repeating_steps_and_matches_the_reference_walk() {
+    for b in suite(0.125) {
+        let params = b.program.default_params();
+        let steps = b.program.time_step_count(&params) as u64;
+        for strategy in Compile::ALL {
+            let compiled = Compiler::new(strategy)
+                .compile(&b.program)
+                .unwrap_or_else(|e| panic!("{} {}: {e}", b.name, strategy.label()));
+            let run = |opts: &SimOptions| {
+                simulate(&compiled.program, &compiled.decomposition, opts)
+                    .unwrap_or_else(|e| panic!("{} {}: {e}", b.name, strategy.label()))
+            };
+            for procs in [1usize, 3, 8, 32] {
+                let what = format!("{} {} at {procs} procs", b.name, strategy.label());
+                let opts = rung_sim_options(compiled.rung, procs, params.clone());
+                let (fast, slow) = (run(&opts), run(&reference(&opts)));
+                assert_same_results(&what, &fast, &slow);
+                assert_eq!((slow.fast.memo, slow.fast.replayed_steps), (MemoOutcome::ReferenceWalk, 0));
+                assert_eq!(fast.fast.fast_iters + fast.fast.slow_iters, slow.fast.slow_iters, "{what}");
+                let want = match b.name {
+                    "vpenta" => (MemoOutcome::NoTimeLoop, 0),
+                    "lu" => (MemoOutcome::TimeDependent, 0),
+                    _ => (MemoOutcome::Replayed, steps - 2),
+                };
+                assert_eq!((fast.fast.memo, fast.fast.replayed_steps), want, "{what}");
+
+                // Observers see every access, so an observed run never
+                // replays, and what they report does not depend on the
+                // walk mode.
+                for (race_detect, profile) in [(true, false), (false, true)] {
+                    let observed = SimOptions { race_detect, profile, ..opts.clone() };
+                    let (of, os) = (run(&observed), run(&reference(&observed)));
+                    assert_eq!((of.fast.memo, of.fast.replayed_steps), (MemoOutcome::Observed, 0), "{what}");
+                    assert_same_results(&what, &of, &fast);
+                    assert_same_walk(&what, &of, &fast);
+                    assert_eq!(of.race, os.race, "{what}: race report");
+                    assert_eq!(of.mem_profile, os.mem_profile, "{what}: memory profile");
+                }
+
+                // An associative L1 has LRU ticks that never repeat.
+                let machine = MachineConfig { l1_assoc: 2, ..MachineConfig::dash(procs) };
+                let assoc = SimOptions { machine: Some(machine), ..opts.clone() };
+                let (af, asl) = (run(&assoc), run(&reference(&assoc)));
+                assert_same_results(&what, &af, &asl);
+                assert_eq!(af.fast.replayed_steps, 0, "{what}");
+                if want.0 == MemoOutcome::Replayed {
+                    assert_eq!(af.fast.memo, MemoOutcome::Associative, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// A hand-written six-step relaxation. `uses_time` moves the sweep's lower
+/// bound with the step number, which must rule replay out.
+fn relaxation(n: i64, steps: i64, uses_time: bool) -> Program {
+    let mut pb = ProgramBuilder::new("relax");
+    let np = pb.param("N", n);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let b = pb.array("B", &[Aff::param(np), Aff::param(np)], 8);
+    let t = pb.time_loop(Aff::konst(steps));
+
+    let mut nb = pb.nest_builder("init");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let v = Expr::Index(i) * Expr::Const(0.25) + Expr::Index(j) + Expr::Const(1.0);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], v);
+    pb.init_nest(nb.build());
+
+    let lo = if uses_time { Aff::param(t) + 1 } else { Aff::konst(1) };
+    let mut nb = pb.nest_builder("sweep");
+    let j = nb.loop_var(lo.clone(), Aff::param(np) - 2);
+    let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 2);
+    let rhs = (nb.read(a, &[Aff::var(i) - 1, Aff::var(j)])
+        + nb.read(a, &[Aff::var(i) + 1, Aff::var(j)])
+        + nb.read(a, &[Aff::var(i), Aff::var(j) - 1])
+        + nb.read(a, &[Aff::var(i), Aff::var(j) + 1]))
+        * Expr::Const(0.25);
+    nb.assign(b, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+
+    let mut nb = pb.nest_builder("copy");
+    let j = nb.loop_var(lo, Aff::param(np) - 2);
+    let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 2);
+    let rhs = nb.read(b, &[Aff::var(i), Aff::var(j)]);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+    pb.build()
+}
+
+fn decomposed(prog: &Program) -> dct_decomp::Decomposition {
+    let cfg = DepConfig { nparams: prog.params.len(), param_min: 4 };
+    let deps: Vec<_> = prog.nests.iter().map(|n| analyze_nest(n, cfg)).collect();
+    decompose(prog, &deps).expect("decompose")
+}
+
+#[test]
+fn hand_written_time_loops_replay_only_when_time_invariant() {
+    for (steps, uses_time) in [(6, false), (4, false), (2, false), (6, true)] {
+        let prog = relaxation(40, steps, uses_time);
+        let dec = decomposed(&prog);
+        for procs in [1usize, 4, 8] {
+            for transform_data in [false, true] {
+                let what = format!("{steps} steps, uses_time {uses_time}, P={procs}, data {transform_data}");
+                let opts =
+                    SimOptions { transform_data, ..SimOptions::new(procs, prog.default_params()) };
+                let fast = simulate(&prog, &dec, &opts).expect("simulate");
+                let slow = simulate(&prog, &dec, &reference(&opts)).expect("simulate");
+                assert_same_results(&what, &fast, &slow);
+                let want = match (uses_time, steps) {
+                    (true, _) => (MemoOutcome::TimeDependent, 0),
+                    (false, 2) => (MemoOutcome::NoTimeLoop, 0),
+                    (false, _) => (MemoOutcome::Replayed, steps as u64 - 2),
+                };
+                assert_eq!((fast.fast.memo, fast.fast.replayed_steps), want, "{what}");
+                // Same iterations on the same paths with kernels off, and
+                // the interpreter replays too.
+                let interp = SimOptions { seg_kernels: false, ..opts.clone() };
+                let ri = simulate(&prog, &dec, &interp).expect("simulate");
+                assert_same_results(&what, &ri, &slow);
+                assert_eq!((ri.fast.memo, ri.fast.replayed_steps), want, "{what}: interpreter");
+            }
+        }
+    }
+}
+
+/// A cycle budget that runs out inside a replayed step stops the run where
+/// it stops the reference walk, with the same partial results.
+#[test]
+fn cycle_budget_expiring_inside_a_replayed_step() {
+    let prog = relaxation(40, 6, false);
+    let dec = decomposed(&prog);
+    let head = relaxation(40, 3, false);
+    for procs in [1usize, 8] {
+        let opts = SimOptions::new(procs, prog.default_params());
+        let whole = simulate(&prog, &dec, &opts).expect("simulate");
+        assert_eq!(whole.fast.replayed_steps, 4);
+        // Steps 0..=2 end about here; the budgets fall in steps 3, 4 and 5.
+        let three = simulate(&head, &decomposed(&head), &opts).expect("simulate").cycles;
+        for quarters in [1u64, 2, 3] {
+            let what = format!("P={procs}, budget at {quarters}/4 of the last three steps");
+            let max_cycles = Some(three + (whole.cycles - three) * quarters / 4);
+            let budget = SimOptions { max_cycles, ..opts.clone() };
+            let fast = simulate(&prog, &dec, &budget).expect("simulate");
+            let slow = simulate(&prog, &dec, &reference(&budget)).expect("simulate");
+            assert!(fast.timed_out, "{what}");
+            assert!(
+                (1..=4).contains(&fast.fast.replayed_steps),
+                "{what}: expired outside the replayed steps ({})",
+                fast.fast.replayed_steps
+            );
+            assert_same_results(&what, &fast, &slow);
         }
     }
 }

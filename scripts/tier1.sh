@@ -22,6 +22,12 @@ echo "== tier1: cargo test -q"
 # and serve suites, and the 256-case three-way fuzz smoke among them.
 cargo test -q
 
+echo "== tier1: replay differential, release build"
+# Time-step replay decides on a state digest in release builds and
+# re-checks the full state only under debug assertions (the test profile),
+# so the release decision needs its own run against the reference walk.
+cargo test --release -q -p dct-spmd --test differential
+
 echo "== tier1: panic-site ratchet"
 # New panic!/unwrap() sites must not appear in the compiler crates above
 # the pinned baseline (scripts/panic_baseline.txt). Lowering a count is
