@@ -29,9 +29,11 @@ use dct_core::{Compiler, Strategy};
 use dct_decomp::{CompRow, Decomposition, Folding};
 use dct_ir::{FpHasher, Program};
 use dct_machine::MachineConfig;
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::SystemTime;
 
 /// Version of the cache key derivation. Mixed into every key; bump it
@@ -189,14 +191,13 @@ fn hash_machine(h: &mut FpHasher, m: &MachineConfig) {
     h.write_u64(m.lock_cost);
 }
 
-/// Derive the content-addressed key of one cell. Compiles the program
-/// (cheap next to simulating it) so the key covers what the simulator
-/// will actually run: the transformed IR, the realized rung, and the
-/// concrete decomposition — a compiler change that alters any of them
-/// changes the key instead of falsely hitting stale entries.
-pub fn cell_cache_key(bench: &str, inp: &KeyInputs) -> Result<CacheKey, String> {
-    let (strategy, procs) = kind_strategy(inp.kind, inp.procs);
-    let compiled = Compiler::new(strategy).compile(inp.prog).map_err(|e| e.to_string())?;
+/// The compile-dependent prefix of a cell key: the hasher state after the
+/// transformed IR, the strategy and realized rung, and the concrete
+/// decomposition. It is a pure function of (source program, strategy) —
+/// nothing else reaches the compiler — which is what lets [`KeyMemo`]
+/// keep it across cells.
+fn compile_prefix(prog: &Program, strategy: Strategy) -> Result<FpHasher, String> {
+    let compiled = Compiler::new(strategy).compile(prog).map_err(|e| e.to_string())?;
     let mut h = FpHasher::new();
     h.write_str("dct-cache-key");
     h.write_u32(CACHE_KEY_SCHEMA);
@@ -204,6 +205,14 @@ pub fn cell_cache_key(bench: &str, inp: &KeyInputs) -> Result<CacheKey, String> 
     h.write_str(strategy.label());
     h.write_str(compiled.rung.label());
     hash_decomposition(&mut h, &compiled.decomposition);
+    Ok(h)
+}
+
+/// Finish a key from its compile prefix with everything the compiler
+/// never sees: machine, processor count, scale, observers, budgets. Every
+/// [`KeyInputs`] field but `prog` is read here and only here, for the
+/// memoised and the direct derivation alike.
+fn finish_key(mut h: FpHasher, bench: &str, inp: &KeyInputs, procs: usize) -> CacheKey {
     let dash;
     let machine = match inp.machine {
         Some(m) => m,
@@ -231,12 +240,77 @@ pub fn cell_cache_key(bench: &str, inp: &KeyInputs) -> Result<CacheKey, String> 
             h.write_f64(v);
         }
     }
-    Ok(CacheKey {
+    CacheKey {
         bench: bench.to_string(),
         kind: inp.kind.to_string(),
         procs,
         hash: h.finish128(),
-    })
+    }
+}
+
+/// Derive the content-addressed key of one cell. Compiles the program
+/// (cheap next to simulating it) so the key covers what the simulator
+/// will actually run: the transformed IR, the realized rung, and the
+/// concrete decomposition — a compiler change that alters any of them
+/// changes the key instead of falsely hitting stale entries.
+pub fn cell_cache_key(bench: &str, inp: &KeyInputs) -> Result<CacheKey, String> {
+    let (strategy, procs) = kind_strategy(inp.kind, inp.procs);
+    Ok(finish_key(compile_prefix(inp.prog, strategy)?, bench, inp, procs))
+}
+
+/// Entries a [`KeyMemo`] holds before it is cleared (40 bytes each).
+const KEY_MEMO_MAX: usize = 4096;
+
+/// Compile prefixes by (source-program fingerprint, strategy), so a
+/// long-lived owner (the serve queue) compiles once per program and
+/// strategy instead of once per cell. It cannot go stale: the fingerprint
+/// covers every `Program` field the compiler reads, the compiler is fixed
+/// for the life of the process, and everything else a key depends on is
+/// hashed afresh by [`finish_key`]. A failed compile is never stored.
+#[derive(Debug, Default)]
+pub struct KeyMemo {
+    prefixes: Mutex<HashMap<(u128, &'static str), FpHasher>>,
+    /// Prefixes derived by compiling (memo misses).
+    pub derived: AtomicU64,
+    /// Keys finished from a stored prefix.
+    pub hits: AtomicU64,
+}
+
+impl KeyMemo {
+    /// [`cell_cache_key`], bit for bit. `source_fp` is
+    /// `dct_ir::program_fingerprint(inp.prog)`, taken by the caller once
+    /// per program rather than once per cell.
+    pub fn cell_key(
+        &self,
+        bench: &str,
+        source_fp: u128,
+        inp: &KeyInputs,
+    ) -> Result<CacheKey, String> {
+        debug_assert_eq!(source_fp, dct_ir::program_fingerprint(inp.prog));
+        let (strategy, procs) = kind_strategy(inp.kind, inp.procs);
+        let slot = (source_fp, strategy.label());
+        let stored =
+            self.prefixes.lock().unwrap_or_else(|e| e.into_inner()).get(&slot).cloned();
+        let prefix = match stored {
+            Some(h) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                h
+            }
+            None => {
+                // Compiled outside the lock: two racing callers may both
+                // compile, and store the same state.
+                let h = compile_prefix(inp.prog, strategy)?;
+                self.derived.fetch_add(1, Ordering::Relaxed);
+                let mut prefixes = self.prefixes.lock().unwrap_or_else(|e| e.into_inner());
+                if prefixes.len() >= KEY_MEMO_MAX {
+                    prefixes.clear();
+                }
+                prefixes.insert(slot, h.clone());
+                h
+            }
+        };
+        Ok(finish_key(prefix, bench, inp, procs))
+    }
 }
 
 /// Key of a rendered artifact (explain report): the cell-key machinery
@@ -592,6 +666,79 @@ mod tests {
         assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "machine");
         // Identical inputs rebuild the identical key (fresh compile).
         assert_eq!(cell_cache_key("stencil", &base).expect("key"), k0);
+    }
+
+    /// The memo changes where a key's compile comes from, never a bit of
+    /// the key: whole suite x kinds x procs x observer at two scales, with
+    /// the memo cold (first scale pass) and warm (second pass over it).
+    #[test]
+    fn memoised_keys_equal_direct_keys() {
+        let memo = KeyMemo::default();
+        let mut direct = 0u64;
+        for pass in 0..2 {
+            for scale_milli in [250i64, 500] {
+                for b in programs::suite(scale_milli as f64 / 1000.0) {
+                    let fp = dct_ir::program_fingerprint(&b.program);
+                    for kind in crate::sweep::KINDS {
+                        for procs in [1usize, 8, 32] {
+                            for race_check in [false, true] {
+                                let inp = KeyInputs {
+                                    prog: &b.program,
+                                    kind,
+                                    procs,
+                                    scale_milli,
+                                    race_check,
+                                    profile: false,
+                                    max_cycles: None,
+                                    max_wall_secs: None,
+                                    machine: None,
+                                };
+                                let want = cell_cache_key(b.name, &inp).expect("direct key");
+                                let got = memo.cell_key(b.name, fp, &inp).expect("memoised key");
+                                assert_eq!(got, want, "{}/{kind} p{procs} pass {pass}", b.name);
+                                direct += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // One compile per (program, strategy): `seq` rides on `base`, and
+        // procs, the observer and the second pass never compile.
+        let derived = memo.derived.load(Ordering::Relaxed);
+        assert_eq!(derived, 2 * 7 * 3, "two scales x seven programs x three strategies");
+        assert_eq!(derived + memo.hits.load(Ordering::Relaxed), direct);
+    }
+
+    /// A program no rung can compile has no key either way, and the memo
+    /// keeps nothing of the failure: the next call compiles (and fails)
+    /// again instead of answering from a stored state.
+    #[test]
+    fn failed_compile_is_an_error_both_ways_and_not_memoised() {
+        let mut suite = programs::suite(0.05);
+        let mut broken = suite.remove(2).program;
+        broken.nests[0].bounds[0].los.clear();
+        let fp = dct_ir::program_fingerprint(&broken);
+        let inp = KeyInputs {
+            prog: &broken,
+            kind: "full",
+            procs: 8,
+            scale_milli: 50,
+            race_check: false,
+            profile: false,
+            max_cycles: None,
+            max_wall_secs: None,
+            machine: None,
+        };
+        let direct = cell_cache_key("stencil", &inp).expect_err("direct derivation fails");
+        let memo = KeyMemo::default();
+        for _ in 0..2 {
+            let err = memo.cell_key("stencil", fp, &inp).expect_err("memoised derivation fails");
+            assert_eq!(err, direct);
+        }
+        assert_eq!(memo.derived.load(Ordering::Relaxed), 0);
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 0);
+        assert!(memo.prefixes.lock().expect("memo lock").is_empty(), "a failure must not be stored");
     }
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -18,7 +18,7 @@ pub mod sweep;
 
 pub use ablate::{all_ablations, Ablation};
 pub use cache::{
-    artifact_cache_key, cell_cache_key, CacheKey, CacheStats, KeyInputs, ResultStore,
+    artifact_cache_key, cell_cache_key, CacheKey, CacheStats, KeyInputs, KeyMemo, ResultStore,
     CACHE_KEY_SCHEMA,
 };
 pub use chaos::{
@@ -29,6 +29,7 @@ pub use explain::{explain, explain_cached, explain_json, explain_strategies, ren
 pub use harness::{atomic_write_sync, figure, run_figure, run_figure_parallel, table1, FigureResult, FigureSpec, StrategyCurve, Table1Row, ThreadBudget};
 pub use native_check::{render_native_check, run_native_check, run_native_check_cached, NativeCell, NativeVerdict};
 pub use sweep::{
-    render_sweep, run_cell_supervised, run_sweep, run_sweep_supervised, scale_key, Cell,
+    render_sweep, run_cell_supervised, run_cell_supervised_keyed, run_sweep, run_sweep_supervised,
+    scale_key, Cell,
     CellOutcome, CellRun, SweepConfig, SweepReport, KINDS,
 };

@@ -19,6 +19,7 @@
 //! keeps going. Partial results always render: a table with holes beats
 //! no table.
 
+use crate::cache::CacheKey;
 use crate::chaos::{backoff_ms, FaultInjector, FaultSite, RetryPolicy, RetryRung};
 use crate::harness::atomic_write_sync;
 use crate::programs;
@@ -351,6 +352,16 @@ pub fn save_cell(dir: &Path, cell: &Cell) -> io::Result<()> {
     save_cell_checked(dir, cell, None)
 }
 
+/// Does `dir` already hold, byte for byte, the checkpoint
+/// [`save_cell_checked`] would write for `cell`? A file reaches its final
+/// name only through [`atomic_write_sync`] (synced before the rename), so
+/// byte-equal means complete and durable. Absent, flipped, truncated,
+/// stale or foreign all read as not current.
+fn checkpoint_is_current(dir: &Path, cell: &Cell) -> bool {
+    std::fs::read(dir.join(cell.filename()))
+        .is_ok_and(|on_disk| on_disk == checkpoint_to_json(cell).as_bytes())
+}
+
 /// What a checkpoint-directory scan found.
 #[derive(Debug, Default)]
 pub struct LoadReport {
@@ -538,6 +549,9 @@ pub struct SweepReport {
     /// Cells that actually entered the compute path (attempt loop). A
     /// fully warm cached sweep has `executed == 0`.
     pub executed: u64,
+    /// Cache hits whose checkpoint was already on disk byte for byte, so
+    /// nothing was written; the other hits wrote theirs.
+    pub checkpoints_current: u64,
 }
 
 /// Result of one compute attempt, before checkpointing.
@@ -740,16 +754,34 @@ fn supervised_attempt(
     })
 }
 
-/// Compute one cell through the full self-healing protocol: bounded
-/// retries with seeded backoff down the bit-identical degradation ladder,
-/// watchdog cancellation, checkpointing (with its own faults retried),
-/// quarantine after the last attempt.
+/// The cache key of one cell under `cfg`; `None` (the cell runs uncached)
+/// when the sweep has no store or the key cannot be derived.
+fn derive_cache_key(
+    prog: &dct_ir::Program,
+    cfg: &SweepConfig,
+    bench: &str,
+    kind: &str,
+    procs: usize,
+) -> Option<CacheKey> {
+    cfg.cache.as_ref()?;
+    crate::cache::cell_cache_key(bench, &cfg.key_inputs(prog, kind, procs))
+        .map_err(|e| {
+            eprintln!("[cache: {bench}/{kind}: key derivation failed ({e}); cell will not be cached]")
+        })
+        .ok()
+}
+
+/// Compute one cell through the full self-healing protocol: cache look-up
+/// under `cache_key`, bounded retries with seeded backoff down the
+/// bit-identical degradation ladder, watchdog cancellation, checkpointing
+/// (with its own faults retried), quarantine after the last attempt.
 fn compute_cell_supervised(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
     bench: &str,
     kind: &str,
     procs: usize,
+    cache_key: Option<&CacheKey>,
     rep: &mut SweepReport,
 ) -> Cell {
     let inj = cfg.injector.as_deref();
@@ -759,21 +791,17 @@ fn compute_cell_supervised(
     // matches is served without executing anything. Failed/quarantined
     // entries are never cached, so a cached cell is always trustworthy
     // (and crc64-verified on read).
-    let cache_key = cfg.cache.as_deref().and_then(|_| {
-        match crate::cache::cell_cache_key(bench, &cfg.key_inputs(prog, kind, procs)) {
-            Ok(k) => Some(k),
-            Err(e) => {
-                eprintln!("[cache: {cell_id}: key derivation failed ({e}); cell will not be cached]");
-                None
-            }
-        }
-    });
-    if let (Some(store), Some(key)) = (cfg.cache.as_deref(), cache_key.as_ref()) {
+    if let (Some(store), Some(key)) = (cfg.cache.as_deref(), cache_key) {
         if let Some(cell) = store.lookup_cell(key) {
             if matches!(cell.outcome, CellOutcome::Cycles(_) | CellOutcome::Timeout) {
                 // Keep the checkpoint record consistent so `--resume`
-                // and partial-table rendering see the cell either way.
-                let _ = save_cell_checked(&cfg.out_dir, &cell, inj);
+                // and partial-table rendering see the cell either way;
+                // one that is already there is not written again.
+                if checkpoint_is_current(&cfg.out_dir, &cell) {
+                    rep.checkpoints_current += 1;
+                } else {
+                    let _ = save_cell_checked(&cfg.out_dir, &cell, inj);
+                }
                 rep.cache_hits += 1;
                 return cell;
             }
@@ -796,7 +824,7 @@ fn compute_cell_supervised(
                 cell.checksum_bits = sim.checksum_bits;
                 cell.fingerprint = sim.fingerprint;
                 match save_cell_checked(&cfg.out_dir, &cell, inj)
-                    .and_then(|()| match (cfg.cache.as_deref(), cache_key.as_ref()) {
+                    .and_then(|()| match (cfg.cache.as_deref(), cache_key) {
                         // The cache is part of the durable record: a cell
                         // that could not be inserted retries the whole
                         // attempt, exactly like a failed checkpoint (this
@@ -858,6 +886,10 @@ pub struct CellRun {
     /// True when the cell was served from the content-addressed cache
     /// without executing.
     pub cache_hit: bool,
+    /// True when that hit found its checkpoint on disk byte for byte and
+    /// wrote nothing; false when the checkpoint was written (every miss,
+    /// and a hit whose file was absent or differed).
+    pub checkpoint_current: bool,
 }
 
 /// Compute exactly one cell through the full self-healing protocol —
@@ -872,14 +904,30 @@ pub fn run_cell_supervised(
     kind: &str,
     procs: usize,
 ) -> CellRun {
+    let key = derive_cache_key(prog, cfg, bench, kind, procs);
+    run_cell_supervised_keyed(prog, cfg, bench, kind, procs, key.as_ref())
+}
+
+/// [`run_cell_supervised`] for a caller that already holds the cell's
+/// cache key (`None` = run uncached): the serve queue derives it once, at
+/// submit, to deduplicate in-flight cells.
+pub fn run_cell_supervised_keyed(
+    prog: &dct_ir::Program,
+    cfg: &SweepConfig,
+    bench: &str,
+    kind: &str,
+    procs: usize,
+    cache_key: Option<&CacheKey>,
+) -> CellRun {
     let mut rep = SweepReport::default();
-    let cell = compute_cell_supervised(prog, cfg, bench, kind, procs, &mut rep);
+    let cell = compute_cell_supervised(prog, cfg, bench, kind, procs, cache_key, &mut rep);
     CellRun {
         cell,
         retries: rep.retries,
         cancelled: rep.cancelled,
         quarantined: rep.quarantined,
         cache_hit: rep.cache_hits > 0,
+        checkpoint_current: rep.checkpoints_current > 0,
     }
 }
 
@@ -916,7 +964,16 @@ pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
                 rep.cells.push(prev.clone());
                 continue;
             }
-            let cell = compute_cell_supervised(&b.program, cfg, b.name, kind, procs, &mut rep);
+            let cache_key = derive_cache_key(&b.program, cfg, b.name, kind, procs);
+            let cell = compute_cell_supervised(
+                &b.program,
+                cfg,
+                b.name,
+                kind,
+                procs,
+                cache_key.as_ref(),
+                &mut rep,
+            );
             rep.cells.push(cell);
             if fires(inj, FaultSite::KillSweep, &format!("after {}/{kind}", b.name)) {
                 eprintln!(

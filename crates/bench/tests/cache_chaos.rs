@@ -5,9 +5,12 @@
 //! recomputed — never trusted.
 
 use dct_bench::chaos::{run_chaos, ChaosConfig, Fault, FaultInjector, FaultPlan, FaultSite};
-use dct_bench::sweep::{run_sweep_supervised, render_sweep, CellOutcome, SweepConfig};
+use dct_bench::sweep::{
+    load_report, render_sweep, run_sweep_supervised, CellOutcome, SweepConfig, SweepReport,
+};
 use dct_bench::ResultStore;
-use std::path::PathBuf;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -71,6 +74,119 @@ fn warm_cache_executes_zero_cells_bit_identical() {
     for (c, w) in cold.cells.iter().zip(&warm.cells) {
         assert_eq!(c, w, "cached cell diverges");
     }
+}
+
+/// `(file name, inode, mtime ns, bytes)` of every checkpoint in `dir`: a
+/// rewrite goes through a rename, so it shows as a new inode.
+fn checkpoint_files(dir: &Path) -> Vec<(String, u64, i64, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let md = std::fs::metadata(&p).unwrap();
+            let mtime = md.mtime() * 1_000_000_000 + md.mtime_nsec();
+            let name = p.file_name().unwrap().to_string_lossy().to_string();
+            (name, md.ino(), mtime, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn assert_all_served(rep: &SweepReport, current: u64) {
+    assert_eq!(rep.executed, 0, "a warm sweep executes nothing");
+    assert_eq!(rep.cache_hits, 4, "every cell served from the store");
+    assert_eq!(rep.checkpoints_current, current, "hits that found their checkpoint on disk");
+}
+
+/// A hit whose checkpoint is already on disk costs no write: a second
+/// warm sweep into the *same* checkpoint directory serves every cell,
+/// leaves every file's inode and mtime alone and renders the same table.
+#[test]
+fn warm_sweep_into_current_checkpoints_writes_nothing() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    run_sweep_supervised(&small_sweep(dir.path("cold"), Some(store.clone()))).unwrap();
+
+    // First warm sweep into a fresh directory: every hit writes.
+    let first = run_sweep_supervised(&small_sweep(dir.path("warm"), Some(store.clone()))).unwrap();
+    assert_all_served(&first, 0);
+    let before = checkpoint_files(&dir.path("warm"));
+    assert_eq!(before.len(), 4);
+
+    let second = run_sweep_supervised(&small_sweep(dir.path("warm"), Some(store.clone()))).unwrap();
+    assert_all_served(&second, 4);
+    assert_eq!(checkpoint_files(&dir.path("warm")), before, "a current checkpoint was touched");
+    assert_eq!(render_sweep(&second.cells, 4, 0.05), render_sweep(&first.cells, 4, 0.05));
+    assert_eq!(second.cells, first.cells);
+}
+
+/// Only byte-equal counts as current: a checkpoint with one bit flipped,
+/// one truncated to half and one deleted are each written again on the
+/// next hit, and the directory then verifies clean.
+#[test]
+fn damaged_checkpoints_are_rewritten_on_the_next_hit() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let out = dir.path("out");
+    run_sweep_supervised(&small_sweep(out.clone(), Some(store.clone()))).unwrap();
+    let good = checkpoint_files(&out);
+    assert_eq!(good.len(), 4);
+
+    let mut flipped = good[0].3.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x08;
+    std::fs::write(out.join(&good[0].0), &flipped).unwrap();
+    std::fs::write(out.join(&good[1].0), &good[1].3[..good[1].3.len() / 2]).unwrap();
+    std::fs::remove_file(out.join(&good[2].0)).unwrap();
+
+    let warm = run_sweep_supervised(&small_sweep(out.clone(), Some(store.clone()))).unwrap();
+    assert_all_served(&warm, 1);
+    let after = checkpoint_files(&out);
+    for (g, a) in good.iter().zip(&after) {
+        assert_eq!((&g.0, &g.3), (&a.0, &a.3), "checkpoint bytes not restored");
+    }
+    assert_eq!(after[3], good[3], "the intact checkpoint was touched");
+    let rep = load_report(&out, None);
+    assert_eq!(rep.cells.len(), 4);
+    assert!(rep.corrupt.is_empty() && rep.unreadable.is_empty(), "{rep:?}");
+}
+
+/// The same under fault injection: `ckpt-bit-flip` strikes the checkpoint
+/// a hit has just written, and the next hit — finding bytes that differ —
+/// repairs it through the full write path.
+#[test]
+fn injected_bit_flip_on_a_hit_is_repaired_by_the_next_hit() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    run_sweep_supervised(&small_sweep(dir.path("cold"), Some(store.clone()))).unwrap();
+
+    let out = dir.path("warm");
+    let plan =
+        FaultPlan { seed: 0, faults: vec![Fault { site: FaultSite::CkptBitFlip, occurrence: 1 }] };
+    let inj = Arc::new(FaultInjector::new(&plan));
+    let mut cfg = small_sweep(out.clone(), Some(store.clone()));
+    cfg.injector = Some(inj.clone());
+    assert_all_served(&run_sweep_supervised(&cfg).unwrap(), 0);
+    assert!(inj.unfired().is_empty(), "the flip must land: {:?}", inj.unfired());
+    let cold = checkpoint_files(&dir.path("cold"));
+    let struck: Vec<_> = checkpoint_files(&out)
+        .into_iter()
+        .zip(&cold)
+        .filter(|(w, c)| w.3 != c.3)
+        .map(|(w, _)| w.0)
+        .collect();
+    assert_eq!(struck.len(), 1, "exactly one checkpoint carries the flipped bit");
+
+    // Injector still attached, its plan spent: three current, one repaired.
+    assert_all_served(&run_sweep_supervised(&cfg).unwrap(), 3);
+    for (w, c) in checkpoint_files(&out).iter().zip(&cold) {
+        assert_eq!((&w.0, &w.3), (&c.0, &c.3), "checkpoint not repaired");
+    }
+    let rep = load_report(&out, None);
+    assert_eq!(rep.cells.len(), 4);
+    assert!(rep.corrupt.is_empty(), "{:?}", rep.corrupt);
 }
 
 /// Changing an option that is *in* the key (race_check) must miss; what

@@ -418,10 +418,11 @@ fn main() {
                                 // Stats go to stderr so warm and cold
                                 // stdout tables diff byte-identical.
                                 eprintln!(
-                                    "[cache: {}; cells executed {} served {}]",
+                                    "[cache: {}; cells executed {} served {} checkpoints current {}]",
                                     s.stats_line(),
                                     rep.executed,
-                                    rep.cache_hits
+                                    rep.cache_hits,
+                                    rep.checkpoints_current
                                 );
                             }
                         }

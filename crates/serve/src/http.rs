@@ -248,12 +248,17 @@ fn api_stats(st: &State, stream: &mut TcpStream) {
     let (h, m, i, e, c) = st.store.stats().snapshot();
     let body = format!(
         "{{\"cache\":{{\"hits\":{h},\"misses\":{m},\"inserts\":{i},\"evictions\":{e},\"corrupt\":{c}}},\
-         \"queue\":{{\"jobs\":{},\"executed\":{},\"cache_hits\":{},\"deduped\":{},\"inflight\":{}}}}}\n",
+         \"queue\":{{\"jobs\":{},\"executed\":{},\"cache_hits\":{},\"deduped\":{},\"inflight\":{},\
+         \"keys_derived\":{},\"key_memo_hits\":{},\"checkpoints_written\":{},\"checkpoints_current\":{}}}}}\n",
         st.queue.job_count(),
         st.queue.executed.load(Ordering::Relaxed),
         st.queue.cache_hits.load(Ordering::Relaxed),
         st.queue.deduped.load(Ordering::Relaxed),
         st.queue.inflight_count(),
+        st.queue.keys_derived(),
+        st.queue.key_memo_hits(),
+        st.queue.checkpoints_written.load(Ordering::Relaxed),
+        st.queue.checkpoints_current.load(Ordering::Relaxed),
     );
     respond(stream, "200 OK", "application/json", &body);
 }

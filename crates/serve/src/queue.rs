@@ -10,16 +10,25 @@
 //! share one [`CellSlot`], so the work executes at most once no matter
 //! how many clients race. Cells whose key cannot be derived (compile
 //! errors) skip dedup and simply record their failure.
+//!
+//! A job builds its programs and derives its keys once, at submit; each
+//! slot carries both to the worker, so a cell that hits the store costs
+//! the look-up. The compile behind a key is remembered per (program,
+//! strategy) for the life of the queue ([`KeyMemo`]).
 
 use dct_bench::programs;
-use dct_bench::sweep::{run_cell_supervised, Cell, SweepConfig, KINDS};
-use dct_bench::{cell_cache_key, CacheKey, ResultStore};
-use dct_ir::CancelToken;
-use std::collections::HashMap;
+use dct_bench::sweep::{run_cell_supervised_keyed, Cell, SweepConfig, KINDS};
+use dct_bench::{CacheKey, KeyMemo, ResultStore};
+use dct_ir::{program_fingerprint, CancelToken, Program};
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+
+/// Finished jobs a queue remembers; older ones answer like unknown ids.
+/// Unfinished jobs are always kept.
+pub const MAX_FINISHED_JOBS: usize = 4096;
 
 /// What the queue needs to know once, at startup.
 #[derive(Clone)]
@@ -32,10 +41,12 @@ pub struct QueueConfig {
     pub workers: usize,
 }
 
-/// One cell's lifecycle. `Done` keeps the cache-hit bit so `/api/stats`
-/// can prove a warm run executed nothing.
+/// One cell's lifecycle. `Queued` holds the program (shared by the four
+/// kinds of its benchmark) until a worker takes it, so a finished slot
+/// keeps none. `Done` keeps the cache-hit bit so `/api/stats` can prove a
+/// warm run executed nothing.
 enum SlotState {
-    Queued,
+    Queued(Arc<Program>),
     Running,
     Done { cell: Cell, cache_hit: bool },
 }
@@ -61,17 +72,35 @@ impl CellSlot {
         }
     }
 
+    pub fn is_done(&self) -> bool {
+        matches!(&*self.state.lock().unwrap_or_else(|e| e.into_inner()), SlotState::Done { .. })
+    }
+
     /// `queued` / `running` / `done` — for the status endpoint.
     pub fn phase(&self) -> &'static str {
         match &*self.state.lock().unwrap_or_else(|e| e.into_inner()) {
-            SlotState::Queued => "queued",
+            SlotState::Queued(_) => "queued",
             SlotState::Running => "running",
             SlotState::Done { .. } => "done",
         }
     }
 
-    fn set(&self, s: SlotState) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = s;
+    /// Queued -> Running, handing the program to the worker. `None` for a
+    /// slot that was already taken.
+    fn start(&self) -> Option<Arc<Program>> {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        match std::mem::replace(&mut *state, SlotState::Running) {
+            SlotState::Queued(prog) => Some(prog),
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+
+    fn finish(&self, cell: Cell, cache_hit: bool) {
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) =
+            SlotState::Done { cell, cache_hit };
     }
 }
 
@@ -83,15 +112,25 @@ pub struct Job {
     pub scale: f64,
     pub race_check: bool,
     pub cells: Vec<Arc<CellSlot>>,
+    /// Set once every cell has been seen done (cells never leave `Done`).
+    /// Publishes nothing: each cell's state is behind its own mutex.
+    done: AtomicBool,
 }
 
 impl Job {
     pub fn finished(&self) -> usize {
-        self.cells.iter().filter(|c| c.done().is_some()).count()
+        self.cells.iter().filter(|c| c.is_done()).count()
     }
 
     pub fn is_done(&self) -> bool {
-        self.finished() == self.cells.len()
+        if self.done.load(Ordering::Relaxed) {
+            return true;
+        }
+        let done = self.finished() == self.cells.len();
+        if done {
+            self.done.store(true, Ordering::Relaxed);
+        }
+        done
     }
 
     /// The finished cells, in submit order (holes skipped).
@@ -115,10 +154,14 @@ pub struct JobQueue {
     /// Sender side of the work channel; dropped on shutdown so workers
     /// drain and exit.
     tx: Mutex<Option<mpsc::Sender<Arc<CellSlot>>>>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    /// Every unfinished job and the [`MAX_FINISHED_JOBS`] finished ones
+    /// submitted last, by id (ids rise with submit order).
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     /// Cells currently queued or running, by content-addressed key —
     /// the dedup map. Entries leave when the cell finishes.
     inflight: Mutex<HashMap<CacheKey, Arc<CellSlot>>>,
+    /// The compile part of every key this queue has derived.
+    key_memo: KeyMemo,
     next_id: AtomicU64,
     /// Cells that actually entered the compute path (not cache hits).
     pub executed: AtomicU64,
@@ -126,6 +169,11 @@ pub struct JobQueue {
     pub cache_hits: AtomicU64,
     /// Submissions that piggybacked on an identical in-flight cell.
     pub deduped: AtomicU64,
+    /// Cells whose checkpoint was written: every executed cell, and a
+    /// cache hit whose file was absent or differed.
+    pub checkpoints_written: AtomicU64,
+    /// Cache hits that found their checkpoint on disk and wrote nothing.
+    pub checkpoints_current: AtomicU64,
     cancel: CancelToken,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -138,12 +186,15 @@ impl JobQueue {
         let q = Arc::new(JobQueue {
             cfg,
             tx: Mutex::new(Some(tx)),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             inflight: Mutex::new(HashMap::new()),
+            key_memo: KeyMemo::default(),
             next_id: AtomicU64::new(1),
             executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
+            checkpoints_written: AtomicU64::new(0),
+            checkpoints_current: AtomicU64::new(0),
             cancel: CancelToken::new(),
             workers: Mutex::new(Vec::new()),
         });
@@ -158,10 +209,11 @@ impl JobQueue {
         q
     }
 
-    /// The per-cell sweep config a worker uses for `slot`.
-    fn cell_config(&self, slot: &CellSlot) -> SweepConfig {
-        let mut cfg = SweepConfig::new(slot.procs, slot.scale, self.cfg.out_dir.clone());
-        cfg.race_check = slot.race_check;
+    /// The per-cell sweep config of a job's cells: what a worker runs
+    /// `slot` under, and what its key is derived from.
+    fn cell_config(&self, procs: usize, scale: f64, race_check: bool) -> SweepConfig {
+        let mut cfg = SweepConfig::new(procs, scale, self.cfg.out_dir.clone());
+        cfg.race_check = race_check;
         cfg.cache = Some(Arc::clone(&self.cfg.store));
         cfg
     }
@@ -170,32 +222,32 @@ impl JobQueue {
     /// what is new, and register the job. `Err` on an unknown benchmark
     /// or a queue that is already shut down.
     pub fn submit(&self, spec: &JobSpec) -> Result<Arc<Job>, String> {
-        let suite = programs::suite(spec.scale);
-        let benches: Vec<_> = match &spec.bench {
-            Some(name) => {
-                let b = suite
-                    .into_iter()
-                    .find(|b| b.name == name)
-                    .ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-                vec![b]
+        if self.is_cancelled() {
+            return Err("queue is shut down".to_string());
+        }
+        let mut benches = programs::suite(spec.scale);
+        if let Some(name) = &spec.bench {
+            benches.retain(|b| b.name == name);
+            if benches.is_empty() {
+                return Err(format!("unknown benchmark '{name}'"));
             }
-            None => suite,
-        };
-        let tx = self.tx.lock().unwrap_or_else(|e| e.into_inner());
-        let tx = tx.as_ref().ok_or("queue is shut down")?;
+        }
+        let probe = self.cell_config(spec.procs, spec.scale, spec.race_check);
         let mut cells = Vec::new();
-        for b in &benches {
+        let mut fresh = Vec::new();
+        // Keys are derived (compiling, on a memo miss) with no lock held
+        // that another client's submit or `shutdown` waits for.
+        for b in benches {
+            let source_fp = program_fingerprint(&b.program);
+            let prog = Arc::new(b.program);
             for kind in KINDS {
                 // Mirror the sweep exactly — `seq` cells run (and are
                 // keyed, and recorded) at one processor — so a queued
                 // cell hits exactly the entries a sweep wrote.
                 let procs = if kind == "seq" { 1 } else { spec.procs };
-                let probe = {
-                    let mut c = SweepConfig::new(spec.procs, spec.scale, &self.cfg.out_dir);
-                    c.race_check = spec.race_check;
-                    c
-                };
-                let key = cell_cache_key(b.name, &probe.key_inputs(&b.program, kind, procs))
+                let key = self
+                    .key_memo
+                    .cell_key(b.name, source_fp, &probe.key_inputs(&prog, kind, procs))
                     .map_err(|e| eprintln!("[serve: key derivation failed for {}/{kind}: {e}]", b.name))
                     .ok();
                 let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -211,14 +263,21 @@ impl JobQueue {
                     scale: spec.scale,
                     race_check: spec.race_check,
                     key: key.clone(),
-                    state: Mutex::new(SlotState::Queued),
+                    state: Mutex::new(SlotState::Queued(Arc::clone(&prog))),
                 });
                 if let Some(k) = key {
                     inflight.insert(k, Arc::clone(&slot));
                 }
                 drop(inflight);
-                tx.send(Arc::clone(&slot)).map_err(|_| "queue is shut down".to_string())?;
+                fresh.push(Arc::clone(&slot));
                 cells.push(slot);
+            }
+        }
+        {
+            let tx = self.tx.lock().unwrap_or_else(|e| e.into_inner());
+            let tx = tx.as_ref().ok_or("queue is shut down")?;
+            for slot in fresh {
+                tx.send(slot).map_err(|_| "queue is shut down".to_string())?;
             }
         }
         let job = Arc::new(Job {
@@ -227,8 +286,18 @@ impl JobQueue {
             scale: spec.scale,
             race_check: spec.race_check,
             cells,
+            done: AtomicBool::new(false),
         });
-        self.jobs.lock().unwrap_or_else(|e| e.into_inner()).insert(job.id, Arc::clone(&job));
+        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
+        jobs.insert(job.id, Arc::clone(&job));
+        if jobs.len() > MAX_FINISHED_JOBS {
+            let finished: Vec<u64> =
+                jobs.values().filter(|j| j.is_done()).map(|j| j.id).collect();
+            let excess = finished.len().saturating_sub(MAX_FINISHED_JOBS);
+            for id in &finished[..excess] {
+                jobs.remove(id);
+            }
+        }
         Ok(job)
     }
 
@@ -242,6 +311,16 @@ impl JobQueue {
 
     pub fn inflight_count(&self) -> usize {
         self.inflight.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// Key prefixes this queue derived by compiling.
+    pub fn keys_derived(&self) -> u64 {
+        self.key_memo.derived.load(Ordering::Relaxed)
+    }
+
+    /// Keys this queue finished from a remembered compile.
+    pub fn key_memo_hits(&self) -> u64 {
+        self.key_memo.hits.load(Ordering::Relaxed)
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -278,38 +357,31 @@ fn worker_loop(q: &Arc<JobQueue>, rx: &Arc<Mutex<mpsc::Receiver<Arc<CellSlot>>>>
             // Leave the slot queued; shutdown is already in progress.
             continue;
         }
-        slot.set(SlotState::Running);
-        let cfg = q.cell_config(&slot);
-        let prog = programs::suite(slot.scale).into_iter().find(|b| b.name == slot.bench);
-        let run = match prog {
-            Some(b) => run_cell_supervised(&b.program, &cfg, &slot.bench, &slot.kind, slot.procs),
-            None => {
-                // Unreachable via submit() (it validates), but a queue
-                // must never panic on a bad slot.
-                let cell = Cell::new(
-                    slot.bench.clone(),
-                    slot.kind.clone(),
-                    slot.procs,
-                    slot.scale,
-                    dct_bench::sweep::CellOutcome::Failed("unknown benchmark".to_string()),
-                );
-                dct_bench::sweep::CellRun {
-                    cell,
-                    retries: 0,
-                    cancelled: 0,
-                    quarantined: 0,
-                    cache_hit: false,
-                }
-            }
-        };
+        // A slot is sent once, so it is still queued; the program leaves
+        // the slot here and is dropped when the cell is done.
+        let Some(prog) = slot.start() else { continue };
+        let cfg = q.cell_config(slot.procs, slot.scale, slot.race_check);
+        let run = run_cell_supervised_keyed(
+            &prog,
+            &cfg,
+            &slot.bench,
+            &slot.kind,
+            slot.procs,
+            slot.key.as_ref(),
+        );
         if run.cache_hit {
             q.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             q.executed.fetch_add(1, Ordering::Relaxed);
         }
+        if run.checkpoint_current {
+            q.checkpoints_current.fetch_add(1, Ordering::Relaxed);
+        } else {
+            q.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(k) = &slot.key {
             q.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(k);
         }
-        slot.set(SlotState::Done { cell: run.cell, cache_hit: run.cache_hit });
+        slot.finish(run.cell, run.cache_hit);
     }
 }

@@ -209,7 +209,24 @@ if [ "$cold_out" != "$warm_out" ]; then
     diff <(echo "$cold_out") <(echo "$warm_out") >&2 || true
     exit 1
 fi
-echo "  table1 --cache: 28 cells cold, 0 executed warm, tables byte-identical"
+# A third run into the directory the second one filled: every checkpoint
+# is already there byte for byte, so a hit must not write it again.
+stamps() { find "$1" -type f -printf '%p %i %T@\n' | sort; }
+ckpt2_before=$(stamps results/cache-smoke/ckpt2)
+again_out=$(./target/release/repro table1 --scale 0.1 --procs 8 \
+    --cache --cache-dir results/cache-smoke/cache \
+    --out results/cache-smoke/ckpt2 2>results/cache-smoke-warm.err)
+if ! grep -q "cells executed 0 served 28 checkpoints current 28" results/cache-smoke-warm.err; then
+    echo "tier1 FAIL: third cached table1 did not find all 28 checkpoints current" >&2
+    cat results/cache-smoke-warm.err >&2
+    exit 1
+fi
+if [ "$(stamps results/cache-smoke/ckpt2)" != "$ckpt2_before" ] || [ "$again_out" != "$cold_out" ]; then
+    echo "tier1 FAIL: a warm table1 into current checkpoints touched them or printed a different table" >&2
+    diff <(echo "$ckpt2_before") <(stamps results/cache-smoke/ckpt2) >&2 || true
+    exit 1
+fi
+echo "  table1 --cache: 28 cells cold, 0 executed warm, tables byte-identical, current checkpoints untouched"
 
 echo "== tier1: repro serve smoke (HTTP API end-to-end)"
 # The sweep service: bind an ephemeral port, submit the suite as a job,
@@ -263,6 +280,38 @@ if [ "$table" != "$direct" ]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+# The same job again is warm: it must compile for no key, write no
+# checkpoint, and leave every file under ckpt/ as it is.
+stat_of() { sed -nE "s|.*\"$1\":([0-9]+).*|\1|p" <<<"$2"; }
+stats_cold=$(curl -sS "http://127.0.0.1:$port/api/stats")
+ckpt_before=$(stamps results/serve-smoke/ckpt)
+resub=$(curl -sS -X POST "http://127.0.0.1:$port/api/sweep" --data '{"scale_milli":100,"procs":8}')
+rejob=$(sed -nE 's|.*"job":([0-9]+).*|\1|p' <<<"$resub")
+state=""
+for _ in $(seq 1 100); do
+    state=$(curl -sS "http://127.0.0.1:$port/api/job/$rejob")
+    grep -q '"state":"done"' <<<"$state" && break
+    sleep 0.1
+done
+stats_warm=$(curl -sS "http://127.0.0.1:$port/api/stats")
+retable=$(curl -sS "http://127.0.0.1:$port/api/job/$rejob/table")
+warm_ok=1
+grep -q '"state":"done"' <<<"$state" || warm_ok=0
+[ "$retable" = "$table" ] || warm_ok=0
+for counter in keys_derived checkpoints_written executed; do
+    [ -n "$(stat_of "$counter" "$stats_cold")" ] || warm_ok=0
+    [ "$(stat_of "$counter" "$stats_warm")" = "$(stat_of "$counter" "$stats_cold")" ] || warm_ok=0
+done
+[ "$(stat_of checkpoints_current "$stats_warm")" = "28" ] || warm_ok=0
+[ "$(stamps results/serve-smoke/ckpt)" = "$ckpt_before" ] || warm_ok=0
+if [ "$warm_ok" -ne 1 ]; then
+    echo "tier1 FAIL: warm serve job compiled for a key, wrote a checkpoint or served a different table" >&2
+    echo "  before: $stats_cold" >&2
+    echo "  after:  $stats_warm" >&2
+    diff <(echo "$ckpt_before") <(stamps results/serve-smoke/ckpt) >&2 || true
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
 curl -sS -X POST "http://127.0.0.1:$port/api/shutdown" >/dev/null
 shut=1
 for _ in $(seq 1 100); do
@@ -280,7 +329,7 @@ if ! grep -q "shut down cleanly" results/serve-smoke/stderr.log; then
     cat results/serve-smoke/stderr.log >&2 || true
     exit 1
 fi
-echo "  serve: submit/poll/fetch matches table1 byte-for-byte, clean shutdown"
+echo "  serve: submit/poll/fetch matches table1 byte-for-byte, warm resubmit writes nothing, clean shutdown"
 
 echo "== tier1: repro table1 --scale 0.25 smoke (budget ${BUDGET}s)"
 start=$(date +%s)
