@@ -240,12 +240,13 @@ pub fn explain_json(r: &ExplainResult) -> String {
         match &s.outcome {
             Ok(run) => {
                 out.push_str(&format!(
-                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, \"profile\": {}}}{comma}\n",
+                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, {}, \"profile\": {}}}{comma}\n",
                     s.strategy.label(),
                     run.rung_label,
                     run.cycles,
                     run.fast.memo,
                     run.fast.replayed_steps,
+                    run.fast.reasons_json(),
                     run.profile.to_json("    ")
                 ));
             }
@@ -289,5 +290,9 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
         assert!(json.contains("\"false_sharing\""), "{json}");
         assert!(json.contains("\"memo\": \"Observed\", \"replayed_steps\": 0"), "{json}");
+        // Every segment of a profiled run leaves the batched path because
+        // the profiler is attached, and most entries are bumps.
+        assert!(json.contains("\"cursor_bumps\": ") && json.contains("\"resolves\": {\"walk_start\": "), "{json}");
+        assert!(json.contains("\"seg_bails\": {\"probed\": "), "{json}");
     }
 }

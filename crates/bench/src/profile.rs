@@ -38,6 +38,10 @@ pub struct StrategyProfile {
     /// could or could not ([`dct_spmd::MemoOutcome`]).
     pub replayed_steps: u64,
     pub memo: dct_spmd::MemoOutcome,
+    /// The plain run's walk counters, for the host-side reason counts:
+    /// cursor bumps, why the other segments re-resolved, and why
+    /// `access_seg` calls left the batched path.
+    pub fast: dct_spmd::exec::FastPathStats,
     /// Wall time of the same simulation with the memory profiler
     /// attached (`SimOptions::profile`).
     pub profiled_wall_secs: f64,
@@ -124,6 +128,7 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize) -> FigureProfile {
                 kernel_shapes: r.fast.kernel_shapes,
                 replayed_steps: r.fast.replayed_steps,
                 memo: r.fast.memo,
+                fast: r.fast,
                 profiled_wall_secs: profiled_wall,
                 profile_overhead: if wall > 0.0 { profiled_wall / wall } else { 0.0 },
                 native_wall_secs: native_wall,
@@ -211,6 +216,7 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
             out.push_str("},\n");
             out.push_str(&format!("          \"replayed_steps\": {},\n", s.replayed_steps));
             out.push_str(&format!("          \"memo\": \"{:?}\",\n", s.memo));
+            out.push_str(&format!("          {},\n", s.fast.reasons_json()));
             out.push_str(&format!("          \"profiled_wall_secs\": {:.4},\n", s.profiled_wall_secs));
             out.push_str(&format!("          \"profile_overhead\": {:.3},\n", s.profile_overhead));
             out.push_str(&format!("          \"native_wall_secs\": {:.4}\n", s.native_wall_secs));
@@ -282,6 +288,8 @@ mod tests {
         assert!(j.contains("kernelized_ratio"));
         assert!(j.contains("kernel_shapes"));
         assert!(j.contains("\"replayed_steps\": 3") && j.contains("\"memo\": \"Replayed\""), "{j}");
+        assert!(j.contains("\"cursor_bumps\": ") && j.contains("\"resolves\": {\"walk_start\": "), "{j}");
+        assert!(j.contains("\"seg_bails\": {"), "{j}");
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

@@ -99,3 +99,37 @@ fn fortran_suite_deterministic() {
         }
     }
 }
+
+/// `REAL A(2,...,2)` of rank 17 under 17 nested `DO`s. Strip-mining adds a
+/// dimension per distributed one, so the transformed layouts go beyond
+/// rank 16, which the address computation once permuted through a fixed
+/// 16-entry scratch: strategy full panicked in the simulator.
+#[test]
+fn rank_17_array_simulates_under_every_strategy() {
+    let rank = 17;
+    let list = |f: &dyn Fn(usize) -> String| (1..=rank).map(f).collect::<Vec<_>>().join(",");
+    let (dims, subs) = (list(&|_| "2".to_string()), list(&|k| format!("I{k}")));
+    let nest = |label: usize, stmt: &str| {
+        let dos: String = (1..=rank).rev().map(|k| format!("      DO {label} I{k} = 1, 2\n")).collect();
+        format!("{dos}   {label} {stmt}\n")
+    };
+    let src = format!(
+        "      PROGRAM DEEP\n      REAL A({dims}), B({dims})\nCDCT$ INIT\n{}{}      END\n",
+        nest(10, &format!("B({subs}) = 1.0 + I1 * 0.5 + I17 * 0.25")),
+        nest(20, &format!("A({subs}) = B({subs}) + 1.0")),
+    );
+    let prog = parse_fortran(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let run = |strategy: Strategy, procs: usize| {
+        let c = Compiler::new(strategy);
+        let compiled = c.compile(&prog).unwrap_or_else(|e| panic!("{}: {e}", strategy.label()));
+        let opts = c.sim_options(procs, prog.default_params());
+        dct_core::spmd::simulate_with_values(&compiled.program, &compiled.decomposition, &opts)
+            .unwrap_or_else(|e| panic!("{} P={procs}: {e}", strategy.label()))
+            .1
+    };
+    let reference = run(Strategy::Base, 1);
+    assert_eq!(reference[0].len(), 1 << rank);
+    for strategy in Strategy::ALL {
+        assert!(run(strategy, 8) == reference, "{} at 8 processors", strategy.label());
+    }
+}

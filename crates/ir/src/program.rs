@@ -65,13 +65,23 @@ impl BoundForm {
         BoundForm { aff, div: 1 }
     }
 
+    // Both test for the usual divisor 1 first: a walk evaluates its bounds
+    // at every loop entry, and a 64-bit divide costs more than the affine
+    // form it would follow.
     pub fn eval_lower(&self, ivec: &[i64], params: &[i64]) -> i64 {
         let v = self.aff.eval(ivec, params);
+        if self.div == 1 {
+            return v;
+        }
         -((-v).div_euclid(self.div))
     }
 
     pub fn eval_upper(&self, ivec: &[i64], params: &[i64]) -> i64 {
-        self.aff.eval(ivec, params).div_euclid(self.div)
+        let v = self.aff.eval(ivec, params);
+        if self.div == 1 {
+            return v;
+        }
+        v.div_euclid(self.div)
     }
 }
 

@@ -33,6 +33,30 @@ pub struct DataLayout {
     final_dims: Vec<i64>,
 }
 
+/// Answer of [`DataLayout::affine_probe`]: the address at the probed point,
+/// its slope along each of the two directions, and the sides of the
+/// rectangle of steps on which `addr + t1*s1 + t2*s2` is exact.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AffineProbe {
+    pub addr: i64,
+    pub s1: i64,
+    pub s2: i64,
+    pub steps1: i64,
+    pub steps2: i64,
+}
+
+/// `buf[k] = buf[perm[k]]` for every `k` at once, using the tail of `buf`
+/// itself as the copy (no rank limit, no allocation once `buf` has grown).
+fn permute_in_place<T: Copy>(buf: &mut Vec<T>, perm: &[usize]) {
+    let n = buf.len();
+    debug_assert_eq!(perm.len(), n);
+    buf.extend_from_within(..);
+    for (k, &p) in perm.iter().enumerate() {
+        buf[k] = buf[n + p];
+    }
+    buf.truncate(n);
+}
+
 impl DataLayout {
     /// The identity (FORTRAN column-major) layout.
     pub fn identity(dims: &[i64]) -> DataLayout {
@@ -167,15 +191,7 @@ impl DataLayout {
                     buf[*dim] = i.rem_euclid(*strip);
                     buf.insert(*dim + 1, i.div_euclid(*strip));
                 }
-                DataTransform::Permute { perm } => {
-                    // Permute in place via a small fixed scratch.
-                    debug_assert!(perm.len() <= 16, "rank beyond in-place permute scratch");
-                    let mut tmp = [0i64; 16];
-                    tmp[..buf.len()].copy_from_slice(buf);
-                    for (k, &p) in perm.iter().enumerate() {
-                        buf[k] = tmp[p];
-                    }
-                }
+                DataTransform::Permute { perm } => permute_in_place(buf, perm),
                 DataTransform::Skew { target, source, factor, offset } => {
                     buf[*target] += factor * buf[*source] + offset;
                 }
@@ -189,73 +205,77 @@ impl DataLayout {
         addr
     }
 
-    /// Affine address probe for segment-strided execution. Given an
-    /// original index vector `idx` and a per-dimension slope `didx` (how
-    /// each original index changes per step of some loop), return
-    /// `(addr, slope, steps)` such that
+    /// Affine address probe for segment-strided execution, in two
+    /// directions at once. Given an original index vector `idx` and two
+    /// per-dimension slopes `d1` and `d2` (how each original index changes
+    /// per step of two loops, the inner and the one around it), return an
+    /// [`AffineProbe`] such that
     ///
     /// ```text
-    /// address_of(idx + t*didx) == addr + t*slope   for all 0 <= t < steps
+    /// address_of(idx + t1*d1 + t2*d2) == addr + t1*s1 + t2*s2
+    ///     for all 0 <= t1 < steps1, 0 <= t2 < steps2
     /// ```
     ///
-    /// `steps >= 1` always holds (`t = 0` is exact by construction);
-    /// `i64::MAX` means the affine form holds over the whole index space
-    /// and callers clamp to their trip count. The only non-affine
-    /// primitive is strip-mining: within a strip the `(mod, div)` pair
-    /// moves linearly, so `steps` is the distance to the nearest strip
-    /// boundary across all strip-mine stages. Permutation reorders the
-    /// `(value, slope)` pairs and skewing is itself affine, so neither
-    /// limits the segment. `buf` is scratch reused across calls.
-    pub fn affine_probe(&self, idx: &[i64], didx: &[i64], buf: &mut Vec<(i64, i64)>) -> (i64, i64, i64) {
+    /// Both counts are at least 1 (`t1 = t2 = 0` is exact by
+    /// construction); `i64::MAX` means the direction is never the one that
+    /// ends the affine form and callers clamp to their trip count. The
+    /// one-direction probe is this with `d2 = 0` (`steps2 == i64::MAX`).
+    ///
+    /// The only non-affine primitive is strip-mining, and one stage sees a
+    /// value `v + t1*a + t2*b`. A slope that is a multiple of the strip
+    /// moves only the quotient, by `slope/strip` per step, for ever (this
+    /// covers a zero slope and CYCLIC layouts, where the stride equals the
+    /// strip); any other slope moves only the remainder, until it leaves
+    /// `[0, strip)`. With one slope of each kind the two never meet — the
+    /// remainder follows one direction and the quotient the other — so the
+    /// stage bounds one side of a rectangle. With neither a multiple the
+    /// remainder would follow both and the valid region is a sloped band,
+    /// not a rectangle: `steps2` is then 1 and the stage is probed along
+    /// `d1` alone. Permutation reorders the `(value, a, b)` triples and
+    /// skewing is itself affine, so neither bounds anything. On the
+    /// rectangle every stage's input is exactly its triple, so the stages
+    /// compose. `buf` is scratch reused across calls.
+    pub fn affine_probe(&self, idx: &[i64], d1: &[i64], d2: &[i64], buf: &mut Vec<[i64; 3]>) -> AffineProbe {
         debug_assert_eq!(idx.len(), self.orig_dims.len());
-        debug_assert_eq!(didx.len(), self.orig_dims.len());
+        debug_assert_eq!(d1.len(), self.orig_dims.len());
+        debug_assert_eq!(d2.len(), self.orig_dims.len());
         buf.clear();
-        buf.extend(idx.iter().zip(didx).map(|(&v, &s)| (v, s)));
-        let mut steps = i64::MAX;
+        buf.extend(idx.iter().zip(d1).zip(d2).map(|((&v, &a), &b)| [v, a, b]));
+        let (mut steps1, mut steps2) = (i64::MAX, i64::MAX);
         for t in &self.transforms {
             match t {
                 DataTransform::StripMine { dim, strip } => {
-                    let (v, s) = buf[*dim];
+                    let [v, a, b] = buf[*dim];
                     let rem = v.rem_euclid(*strip);
                     let div = v.div_euclid(*strip);
-                    if s % *strip == 0 {
-                        // The remainder is constant and the quotient moves
-                        // by exactly s/strip per step: affine everywhere.
-                        // (Covers s == 0 and CYCLIC layouts, where the
-                        // per-iteration stride equals the strip size.)
-                        buf[*dim] = (rem, 0);
-                        buf.insert(*dim + 1, (div, s / *strip));
-                    } else {
-                        // The remainder moves by s until it leaves
-                        // [0, strip); the quotient is constant until then.
-                        let l = if s > 0 { (*strip - rem + s - 1) / s } else { rem / (-s) + 1 };
-                        steps = steps.min(l);
-                        buf[*dim] = (rem, s);
-                        buf.insert(*dim + 1, (div, 0));
+                    // Steps of slope `s` until the remainder leaves the strip.
+                    let within = |s: i64| if s > 0 { (*strip - rem + s - 1) / s } else { rem / (-s) + 1 };
+                    let (ra, qa) = if a % *strip == 0 { (0, a / *strip) } else { (a, 0) };
+                    let (rb, qb) = if b % *strip == 0 { (0, b / *strip) } else { (b, 0) };
+                    if ra != 0 {
+                        steps1 = steps1.min(within(ra));
                     }
-                }
-                DataTransform::Permute { perm } => {
-                    debug_assert!(perm.len() <= 16, "rank beyond in-place permute scratch");
-                    let mut tmp = [(0i64, 0i64); 16];
-                    tmp[..buf.len()].copy_from_slice(buf);
-                    for (k, &p) in perm.iter().enumerate() {
-                        buf[k] = tmp[p];
+                    if rb != 0 {
+                        steps2 = if ra != 0 { 1 } else { steps2.min(within(rb)) };
                     }
+                    buf[*dim] = [rem, ra, rb];
+                    buf.insert(*dim + 1, [div, qa, qb]);
                 }
+                DataTransform::Permute { perm } => permute_in_place(buf, perm),
                 DataTransform::Skew { target, source, factor, offset } => {
-                    let (vs, ss) = buf[*source];
-                    let (vt, st) = buf[*target];
-                    buf[*target] = (vt + factor * vs + offset, st + factor * ss);
+                    let [vs, as_, bs] = buf[*source];
+                    let [vt, at, bt] = buf[*target];
+                    buf[*target] = [vt + factor * vs + offset, at + factor * as_, bt + factor * bs];
                 }
             }
         }
-        let mut addr = 0i64;
-        let mut slope = 0i64;
+        let mut p = AffineProbe { addr: 0, s1: 0, s2: 0, steps1, steps2 };
         for k in (0..buf.len()).rev() {
-            addr = addr * self.final_dims[k] + buf[k].0;
-            slope = slope * self.final_dims[k] + buf[k].1;
+            p.addr = p.addr * self.final_dims[k] + buf[k][0];
+            p.s1 = p.s1 * self.final_dims[k] + buf[k][1];
+            p.s2 = p.s2 * self.final_dims[k] + buf[k][2];
         }
-        (addr, slope, steps)
+        p
     }
 
     /// Static allocation bound for a layout whose strip sizes are only
@@ -413,12 +433,19 @@ mod tests {
         l.permute(&[0, 0]);
     }
 
+    /// The one-direction probe, `(addr, slope, steps)`: the two-direction
+    /// one with `d2 = 0`, which never bounds the second direction.
+    fn probe1(l: &DataLayout, idx: &[i64], didx: &[i64]) -> (i64, i64, i64) {
+        let p = l.affine_probe(idx, didx, &vec![0; idx.len()], &mut Vec::new());
+        assert_eq!((p.s2, p.steps2), (0, i64::MAX), "a zero direction has no slope and no bound");
+        (p.addr, p.s1, p.steps1)
+    }
+
     /// Exhaustively check `affine_probe`'s contract against the reference
     /// walk: within the reported segment the address is exactly
     /// `addr + t*slope`, and at least one step is always valid.
     fn check_probe(l: &DataLayout, idx: &[i64], didx: &[i64], trip: i64) {
-        let mut buf = Vec::new();
-        let (addr, slope, steps) = l.affine_probe(idx, didx, &mut buf);
+        let (addr, slope, steps) = probe1(l, idx, didx);
         assert!(steps >= 1, "probe must cover the current iteration");
         let n = steps.min(trip);
         let mut cur: Vec<i64> = idx.to_vec();
@@ -452,14 +479,13 @@ mod tests {
         let mut l = DataLayout::identity(&[16]);
         l.strip_mine(0, 4);
         l.permute(&[1, 0]);
-        let mut buf = Vec::new();
-        let (_, _, steps) = l.affine_probe(&[1], &[1], &mut buf);
+        let (_, _, steps) = probe1(&l, &[1], &[1]);
         assert_eq!(steps, 3, "from i=1, three steps reach the strip edge");
         for start in 0..16 {
             check_probe(&l, &[start], &[1], 16 - start);
         }
         // Negative stride walks down to the strip floor.
-        let (_, _, steps) = l.affine_probe(&[6], &[-1], &mut buf);
+        let (_, _, steps) = probe1(&l, &[6], &[-1]);
         assert_eq!(steps, 3);
         check_probe(&l, &[6], &[-1], 7);
     }
@@ -471,8 +497,7 @@ mod tests {
         let mut l = DataLayout::identity(&[32]);
         l.strip_mine(0, 4);
         l.permute(&[1, 0]);
-        let mut buf = Vec::new();
-        let (_, slope, steps) = l.affine_probe(&[2], &[4], &mut buf);
+        let (_, slope, steps) = probe1(&l, &[2], &[4]);
         assert_eq!(steps, i64::MAX);
         assert_eq!(slope, 1, "consecutive cyclic-owned elements are adjacent");
         check_probe(&l, &[2], &[4], 8);
@@ -485,8 +510,7 @@ mod tests {
         let mut l = DataLayout::identity(&[6, 6]);
         l.skew(0, 1, 1);
         check_probe(&l, &[0, 0], &[1, 1], 6);
-        let mut buf = Vec::new();
-        let (_, _, steps) = l.affine_probe(&[0, 0], &[1, 1], &mut buf);
+        let (_, _, steps) = probe1(&l, &[0, 0], &[1, 1]);
         assert_eq!(steps, i64::MAX);
     }
 
@@ -508,10 +532,49 @@ mod tests {
         let mut l = DataLayout::identity(&[9, 9]);
         l.strip_mine(1, 3);
         l.move_to_last(0);
-        let mut buf = Vec::new();
-        let (addr, slope, steps) = l.affine_probe(&[4, 7], &[0, 0], &mut buf);
+        let (addr, slope, steps) = probe1(&l, &[4, 7], &[0, 0]);
         assert_eq!(addr, l.address_of(&[4, 7]));
         assert_eq!(slope, 0);
         assert_eq!(steps, i64::MAX);
+    }
+
+    #[test]
+    fn probe_two_directions_bound_a_rectangle() {
+        // A(i, j) with j BLOCK(4) and the block number last: walking i
+        // inside and j outside, the outer direction ends at the block edge
+        // and the inner one never does.
+        let mut l = DataLayout::identity(&[6, 8]);
+        l.strip_mine(1, 4);
+        let p = l.affine_probe(&[1, 5], &[1, 0], &[0, 1], &mut Vec::new());
+        assert_eq!((p.steps1, p.steps2), (i64::MAX, 3));
+        for t1 in 0..5 {
+            for t2 in 0..3 {
+                assert_eq!(l.address_of(&[1 + t1, 5 + t2]), p.addr + t1 * p.s1 + t2 * p.s2);
+            }
+        }
+        // A skewed subscript moves one strip-mined value in both
+        // directions: no rectangle, so the outer side collapses to 1 and
+        // the inner one is what the one-direction probe reports.
+        let mut l = DataLayout::identity(&[16]);
+        l.strip_mine(0, 4);
+        l.permute(&[1, 0]);
+        let p = l.affine_probe(&[5], &[1], &[1], &mut Vec::new());
+        assert_eq!((p.steps1, p.steps2), (3, 1));
+        assert_eq!((p.addr, p.s1, p.steps1), probe1(&l, &[5], &[1]));
+    }
+
+    #[test]
+    fn rank_beyond_sixteen_permutes() {
+        // Strip-mining adds a dimension per distributed one, so nothing
+        // bounds the rank a permutation sees.
+        let dims = [2i64; 18];
+        let mut l = DataLayout::identity(&dims);
+        l.move_to_last(0);
+        let idx: Vec<i64> = (0..18).map(|k| k % 2).collect();
+        let want = l.address_of(&idx);
+        assert_eq!(l.address_of_buf(&idx, &mut Vec::new()), want);
+        let mut d1 = vec![0; 18];
+        d1[3] = 1;
+        assert_eq!(probe1(&l, &idx, &d1).0, want);
     }
 }

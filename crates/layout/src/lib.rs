@@ -13,5 +13,5 @@ pub mod layout;
 pub mod synthesize;
 
 pub use diagonal::{diagonal_embedded, PackedDiagonals};
-pub use layout::{DataLayout, DataTransform};
+pub use layout::{AffineProbe, DataLayout, DataTransform};
 pub use synthesize::{synthesize_array_layout, synthesize_layouts, ArrayLayout, DistInfo};

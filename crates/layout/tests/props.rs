@@ -1,12 +1,13 @@
 //! Property tests for the data-transformation framework: any pipeline of
 //! strip-mines and permutations must remain a bijection with the documented
-//! structural properties, and synthesized layouts must keep every
-//! processor's share contiguous.
+//! structural properties, synthesized layouts must keep every processor's
+//! share contiguous, and the two-direction affine probe must be exact on
+//! the whole rectangle it reports.
 
 #![allow(clippy::needless_range_loop)]
 
 use dct_decomp::{ArrayDist, DataDecomp, Folding};
-use dct_layout::{synthesize_array_layout, DataLayout};
+use dct_layout::{synthesize_array_layout, DataLayout, DataTransform};
 use proptest::prelude::*;
 
 /// A random transform pipeline applied to a random-rank array.
@@ -29,6 +30,69 @@ fn arb_layout() -> impl Strategy<Value = DataLayout> {
             l
         },
     )
+}
+
+/// A random chain of strip-mines, rotations and skews over an array of
+/// rank 2 or 3, with the index space large enough to walk in.
+fn arb_skewed_layout() -> impl Strategy<Value = DataLayout> {
+    let dims = proptest::collection::vec(6i64..=14, 2..=3);
+    let step = (0u8..3, any::<u8>(), any::<u8>(), 2i64..=4, -2i64..=1);
+    (dims, proptest::collection::vec(step, 0..5)).prop_map(|(dims, steps)| {
+        let mut l = DataLayout::identity(&dims);
+        for (which, a, b, strip, factor) in steps {
+            let n = l.final_dims().len();
+            match which {
+                0 if n < 6 => l.strip_mine(a as usize % n, strip),
+                1 => {
+                    let target = a as usize % n;
+                    let source = (target + 1 + b as usize % (n - 1)) % n;
+                    // -2, -1, 1 or 2.
+                    l.skew(target, source, if factor >= 0 { factor + 1 } else { factor });
+                }
+                _ => {
+                    let r = a as usize % n;
+                    let perm: Vec<usize> = (0..n).map(|k| (k + r) % n).collect();
+                    l.permute(&perm);
+                }
+            }
+        }
+        l
+    })
+}
+
+/// The one-direction probe as it was before it learnt a second direction,
+/// kept as the oracle for `d2 = 0`: `(addr, slope, steps)`.
+fn one_direction_probe(l: &DataLayout, idx: &[i64], didx: &[i64]) -> (i64, i64, i64) {
+    let mut buf: Vec<(i64, i64)> = idx.iter().zip(didx).map(|(&v, &s)| (v, s)).collect();
+    let mut steps = i64::MAX;
+    for t in l.transforms() {
+        match t {
+            DataTransform::StripMine { dim, strip } => {
+                let (v, s) = buf[*dim];
+                let (rem, div) = (v.rem_euclid(*strip), v.div_euclid(*strip));
+                if s % *strip == 0 {
+                    buf[*dim] = (rem, 0);
+                    buf.insert(*dim + 1, (div, s / *strip));
+                } else {
+                    let run = if s > 0 { (*strip - rem + s - 1) / s } else { rem / (-s) + 1 };
+                    steps = steps.min(run);
+                    buf[*dim] = (rem, s);
+                    buf.insert(*dim + 1, (div, 0));
+                }
+            }
+            DataTransform::Permute { perm } => buf = perm.iter().map(|&p| buf[p]).collect(),
+            DataTransform::Skew { target, source, factor, offset } => {
+                let ((vs, ss), (vt, st)) = (buf[*source], buf[*target]);
+                buf[*target] = (vt + factor * vs + offset, st + factor * ss);
+            }
+        }
+    }
+    let (mut addr, mut slope) = (0i64, 0i64);
+    for k in (0..buf.len()).rev() {
+        addr = addr * l.final_dims()[k] + buf[k].0;
+        slope = slope * l.final_dims()[k] + buf[k].1;
+    }
+    (addr, slope, steps)
 }
 
 proptest! {
@@ -143,5 +207,55 @@ proptest! {
                 prop_assert!(c as i64 <= b);
             }
         }
+    }
+}
+
+proptest! {
+    // Cheap cases, and the rare one matters: a point deep in the rectangle
+    // that is still inside the array.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The two-direction probe is exact on every point of the rectangle it
+    /// reports (as far as the array reaches), both sides are at least 1,
+    /// and with a zero second direction it is the one-direction probe.
+    #[test]
+    fn affine_probe_exact_on_its_rectangle(
+        l in arb_skewed_layout(),
+        seeds in proptest::collection::vec((any::<u16>(), -2i64..=2, -2i64..=2), 3),
+    ) {
+        let dims = l.orig_dims().to_vec();
+        let n = dims.len();
+        let idx: Vec<i64> = (0..n).map(|d| seeds[d].0 as i64 % dims[d]).collect();
+        let d1: Vec<i64> = (0..n).map(|d| seeds[d].1).collect();
+        let d2: Vec<i64> = (0..n).map(|d| seeds[d].2).collect();
+        let inside = |p: &[i64]| p.iter().zip(&dims).all(|(&v, &d)| v >= 0 && v < d);
+        let at = |t1: i64, t2: i64| -> Vec<i64> { (0..n).map(|d| idx[d] + t1 * d1[d] + t2 * d2[d]).collect() };
+
+        let mut buf = Vec::new();
+        let p = l.affine_probe(&idx, &d1, &d2, &mut buf);
+        prop_assert!(p.steps1 >= 1 && p.steps2 >= 1, "{p:?}");
+        prop_assert_eq!(p.addr, l.address_of(&idx));
+        for t2 in 0..p.steps2.min(12) {
+            for t1 in 0..p.steps1.min(12) {
+                let point = at(t1, t2);
+                if inside(&point) {
+                    prop_assert_eq!(
+                        l.address_of(&point), p.addr + t1 * p.s1 + t2 * p.s2,
+                        "idx {:?} d1 {:?} d2 {:?} t1 {} t2 {} {:?}", idx, d1, d2, t1, t2, p
+                    );
+                }
+            }
+        }
+
+        let zero = vec![0; n];
+        for d in [&d1, &d2] {
+            let q = l.affine_probe(&idx, d, &zero, &mut buf);
+            prop_assert_eq!((q.addr, q.s1, q.steps1), one_direction_probe(&l, &idx, d));
+            prop_assert_eq!((q.s2, q.steps2), (0, i64::MAX));
+        }
+        // The first direction alone never sees further than it does beside
+        // a second one: a second direction can only take the rectangle's
+        // other side away.
+        prop_assert_eq!(p.steps1, one_direction_probe(&l, &idx, &d1).2);
     }
 }

@@ -58,6 +58,19 @@ fn unpack(slot: u64) -> (u64, LineState) {
     )
 }
 
+/// The direct-mapped look-up on borrowed [`Cache::direct_slots`]: is
+/// `line_addr` resident `(Modified, Shared)`? At most one is true. A free
+/// function so that a loop can keep the slots in a local across many
+/// look-ups, and two whole-word compares instead of a tag compare and a
+/// state test so that the caller can fold "resident in a state that
+/// suffices" into one branch: the hit or miss of a simulated access is the
+/// least predictable branch the host executes.
+#[inline(always)]
+pub(crate) fn direct_lookup(slots: &[u64], line_addr: u64) -> (bool, bool) {
+    let slot = slots[line_addr as usize & (slots.len() - 1)];
+    (slot == pack(line_addr, LineState::Modified), slot == line_addr)
+}
+
 impl Cache {
     /// `size`/`line` in bytes; `assoc` ways.
     pub fn new(size: usize, line: usize, assoc: usize) -> Cache {

@@ -17,4 +17,6 @@ pub mod system;
 pub use cache::{Cache, LineState};
 pub use config::MachineConfig;
 pub use probe::{AccessLevel, MemProbe};
-pub use system::{Machine, ProcStats, SegAccess, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS};
+pub use system::{
+    Machine, ProcStats, SegAccess, SegBail, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS, SEG_BAIL_NAMES,
+};

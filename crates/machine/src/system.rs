@@ -7,7 +7,7 @@
 //! interpreter. Every `access` returns its cost in cycles; the caller
 //! accumulates per-processor clocks.
 
-use crate::cache::{Cache, LineState};
+use crate::cache::{direct_lookup, Cache, LineState};
 use crate::config::MachineConfig;
 use crate::probe::{AccessLevel, MemProbe};
 
@@ -242,6 +242,71 @@ impl LastLine {
     const NONE: LastLine = LastLine { line: u64::MAX, state: LineState::Shared };
 }
 
+/// What [`l1_front`] saw in the first-level cache when it could not
+/// resolve an access; the miss path is handed this and looks nothing up a
+/// second time.
+#[derive(Clone, Copy)]
+enum L1Look {
+    /// Direct-mapped: the line is resident Shared and the access writes.
+    SharedWrite,
+    /// Direct-mapped: the line is not resident.
+    Absent,
+    /// Associative: not looked at. Its probe ticks the LRU clock, so it
+    /// runs exactly once per access, in the miss path.
+    Unprobed,
+}
+
+/// Answer of [`l1_front`].
+enum Front {
+    /// The processor's last-touched line, in a sufficient state.
+    Memo,
+    /// Resident in the direct-mapped L1 in this, sufficient, state.
+    Hit(LineState),
+    Miss(L1Look),
+}
+
+/// The L1-hit leg of every access: the last-line memo, then the
+/// direct-mapped slot compare, a state being sufficient when the access
+/// reads or the line is Modified (a write to a Shared line must take the
+/// upgrade). Reads only what it is given, so a loop can hold `memo` and
+/// `slots` (`l1[proc]`'s; empty when it is associative) in locals across a
+/// streak of hits: a hit changes no slot.
+#[inline(always)]
+fn l1_front(memo: LastLine, slots: &[u64], line: u64, write: bool) -> Front {
+    // `&` and `|`, not `&&` and `||`: one branch per question.
+    if (memo.line == line) & (!write | (memo.state == LineState::Modified)) {
+        return Front::Memo;
+    }
+    if slots.is_empty() {
+        return Front::Miss(L1Look::Unprobed);
+    }
+    let (modified, shared) = direct_lookup(slots, line);
+    if modified | (shared & !write) {
+        return Front::Hit(if modified { LineState::Modified } else { LineState::Shared });
+    }
+    Front::Miss(if shared { L1Look::SharedWrite } else { L1Look::Absent })
+}
+
+/// Why an [`Machine::access_seg`] call left the line-batched path for the
+/// per-access loop, indexing [`Machine::seg_bails`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SegBail {
+    /// A [`MemProbe`] is attached and must see every access.
+    Probed = 0,
+    /// The L1 is associative: its probes tick LRU state.
+    Associative = 1,
+    /// More than [`MAX_SEG_SLOTS`] slots.
+    Oversized = 2,
+    /// A slot moves a whole line or more per round.
+    FullLineStride = 3,
+    /// Four consecutive runs whose slots evicted each other.
+    Strikes = 4,
+}
+
+/// Labels of [`Machine::seg_bails`], indexed by `SegBail as usize`.
+pub const SEG_BAIL_NAMES: [&str; 5] =
+    ["probed", "associative", "oversized", "full_line_stride", "four_strikes"];
+
 /// The simulated machine.
 pub struct Machine {
     pub cfg: MachineConfig,
@@ -265,6 +330,11 @@ pub struct Machine {
     /// Memoised `cfg.cluster_of(proc)` (a divide by `procs_per_cluster`).
     cluster: Vec<u32>,
     pub stats: Stats,
+    /// [`Machine::access_seg`] calls that left the batched path, by
+    /// [`SegBail`]. Host-side telemetry, not part of `stats`: the reference
+    /// walk never calls `access_seg`, and the differential suites compare
+    /// `stats` across walk modes.
+    pub seg_bails: [u64; 5],
 }
 
 impl Machine {
@@ -295,6 +365,7 @@ impl Machine {
             l2,
             dir: DirTable::new(),
             page_home: PageHomes::new(),
+            seg_bails: [0; 5],
         }
     }
 
@@ -330,7 +401,7 @@ impl Machine {
     }
 
     /// Perform one memory access; returns its latency in cycles.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, proc: usize, byte_addr: u64, write: bool) -> u64 {
         self.access_probed(proc, byte_addr, write, None)
     }
@@ -339,58 +410,107 @@ impl Machine {
     /// outcome. The probe sees which level resolved the access, the exact
     /// cost charged, and every invalidation the access caused; it can
     /// never alter timing, so probed and unprobed runs are cycle-identical.
+    ///
+    /// Inlined into its callers up to the L1 hit ([`l1_front`]); anything
+    /// else is one call into the miss path. `always`, because left to
+    /// itself the compiler keeps this a function in the larger callers, and
+    /// a miss then pays for two calls where it used to pay for one.
+    #[inline(always)]
     pub fn access_probed(
         &mut self,
         proc: usize,
         byte_addr: u64,
         write: bool,
-        mut probe: Option<&mut dyn MemProbe>,
+        probe: Option<&mut dyn MemProbe>,
     ) -> u64 {
         debug_assert!(proc < self.cfg.nprocs);
         let line = byte_addr >> self.line_shift;
-        // Byte offset within the line: the word identity that separates
-        // true from false sharing. Only computed into probe calls.
-        let word = (byte_addr & (self.cfg.line_bytes as u64 - 1)) as u32;
-
-        // Same-line fast path: a repeat touch of the processor's most
-        // recent line is a guaranteed L1 hit on an already-MRU entry, so
-        // the probe's LRU bookkeeping can be skipped without altering any
-        // later eviction. A write needs the line Modified — a write to a
-        // Shared line must take the upgrade path below.
-        let ll = self.last_line[proc];
-        if ll.line == line && (!write || ll.state == LineState::Modified) {
-            if let Some(p) = probe.as_deref_mut() {
-                p.access(proc, line, word, write, AccessLevel::L1, self.cfg.lat_l1);
-            }
-            let st = &mut self.stats.per_proc[proc];
-            st.accesses += 1;
-            st.l1_hits += 1;
-            st.l1_fast_hits += 1;
-            st.mem_cycles += self.cfg.lat_l1;
-            return self.cfg.lat_l1;
+        let memo = self.last_line[proc];
+        let (memo, fast) = match l1_front(memo, self.l1_slots(proc), line, write) {
+            Front::Miss(look) => return self.access_miss(proc, byte_addr, write, look, probe).0,
+            Front::Memo => (memo, 1),
+            Front::Hit(state) => (LastLine { line, state }, 0),
+        };
+        let lat = self.note_hits(proc, memo, 1, fast);
+        if let Some(p) = probe {
+            p.access(proc, line, self.word_of(byte_addr), write, AccessLevel::L1, lat);
         }
+        lat
+    }
 
-        self.stats.per_proc[proc].accesses += 1;
+    /// `proc`'s direct-mapped L1 slots for [`l1_front`] (empty when the
+    /// L1 is associative).
+    #[inline]
+    fn l1_slots(&self, proc: usize) -> &[u64] {
+        self.l1[proc].direct_slots().unwrap_or(&[])
+    }
+
+    /// Byte offset within the line: the word identity that separates true
+    /// from false sharing. Only computed into probe calls.
+    #[inline]
+    fn word_of(&self, byte_addr: u64) -> u32 {
+        (byte_addr & (self.cfg.line_bytes as u64 - 1)) as u32
+    }
+
+    /// Write back a streak of `hits` front hits (`fast` of them on the
+    /// memo) that left `memo` as the processor's last line; returns their
+    /// cost. A sufficient state is never changed by the hit, so the memo
+    /// is all the machine state a streak moves.
+    #[inline]
+    fn note_hits(&mut self, proc: usize, memo: LastLine, hits: u64, fast: u64) -> u64 {
+        self.last_line[proc] = memo;
+        let cost = hits * self.cfg.lat_l1;
+        let st = &mut self.stats.per_proc[proc];
+        st.accesses += hits;
+        st.l1_hits += hits;
+        st.l1_fast_hits += fast;
+        st.mem_cycles += cost;
+        cost
+    }
+
+    /// Everything behind the L1-hit leg: the upgrade of a Shared line, the
+    /// associative L1 probe, L2, the directory and the fills. `look` is
+    /// what the front found. Returns the cost and the state the line now
+    /// has in `proc`'s L1: every path ends with the accessed line as the
+    /// processor's last line, so a caller that holds the memo in a local
+    /// has its new value without reading it back.
+    #[inline(never)]
+    fn access_miss(
+        &mut self,
+        proc: usize,
+        byte_addr: u64,
+        write: bool,
+        look: L1Look,
+        mut probe: Option<&mut dyn MemProbe>,
+    ) -> (u64, LineState) {
+        let line = byte_addr >> self.line_shift;
+        let word = self.word_of(byte_addr);
 
         // L1.
-        if let Some(state) = self.l1[proc].probe(line) {
-            self.stats.per_proc[proc].l1_hits += 1;
+        let in_l1 = match look {
+            L1Look::SharedWrite => Some(LineState::Shared),
+            L1Look::Absent => None,
+            L1Look::Unprobed => self.l1[proc].probe(line),
+        };
+        if let Some(state) = in_l1 {
             let mut cost = self.cfg.lat_l1;
             if write && state == LineState::Shared {
                 cost += self.upgrade(proc, line, word, &mut probe);
             }
             let new_state = if write { LineState::Modified } else { state };
             self.last_line[proc] = LastLine { line, state: new_state };
-            self.stats.per_proc[proc].mem_cycles += cost;
+            let st = &mut self.stats.per_proc[proc];
+            st.accesses += 1;
+            st.l1_hits += 1;
+            st.mem_cycles += cost;
             if let Some(p) = probe {
                 p.access(proc, line, word, write, AccessLevel::L1, cost);
             }
-            return cost;
+            return (cost, new_state);
         }
 
         // L2.
         if let Some(state) = self.l2[proc].probe(line) {
-            self.stats.per_proc[proc].l2_hits += 1;
             let mut cost = self.cfg.lat_l2;
             if write && state == LineState::Shared {
                 cost += self.upgrade(proc, line, word, &mut probe);
@@ -399,11 +519,14 @@ impl Machine {
             let new_state = if write { LineState::Modified } else { state };
             self.fill_l1(proc, line, new_state);
             self.last_line[proc] = LastLine { line, state: new_state };
-            self.stats.per_proc[proc].mem_cycles += cost;
+            let st = &mut self.stats.per_proc[proc];
+            st.accesses += 1;
+            st.l2_hits += 1;
+            st.mem_cycles += cost;
             if let Some(p) = probe {
                 p.access(proc, line, word, write, AccessLevel::L2, cost);
             }
-            return cost;
+            return (cost, new_state);
         }
 
         // Memory (through the directory).
@@ -474,11 +597,13 @@ impl Machine {
         self.fill_l2(proc, line, state);
         self.fill_l1(proc, line, state);
         self.last_line[proc] = LastLine { line, state };
-        self.stats.per_proc[proc].mem_cycles += cost;
+        let st = &mut self.stats.per_proc[proc];
+        st.accesses += 1;
+        st.mem_cycles += cost;
         if let Some(p) = probe {
             p.access(proc, line, word, write, level, cost);
         }
-        cost
+        (cost, state)
     }
 
     fn count_mem(&mut self, proc: usize, home: usize) {
@@ -709,6 +834,54 @@ fn line_run(byte: u64, dbyte: i64, shift: u32) -> u64 {
 }
 
 impl Machine {
+    /// `rounds` rounds of `accs` in round-major order, one access at a
+    /// time, unobserved: the per-access loop behind every leg of
+    /// [`Machine::access_seg`] that cannot batch. Each access runs
+    /// [`l1_front`] on locals — `l1[proc]`'s slots, the last-line memo and
+    /// the hit counts — which are written back before every call into the
+    /// miss path (which hands the new memo back; the slots are borrowed
+    /// again) and once at the end, so counters, memo chain and state are
+    /// those of `rounds * accs.len()` calls of [`Machine::access`].
+    /// `ADVANCE` moves each slot by its delta after its access; without it
+    /// every round repeats the same addresses.
+    fn seg_rounds<const ADVANCE: bool>(&mut self, proc: usize, accs: &mut [SegAccess], rounds: u64) -> u64 {
+        let shift = self.line_shift;
+        let mut busy = 0u64;
+        let mut slots = self.l1_slots(proc);
+        let mut memo = self.last_line[proc];
+        let (mut hits, mut fast) = (0u64, 0u64);
+        for _ in 0..rounds {
+            for a in accs.iter_mut() {
+                let line = a.byte >> shift;
+                match l1_front(memo, slots, line, a.write) {
+                    Front::Memo => {
+                        hits += 1;
+                        fast += 1;
+                    }
+                    Front::Hit(state) => {
+                        hits += 1;
+                        memo = LastLine { line, state };
+                    }
+                    Front::Miss(look) => {
+                        // A run of misses has nothing to write back.
+                        if hits > 0 {
+                            busy += self.note_hits(proc, memo, hits, fast);
+                            (hits, fast) = (0, 0);
+                        }
+                        let (cost, state) = self.access_miss(proc, a.byte, a.write, look, None);
+                        busy += cost;
+                        slots = self.l1_slots(proc);
+                        memo = LastLine { line, state };
+                    }
+                }
+                if ADVANCE {
+                    a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
+                }
+            }
+        }
+        busy + self.note_hits(proc, memo, hits, fast)
+    }
+
     /// Execute `rounds` rounds of the access vector `accs` in round-major
     /// order (slot 0, slot 1, ..., then advance every slot by its delta
     /// and repeat). Bit-identical to issuing the same accesses one by one
@@ -725,7 +898,8 @@ impl Machine {
     /// an associative L1 (whose probes bump LRU ticks),
     /// an oversized vector, or a slot whose line is not steady after the
     /// first round (set conflicts inside the vector) — falls back to the
-    /// per-element path, so exactness never rests on the fast case.
+    /// per-element loops, so exactness never rests on the fast case;
+    /// [`Machine::seg_bails`] counts those calls by reason.
     pub fn access_seg(
         &mut self,
         proc: usize,
@@ -736,21 +910,30 @@ impl Machine {
         if rounds == 0 || accs.is_empty() {
             return 0;
         }
-        // A slot that moves a full line (or more) per round crosses a
-        // line boundary every round, so no run can ever exceed 1 and the
-        // batch machinery below is pure overhead (one integer division
-        // per slot per round in `line_run` alone). Column sweeps of
-        // row-major arrays are exactly this shape; hand them straight to
-        // the per-access loop.
         let line_bytes = 1u64 << self.line_shift;
-        let unbatchable = accs
-            .iter()
-            .any(|a| a.dbyte != 0 && a.dbyte.unsigned_abs() >= line_bytes);
-        if probe.is_some()
-            || !self.l1[proc].is_direct()
-            || accs.len() > MAX_SEG_SLOTS
-            || unbatchable
-        {
+        let bail = if probe.is_some() {
+            Some(SegBail::Probed)
+        } else if !self.l1[proc].is_direct() {
+            Some(SegBail::Associative)
+        } else if accs.len() > MAX_SEG_SLOTS {
+            Some(SegBail::Oversized)
+        } else if accs.iter().any(|a| a.dbyte != 0 && a.dbyte.unsigned_abs() >= line_bytes) {
+            // A slot that moves a full line (or more) per round crosses a
+            // line boundary every round, so no run can ever exceed 1 and
+            // the batch machinery below is pure overhead (one integer
+            // division per slot per round in `line_run` alone). Column
+            // sweeps of row-major arrays are exactly this shape.
+            Some(SegBail::FullLineStride)
+        } else {
+            None
+        };
+        if let Some(why) = bail {
+            self.seg_bails[why as usize] += 1;
+            if !matches!(why, SegBail::Probed | SegBail::Associative) {
+                return self.seg_rounds::<true>(proc, accs, rounds);
+            }
+            // An observer sees each access as it happens, and an
+            // associative probe has a side effect: one call apiece.
             let mut busy = 0u64;
             for _ in 0..rounds {
                 for a in accs.iter_mut() {
@@ -783,13 +966,8 @@ impl Machine {
         let mut strikes = 0u32;
         while remaining > 0 {
             if strikes >= 4 {
-                for _ in 0..remaining {
-                    for a in accs.iter_mut() {
-                        busy += self.access_probed(proc, a.byte, a.write, None);
-                        a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
-                    }
-                }
-                return busy;
+                self.seg_bails[SegBail::Strikes as usize] += 1;
+                return busy + self.seg_rounds::<true>(proc, accs, remaining);
             }
             // Rounds every slot stays on its current line (>= 1).
             let mut run = remaining;
@@ -798,9 +976,7 @@ impl Machine {
             }
             // First round of the run: the real machine path (misses,
             // fills, upgrades, directory traffic all happen here).
-            for a in accs.iter() {
-                busy += self.access_probed(proc, a.byte, a.write, None);
-            }
+            busy += self.seg_rounds::<false>(proc, accs, 1);
             let mut advanced = 1u64;
             if run > 1 {
                 // Steady iff every slot's line is L1-resident with a

@@ -1,9 +1,11 @@
 //! Property tests for the machine simulator: accounting invariants and
-//! coherence sanity over random access streams.
+//! coherence sanity over random access streams, and the three ways of
+//! issuing one stream (`access`, batched `access_seg`, observed
+//! `access_seg`) leaving one machine.
 
 #![allow(clippy::needless_range_loop)]
 
-use dct_machine::{Machine, MachineConfig};
+use dct_machine::{AccessLevel, Machine, MachineConfig, MemProbe, ProcStats, SegAccess, MAX_SEG_SLOTS};
 use proptest::prelude::*;
 
 /// A random access stream: (proc, small address, write).
@@ -11,8 +13,229 @@ fn stream(nprocs: usize) -> impl Strategy<Value = Vec<(usize, u64, bool)>> {
     proptest::collection::vec((0..nprocs, 0u64..2048, any::<bool>()), 1..300)
 }
 
+/// One step of a multi-processor stream: a single access, or a strided
+/// vector executed for some rounds.
+#[derive(Clone, Debug)]
+enum Op {
+    One(usize, u64, bool),
+    Seg(usize, Vec<SegAccess>, u64),
+}
+
+/// Streams that mix single accesses with every vector shape `access_seg`
+/// tells apart: unit stride, a stride of a line or more (either sign), a
+/// stationary slot among moving ones, slots one L1 apart (the same set of
+/// the direct-mapped tiny config), and more slots than the batched path
+/// holds. Addresses are dense enough that processors share lines.
+fn ops(nprocs: usize) -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u8..7, 0..nprocs, 0u64..1536, any::<u64>(), 1u64..40, 1usize..5).prop_map(
+        |(shape, proc, at, bits, rounds, k)| {
+            let base = 4096 + at;
+            let write = |j: usize| bits >> (j % 64) & 1 == 1;
+            let slots = |n: usize, gap: u64, dbyte: &dyn Fn(usize) -> i64| -> Vec<SegAccess> {
+                (0..n).map(|j| SegAccess { byte: base + j as u64 * gap, dbyte: dbyte(j), write: write(j) }).collect()
+            };
+            let accs = match shape {
+                0 | 1 => return Op::One(proc, base, write(0)),
+                2 => slots(k, 272, &|j| if j % 2 == 0 { 4 } else { 8 }),
+                3 => slots(k, 100, &|j| [16, -16, 32, -48][(j + bits as usize) % 4]),
+                4 => slots(k, 36, &|j| if j == 0 { 0 } else { 4 }),
+                5 => slots(k.max(2), 256, &|_| 4),
+                _ => slots(MAX_SEG_SLOTS + k, 20, &|_| 4),
+            };
+            Op::Seg(proc, accs, rounds)
+        },
+    );
+    proptest::collection::vec(op, 1..60)
+}
+
+/// What a probe is told, counted the way `ProcStats` counts.
+#[derive(Default)]
+struct Tally {
+    seen: Vec<ProcStats>,
+}
+
+impl Tally {
+    fn of(&mut self, proc: usize) -> &mut ProcStats {
+        if self.seen.len() <= proc {
+            self.seen.resize(proc + 1, ProcStats::default());
+        }
+        &mut self.seen[proc]
+    }
+}
+
+impl MemProbe for Tally {
+    fn access(&mut self, proc: usize, _line: u64, _word: u32, _write: bool, level: AccessLevel, cost: u64) {
+        let st = self.of(proc);
+        st.accesses += 1;
+        st.mem_cycles += cost;
+        match level {
+            AccessLevel::L1 => st.l1_hits += 1,
+            AccessLevel::L2 => st.l2_hits += 1,
+            AccessLevel::LocalMem => st.local_mem += 1,
+            AccessLevel::RemoteMem => st.remote_mem += 1,
+            AccessLevel::RemoteDirty => st.remote_dirty += 1,
+        }
+    }
+
+    fn invalidated(&mut self, victim: usize, _line: u64, _writer: usize, _word: u32) {
+        self.of(victim).invalidations_received += 1;
+    }
+}
+
+/// Issue `ops` three ways — every access through `Machine::access`, the
+/// vectors through `access_seg`, and everything under an attached probe
+/// (which sends `access_seg` down its per-access observed loop) — and
+/// require one outcome: the same cost for every step, the same counters,
+/// the same state, and a probe that was told exactly what was counted.
+fn assert_three_ways_agree(cfg: &MachineConfig, ops: &[Op]) {
+    let (mut one, mut seg, mut obs) =
+        (Machine::new(cfg.clone()), Machine::new(cfg.clone()), Machine::new(cfg.clone()));
+    let mut tally = Tally::default();
+    for (n, op) in ops.iter().enumerate() {
+        let costs = match op {
+            Op::One(p, a, w) => [
+                one.access(*p, *a, *w),
+                seg.access(*p, *a, *w),
+                obs.access_probed(*p, *a, *w, Some(&mut tally)),
+            ],
+            Op::Seg(p, accs, rounds) => {
+                let mut by_one = 0;
+                let mut walk = accs.clone();
+                for _ in 0..*rounds {
+                    for a in walk.iter_mut() {
+                        by_one += one.access(*p, a.byte, a.write);
+                        a.byte = (a.byte as i64 + a.dbyte) as u64;
+                    }
+                }
+                let (mut v, mut w) = (accs.clone(), accs.clone());
+                let by_seg = seg.access_seg(*p, &mut v, *rounds, None);
+                let by_obs = obs.access_seg(*p, &mut w, *rounds, Some(&mut tally));
+                for ((a, b), c) in walk.iter().zip(&v).zip(&w) {
+                    assert_eq!((a.byte, a.byte), (b.byte, c.byte), "op {n}: slots end where the walk ends");
+                }
+                [by_one, by_seg, by_obs]
+            }
+        };
+        assert_eq!(costs, [costs[0]; 3], "op {n} {op:?}: cost by access / access_seg / observed");
+        assert_eq!(one.stats, seg.stats, "op {n} {op:?}: counters, access vs access_seg");
+    }
+    assert_eq!(one.stats, obs.stats, "counters, access vs observed access_seg");
+    assert_eq!(one.state_digest(), seg.state_digest(), "state, access vs access_seg");
+    assert_eq!(one.state_digest(), obs.state_digest(), "state, access vs observed access_seg");
+    tally.seen.resize(cfg.nprocs, ProcStats::default());
+    for (p, (told, counted)) in tally.seen.iter().zip(&one.stats.per_proc).enumerate() {
+        // A probe is not told which L1 hits were memo hits or upgrades.
+        let counted = ProcStats { l1_fast_hits: 0, upgrades: 0, ..*counted };
+        assert_eq!(*told, counted, "processor {p}: what the probe was told");
+    }
+    // An associative machine has no digest; either way the three machines
+    // must answer what comes next alike.
+    for addr in (4096..6144u64).step_by(52) {
+        for p in 0..cfg.nprocs {
+            let w = (addr / 52 + p as u64).is_multiple_of(3);
+            let c = one.access(p, addr, w);
+            assert_eq!((c, c), (seg.access(p, addr, w), obs.access(p, addr, w)), "follow-up at {addr}");
+        }
+    }
+    assert_eq!((&one.stats, &one.stats), (&seg.stats, &obs.stats), "counters after the follow-up");
+}
+
+/// The L1-hit leg's decision table with the counters written out, so that
+/// the three ways above cannot agree on a wrong answer: each touch goes
+/// through `access`, a batched one-slot vector and a full-line-stride one.
+#[test]
+fn l1_hit_leg_decision_table() {
+    let cfg = MachineConfig::tiny(2);
+    let (x, y) = (4096u64, 4096 + 48);
+    // (address, write, l1 hit, memo hit, upgrade, cost)
+    let table = [
+        (x, false, false, false, false, cfg.lat_local), // cold
+        (x, false, true, true, false, cfg.lat_l1),      // the last line again
+        (y, false, false, false, false, cfg.lat_local),
+        (x, false, true, false, false, cfg.lat_l1),     // resident, not the last line
+        (x, true, true, false, true, cfg.lat_l1),       // the last line, but Shared: upgrade
+        (x, true, true, true, false, cfg.lat_l1),       // now Modified
+        (y, false, true, false, false, cfg.lat_l1),
+        (x, true, true, false, false, cfg.lat_l1),      // resident Modified
+        (y, true, true, false, true, cfg.lat_l1),       // resident Shared: upgrade
+    ];
+    for way in 0..3 {
+        let mut m = Machine::new(cfg.clone());
+        let mut want = ProcStats::default();
+        for (n, &(byte, write, l1, memo, upgrade, cost)) in table.iter().enumerate() {
+            let got = match way {
+                0 => m.access(0, byte, write),
+                1 => m.access_seg(0, &mut [SegAccess { byte, dbyte: 0, write }], 1, None),
+                _ => m.access_seg(0, &mut [SegAccess { byte, dbyte: 16, write }], 1, None),
+            };
+            want.accesses += 1;
+            want.l1_hits += l1 as u64;
+            want.l1_fast_hits += memo as u64;
+            want.upgrades += upgrade as u64;
+            want.local_mem += !l1 as u64;
+            want.mem_cycles += cost;
+            assert_eq!(got, cost, "way {way}, touch {n}");
+            assert_eq!(m.stats.per_proc[0], want, "way {way}, touch {n}");
+        }
+    }
+}
+
+/// A write slot on a line the processor holds Shared takes the upgrade
+/// inside the vector, on every path.
+#[test]
+fn segment_write_to_a_shared_line_upgrades() {
+    let cfg = MachineConfig::tiny(2);
+    let shared = [Op::One(0, 4096, false), Op::One(1, 4096, false)];
+    let vector = [
+        SegAccess { byte: 4096, dbyte: 4, write: false },
+        SegAccess { byte: 4096, dbyte: 4, write: true },
+    ];
+    for dbyte in [4, 16] {
+        let accs: Vec<SegAccess> = vector.iter().map(|a| SegAccess { dbyte, ..*a }).collect();
+        let mut ops = shared.to_vec();
+        ops.push(Op::Seg(0, accs.clone(), 6));
+        assert_three_ways_agree(&cfg, &ops);
+        let mut m = Machine::new(cfg.clone());
+        m.access(0, 4096, false);
+        m.access(1, 4096, false);
+        m.access_seg(0, &mut accs.clone(), 1, None);
+        assert_eq!(m.stats.per_proc[0].upgrades, 1, "stride {dbyte}");
+        assert_eq!(m.stats.per_proc[1].invalidations_received, 1, "stride {dbyte}");
+    }
+}
+
+/// A processor's last-line memo names a line that another processor then
+/// writes: the next touch must not be served from the memo.
+#[test]
+fn memo_invalidated_between_two_touches() {
+    let cfg = MachineConfig::tiny(2);
+    for dbyte in [0, 4, 32] {
+        let touch = vec![SegAccess { byte: 4100, dbyte, write: false }];
+        let ops = [Op::Seg(0, touch.clone(), 2), Op::One(1, 4104, true), Op::Seg(0, touch.clone(), 2)];
+        assert_three_ways_agree(&cfg, &ops);
+        let mut m = Machine::new(cfg.clone());
+        m.access_seg(0, &mut touch.clone(), 1, None);
+        m.access(1, 4104, true);
+        let cost = m.access_seg(0, &mut touch.clone(), 1, None);
+        assert_eq!(cost, cfg.lat_remote_dirty, "stride {dbyte}: the line is dirty at the writer");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `access`, `access_seg` and observed `access_seg` are one machine, on
+    /// the direct-mapped config and on a 2-way associative L1.
+    #[test]
+    fn three_ways_of_issuing_a_stream_agree(stream in ops(4)) {
+        assert_three_ways_agree(&MachineConfig::tiny(4), &stream);
+        assert_three_ways_agree(&MachineConfig { l1_assoc: 2, ..MachineConfig::tiny(4) }, &stream);
+        assert_three_ways_agree(&MachineConfig { l1_assoc: 2, l2_assoc: 2, ..MachineConfig::tiny(3) },
+            &stream.iter().map(|op| match op {
+                Op::One(p, a, w) => Op::One(p % 3, *a, *w),
+                Op::Seg(p, v, r) => Op::Seg(p % 3, v.clone(), *r),
+            }).collect::<Vec<_>>());
+    }
 
     /// Hits plus misses account for every access; costs are within the
     /// configured latencies.

@@ -19,7 +19,10 @@
 //! each statement reference once per segment into a
 //! [`RefCursor`]`{byte, slot, dbyte, dslot}` via
 //! [`dct_layout::DataLayout::affine_probe`] and then iterates with
-//! integer adds, re-probing only at strip boundaries. The machine access
+//! integer adds, re-probing only at strip boundaries. The probe also
+//! answers for the loop around the innermost one, so the next entry of the
+//! innermost loop is usually the previous entry's cursors moved by a
+//! constant ([`CursorMemo`]). The machine access
 //! stream — every `(proc, addr, is_write)` in order — is exactly the one
 //! the general walk produces, so cycles, statistics and checksums are
 //! bit-identical between the two modes (the differential property tests
@@ -45,9 +48,19 @@ pub struct FastPathStats {
     pub fast_iters: u64,
     /// Innermost iterations executed through the general walk.
     pub slow_iters: u64,
-    /// Segments entered (cursor re-probes, i.e. strip-boundary crossings
-    /// plus one per innermost loop entry).
+    /// Segments entered: one per innermost-loop entry plus one per strip
+    /// boundary crossed inside it. Each got its cursors either by a bump
+    /// (`cursor_bumps`) or by a resolve (`resolves`); the three add up.
     pub segments: u64,
+    /// Innermost-loop entries whose cursors were the previous entry's moved
+    /// along the loop around it, without a probe (see [`CursorMemo`]).
+    pub cursor_bumps: u64,
+    /// Segments whose cursors were resolved from scratch, by reason:
+    /// indexed like [`RESOLVE_NAMES`] (`Resolve as usize`).
+    pub resolves: [u64; 6],
+    /// `Machine::access_seg` calls that left the line-batched path, by
+    /// reason: indexed like [`dct_machine::SEG_BAIL_NAMES`].
+    pub seg_bails: [u64; 5],
     /// Innermost iterations executed through fused segment kernels (a
     /// subset of `fast_iters`; the rest of the strided iterations ran the
     /// postfix interpreter).
@@ -84,11 +97,36 @@ impl FastPathStats {
         }
     }
 
+    /// The host-side reason counts as JSON object members (no braces):
+    /// `"cursor_bumps": n, "resolves": {..}, "seg_bails": {..}`, each
+    /// histogram keyed by its label with zero counts left out.
+    pub fn reasons_json(&self) -> String {
+        fn histogram(names: &[&str], counts: &[u64]) -> String {
+            let members: Vec<String> = names
+                .iter()
+                .zip(counts)
+                .filter(|(_, &n)| n > 0)
+                .map(|(name, n)| format!("\"{name}\": {n}"))
+                .collect();
+            format!("{{{}}}", members.join(", "))
+        }
+        format!(
+            "\"cursor_bumps\": {}, \"resolves\": {}, \"seg_bails\": {}",
+            self.cursor_bumps,
+            histogram(&RESOLVE_NAMES, &self.resolves),
+            histogram(&dct_machine::SEG_BAIL_NAMES, &self.seg_bails),
+        )
+    }
+
     /// Fold counters from a lane (plain integer sums).
     fn accumulate(&mut self, o: &FastPathStats) {
         self.fast_iters += o.fast_iters;
         self.slow_iters += o.slow_iters;
         self.segments += o.segments;
+        self.cursor_bumps += o.cursor_bumps;
+        for (a, b) in self.resolves.iter_mut().zip(&o.resolves) {
+            *a += b;
+        }
         self.kernel_iters += o.kernel_iters;
         for (a, b) in self.kernel_shapes.iter_mut().zip(&o.kernel_shapes) {
             *a += b;
@@ -141,12 +179,69 @@ pub struct RunResult {
 
 /// A resolved reference inside a strided segment: current byte address and
 /// arena slot plus their per-iteration deltas.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 struct RefCursor {
     byte: u64,
     slot: usize,
     dbyte: i64,
     dslot: i64,
+}
+
+/// Why a segment's cursors were resolved from scratch instead of bumped
+/// (indexes [`FastPathStats::resolves`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Resolve {
+    /// First innermost-loop entry of a top-level walk.
+    WalkStart = 0,
+    /// A loop further out than the one around the innermost moved.
+    PrefixChanged = 1,
+    /// The innermost loop starts elsewhere or strides differently
+    /// (triangular bounds).
+    InnerRangeChanged = 2,
+    /// The entry is outside the outer steps the resolved one vouched for.
+    OuterExhausted = 3,
+    /// A strip boundary inside the innermost loop: the entry spans several
+    /// segments, or this is a later one of them.
+    SplitSegment = 4,
+    /// The nest has one level, so nothing to bump along.
+    Depth1 = 5,
+}
+
+/// Labels of [`FastPathStats::resolves`], indexed by `Resolve as usize`.
+pub const RESOLVE_NAMES: [&str; 6] = [
+    "walk_start",
+    "outer_prefix_changed",
+    "inner_range_changed",
+    "outer_validity_exhausted",
+    "split_segment",
+    "depth1_nest",
+];
+
+/// The cursors resolved at one innermost-loop entry, kept so that later
+/// entries need no probe. [`dct_layout::DataLayout::affine_probe`] answers
+/// for a rectangle: `steps1` iterations of the innermost loop by `steps2`
+/// values of the loop around it, on which every reference's address is
+/// `base + t1*(dbyte, dslot) + t2*delta`. An entry with the same inner
+/// `(start, step)`, the same indices further out, at most `steps1`
+/// iterations, and `0 < k < steps2` outer values later therefore has the
+/// cursors `base + k*delta` and is one unsplit segment. The layouts are
+/// fixed, but bounds and subscripts may use the time parameter, so the
+/// memo lives for one top-level [`Lane::walk`] call (one nest, processor,
+/// parameter binding and tile) and is dropped at the next.
+#[derive(Default)]
+struct CursorMemo {
+    live: bool,
+    /// `(start, step)` of the innermost loop at the resolved entry.
+    inner: (i64, i64),
+    /// Index of the loop around the innermost at the resolved entry.
+    outer0: i64,
+    /// Indices of the loops further out.
+    prefix: Vec<i64>,
+    steps1: i64,
+    steps2: i64,
+    base: Vec<RefCursor>,
+    /// Per reference, `(byte, slot)` change per step of the outer loop.
+    delta: Vec<(i64, i64)>,
 }
 
 /// One postfix instruction of a flattened statement body (see
@@ -449,6 +544,7 @@ impl<'a> Executor<'a> {
         let cycles = self.clocks.iter().copied().max().unwrap_or(0);
         self.fast.replayed_steps = self.memo.replayed_steps;
         self.fast.memo = self.memo.outcome;
+        self.fast.seg_bails = self.machine.seg_bails;
         RunResult {
             cycles,
             clocks: self.clocks.clone(),
@@ -688,12 +784,19 @@ struct Scratch {
     idx: Vec<i64>,
     /// Layout address-computation scratch.
     lay: Vec<i64>,
-    /// Per-dimension index slopes for `affine_probe`.
+    /// Per-dimension index slopes for `affine_probe`: along the innermost
+    /// loop, and along the loop around it.
     didx: Vec<i64>,
+    didx2: Vec<i64>,
     /// `affine_probe` slope tracking.
-    probe: Vec<(i64, i64)>,
+    probe: Vec<[i64; 3]>,
     /// Segment cursors, one per statement reference of the current nest.
     cursors: Vec<RefCursor>,
+    /// Per cursor, its `(byte, slot)` change per step of the loop around
+    /// the innermost one, as last resolved.
+    delta: Vec<(i64, i64)>,
+    /// The last resolved innermost-loop entry.
+    memo: CursorMemo,
     /// Kernel-path machine access vector (per statement: reads in postfix
     /// order, then the write — the interpreter's access order).
     seg_accs: Vec<SegAccess>,
@@ -754,6 +857,9 @@ impl Lane<'_> {
         let nest = ctx.nest;
         if level == nest.source.depth {
             return self.exec_body(nest, proc, ivec, params);
+        }
+        if level == 0 {
+            self.scratch.memo.live = false;
         }
         let mut lo = nest.source.bounds[level].eval_lo(ivec, params);
         let mut hi = nest.source.bounds[level].eval_hi(ivec, params);
@@ -827,7 +933,8 @@ impl Lane<'_> {
         let mut remaining = count;
         while remaining > 0 {
             ivec[level] = v;
-            let seg = self.setup_cursors(ctx, proc, ivec, params, level, step).min(remaining);
+            let entry = (remaining == count).then_some(count);
+            let seg = self.setup_cursors(ctx, proc, ivec, params, level, step, entry).min(remaining);
             self.fast.segments += 1;
             self.fast.fast_iters += seg as u64;
             self.race_segment(ctx, proc, seg);
@@ -960,10 +1067,18 @@ impl Lane<'_> {
         Some(busy)
     }
 
-    /// Resolve every reference of the nest body at the current iteration
-    /// point into a [`RefCursor`], returning the number of iterations the
-    /// cursors stay exact (>= 1, the minimum segment length over all
-    /// references).
+    /// Set the cursors of the segment that starts at the current iteration
+    /// point, returning the number of iterations they stay exact (>= 1).
+    /// `entry` is the trip count when the segment opens an innermost loop:
+    /// such a segment is served from the [`CursorMemo`] when the memo
+    /// vouches for it, and otherwise resolved and remembered. Segments
+    /// after a strip boundary are always resolved.
+    ///
+    /// Out of line on purpose: inlined, it changes how the compiler lays
+    /// out the value sweeps that share `walk_innermost_strided` with it,
+    /// and the long-segment cells pay several per cent for a call saved
+    /// once per segment.
+    #[inline(never)]
     fn setup_cursors(
         &mut self,
         ctx: &WalkCtx,
@@ -972,36 +1087,59 @@ impl Lane<'_> {
         params: &[i64],
         level: usize,
         step: i64,
+        entry: Option<i64>,
     ) -> i64 {
-        let sp = self.sp;
         let sc = &mut *self.scratch;
-        sc.cursors.clear();
-        let mut seg = i64::MAX;
-        for (s, reads) in ctx.nest.source.body.iter().zip(&ctx.reads) {
-            for r in std::iter::once(&s.lhs).chain(reads.iter().copied()) {
-                let x = r.array.0;
-                r.access.eval_into(ivec, params, &mut sc.idx);
-                sc.didx.clear();
-                for d in 0..sc.idx.len() {
-                    sc.didx.push(r.access.mat.row(d)[level] * step);
+        let why = match entry {
+            None => Resolve::SplitSegment,
+            Some(_) if level == 0 => Resolve::Depth1,
+            Some(count) => {
+                let m = &sc.memo;
+                let k = ivec[level - 1] - m.outer0;
+                if !m.live {
+                    Resolve::WalkStart
+                } else if m.prefix[..] != ivec[..level - 1] {
+                    Resolve::PrefixChanged
+                } else if m.inner != (ivec[level], step) {
+                    Resolve::InnerRangeChanged
+                } else if count > m.steps1 {
+                    Resolve::SplitSegment
+                } else if k <= 0 || k >= m.steps2 {
+                    Resolve::OuterExhausted
+                } else {
+                    sc.cursors.clear();
+                    sc.cursors.extend(m.base.iter().zip(&m.delta).map(|(c, &(dbyte, dslot))| RefCursor {
+                        byte: (c.byte as i64 + k * dbyte) as u64,
+                        slot: (c.slot as i64 + k * dslot) as usize,
+                        ..*c
+                    }));
+                    self.fast.cursor_bumps += 1;
+                    // The test profile proves every bump it takes.
+                    #[cfg(debug_assertions)]
+                    {
+                        let bumped = std::mem::take(&mut sc.cursors);
+                        let (steps1, _) = resolve_cursors(self.sp, ctx, proc, ivec, params, level, step, sc);
+                        assert_eq!(sc.cursors, bumped, "bumped cursors, {k} outer steps from the resolved entry");
+                        assert_eq!(steps1.min(count), count, "bumped segment length");
+                    }
+                    return count;
                 }
-                let lay = &sp.layouts[x].layout;
-                let (elem, slope, steps) = lay.affine_probe(&sc.idx, &sc.didx, &mut sc.probe);
-                debug_assert!(
-                    elem >= 0 && elem < lay.size(),
-                    "array {x} index {:?} out of bounds",
-                    sc.idx
-                );
-                seg = seg.min(steps);
-                sc.cursors.push(RefCursor {
-                    byte: sp.bases[x] + sp.repl_stride[x] * proc as u64 + elem as u64 * sp.elem_bytes[x],
-                    slot: elem as usize,
-                    dbyte: slope * sp.elem_bytes[x] as i64,
-                    dslot: slope,
-                });
             }
+        };
+        self.fast.resolves[why as usize] += 1;
+        let (steps1, steps2) = resolve_cursors(self.sp, ctx, proc, ivec, params, level, step, sc);
+        if entry.is_some() && level > 0 {
+            let m = &mut sc.memo;
+            m.live = true;
+            m.inner = (ivec[level], step);
+            m.outer0 = ivec[level - 1];
+            m.prefix.clear();
+            m.prefix.extend_from_slice(&ivec[..level - 1]);
+            (m.steps1, m.steps2) = (steps1, steps2);
+            m.base.clone_from(&sc.cursors);
+            std::mem::swap(&mut m.delta, &mut sc.delta);
         }
-        seg
+        steps1
     }
 
     /// Advance every cursor by its per-iteration delta. Split into
@@ -1183,6 +1321,58 @@ impl Lane<'_> {
     }
 }
 
+/// Resolve every reference of the nest body at the iteration point `ivec`
+/// into `sc.cursors` (per statement: the write, then its reads), and into
+/// `sc.delta` how each moves per step of the loop around `level`. Returns
+/// the sides `(steps1, steps2)` of the rectangle on which all of them stay
+/// exact: iterations of `level` at stride `step`, and values of the loop
+/// around it (`i64::MAX` for a nest of one level).
+fn resolve_cursors(
+    sp: &SpmdProgram,
+    ctx: &WalkCtx,
+    proc: usize,
+    ivec: &[i64],
+    params: &[i64],
+    level: usize,
+    step: i64,
+    sc: &mut Scratch,
+) -> (i64, i64) {
+    sc.cursors.clear();
+    sc.delta.clear();
+    let (mut steps1, mut steps2) = (i64::MAX, i64::MAX);
+    for (s, reads) in ctx.nest.source.body.iter().zip(&ctx.reads) {
+        for r in std::iter::once(&s.lhs).chain(reads.iter().copied()) {
+            let x = r.array.0;
+            r.access.eval_into(ivec, params, &mut sc.idx);
+            sc.didx.clear();
+            sc.didx2.clear();
+            for d in 0..sc.idx.len() {
+                let row = r.access.mat.row(d);
+                sc.didx.push(row[level] * step);
+                sc.didx2.push(if level > 0 { row[level - 1] } else { 0 });
+            }
+            let lay = &sp.layouts[x].layout;
+            let p = lay.affine_probe(&sc.idx, &sc.didx, &sc.didx2, &mut sc.probe);
+            debug_assert!(
+                p.addr >= 0 && p.addr < lay.size(),
+                "array {x} index {:?} out of bounds",
+                sc.idx
+            );
+            steps1 = steps1.min(p.steps1);
+            steps2 = steps2.min(p.steps2);
+            let bytes = sp.elem_bytes[x] as i64;
+            sc.cursors.push(RefCursor {
+                byte: sp.bases[x] + sp.repl_stride[x] * proc as u64 + p.addr as u64 * sp.elem_bytes[x],
+                slot: p.addr as usize,
+                dbyte: p.s1 * bytes,
+                dslot: p.s1,
+            });
+            sc.delta.push((p.s2 * bytes, p.s2));
+        }
+    }
+    (steps1, steps2)
+}
+
 // The checksum-bits format lives in dct-ir so the native backend folds
 // final values through the exact same function (see `dct_ir::checksum`).
 use dct_ir::checksum_arenas;
@@ -1207,7 +1397,7 @@ impl OwnedIter {
         match *self {
             OwnedIter::Range { next, hi } => Some((next, 1, (hi - next + 1).max(0))),
             OwnedIter::Stepped { next, hi, step } => {
-                let count = if next > hi { 0 } else { (hi - next) / step + 1 };
+                let count = if next > hi { 0 } else { div_rem_floor(hi - next, step).0 + 1 };
                 Some((next, step, count))
             }
             OwnedIter::Filtered { .. } => None,
@@ -1250,6 +1440,20 @@ impl Iterator for OwnedIter {
     }
 }
 
+/// `(a.div_euclid(b), a.rem_euclid(b))` for `b > 0`, by shift and mask when
+/// `b` is a power of two, as the processor counts of the paper's machine
+/// are: ownership is worked out at every entry of a distributed loop, and
+/// a 64-bit divide there costs as much as bumping every cursor.
+#[inline]
+fn div_rem_floor(a: i64, b: i64) -> (i64, i64) {
+    debug_assert!(b > 0);
+    if b & (b - 1) == 0 {
+        (a >> b.trailing_zeros(), a & (b - 1))
+    } else {
+        (a.div_euclid(b), a.rem_euclid(b))
+    }
+}
+
 /// Iterate the values `v` in `[lo, hi]` owned by grid coordinate `q`.
 pub fn owned_iter(
     lo: i64,
@@ -1266,14 +1470,14 @@ pub fn owned_iter(
     }
     match folding {
         Folding::Block => {
-            let b = (extent + procs - 1) / procs;
+            let b = div_rem_floor(extent + procs - 1, procs).0;
             let start = (q * b - off).max(lo);
             let end = ((q + 1) * b - 1 - off).min(hi);
             OwnedIter::Range { next: start, hi: end }
         }
         Folding::Cyclic => {
             // First v >= lo with (v + off) mod procs == q.
-            let r = (q - lo - off).rem_euclid(procs);
+            let r = div_rem_floor(q - lo - off, procs).1;
             let start = lo + r;
             OwnedIter::Stepped { next: start, hi, step: procs }
         }

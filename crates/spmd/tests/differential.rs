@@ -7,9 +7,14 @@
 //! accesses happen or in what order; this test is the executable form of
 //! that invariant.
 //!
-//! The second half pins time-step replay (`dct_spmd::replay`) the same way:
+//! The second part pins time-step replay (`dct_spmd::replay`) the same way:
 //! the default run, which replays a repeating time step, against the
-//! reference walk, which never does.
+//! reference walk, which never does. The third pins the cursor memo: nests
+//! built so that innermost-loop entries are bumped, or refused for each of
+//! the reasons the executor counts, against the reference walk. Debug
+//! builds also resolve every bumped entry from scratch and compare; the
+//! release run of this file (`scripts/tier1.sh`) is the leg without that
+//! net.
 
 use dct_bench::programs::suite;
 use dct_core::{rung_sim_options, Compiler, Strategy as Compile};
@@ -17,6 +22,7 @@ use dct_decomp::{decompose, Folding};
 use dct_dep::{analyze_nest, DepConfig};
 use dct_ir::{Aff, Expr, Program, ProgramBuilder};
 use dct_machine::MachineConfig;
+use dct_spmd::exec::Resolve;
 use dct_spmd::{simulate, MemoOutcome, RunResult, SimOptions};
 use proptest::prelude::*;
 
@@ -304,4 +310,203 @@ fn cycle_budget_expiring_inside_a_replayed_step() {
             assert_same_results(&what, &fast, &slow);
         }
     }
+}
+
+/// Fast path against the reference walk, plain and observed: cycles,
+/// clocks, counters, checksum bits, and the race and profile reports;
+/// then the same with the fused kernels off. Returns the plain fast run.
+fn assert_walks_agree(what: &str, prog: &Program, dec: &dct_decomp::Decomposition, opts: &SimOptions) -> RunResult {
+    let run = |o: &SimOptions| simulate(prog, dec, o).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let (fast, slow) = (run(opts), run(&reference(opts)));
+    assert_same_results(what, &fast, &slow);
+    assert_eq!(slow.fast.fast_iters, 0, "{what}: the reference walk took the fast path");
+    let observed = SimOptions { race_detect: true, profile: true, ..opts.clone() };
+    let (of, os) = (run(&observed), run(&reference(&observed)));
+    assert_same_results(what, &of, &slow);
+    assert_same_walk(what, &of, &fast);
+    assert_eq!(of.race, os.race, "{what}: race report");
+    assert_eq!(of.mem_profile, os.mem_profile, "{what}: memory profile");
+    let interp = run(&SimOptions { seg_kernels: false, ..opts.clone() });
+    assert_same_results(what, &interp, &slow);
+    let f = fast.fast;
+    assert_eq!(
+        f.cursor_bumps + f.resolves.iter().sum::<u64>(),
+        f.segments,
+        "{what}: every segment is a bump or a resolve"
+    );
+    assert_eq!(
+        (interp.fast.cursor_bumps, interp.fast.resolves),
+        (f.cursor_bumps, f.resolves),
+        "{what}: the memo does not depend on who runs the segment"
+    );
+    fast
+}
+
+/// `A(i,j) (+)= f(B(..))` over a two-deep nest `j` outside `i`, with the
+/// bounds of `i` and the subscripts of `B` supplied by the caller; `B` has
+/// `bdims` dimensions of `2N` elements.
+fn two_deep(
+    name: &str,
+    n: i64,
+    bdims: usize,
+    inner: impl Fn(usize, usize) -> (Aff, Aff),
+    bsub: impl Fn(usize, usize) -> Vec<Aff>,
+) -> Program {
+    let mut pb = ProgramBuilder::new(name);
+    let np = pb.param("N", n);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let b = pb.array("B", &vec![Aff::param(np) * 2; bdims], 8);
+
+    let mut nb = pb.nest_builder("init_a");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], Expr::Index(i) * Expr::Const(0.5) + Expr::Index(j));
+    pb.init_nest(nb.build());
+    let mut nb = pb.nest_builder("init_b");
+    let vars: Vec<usize> = (0..bdims).map(|_| nb.loop_var(Aff::konst(0), Aff::param(np) * 2 - 1)).collect();
+    let subs: Vec<Aff> = vars.iter().rev().map(|&v| Aff::var(v)).collect();
+    nb.assign(b, &subs, Expr::Index(vars[0]) * Expr::Const(0.25) + Expr::Const(1.0));
+    pb.init_nest(nb.build());
+
+    let mut nb = pb.nest_builder("sweep");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let (lo, hi) = inner(j, np);
+    let i = nb.loop_var(lo, hi);
+    let rhs = nb.read(a, &[Aff::var(i), Aff::var(j)]) + nb.read(b, &bsub(i, j)) * Expr::Const(0.5);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+    pb.build()
+}
+
+/// Every way an innermost-loop entry is served or refused, against the
+/// reference walk: each nest must both match it and take the path it was
+/// built for.
+#[test]
+fn cursor_memo_matches_the_reference_walk_whatever_it_decides() {
+    let full = |np: usize| (Aff::konst(0), Aff::param(np) - 1);
+    let took = |r: &RunResult, why: Resolve| r.fast.resolves[why as usize];
+
+    // Rectangular, every folding of the distributed outer level, layouts
+    // transformed or not: the plain case, where nearly every entry bumps.
+    let prog = two_deep("rect", 24, 2, |_, np| full(np), |i, j| vec![Aff::var(i) + 1, Aff::var(j)]);
+    for folding in [Folding::Block, Folding::Cyclic, Folding::BlockCyclic { block: 2 }] {
+        let mut dec = decomposed(&prog);
+        dec.foldings.iter_mut().for_each(|f| *f = folding);
+        for procs in [1usize, 3, 4, 8] {
+            for transform_data in [false, true] {
+                let what = format!("rect {folding:?} P={procs} data {transform_data}");
+                let opts = SimOptions { transform_data, ..SimOptions::new(procs, prog.default_params()) };
+                let r = assert_walks_agree(&what, &prog, &dec, &opts);
+                if r.fast.fast_iters == 0 {
+                    // A block-cyclic innermost level takes the general walk.
+                    assert!(matches!(folding, Folding::BlockCyclic { .. }), "{what}: {:?}", r.fast);
+                    continue;
+                }
+                assert!(took(&r, Resolve::WalkStart) > 0, "{what}: {:?}", r.fast);
+                // The memo vouches for consecutive outer values. A cyclic
+                // outer level over a cyclic layout steps by P, a whole
+                // strip, so there each entry is out of reach of the last.
+                if folding == Folding::Cyclic && transform_data && procs > 1 {
+                    assert!(took(&r, Resolve::OuterExhausted) > 0, "{what}: {:?}", r.fast);
+                } else {
+                    assert!(r.fast.cursor_bumps > 0, "{what}: {:?}", r.fast);
+                }
+            }
+        }
+    }
+
+    // Triangular inner bounds: every entry starts elsewhere.
+    let prog =
+        two_deep("tri", 24, 2, |j, np| (Aff::var(j), Aff::param(np) - 1), |i, j| vec![Aff::var(i), Aff::var(j)]);
+    for procs in [1usize, 4, 8] {
+        for transform_data in [false, true] {
+            let what = format!("triangular P={procs} data {transform_data}");
+            let opts = SimOptions { transform_data, ..SimOptions::new(procs, prog.default_params()) };
+            let r = assert_walks_agree(&what, &prog, &decomposed(&prog), &opts);
+            assert!(took(&r, Resolve::InnerRangeChanged) > 0, "{what}: {:?}", r.fast);
+        }
+    }
+
+    // A skewed subscript `B(i+j)`: with `B` strip-mined both loops move
+    // one strip-mined value, so no entry vouches for the next.
+    let prog = two_deep("skew", 24, 1, |_, np| full(np), |i, j| vec![Aff::var(i) + Aff::var(j)]);
+    let mut exhausted = 0;
+    for folding in [Folding::Block, Folding::Cyclic] {
+        let mut dec = decomposed(&prog);
+        dec.foldings.iter_mut().for_each(|f| *f = folding);
+        for procs in [1usize, 4, 8] {
+            let what = format!("skewed {folding:?} P={procs}");
+            let opts = SimOptions::new(procs, prog.default_params());
+            let r = assert_walks_agree(&what, &prog, &dec, &opts);
+            exhausted += took(&r, Resolve::OuterExhausted);
+        }
+    }
+    assert!(exhausted > 0, "no skewed run ran out of outer validity");
+}
+
+/// A strip boundary inside the innermost loop, a nest of one level, a
+/// doacross pipeline and LU's pivot loop, from the paper suite and by hand.
+#[test]
+fn cursor_memo_on_split_segments_depth_one_pipelines_and_pivots() {
+    let took = |r: &RunResult, why: Resolve| r.fast.resolves[why as usize];
+
+    // The relaxation's (BLOCK, BLOCK) layout puts block edges inside the
+    // innermost loop once the data is transformed.
+    let prog = relaxation(40, 2, false);
+    let mut split = 0;
+    for procs in [4usize, 8, 16] {
+        let what = format!("relaxation P={procs}");
+        let opts = SimOptions::new(procs, prog.default_params());
+        split += took(&assert_walks_agree(&what, &prog, &decomposed(&prog), &opts), Resolve::SplitSegment);
+    }
+    assert!(split > 0, "no strip boundary fell inside an innermost loop");
+
+    // One level: nothing to bump along.
+    let mut pb = ProgramBuilder::new("depth1");
+    let np = pb.param("N", 64);
+    let a = pb.array("A", &[Aff::param(np)], 8);
+    let b = pb.array("B", &[Aff::param(np)], 8);
+    let mut nb = pb.nest_builder("init");
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    nb.assign(b, &[Aff::var(i)], Expr::Index(i) * Expr::Const(0.5));
+    pb.init_nest(nb.build());
+    let mut nb = pb.nest_builder("shift");
+    let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 1);
+    let rhs = nb.read(b, &[Aff::var(i)]) + nb.read(b, &[Aff::var(i) - 1]);
+    nb.assign(a, &[Aff::var(i)], rhs);
+    pb.nest(nb.build());
+    let prog = pb.build();
+    for procs in [1usize, 4, 8] {
+        let what = format!("depth 1 P={procs}");
+        let opts = SimOptions::new(procs, prog.default_params());
+        let r = assert_walks_agree(&what, &prog, &decomposed(&prog), &opts);
+        assert!(took(&r, Resolve::Depth1) > 0 && r.fast.cursor_bumps == 0, "{what}: {:?}", r.fast);
+    }
+
+    // ADI's second sweep is a tiled doacross pipeline (a memo must not
+    // outlive a tile); LU binds a new pivot at every time step (nor a step).
+    for b in suite(0.25).into_iter().filter(|b| matches!(b.name, "adi" | "lu")) {
+        for strategy in Compile::ALL {
+            let compiled = Compiler::new(strategy).compile(&b.program).expect("compile");
+            for procs in [3usize, 8] {
+                let what = format!("{} {} P={procs}", b.name, strategy.label());
+                let opts = rung_sim_options(compiled.rung, procs, b.program.default_params());
+                let r = assert_walks_agree(&what, &compiled.program, &compiled.decomposition, &opts);
+                assert!(r.fast.cursor_bumps > 0, "{what}: {:?}", r.fast);
+            }
+        }
+    }
+}
+
+/// The bump is what LU runs on: a run that quietly refused every entry
+/// would still be bit-identical, and as slow as before.
+#[test]
+fn lu_full_enters_nine_segments_in_ten_by_a_bump() {
+    let lu = suite(0.25).into_iter().find(|b| b.name == "lu").expect("lu is in the suite");
+    assert!(lu.program.default_params()[0] >= 64);
+    let compiled = Compiler::new(Compile::Full).compile(&lu.program).expect("compile");
+    let opts = rung_sim_options(compiled.rung, 8, lu.program.default_params());
+    let r = simulate(&compiled.program, &compiled.decomposition, &opts).expect("simulate");
+    let share = r.fast.cursor_bumps as f64 / r.fast.segments as f64;
+    assert!(share >= 0.9, "cursor_bumps / segments = {share:.3}: {:?}", r.fast);
 }

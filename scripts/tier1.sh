@@ -22,11 +22,27 @@ echo "== tier1: cargo test -q"
 # and serve suites, and the 256-case three-way fuzz smoke among them.
 cargo test -q
 
-echo "== tier1: replay differential, release build"
+echo "== tier1: replay and cursor-memo differential, release build"
 # Time-step replay decides on a state digest in release builds and
-# re-checks the full state only under debug assertions (the test profile),
-# so the release decision needs its own run against the reference walk.
+# re-checks the full state only under debug assertions (the test profile);
+# likewise a bumped segment entry is resolved again and compared only
+# there. So the release decisions need their own run against the
+# reference walk.
 cargo test --release -q -p dct-spmd --test differential
+
+echo "== tier1: repository benchmark, quick pass (every cell against golden.json)"
+# Numbers from a --quick pass mean nothing; what it checks does: cycles,
+# clock digest and checksum bits of every simulated cell, and the
+# emitted-C digests, against benchmark/golden.json. All six workloads
+# must report that no operation failed.
+bench_out=$(bash benchmark/run.sh run --quick 2>/dev/null || true)
+bench_ok=$(grep -cE '^ +failed_frac +0\.0+ ratio +\(0 of [1-9][0-9]*\)' <<<"$bench_out" || true)
+if [ "${bench_ok:-0}" -ne 6 ]; then
+    echo "tier1 FAIL: benchmark/run.sh run --quick: ${bench_ok:-0} of 6 workloads report failed_frac 0" >&2
+    grep -E '^== |failed_frac' <<<"$bench_out" >&2 || true
+    exit 1
+fi
+echo "  benchmark --quick: failed_frac 0 on all 6 workloads"
 
 echo "== tier1: panic-site ratchet"
 # New panic!/unwrap() sites must not appear in the compiler crates above
