@@ -23,8 +23,7 @@ pub struct ExplainRun {
     pub profile: MemProfile,
     /// The rung actually realized (after any strategy degradation).
     pub rung_label: String,
-    /// The run's walk counters; `memo` reads `Observed` here, because
-    /// explain profiles every run.
+    /// The run's walk counters, replay outcome and observer footprint.
     pub fast: dct_spmd::exec::FastPathStats,
 }
 
@@ -240,13 +239,14 @@ pub fn explain_json(r: &ExplainResult) -> String {
         match &s.outcome {
             Ok(run) => {
                 out.push_str(&format!(
-                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, {}, \"profile\": {}}}{comma}\n",
+                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, {}, {}, \"profile\": {}}}{comma}\n",
                     s.strategy.label(),
                     run.rung_label,
                     run.cycles,
                     run.fast.memo,
                     run.fast.replayed_steps,
                     run.fast.reasons_json(),
+                    run.fast.observer_bytes_json(),
                     run.profile.to_json("    ")
                 ));
             }
@@ -289,7 +289,10 @@ mod tests {
         let json = explain_json(&r);
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
         assert!(json.contains("\"false_sharing\""), "{json}");
-        assert!(json.contains("\"memo\": \"Observed\", \"replayed_steps\": 0"), "{json}");
+        // Stencil runs five time-invariant steps; the profiled run replays
+        // the last three like a plain one.
+        assert_eq!(json.matches("\"memo\": \"Replayed\", \"replayed_steps\": 3").count(), 3, "{json}");
+        assert_eq!(json.matches("\"race_shadow_bytes\": 0, \"profiler_table_bytes\": ").count(), 3, "{json}");
         // Every segment of a profiled run leaves the batched path because
         // the profiler is attached, and most entries are bumps.
         assert!(json.contains("\"cursor_bumps\": ") && json.contains("\"resolves\": {\"walk_start\": "), "{json}");

@@ -47,12 +47,11 @@ pub struct StrategyProfile {
     pub profiled_wall_secs: f64,
     /// Profiler overhead: profiled wall time over plain wall time. The
     /// profiler is a pure observer, so simulated cycles are identical —
-    /// only host time grows. The plain leg of a time-looped cell replays
-    /// its repeating steps (`replayed_steps`) and the profiled leg cannot,
-    /// so on those cells the ratio also holds the steps the plain leg did
-    /// not simulate: it rose with time-step replay without the profiler
-    /// having got slower.
+    /// only host time grows. Both legs replay the same repeating time
+    /// steps, so the ratio compares the steps both simulate.
     pub profile_overhead: f64,
+    /// The profiled run's walk counters, for what its observer allocated.
+    pub profiled_fast: dct_spmd::exec::FastPathStats,
     /// Wall time of the same cell executed for real on the native
     /// threaded backend (one OS thread per simulated processor); its
     /// checksum is asserted bit-identical to the simulator's.
@@ -91,6 +90,11 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize) -> FigureProfile {
             let rp = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts).unwrap();
             let profiled_wall = t1.elapsed().as_secs_f64();
             assert_eq!(r.cycles, rp.cycles, "profiler must not perturb cycles");
+            assert_eq!(
+                (r.fast.memo, r.fast.replayed_steps),
+                (rp.fast.memo, rp.fast.replayed_steps),
+                "a profiled run replays what the plain run replays"
+            );
             // The same cell executed for real: the native backend's wall
             // clock joins the profile, and its checksum must land on the
             // simulator's bits (the differential contract, re-asserted on
@@ -131,6 +135,7 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize) -> FigureProfile {
                 fast: r.fast,
                 profiled_wall_secs: profiled_wall,
                 profile_overhead: if wall > 0.0 { profiled_wall / wall } else { 0.0 },
+                profiled_fast: rp.fast,
                 native_wall_secs: native_wall,
             }
         })
@@ -219,6 +224,7 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
             out.push_str(&format!("          {},\n", s.fast.reasons_json()));
             out.push_str(&format!("          \"profiled_wall_secs\": {:.4},\n", s.profiled_wall_secs));
             out.push_str(&format!("          \"profile_overhead\": {:.3},\n", s.profile_overhead));
+            out.push_str(&format!("          {},\n", s.profiled_fast.observer_bytes_json()));
             out.push_str(&format!("          \"native_wall_secs\": {:.4}\n", s.native_wall_secs));
             out.push_str(if j + 1 == p.strategies.len() { "        }\n" } else { "        },\n" });
         }
@@ -290,6 +296,7 @@ mod tests {
         assert!(j.contains("\"replayed_steps\": 3") && j.contains("\"memo\": \"Replayed\""), "{j}");
         assert!(j.contains("\"cursor_bumps\": ") && j.contains("\"resolves\": {\"walk_start\": "), "{j}");
         assert!(j.contains("\"seg_bails\": {"), "{j}");
+        assert!(j.contains("\"race_shadow_bytes\": 0, \"profiler_table_bytes\": "), "{j}");
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

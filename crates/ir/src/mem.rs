@@ -92,6 +92,27 @@ impl MemRow {
         self.invalidations += o.invalidations;
         self.mem_cycles += o.mem_cycles;
     }
+
+    /// The counters accrued since `base`, an earlier reading of the same
+    /// cell (attribution indices are kept from `self`).
+    pub fn since(&self, base: &MemRow) -> MemRow {
+        MemRow {
+            accesses: self.accesses - base.accesses,
+            l1_hits: self.l1_hits - base.l1_hits,
+            l2_hits: self.l2_hits - base.l2_hits,
+            local_mem: self.local_mem - base.local_mem,
+            remote_mem: self.remote_mem - base.remote_mem,
+            remote_dirty: self.remote_dirty - base.remote_dirty,
+            cold: self.cold - base.cold,
+            capacity: self.capacity - base.capacity,
+            conflict: self.conflict - base.conflict,
+            coh_true: self.coh_true - base.coh_true,
+            coh_false: self.coh_false - base.coh_false,
+            invalidations: self.invalidations - base.invalidations,
+            mem_cycles: self.mem_cycles - base.mem_cycles,
+            ..*self
+        }
+    }
 }
 
 /// The memory-behavior profile of one simulated run.

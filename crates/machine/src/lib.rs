@@ -18,5 +18,6 @@ pub use cache::{Cache, LineState};
 pub use config::MachineConfig;
 pub use probe::{AccessLevel, MemProbe};
 pub use system::{
-    Machine, ProcStats, SegAccess, SegBail, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS, SEG_BAIL_NAMES,
+    Machine, ProcStats, SegAccess, SegBail, StateDigest, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS,
+    SEG_BAIL_NAMES,
 };

@@ -729,8 +729,40 @@ impl Machine {
     }
 }
 
-/// Multipliers of the two [`Machine::state_digest`] lanes (odd, unrelated).
+/// Multipliers of the two [`StateDigest`] lanes (odd, unrelated).
 const DIGEST_K: (u64, u64) = (0x9E37_79B9_7F4A_7C15, 0xD6E8_FEB8_6659_FD93);
+
+/// The 128-bit fold behind [`Machine::state_digest`], one word at a time
+/// with no copy; an observer that adds its own state to a time-step
+/// boundary digest (`dct-profile`) folds with the same two lanes. The low
+/// lane is a bijection of its accumulator for a given word and of the word
+/// for a given accumulator, so two sequences that differ in exactly one
+/// word always differ in it; the high lane folds a full 64x64 product, so
+/// high bits reach low ones.
+#[derive(Clone, Copy)]
+pub struct StateDigest {
+    hi: u64,
+    lo: u64,
+}
+
+impl Default for StateDigest {
+    fn default() -> StateDigest {
+        StateDigest { hi: DIGEST_K.1, lo: DIGEST_K.0 }
+    }
+}
+
+impl StateDigest {
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        let m = ((self.hi ^ w).wrapping_add(DIGEST_K.0) as u128) * DIGEST_K.1 as u128;
+        self.hi = m as u64 ^ (m >> 64) as u64;
+        self.lo = (self.lo ^ w).wrapping_mul(DIGEST_K.0).rotate_left(29);
+    }
+
+    pub fn finish(self) -> u128 {
+        (self.hi as u128) << 64 | self.lo as u128
+    }
+}
 
 impl Machine {
     /// Every word of state a later access can observe, in one fixed order:
@@ -769,22 +801,14 @@ impl Machine {
     }
 
     /// A 128-bit digest of the machine's complete state (see
-    /// `state_words` for what that is): two machines with equal digests
-    /// answer every later access stream with the same costs, counter
-    /// changes and final state. One pass, one word at a time, no copy.
-    /// The low lane is a bijection of its accumulator for a given word and
-    /// of the word for a given accumulator, so two states that differ in
-    /// exactly one word always differ in it; the high lane folds a full
-    /// 64x64 product, so high bits reach low ones. `None` when a cache
-    /// level is associative.
+    /// `state_words` for what that is, [`StateDigest`] for the fold): two
+    /// machines with equal digests answer every later access stream with
+    /// the same costs, counter changes and final state. `None` when a
+    /// cache level is associative.
     pub fn state_digest(&self) -> Option<u128> {
-        let (mut hi, mut lo) = (DIGEST_K.1, DIGEST_K.0);
-        self.state_words(|w| {
-            let m = ((hi ^ w).wrapping_add(DIGEST_K.0) as u128) * DIGEST_K.1 as u128;
-            hi = m as u64 ^ (m >> 64) as u64;
-            lo = (lo ^ w).wrapping_mul(DIGEST_K.0).rotate_left(29);
-        })?;
-        Some((hi as u128) << 64 | lo as u128)
+        let mut d = StateDigest::default();
+        self.state_words(|w| d.word(w))?;
+        Some(d.finish())
     }
 
     /// The words [`Machine::state_digest`] hashes, copied out: debug builds

@@ -53,6 +53,15 @@
 //! The profiler is a pure observer: it receives each access's
 //! already-decided outcome and cost, so profiled runs are cycle-identical
 //! to unprofiled ones (also pinned by tests).
+//!
+//! ## Time-step replay
+//!
+//! Everything above is a deterministic function of the state listed and
+//! the event stream, so a profiled run can replay a repeating time step
+//! (`dct_spmd::replay`): [`Profiler::boundary_digest`] stands for the
+//! state at a step boundary, and the executor records what each nest adds
+//! to its site's rows ([`Profiler::site_range`]) and adds it back
+//! ([`Profiler::add_site_rows`]) for every step it does not send here.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -60,7 +69,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dct_ir::{MemProfile, MemRow};
-use dct_machine::{AccessLevel, MemProbe};
+use dct_machine::{AccessLevel, MemProbe, StateDigest};
 
 /// Multiply-shift hasher for u64 keys (line numbers). The default SipHash
 /// is needlessly slow for the millions of lookups classification performs.
@@ -83,6 +92,23 @@ impl Hasher for FastHash {
 }
 
 type FastMap<V> = HashMap<u64, V, BuildHasherDefault<FastHash>>;
+
+/// Hash of one `line -> val` table entry. The running table hashes below
+/// are wrapping sums of these over the non-empty entries, so they do not
+/// depend on the order in which entries came to be, an entry is taken out
+/// by subtracting what it put in, and dense tables and spill maps hash
+/// alike.
+#[inline]
+fn entry_hash(line: u64, val: u64) -> u64 {
+    let m = (line ^ 0x9E37_79B9_7F4A_7C15) as u128 * (val ^ 0xD6E8_FEB8_6659_FD93) as u128;
+    m as u64 ^ (m >> 64) as u64
+}
+
+/// [`entry_hash`] of a write-generation entry (`code` is `writer + 1`).
+#[inline]
+fn gen_entry_hash(line: u64, code: u32, mask: u64) -> u64 {
+    entry_hash(entry_hash(line, code as u64), mask)
+}
 
 /// Lines below this bound (64 MB of address space) get dense per-line
 /// state tables; anything beyond spills to hash maps. The executor packs
@@ -131,6 +157,14 @@ struct ProcState {
     /// case — consecutive words of one cache line).
     last_line: u64,
     last_array: u32,
+    /// Size of the touched set and the sum of `entry_hash(line, 0)` over
+    /// it; the sum of [`entry_hash`] over the pending invalidations. Kept
+    /// where an entry changes, because a time-step boundary cannot afford
+    /// to scan `limit` entries per processor (see
+    /// [`Profiler::boundary_digest`]).
+    touched_count: u64,
+    touched_hash: u64,
+    inval_hash: u64,
 }
 
 impl ProcState {
@@ -149,6 +183,9 @@ impl ProcState {
             sp_inval: FastMap::default(),
             last_line: u64::MAX,
             last_array: 0,
+            touched_count: 0,
+            touched_hash: 0,
+            inval_hash: 0,
         }
     }
 
@@ -233,31 +270,59 @@ impl ProcState {
 
     /// Test-and-set the touched bit; returns the prior value.
     fn note_touched(&mut self, line: u64) -> bool {
-        if (line as usize) < self.limit {
+        let was = if (line as usize) < self.limit {
             let (w, b) = ((line as usize) >> 6, 1u64 << (line & 63));
             let was = self.touched[w] & b != 0;
             self.touched[w] |= b;
             was
         } else {
             self.sp_touched.insert(line, ()).is_some()
+        };
+        if !was {
+            self.touched_count += 1;
+            self.touched_hash = self.touched_hash.wrapping_add(entry_hash(line, 0));
         }
+        was
     }
 
     /// Consume a pending invalidation; returns word + 1 (0 = none).
     fn take_inval(&mut self, line: u64) -> u32 {
-        if (line as usize) < self.limit {
+        let code = if (line as usize) < self.limit {
             std::mem::take(&mut self.inval[line as usize])
         } else {
             self.sp_inval.remove(&line).unwrap_or(0)
+        };
+        if code != 0 {
+            self.inval_hash = self.inval_hash.wrapping_sub(entry_hash(line, code as u64));
         }
+        code
     }
 
     fn set_inval(&mut self, line: u64, word: u32) {
-        if (line as usize) < self.limit {
-            self.inval[line as usize] = word + 1;
+        let code = word + 1;
+        let old = if (line as usize) < self.limit {
+            std::mem::replace(&mut self.inval[line as usize], code)
         } else {
-            self.sp_inval.insert(line, word + 1);
+            self.sp_inval.insert(line, code).unwrap_or(0)
+        };
+        if old != code {
+            if old != 0 {
+                self.inval_hash = self.inval_hash.wrapping_sub(entry_hash(line, old as u64));
+            }
+            self.inval_hash = self.inval_hash.wrapping_add(entry_hash(line, code as u64));
         }
+    }
+
+    /// The shadow's lines from most to least recently used. Line numbers,
+    /// never slab slots: which slot a line sits in records the order of
+    /// past evictions and decides nothing about a later one.
+    fn recency(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            let n = self.nodes.get(slot as usize)?;
+            slot = n.next;
+            Some(n.line)
+        })
     }
 }
 
@@ -307,6 +372,9 @@ pub struct Profiler {
     gen_writer: Vec<u32>,
     gen_mask: Vec<u64>,
     gens: FastMap<WriteGen>,
+    /// Sum of [`gen_entry_hash`] over the generations in the tables above
+    /// (the buffered one below counts once flushed).
+    gen_hash: u64,
     /// Buffered generation for the line currently being stored to — the
     /// common sequential-store case pays no table op per write. Flushed
     /// when a store moves to a different line; classification checks the
@@ -342,6 +410,7 @@ impl Profiler {
             gen_writer: vec![0; limit],
             gen_mask: vec![0; limit],
             gens: FastMap::default(),
+            gen_hash: 0,
             wline: u64::MAX,
             wproc: 0,
             wmask: 0,
@@ -349,16 +418,139 @@ impl Profiler {
         }
     }
 
-    /// Materialize the buffered write generation into the tables.
+    /// Materialize the buffered write generation into the tables. The
+    /// buffer stays live and keeps shadowing the entry it wrote, so a flush
+    /// at any moment changes no later classification.
     fn flush_gen(&mut self) {
         if self.wline == u64::MAX {
             return;
         }
-        if (self.wline as usize) < self.limit {
-            self.gen_writer[self.wline as usize] = self.wproc + 1;
-            self.gen_mask[self.wline as usize] = self.wmask;
+        let (line, code, mask) = (self.wline, self.wproc + 1, self.wmask);
+        let (old_code, old_mask) = if (line as usize) < self.limit {
+            (
+                std::mem::replace(&mut self.gen_writer[line as usize], code),
+                std::mem::replace(&mut self.gen_mask[line as usize], mask),
+            )
         } else {
-            self.gens.insert(self.wline, WriteGen { writer: self.wproc, mask: self.wmask });
+            match self.gens.insert(line, WriteGen { writer: self.wproc, mask }) {
+                Some(g) => (g.writer + 1, g.mask),
+                None => (0, 0),
+            }
+        };
+        // A repeating time step rewrites each line's generation as it was.
+        if (old_code, old_mask) != (code, mask) {
+            if old_code != 0 {
+                self.gen_hash = self.gen_hash.wrapping_sub(gen_entry_hash(line, old_code, old_mask));
+            }
+            self.gen_hash = self.gen_hash.wrapping_add(gen_entry_hash(line, code, mask));
+        }
+    }
+
+    /// A digest of everything that decides how a later event is
+    /// classified, taken at a time-step boundary (`dct_spmd::replay` folds
+    /// it into the machine's): per processor the shadow's recency order,
+    /// the touched set, the pending invalidations and the previous line;
+    /// shared, the write generations with the buffered one flushed first.
+    /// Two profilers with equal digests add the same counts to their rows
+    /// for the same stream of events. The rows themselves and the current
+    /// site are outputs, not state, and stay out.
+    ///
+    /// The shadow is walked (at most the L1's line count per processor);
+    /// the per-line tables are `limit` entries per processor and are
+    /// carried as running hashes instead.
+    pub fn boundary_digest(&mut self) -> u128 {
+        self.flush_gen();
+        let mut d = StateDigest::default();
+        for p in &self.procs {
+            d.word(p.nodes.len() as u64);
+            p.recency().for_each(|line| d.word(line));
+            for w in [p.touched_count, p.touched_hash, p.inval_hash, p.last_line, p.last_array as u64] {
+                d.word(w);
+            }
+        }
+        for w in [self.gen_hash, self.wline, self.wproc as u64, self.wmask] {
+            d.word(w);
+        }
+        d.finish()
+    }
+
+    /// The state [`Profiler::boundary_digest`] stands for, scanned in full
+    /// and in one canonical order: debug builds compare these whenever two
+    /// digests match, so that a replay taken under `cargo test` is proved
+    /// a true recurrence. Variable-length sections end in `u64::MAX`.
+    #[cfg(debug_assertions)]
+    pub fn state_image(&mut self) -> Vec<u64> {
+        /// `[line, value, extra]` entries: the non-empty dense ones in
+        /// line order, then the spilled ones sorted.
+        type Entry = [u64; 3];
+        fn section(v: &mut Vec<u64>, dense: impl Iterator<Item = Entry>, spill: impl Iterator<Item = Entry>) {
+            v.extend(dense.filter(|e| e[1] != 0).flatten());
+            let mut spill: Vec<Entry> = spill.collect();
+            spill.sort_unstable();
+            v.extend(spill.into_iter().flatten());
+            v.push(u64::MAX);
+        }
+        self.flush_gen();
+        let mut v = Vec::new();
+        for p in &self.procs {
+            v.extend(p.recency());
+            v.push(u64::MAX);
+            v.extend_from_slice(&p.touched);
+            section(&mut v, std::iter::empty(), p.sp_touched.keys().map(|&l| [l, 1, 0]));
+            section(
+                &mut v,
+                p.inval.iter().enumerate().map(|(l, &c)| [l as u64, c as u64, 0]),
+                p.sp_inval.iter().map(|(&l, &c)| [l, c as u64, 0]),
+            );
+            v.extend([p.last_line, p.last_array as u64]);
+        }
+        section(
+            &mut v,
+            (self.gen_writer.iter().zip(&self.gen_mask).enumerate())
+                .map(|(l, (&c, &m))| [l as u64, c as u64, m]),
+            self.gens.iter().map(|(&l, g)| [l, g.writer as u64 + 1, g.mask]),
+        );
+        v.extend([self.wline, self.wproc as u64, self.wmask]);
+        v
+    }
+
+    /// Bytes of the per-line tables, the shadow slabs and the counter
+    /// rows as allocated (not resident: untouched pages of a dense table
+    /// stay unmapped). Telemetry only.
+    pub fn table_bytes(&self) -> u64 {
+        let per_proc: usize = self
+            .procs
+            .iter()
+            .map(|p| {
+                (p.slot_of.len() + p.inval.len()) * 4
+                    + p.touched.len() * 8
+                    + p.nodes.capacity() * std::mem::size_of::<Node>()
+            })
+            .sum();
+        let shared = self.gen_writer.len() * 4
+            + self.gen_mask.len() * 8
+            + self.rows.len() * std::mem::size_of::<MemRow>();
+        (per_proc + shared) as u64
+    }
+
+    /// Every counter row, dense `[site][array-slot][proc]`.
+    pub fn rows(&self) -> &[MemRow] {
+        &self.rows
+    }
+
+    /// Where the current site's rows sit in [`Profiler::rows`]: the only
+    /// rows an event can change until the next `set_site`.
+    pub fn site_range(&self) -> std::ops::Range<usize> {
+        let n = self.slots * self.nprocs;
+        self.site * n..(self.site + 1) * n
+    }
+
+    /// Add `deltas` (one per row of the current site, in order) to the
+    /// current site's rows: a replayed nest's counts.
+    pub fn add_site_rows(&mut self, deltas: &[MemRow]) {
+        let range = self.site_range();
+        for (r, d) in self.rows[range].iter_mut().zip(deltas) {
+            r.absorb(d);
         }
     }
 
@@ -665,6 +857,152 @@ mod tests {
         let prof = p.snapshot(vec!["a".into(), "b".into()], 0, vec!["A".into(), "B".into()]);
         assert_eq!(prof.arrays.last().map(|s| s.as_str()), Some("(other)"));
         assert_eq!(prof.rows[0].array, 2);
+    }
+
+    /// Hits walk the shadow without touching the touched set, so two
+    /// profilers can be steered to one recency order along different
+    /// eviction histories.
+    fn hit(p: &mut Profiler, proc: usize, line: u64) {
+        p.access(proc, line, 0, false, AccessLevel::L1, 1);
+    }
+
+    #[test]
+    fn digest_reads_recency_as_lines_not_slab_slots() {
+        // Capacity 4. `a` evicts line 10 and reuses its slot for 14; `b`
+        // never evicts, so 14 sits in another slot.
+        let (mut a, mut b) = (mk(1), mk(1));
+        for l in 10..15 {
+            hit(&mut a, 0, l);
+        }
+        for l in 11..15 {
+            hit(&mut b, 0, l);
+        }
+        assert_ne!(a.procs[0].slot(14), b.procs[0].slot(14), "the slab histories differ");
+        assert!(a.procs[0].recency().eq([14, 13, 12, 11]) && b.procs[0].recency().eq([14, 13, 12, 11]));
+        assert_eq!(a.boundary_digest(), b.boundary_digest());
+        #[cfg(debug_assertions)]
+        assert_eq!(a.state_image(), b.state_image());
+        // The counter rows and the current site are outputs, not state.
+        assert_ne!(a.rows(), b.rows());
+        b.set_site(1);
+        assert_eq!(a.boundary_digest(), b.boundary_digest());
+    }
+
+    #[test]
+    fn digest_sees_every_component() {
+        /// Two processors sharing lines 10..14: reads, a pending
+        /// invalidation at processor 0 and a write generation of
+        /// processor 1.
+        fn warmed() -> Profiler {
+            let mut p = mk(2);
+            for l in 10..14 {
+                p.access(0, l, 0, false, AccessLevel::LocalMem, 100);
+                p.access(1, l, 4, false, AccessLevel::RemoteMem, 130);
+            }
+            p.invalidated(0, 11, 1, 4);
+            p.access(1, 11, 4, true, AccessLevel::L1, 1);
+            hit(&mut p, 0, 12);
+            hit(&mut p, 0, 13);
+            p
+        }
+        let base = warmed().boundary_digest();
+        assert_eq!(warmed().boundary_digest(), base);
+        type Edit = fn(&mut Profiler);
+        let edits: [(&str, Edit); 9] = [
+            ("a pending invalidation more", |p| p.invalidated(0, 12, 1, 4)),
+            ("a pending invalidation's word", |p| p.invalidated(0, 11, 1, 8)),
+            ("a pending invalidation consumed", |p| {
+                p.procs[0].take_inval(11);
+            }),
+            ("a generation-mask bit", |p| p.access(1, 11, 8, true, AccessLevel::L1, 1)),
+            ("a generation's writer", |p| {
+                p.access(0, 11, 4, true, AccessLevel::L1, 1);
+                // Put processor 0's shadow and previous line back.
+                hit(p, 0, 12);
+                hit(p, 0, 13);
+            }),
+            ("a touched bit", |p| {
+                p.procs[0].note_touched(20);
+            }),
+            // 13, 12, 11, 10 becomes 13, 12, 10, 11; same previous line.
+            ("two LRU neighbours swapped", |p| {
+                hit(p, 0, 10);
+                hit(p, 0, 12);
+                hit(p, 0, 13);
+            }),
+            ("the previous line", |p| p.procs[1].last_line = 12),
+            ("the previous line's array", |p| p.procs[1].last_array = 1),
+        ];
+        for (what, edit) in edits {
+            let mut p = warmed();
+            edit(&mut p);
+            assert_ne!(p.boundary_digest(), base, "{what}");
+        }
+        // A spilled line (beyond the dense bound) counts like a dense one.
+        let mut p = warmed();
+        p.invalidated(0, 999, 1, 4);
+        let spilled = p.boundary_digest();
+        assert_ne!(spilled, base);
+        p.procs[0].take_inval(999);
+        assert_eq!(p.boundary_digest(), base, "consumed again");
+    }
+
+    /// The table hashes recomputed by a full scan: per processor (touched
+    /// count, touched hash, pending-invalidation hash), then the
+    /// write-generation hash.
+    fn scanned(p: &Profiler) -> (Vec<(u64, u64, u64)>, u64) {
+        let sum = |hashes: &mut dyn Iterator<Item = u64>| hashes.fold(0u64, u64::wrapping_add);
+        let procs = p
+            .procs
+            .iter()
+            .map(|s| {
+                let dense = (0..s.limit as u64).filter(|&l| s.touched[(l >> 6) as usize] >> (l & 63) & 1 != 0);
+                let touched: Vec<u64> = dense.chain(s.sp_touched.keys().copied()).collect();
+                let dense = s.inval.iter().enumerate().filter(|(_, &c)| c != 0).map(|(l, &c)| (l as u64, c));
+                let inval = dense.chain(s.sp_inval.iter().map(|(&l, &c)| (l, c)));
+                (
+                    touched.len() as u64,
+                    sum(&mut touched.iter().map(|&l| entry_hash(l, 0))),
+                    sum(&mut inval.map(|(l, c)| entry_hash(l, c as u64))),
+                )
+            })
+            .collect();
+        let dense = p.gen_writer.iter().zip(&p.gen_mask).enumerate().filter(|(_, (&c, _))| c != 0);
+        let dense = dense.map(|(l, (&c, &m))| gen_entry_hash(l as u64, c, m));
+        let spill = p.gens.iter().map(|(&l, g)| gen_entry_hash(l, g.writer + 1, g.mask));
+        (procs, sum(&mut dense.chain(spill)))
+    }
+
+    fn running(p: &Profiler) -> (Vec<(u64, u64, u64)>, u64) {
+        (p.procs.iter().map(|s| (s.touched_count, s.touched_hash, s.inval_hash)).collect(), p.gen_hash)
+    }
+
+    proptest::proptest! {
+        /// After any stream of events the running hashes are the hashes of
+        /// the tables as they stand, dense entries and spilled ones alike,
+        /// and a profiler fed the same stream digests the same.
+        #[test]
+        fn running_hashes_match_a_full_scan(
+            events in proptest::collection::vec((0usize..3, 8u64..36, 0u32..4, 0u8..4), 0..400),
+        ) {
+            let (mut p, mut twin) = (mk(3), mk(3));
+            for &(proc, line, word, kind) in &events {
+                // Lines 30.. lie beyond the dense bound of `mk`.
+                for q in [&mut p, &mut twin] {
+                    match kind {
+                        0 => q.access(proc, line, word * 4, false, AccessLevel::L1, 1),
+                        1 => q.access(proc, line, word * 4, false, AccessLevel::RemoteMem, 130),
+                        2 => q.access(proc, line, word * 4, true, AccessLevel::LocalMem, 100),
+                        _ => q.invalidated(proc, line, (proc + 1) % 3, word * 4),
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(running(&p), scanned(&p));
+            let digest = p.boundary_digest();
+            proptest::prop_assert_eq!(running(&p), scanned(&p), "after the boundary's flush");
+            proptest::prop_assert_eq!(digest, twin.boundary_digest());
+            proptest::prop_assert_eq!(digest, p.boundary_digest(), "digesting changes nothing");
+        }
     }
 
     #[test]

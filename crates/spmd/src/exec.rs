@@ -73,6 +73,11 @@ pub struct FastPathStats {
     pub replayed_steps: u64,
     /// Why the run replayed, or why it could not.
     pub memo: MemoOutcome,
+    /// Bytes the race detector allocated for shadow cells and the profiler
+    /// for its per-line tables, shadow slabs and rows (0 = not attached).
+    /// Allocated, not resident: what a host pays for observing this run.
+    pub race_shadow_bytes: u64,
+    pub profiler_table_bytes: u64,
 }
 
 impl FastPathStats {
@@ -115,6 +120,15 @@ impl FastPathStats {
             self.cursor_bumps,
             histogram(&RESOLVE_NAMES, &self.resolves),
             histogram(&dct_machine::SEG_BAIL_NAMES, &self.seg_bails),
+        )
+    }
+
+    /// What the observers of this run allocated, as JSON object members
+    /// (no braces).
+    pub fn observer_bytes_json(&self) -> String {
+        format!(
+            "\"race_shadow_bytes\": {}, \"profiler_table_bytes\": {}",
+            self.race_shadow_bytes, self.profiler_table_bytes
         )
     }
 
@@ -467,8 +481,6 @@ impl<'a> Executor<'a> {
     fn memo_verdict(&self) -> MemoOutcome {
         if !self.fast_path {
             MemoOutcome::ReferenceWalk
-        } else if self.race_detect || self.profile {
-            MemoOutcome::Observed
         } else if self.sp.time_steps < 3 {
             MemoOutcome::NoTimeLoop
         } else if !self.sched.time_invariant() {
@@ -523,10 +535,10 @@ impl<'a> Executor<'a> {
         let mut steps = Steps::new(self.sp);
         while let Some((step, params)) = steps.next() {
             if !step.init && step.idx == 0 {
-                self.memo.begin_step(&self.machine);
+                self.memo.begin_step(&self.machine, self.profiler.as_deref_mut());
             }
             self.exec_step(step, params);
-            self.memo.end_nest(&mut self.machine.stats.per_proc);
+            self.memo.end_nest(&mut self.machine.stats.per_proc, self.profiler.as_deref_mut());
             match step.sync {
                 SyncKind::Barrier => self.barrier(),
                 SyncKind::ProducerWait => self.producer_wait(),
@@ -545,6 +557,8 @@ impl<'a> Executor<'a> {
         self.fast.replayed_steps = self.memo.replayed_steps;
         self.fast.memo = self.memo.outcome;
         self.fast.seg_bails = self.machine.seg_bails;
+        self.fast.race_shadow_bytes = self.race.as_ref().map_or(0, |d| d.shadow_bytes());
+        self.fast.profiler_table_bytes = self.profiler.as_ref().map_or(0, |p| p.table_bytes());
         RunResult {
             cycles,
             clocks: self.clocks.clone(),
@@ -822,24 +836,27 @@ struct Lane<'e> {
     /// Dispatch strided segments to fused kernels when the nest has a
     /// plan (false = postfix interpreter for every segment).
     kernels: bool,
-    /// A replayed time step: compute values, send the machine nothing. The
-    /// busy cycles a walk then returns are meaningless; the caller takes
-    /// them from the recorded step (see [`crate::replay`]).
+    /// A replayed time step: compute values and keep the race detector
+    /// watching, send the machine and the profiler nothing. The busy cycles
+    /// a walk then returns are meaningless; the caller takes them from the
+    /// recorded step (see [`crate::replay`]).
     values_only: bool,
     scratch: &'e mut Scratch,
     fast: FastPathStats,
 }
 
 impl Lane<'_> {
-    /// One machine access, observed by the profiler when attached.
+    /// One machine access, observed by the profiler when attached; none
+    /// at all in a replayed step.
     #[inline]
     fn access(&mut self, proc: usize, byte_addr: u64, write: bool) -> u64 {
+        if self.values_only {
+            return 0;
+        }
         match self.profiler.as_deref_mut() {
             Some(p) => {
                 self.machine.access_probed(proc, byte_addr, write, Some(p as &mut dyn MemProbe))
             }
-            // Tested on this arm only: a profiled run never replays.
-            None if self.values_only => 0,
             None => self.machine.access(proc, byte_addr, write),
         }
     }

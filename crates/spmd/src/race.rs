@@ -105,15 +105,17 @@ struct ReadVc {
     sites: Vec<u32>,
 }
 
-/// Shadow memory of one array. Replicated arrays (one private copy per
-/// processor, `repl_stride > 0`) get one shadow row per processor:
-/// different processors touching the same slot touch *different* bytes,
-/// so they must never be reported against each other.
+/// Shadow memory of one array. A replicated array (one private copy per
+/// processor, `repl_stride > 0`) has no cells: different processors
+/// touching the same slot touch *different* bytes, each copy is only ever
+/// touched by its own processor, and every check needs two processors, so
+/// no access to it can report. Its accesses are bounds-checked and counted
+/// like any other.
 struct ArrayShadow {
     cells: Vec<Cell>,
     /// Element slots per copy.
     size: usize,
-    /// One shadow row per processor (replicated array)?
+    /// Replicated array: private per processor, never shadowed.
     per_proc: bool,
 }
 
@@ -167,8 +169,8 @@ impl Detector {
             .map(|(l, &rs)| {
                 let size = l.layout.size().max(0) as usize;
                 let per_proc = rs > 0;
-                let rows = if per_proc { nprocs } else { 1 };
-                ArrayShadow { cells: vec![EMPTY_CELL; size * rows], size, per_proc }
+                let cells = if per_proc { Vec::new() } else { vec![EMPTY_CELL; size] };
+                ArrayShadow { cells, size, per_proc }
             })
             .collect();
         let mut sites: Vec<Site> = Vec::with_capacity(sp.init.len() + sp.nests.len());
@@ -271,11 +273,14 @@ impl Detector {
             return;
         }
         let Some(sh) = self.shadows.get(x) else { return };
-        let base = if sh.per_proc { proc * sh.size } else { 0 };
         // Bounds of the whole interval up front: one check per segment,
         // none in the per-element loop.
         let last = slot as i64 + dslot * (count - 1);
         if slot >= sh.size || last < 0 || last as usize >= sh.size {
+            return;
+        }
+        if sh.per_proc {
+            self.checked += count as u64;
             return;
         }
         let me = pack(proc, self.vc[proc * n + proc]);
@@ -283,7 +288,7 @@ impl Detector {
         if is_write {
             let mut s = slot as i64;
             for _ in 0..count {
-                self.write_cell(proc, x, base, s as usize, me, site);
+                self.write_cell(proc, x, s as usize, me, site);
                 s += dslot;
                 if dslot == 0 {
                     self.checked += count as u64 - 1;
@@ -293,7 +298,7 @@ impl Detector {
         } else {
             let mut s = slot as i64;
             for _ in 0..count {
-                self.read_cell(proc, x, base, s as usize, me, site);
+                self.read_cell(proc, x, s as usize, me, site);
                 s += dslot;
                 if dslot == 0 {
                     self.checked += count as u64 - 1;
@@ -304,10 +309,10 @@ impl Detector {
     }
 
     #[inline]
-    fn write_cell(&mut self, proc: usize, x: usize, base: usize, slot: usize, me: u64, site: u32) {
+    fn write_cell(&mut self, proc: usize, x: usize, slot: usize, me: u64, site: u32) {
         self.checked += 1;
         let n = self.nprocs;
-        let Some(cell) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot))
+        let Some(cell) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
         else {
             return;
         };
@@ -351,16 +356,16 @@ impl Detector {
                 }
             }
         }
-        if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot)) {
+        if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot)) {
             *c = Cell { w: me, w_site: site, r: NONE, r_site: 0 };
         }
     }
 
     #[inline]
-    fn read_cell(&mut self, proc: usize, x: usize, base: usize, slot: usize, me: u64, site: u32) {
+    fn read_cell(&mut self, proc: usize, x: usize, slot: usize, me: u64, site: u32) {
         self.checked += 1;
         let n = self.nprocs;
-        let Some(cell) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot))
+        let Some(cell) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
         else {
             return;
         };
@@ -378,7 +383,7 @@ impl Detector {
         }
         // Update the read state.
         if cur.r == NONE {
-            if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot)) {
+            if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot)) {
                 c.r = me;
                 c.r_site = site;
             }
@@ -396,7 +401,7 @@ impl Detector {
                 // Same reader, or the previous read happens-before this
                 // one: exclusive ownership transfers.
                 if let Some(c) =
-                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot))
+                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
                 {
                     c.r = me;
                     c.r_site = site;
@@ -421,7 +426,7 @@ impl Detector {
                     }
                 }
                 if let Some(c) =
-                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(base + slot))
+                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
                 {
                     c.r = SHARED | pi as u64;
                     c.r_site = 0;
@@ -478,6 +483,13 @@ impl Detector {
             first: site_of(first_site, first_proc, &self.sites),
             second: site_of(second_site, second_proc, &self.sites),
         });
+    }
+
+    /// Bytes allocated for shadow cells (the inflated read vectors, which
+    /// come and go, are not counted). Telemetry only.
+    pub fn shadow_bytes(&self) -> u64 {
+        let cells: usize = self.shadows.iter().map(|sh| sh.cells.len()).sum();
+        (cells * std::mem::size_of::<Cell>()) as u64
     }
 
     /// Snapshot the report (the detector keeps running; the executor
@@ -603,10 +615,16 @@ mod tests {
     fn replicated_shadow_is_per_processor() {
         let mut d = Detector::synthetic(4, &[16]);
         d.shadows[0].per_proc = true;
-        d.shadows[0].cells = vec![EMPTY_CELL; 16 * 4];
+        d.shadows[0].cells = Vec::new();
         d.access(0, 0, 3, true);
         d.access(1, 0, 3, true); // different replica: not a race
-        assert!(d.report_snapshot().is_race_free());
+        d.range_access(2, 0, 1, 2, 3, false);
+        d.range_access(2, 0, 3, 0, 4, true);
+        d.access(2, 0, 16, true); // out of bounds: skipped, as for a shadowed array
+        let rep = d.report_snapshot();
+        assert!(rep.is_race_free());
+        assert_eq!(rep.checked, 2 + 3 + 4, "counted like shadowed accesses");
+        assert_eq!(d.shadow_bytes(), 0);
     }
 
     #[test]

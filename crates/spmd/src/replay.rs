@@ -16,11 +16,24 @@
 //! nest ends, so clocks and statistics are exact at every point where a
 //! budget is checked.
 //!
+//! A profiled run replays the same way. The profiler is a deterministic
+//! function of its own classification state and the events the machine
+//! sends it, so that state joins the boundary digest
+//! ([`dct_profile::Profiler::boundary_digest`]) and each nest's changes to
+//! its counter rows join the tape; a replayed step then sends the profiler
+//! nothing and adds the recorded rows when the nest ends. The race
+//! detector is not replayed and needs no digest: it reads the executor's
+//! segments and sync points, never the machine, and both are walked in
+//! full in every step, so it keeps running live and its vector clocks are
+//! free to grow.
+//!
 //! The reference walk never replays; that is the differential. Debug
 //! builds also keep the previous boundary's state and compare it word for
 //! word whenever the digests match.
 
-use dct_machine::{Machine, ProcStats};
+use dct_ir::MemRow;
+use dct_machine::{Machine, ProcStats, StateDigest};
+use dct_profile::Profiler;
 
 /// Why a run replayed time steps or did not. Observability only: never
 /// feeds cycles, statistics or a cache key. Ordered by how far the run
@@ -33,8 +46,6 @@ pub enum MemoOutcome {
     NoTimeLoop,
     /// `fast_path` off: the reference walk is the oracle and never replays.
     ReferenceWalk,
-    /// A race detector or profiler is attached and must see every access.
-    Observed,
     /// Some bound, subscript, offset or gate uses the time parameter.
     TimeDependent,
     /// A cache level is associative: its LRU ticks never repeat.
@@ -79,9 +90,38 @@ pub(crate) struct StepMemo {
     nest: usize,
     /// Counters when the recorded step's current nest began.
     mark: Vec<ProcStats>,
+    /// With a profiler attached: what each nest of the recorded step added
+    /// to the counter rows of its site, nest-major, and every row as the
+    /// recorded step's current nest found it.
+    row_deltas: Vec<MemRow>,
+    row_mark: Vec<MemRow>,
     /// The state behind `digest`, for the exact comparison.
     #[cfg(debug_assertions)]
     image: Option<Vec<u64>>,
+}
+
+/// The state a time step starts from, digested: the machine's, and the
+/// attached profiler's folded in behind it. `None` when the machine has
+/// no digest.
+fn boundary_digest(machine: &Machine, profiler: Option<&mut Profiler>) -> Option<u128> {
+    let m = machine.state_digest()?;
+    let Some(p) = profiler else { return Some(m) };
+    let q = p.boundary_digest();
+    let mut d = StateDigest::default();
+    for w in [m as u64, (m >> 64) as u64, q as u64, (q >> 64) as u64] {
+        d.word(w);
+    }
+    Some(d.finish())
+}
+
+/// The words behind [`boundary_digest`].
+#[cfg(debug_assertions)]
+fn boundary_image(machine: &Machine, profiler: Option<&mut Profiler>) -> Option<Vec<u64>> {
+    let mut v = machine.state_image()?;
+    if let Some(p) = profiler {
+        v.extend(p.state_image());
+    }
+    Some(v)
 }
 
 impl StepMemo {
@@ -100,18 +140,21 @@ impl StepMemo {
             deltas: Vec::new(),
             nest: 0,
             mark: Vec::new(),
+            row_deltas: Vec::new(),
+            row_mark: Vec::new(),
             #[cfg(debug_assertions)]
             image: None,
         }
     }
 
-    /// Walks skip the machine: their accesses are already accounted for.
+    /// Walks skip the machine and the profiler: their accesses are already
+    /// accounted for.
     pub(crate) fn replaying(&self) -> bool {
         matches!(self.mode, Mode::Replaying)
     }
 
     /// The next time step is about to start.
-    pub(crate) fn begin_step(&mut self, machine: &Machine) {
+    pub(crate) fn begin_step(&mut self, machine: &Machine, mut profiler: Option<&mut Profiler>) {
         self.steps += 1;
         self.pos = 0;
         self.nest = 0;
@@ -124,7 +167,7 @@ impl StepMemo {
             Mode::Armed if self.steps == 1 => return,
             Mode::Armed | Mode::Recording => {}
         }
-        let Some(digest) = machine.state_digest() else {
+        let Some(digest) = boundary_digest(machine, profiler.as_deref_mut()) else {
             self.outcome = MemoOutcome::Associative;
             self.mode = Mode::Off;
             return;
@@ -133,8 +176,8 @@ impl StepMemo {
             if digest == self.digest {
                 #[cfg(debug_assertions)]
                 assert!(
-                    machine.state_image() == self.image,
-                    "state digests match at step {} but the machine states differ",
+                    boundary_image(machine, profiler.as_deref_mut()) == self.image,
+                    "state digests match at step {} but the machine or profiler states differ",
                     self.steps - 1
                 );
                 self.mode = Mode::Replaying;
@@ -152,12 +195,17 @@ impl StepMemo {
         self.digest = digest;
         #[cfg(debug_assertions)]
         {
-            self.image = machine.state_image();
+            self.image = boundary_image(machine, profiler.as_deref_mut());
         }
         self.tape.clear();
         self.deltas.clear();
         self.mark.clear();
         self.mark.extend_from_slice(&machine.stats.per_proc);
+        self.row_deltas.clear();
+        self.row_mark.clear();
+        if let Some(p) = profiler {
+            self.row_mark.extend_from_slice(p.rows());
+        }
     }
 
     /// One lane walk returned `busy` cycles: keep it while recording; when
@@ -179,8 +227,10 @@ impl StepMemo {
     }
 
     /// A nest of the time loop finished: record what it added to the
-    /// per-processor counters, or add what it added in the recorded step.
-    pub(crate) fn end_nest(&mut self, per_proc: &mut [ProcStats]) {
+    /// per-processor counters and to the profiler's rows for its site (the
+    /// only rows a nest can change), or add what it added in the recorded
+    /// step.
+    pub(crate) fn end_nest(&mut self, per_proc: &mut [ProcStats], profiler: Option<&mut Profiler>) {
         match self.mode {
             Mode::Off | Mode::Armed => {}
             Mode::Recording => {
@@ -188,11 +238,22 @@ impl StepMemo {
                     self.deltas.push(now.since(was));
                     *was = *now;
                 }
+                if let Some(p) = profiler {
+                    let site = p.site_range();
+                    for (now, was) in p.rows()[site.clone()].iter().zip(&mut self.row_mark[site]) {
+                        self.row_deltas.push(now.since(was));
+                        *was = *now;
+                    }
+                }
             }
             Mode::Replaying => {
                 let n = per_proc.len();
                 for (s, d) in per_proc.iter_mut().zip(&self.deltas[self.nest * n..][..n]) {
                     s.add(d);
+                }
+                if let Some(p) = profiler {
+                    let n = p.site_range().len();
+                    p.add_site_rows(&self.row_deltas[self.nest * n..][..n]);
                 }
                 self.nest += 1;
             }

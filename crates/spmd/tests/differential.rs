@@ -9,7 +9,9 @@
 //!
 //! The second part pins time-step replay (`dct_spmd::replay`) the same way:
 //! the default run, which replays a repeating time step, against the
-//! reference walk, which never does. The third pins the cursor memo: nests
+//! reference walk, which never does — plain, and with the race detector,
+//! the profiler or both attached, where the replayed `RaceReport` and
+//! `MemProfile` must be the walked ones. The third pins the cursor memo: nests
 //! built so that innermost-loop entries are bumped, or refused for each of
 //! the reasons the executor counts, against the reference walk. Debug
 //! builds also resolve every bumped entry from scratch and compare; the
@@ -116,10 +118,29 @@ proptest! {
                 prop_assert_eq!(rf.init_cycles, rs.init_cycles);
                 prop_assert!(rf.checksum == rs.checksum,
                     "checksum differs: {} != {} (P={procs}, {folding:?})", rf.checksum, rs.checksum);
+
+                // Observed, the run replays the same steps, and what the
+                // observers report is what they report on the walk.
+                for (race_detect, profile) in OBSERVED_LEGS {
+                    let observed = |o: &SimOptions| SimOptions { race_detect, profile, ..o.clone() };
+                    let of = simulate(&prog, &dec, &observed(&fast)).unwrap();
+                    let os = simulate(&prog, &dec, &observed(&slow)).unwrap();
+                    prop_assert_eq!(of.fast.replayed_steps, rf.fast.replayed_steps,
+                        "observed replayed steps (P={}, {:?})", procs, folding);
+                    prop_assert_eq!((of.cycles, &of.clocks, &of.stats), (rs.cycles, &rs.clocks, &rs.stats),
+                        "observed run differs (P={}, {:?})", procs, folding);
+                    prop_assert!(of.checksum == rs.checksum);
+                    prop_assert_eq!(&of.race, &os.race, "race report (P={}, {:?})", procs, folding);
+                    prop_assert_eq!(&of.mem_profile, &os.mem_profile,
+                        "memory profile (P={}, {:?})", procs, folding);
+                }
             }
         }
     }
 }
+
+/// `(race_detect, profile)` of the three observed legs.
+const OBSERVED_LEGS: [(bool, bool); 3] = [(true, false), (false, true), (true, true)];
 
 /// Everything a run reports except the walk-mode counters: a replayed run
 /// and a reference walk agree on all of it.
@@ -182,17 +203,22 @@ fn suite_replays_repeating_steps_and_matches_the_reference_walk() {
                 };
                 assert_eq!((fast.fast.memo, fast.fast.replayed_steps), want, "{what}");
 
-                // Observers see every access, so an observed run never
-                // replays, and what they report does not depend on the
-                // walk mode.
-                for (race_detect, profile) in [(true, false), (false, true)] {
+                // An observed run replays exactly what the plain one does
+                // (LU stays time-dependent), and what the observers report
+                // is what they report on the reference walk, which never
+                // replays.
+                for (race_detect, profile) in OBSERVED_LEGS {
+                    let what = format!("{what}, race {race_detect}, profile {profile}");
                     let observed = SimOptions { race_detect, profile, ..opts.clone() };
                     let (of, os) = (run(&observed), run(&reference(&observed)));
-                    assert_eq!((of.fast.memo, of.fast.replayed_steps), (MemoOutcome::Observed, 0), "{what}");
+                    assert_eq!((of.fast.memo, of.fast.replayed_steps), want, "{what}");
+                    assert_eq!(os.fast.memo, MemoOutcome::ReferenceWalk, "{what}");
                     assert_same_results(&what, &of, &fast);
                     assert_same_walk(&what, &of, &fast);
                     assert_eq!(of.race, os.race, "{what}: race report");
                     assert_eq!(of.mem_profile, os.mem_profile, "{what}: memory profile");
+                    assert_eq!(of.race.is_some(), race_detect, "{what}");
+                    assert_eq!(of.mem_profile.is_some(), profile, "{what}");
                 }
 
                 // An associative L1 has LRU ticks that never repeat.
@@ -207,6 +233,35 @@ fn suite_replays_repeating_steps_and_matches_the_reference_walk() {
             }
         }
     }
+}
+
+/// Erlebacher under the full strategy replicates arrays, and a replicated
+/// array has no race shadow: the report — races, dynamic count, accesses
+/// checked, sync edges — is still the reference walk's, and the shadow that
+/// is allocated is one cell per element of the shared arrays only.
+#[test]
+fn erlebacher_full_race_report_without_replicated_shadows() {
+    let b = suite(0.125).into_iter().find(|b| b.name == "erlebacher").expect("erlebacher is in the suite");
+    let compiled = Compiler::new(Compile::Full).compile(&b.program).expect("compile");
+    let opts =
+        SimOptions { race_detect: true, ..rung_sim_options(compiled.rung, 32, b.program.default_params()) };
+    let run = |o: &SimOptions| simulate(&compiled.program, &compiled.decomposition, o).expect("simulate");
+    let (fast, slow) = (run(&opts), run(&reference(&opts)));
+    // Races, `race_count`, `checked` and `sync_edges`: the whole report.
+    assert_eq!(fast.race, slow.race);
+    let rf = fast.race.as_ref().expect("race report");
+    assert!(rf.checked > 0 && rf.sync_edges > 0, "{rf}");
+    assert_eq!(fast.fast.memo, MemoOutcome::Replayed);
+
+    let sp = dct_spmd::lower(&compiled.program, &compiled.decomposition, &opts).expect("lower");
+    let elems = |replicated: bool| -> u64 {
+        let sizes = sp.layouts.iter().zip(&sp.repl_stride);
+        sizes.filter(|(_, &rs)| (rs > 0) == replicated).map(|(l, _)| l.layout.size() as u64).sum()
+    };
+    assert!(elems(true) > 0, "no array of erlebacher/full is replicated");
+    assert_eq!(fast.fast.race_shadow_bytes, 24 * elems(false));
+    assert_eq!(slow.fast.race_shadow_bytes, fast.fast.race_shadow_bytes);
+    assert_eq!(fast.fast.profiler_table_bytes, 0, "no profiler attached");
 }
 
 /// A hand-written six-step relaxation. `uses_time` moves the sweep's lower
@@ -283,20 +338,21 @@ fn hand_written_time_loops_replay_only_when_time_invariant() {
 }
 
 /// A cycle budget that runs out inside a replayed step stops the run where
-/// it stops the reference walk, with the same partial results.
+/// it stops the reference walk, with the same partial results — the
+/// partial `MemProfile` among them when the run is profiled.
 #[test]
 fn cycle_budget_expiring_inside_a_replayed_step() {
     let prog = relaxation(40, 6, false);
     let dec = decomposed(&prog);
     let head = relaxation(40, 3, false);
-    for procs in [1usize, 8] {
-        let opts = SimOptions::new(procs, prog.default_params());
+    for (procs, profile) in [(1usize, false), (8, false), (1, true), (8, true)] {
+        let opts = SimOptions { profile, ..SimOptions::new(procs, prog.default_params()) };
         let whole = simulate(&prog, &dec, &opts).expect("simulate");
         assert_eq!(whole.fast.replayed_steps, 4);
         // Steps 0..=2 end about here; the budgets fall in steps 3, 4 and 5.
         let three = simulate(&head, &decomposed(&head), &opts).expect("simulate").cycles;
         for quarters in [1u64, 2, 3] {
-            let what = format!("P={procs}, budget at {quarters}/4 of the last three steps");
+            let what = format!("P={procs}, profile {profile}, budget at {quarters}/4 of the last three steps");
             let max_cycles = Some(three + (whole.cycles - three) * quarters / 4);
             let budget = SimOptions { max_cycles, ..opts.clone() };
             let fast = simulate(&prog, &dec, &budget).expect("simulate");
@@ -308,6 +364,11 @@ fn cycle_budget_expiring_inside_a_replayed_step() {
                 fast.fast.replayed_steps
             );
             assert_same_results(&what, &fast, &slow);
+            assert_eq!(fast.mem_profile, slow.mem_profile, "{what}: partial memory profile");
+            assert_eq!(fast.mem_profile.is_some(), profile, "{what}");
+            if let (Some(part), Some(all)) = (&fast.mem_profile, &whole.mem_profile) {
+                assert!(part.total().accesses < all.total().accesses, "{what}: the profile is partial");
+            }
         }
     }
 }

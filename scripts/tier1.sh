@@ -167,7 +167,14 @@ if [ ! -s results/explain_stencil.json ]; then
     echo "tier1 FAIL: results/explain_stencil.json not written" >&2
     exit 1
 fi
-echo "  explain stencil: table + diagnosis + JSON artifact OK"
+# A profiled run replays its repeating time steps: the profiler's state
+# is part of the boundary digest. All three strategies must say so.
+replayed=$(grep -c '"memo": "Replayed"' results/explain_stencil.json || true)
+if [ "${replayed:-0}" -ne 3 ]; then
+    echo "tier1 FAIL: results/explain_stencil.json: ${replayed:-0} of 3 strategies report \"memo\": \"Replayed\"" >&2
+    exit 1
+fi
+echo "  explain stencil: table + diagnosis + JSON artifact OK, 3 of 3 profiled runs replayed"
 
 echo "== tier1: repro chaos smoke (seeded fault injection, bit-identity)"
 # The chaos oracle: a sweep under seeded injected faults (worker panics,
