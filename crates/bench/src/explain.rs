@@ -293,9 +293,9 @@ mod tests {
         // the last three like a plain one.
         assert_eq!(json.matches("\"memo\": \"Replayed\", \"replayed_steps\": 3").count(), 3, "{json}");
         assert_eq!(json.matches("\"race_shadow_bytes\": 0, \"profiler_table_bytes\": ").count(), 3, "{json}");
-        // Every segment of a profiled run leaves the batched path because
-        // the profiler is attached, and most entries are bumps.
+        // Most segment entries are bumps; `access_seg` makes no decision
+        // to give a reason for.
         assert!(json.contains("\"cursor_bumps\": ") && json.contains("\"resolves\": {\"walk_start\": "), "{json}");
-        assert!(json.contains("\"seg_bails\": {\"probed\": "), "{json}");
+        assert!(!json.contains("seg_bails"), "{json}");
     }
 }

@@ -211,30 +211,11 @@ impl Cache {
         }
     }
 
-    /// True when the cache is direct-mapped (packed representation):
-    /// one resident per set, which `Machine::access_seg` batching assumes.
-    pub fn is_direct(&self) -> bool {
-        matches!(self.repr, Repr::Direct { .. })
-    }
-
     /// The packed slots of a direct-mapped cache (`None` when associative):
     /// its complete state, one word per set.
     pub fn direct_slots(&self) -> Option<&[u64]> {
         match &self.repr {
             Repr::Direct { slots } => Some(slots),
-            Repr::Assoc { .. } => None,
-        }
-    }
-
-    /// Resident line occupying the set that `line_addr` maps to, if any
-    /// (direct-mapped only; associative caches return `None`).
-    pub fn occupant(&self, line_addr: u64) -> Option<(u64, LineState)> {
-        let set = (line_addr & self.set_mask) as usize;
-        match &self.repr {
-            Repr::Direct { slots } => {
-                let s = slots[set];
-                (s != EMPTY).then(|| unpack(s))
-            }
             Repr::Assoc { .. } => None,
         }
     }
@@ -297,19 +278,6 @@ mod tests {
         c.insert(3, LineState::Shared);
         assert_eq!(c.insert(3, LineState::Modified), None);
         assert_eq!(c.probe(3), Some(LineState::Modified));
-    }
-
-    #[test]
-    fn occupant_reports_resident_line_of_the_set() {
-        let mut c = Cache::new(256, 16, 1); // 16 sets
-        assert_eq!(c.occupant(5), None);
-        c.insert(5, LineState::Modified);
-        // Any line mapping to set 5 sees the occupant.
-        assert_eq!(c.occupant(5), Some((5, LineState::Modified)));
-        assert_eq!(c.occupant(21), Some((5, LineState::Modified)));
-        assert_eq!(c.occupant(6), None);
-        assert!(c.is_direct());
-        assert!(!Cache::new(256, 16, 2).is_direct());
     }
 
     #[test]

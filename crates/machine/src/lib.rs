@@ -17,7 +17,4 @@ pub mod system;
 pub use cache::{Cache, LineState};
 pub use config::MachineConfig;
 pub use probe::{AccessLevel, MemProbe};
-pub use system::{
-    Machine, ProcStats, SegAccess, SegBail, StateDigest, Stats, SyncOp, SyncStats, MAX_SEG_SLOTS,
-    SEG_BAIL_NAMES,
-};
+pub use system::{Machine, ProcStats, SegAccess, StateDigest, Stats, SyncOp, SyncStats};

@@ -287,26 +287,6 @@ fn l1_front(memo: LastLine, slots: &[u64], line: u64, write: bool) -> Front {
     Front::Miss(if shared { L1Look::SharedWrite } else { L1Look::Absent })
 }
 
-/// Why an [`Machine::access_seg`] call left the line-batched path for the
-/// per-access loop, indexing [`Machine::seg_bails`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SegBail {
-    /// A [`MemProbe`] is attached and must see every access.
-    Probed = 0,
-    /// The L1 is associative: its probes tick LRU state.
-    Associative = 1,
-    /// More than [`MAX_SEG_SLOTS`] slots.
-    Oversized = 2,
-    /// A slot moves a whole line or more per round.
-    FullLineStride = 3,
-    /// Four consecutive runs whose slots evicted each other.
-    Strikes = 4,
-}
-
-/// Labels of [`Machine::seg_bails`], indexed by `SegBail as usize`.
-pub const SEG_BAIL_NAMES: [&str; 5] =
-    ["probed", "associative", "oversized", "full_line_stride", "four_strikes"];
-
 /// The simulated machine.
 pub struct Machine {
     pub cfg: MachineConfig,
@@ -330,11 +310,6 @@ pub struct Machine {
     /// Memoised `cfg.cluster_of(proc)` (a divide by `procs_per_cluster`).
     cluster: Vec<u32>,
     pub stats: Stats,
-    /// [`Machine::access_seg`] calls that left the batched path, by
-    /// [`SegBail`]. Host-side telemetry, not part of `stats`: the reference
-    /// walk never calls `access_seg`, and the differential suites compare
-    /// `stats` across walk modes.
-    pub seg_bails: [u64; 5],
 }
 
 impl Machine {
@@ -365,7 +340,6 @@ impl Machine {
             l2,
             dir: DirTable::new(),
             page_home: PageHomes::new(),
-            seg_bails: [0; 5],
         }
     }
 
@@ -836,39 +810,44 @@ pub struct SegAccess {
     pub write: bool,
 }
 
-/// Widest access vector the batched segment path handles; longer vectors
-/// take the exact per-element loop (they would overflow the fixed
-/// per-slot state buffer).
-pub const MAX_SEG_SLOTS: usize = 32;
-
-/// Rounds (including the current one) for which `byte + t*dbyte` stays on
-/// the same cache line. `dbyte == 0` never leaves the line.
-#[inline]
-fn line_run(byte: u64, dbyte: i64, shift: u32) -> u64 {
-    if dbyte == 0 {
-        return u64::MAX;
-    }
-    let line = byte >> shift;
-    if dbyte > 0 {
-        let last = ((line + 1) << shift) - 1;
-        (last - byte) / dbyte as u64 + 1
-    } else {
-        (byte - (line << shift)) / dbyte.unsigned_abs() + 1
-    }
-}
-
 impl Machine {
+    /// Execute `rounds` rounds of the access vector `accs` in round-major
+    /// order (slot 0, slot 1, ..., then advance every slot by its delta
+    /// and repeat). Bit-identical to issuing the same accesses one by one
+    /// through [`Machine::access_probed`]; the returned cost is the sum
+    /// of the per-access costs. An attached probe sees each access as it
+    /// happens, one `access_probed` call apiece; without one the rounds
+    /// run in `seg_rounds`.
+    pub fn access_seg(
+        &mut self,
+        proc: usize,
+        accs: &mut [SegAccess],
+        rounds: u64,
+        probe: Option<&mut dyn MemProbe>,
+    ) -> u64 {
+        let Some(probe) = probe else {
+            return self.seg_rounds(proc, accs, rounds);
+        };
+        let mut busy = 0u64;
+        for _ in 0..rounds {
+            for a in accs.iter_mut() {
+                busy += self.access_probed(proc, a.byte, a.write, Some(&mut *probe));
+                a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
+            }
+        }
+        busy
+    }
+
     /// `rounds` rounds of `accs` in round-major order, one access at a
-    /// time, unobserved: the per-access loop behind every leg of
-    /// [`Machine::access_seg`] that cannot batch. Each access runs
-    /// [`l1_front`] on locals — `l1[proc]`'s slots, the last-line memo and
-    /// the hit counts — which are written back before every call into the
-    /// miss path (which hands the new memo back; the slots are borrowed
-    /// again) and once at the end, so counters, memo chain and state are
-    /// those of `rounds * accs.len()` calls of [`Machine::access`].
-    /// `ADVANCE` moves each slot by its delta after its access; without it
-    /// every round repeats the same addresses.
-    fn seg_rounds<const ADVANCE: bool>(&mut self, proc: usize, accs: &mut [SegAccess], rounds: u64) -> u64 {
+    /// time, unobserved. Each access runs [`l1_front`] on locals —
+    /// `l1[proc]`'s slots (empty when the L1 is associative, so every
+    /// non-memo access takes the miss path, as in `access_probed`), the
+    /// last-line memo and the hit counts — which are written back before
+    /// every call into the miss path (which hands the new memo back; the
+    /// slots are borrowed again) and once at the end, so counters, memo
+    /// chain and state are those of `rounds * accs.len()` calls of
+    /// [`Machine::access`]. Each slot moves by its delta after its access.
+    fn seg_rounds(&mut self, proc: usize, accs: &mut [SegAccess], rounds: u64) -> u64 {
         let shift = self.line_shift;
         let mut busy = 0u64;
         let mut slots = self.l1_slots(proc);
@@ -898,188 +877,10 @@ impl Machine {
                         memo = LastLine { line, state };
                     }
                 }
-                if ADVANCE {
-                    a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
-                }
+                a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
             }
         }
         busy + self.note_hits(proc, memo, hits, fast)
-    }
-
-    /// Execute `rounds` rounds of the access vector `accs` in round-major
-    /// order (slot 0, slot 1, ..., then advance every slot by its delta
-    /// and repeat). Bit-identical to issuing the same accesses one by one
-    /// through [`Machine::access_probed`]; the returned cost is the sum
-    /// of the per-access costs.
-    ///
-    /// The speedup comes from line batching: after the first round of a
-    /// line-stable run every slot's line is L1-resident (writes in
-    /// Modified state), so the remaining rounds are guaranteed L1 hits
-    /// whose only machine effects are counter increments and the
-    /// last-line memo chain — both replayed in bulk without touching the
-    /// caches. Runs end at the first line-boundary crossing of any slot.
-    /// Anything the bulk replay cannot prove exact — an attached probe,
-    /// an associative L1 (whose probes bump LRU ticks),
-    /// an oversized vector, or a slot whose line is not steady after the
-    /// first round (set conflicts inside the vector) — falls back to the
-    /// per-element loops, so exactness never rests on the fast case;
-    /// [`Machine::seg_bails`] counts those calls by reason.
-    pub fn access_seg(
-        &mut self,
-        proc: usize,
-        accs: &mut [SegAccess],
-        rounds: u64,
-        mut probe: Option<&mut dyn MemProbe>,
-    ) -> u64 {
-        if rounds == 0 || accs.is_empty() {
-            return 0;
-        }
-        let line_bytes = 1u64 << self.line_shift;
-        let bail = if probe.is_some() {
-            Some(SegBail::Probed)
-        } else if !self.l1[proc].is_direct() {
-            Some(SegBail::Associative)
-        } else if accs.len() > MAX_SEG_SLOTS {
-            Some(SegBail::Oversized)
-        } else if accs.iter().any(|a| a.dbyte != 0 && a.dbyte.unsigned_abs() >= line_bytes) {
-            // A slot that moves a full line (or more) per round crosses a
-            // line boundary every round, so no run can ever exceed 1 and
-            // the batch machinery below is pure overhead (one integer
-            // division per slot per round in `line_run` alone). Column
-            // sweeps of row-major arrays are exactly this shape.
-            Some(SegBail::FullLineStride)
-        } else {
-            None
-        };
-        if let Some(why) = bail {
-            self.seg_bails[why as usize] += 1;
-            if !matches!(why, SegBail::Probed | SegBail::Associative) {
-                return self.seg_rounds::<true>(proc, accs, rounds);
-            }
-            // An observer sees each access as it happens, and an
-            // associative probe has a side effect: one call apiece.
-            let mut busy = 0u64;
-            for _ in 0..rounds {
-                for a in accs.iter_mut() {
-                    let p = probe.as_mut().map(|p| &mut **p as &mut dyn MemProbe);
-                    busy += self.access_probed(proc, a.byte, a.write, p);
-                    a.byte = (a.byte as i64).wrapping_add(a.dbyte) as u64;
-                }
-            }
-            return busy;
-        }
-
-        let shift = self.line_shift;
-        let lat_l1 = self.cfg.lat_l1;
-        let mut busy = 0u64;
-        let mut remaining = rounds;
-        let mut states = [LineState::Shared; MAX_SEG_SLOTS];
-        // Rounds until each slot leaves its current line, maintained
-        // decrementally so the `line_run` division runs once per actual
-        // crossing (~1/8th of rounds at unit stride), not once per slot
-        // per chunk.
-        let mut cross = [0u64; MAX_SEG_SLOTS];
-        for (j, a) in accs.iter().enumerate() {
-            cross[j] = line_run(a.byte, a.dbyte, shift);
-        }
-        // Consecutive steadiness failures. A vector whose slots fight
-        // over one direct-mapped set (the conflict-miss pathology the
-        // paper's data transformations exist to remove) re-fails every
-        // chunk; after a few strikes hand the rest of the segment to the
-        // plain per-access loop instead of re-probing forever.
-        let mut strikes = 0u32;
-        while remaining > 0 {
-            if strikes >= 4 {
-                self.seg_bails[SegBail::Strikes as usize] += 1;
-                return busy + self.seg_rounds::<true>(proc, accs, remaining);
-            }
-            // Rounds every slot stays on its current line (>= 1).
-            let mut run = remaining;
-            for &c in cross.iter().take(accs.len()) {
-                run = run.min(c);
-            }
-            // First round of the run: the real machine path (misses,
-            // fills, upgrades, directory traffic all happen here).
-            busy += self.seg_rounds::<false>(proc, accs, 1);
-            let mut advanced = 1u64;
-            if run > 1 {
-                // Steady iff every slot's line is L1-resident with a
-                // sufficient state (Modified for writes: a Shared write
-                // would take the upgrade path). A conflicting vector —
-                // two slots fighting over one direct-mapped set — fails
-                // here and re-runs the real path round by round.
-                let mut steady = true;
-                for (j, a) in accs.iter().enumerate() {
-                    match self.l1[proc].occupant(a.byte >> shift) {
-                        Some((tag, st))
-                            if tag == a.byte >> shift
-                                && (!a.write || st == LineState::Modified) =>
-                        {
-                            states[j] = st;
-                        }
-                        _ => {
-                            steady = false;
-                            break;
-                        }
-                    }
-                }
-                if !steady {
-                    strikes += 1;
-                } else {
-                    strikes = 0;
-                    // Rounds 2..run are all L1 hits: cost and hit counts
-                    // are uniform; only the fast-hit split needs the
-                    // last-line memo chain, replayed per round until it
-                    // reaches its fixed point (in practice: immediately).
-                    let mut memo = self.last_line[proc];
-                    let mut fast_total = 0u64;
-                    let mut left = run - 1;
-                    while left > 0 {
-                        let start = memo;
-                        let mut f = 0u64;
-                        for (a, &st) in accs.iter().zip(states.iter()) {
-                            let line = a.byte >> shift;
-                            if memo.line == line
-                                && (!a.write || memo.state == LineState::Modified)
-                            {
-                                f += 1;
-                            } else {
-                                let state =
-                                    if a.write { LineState::Modified } else { st };
-                                memo = LastLine { line, state };
-                            }
-                        }
-                        if memo.line == start.line && memo.state == start.state {
-                            fast_total += f * left;
-                            left = 0;
-                        } else {
-                            fast_total += f;
-                            left -= 1;
-                        }
-                    }
-                    let n = run - 1;
-                    let k = accs.len() as u64;
-                    let st = &mut self.stats.per_proc[proc];
-                    st.accesses += n * k;
-                    st.l1_hits += n * k;
-                    st.l1_fast_hits += fast_total;
-                    st.mem_cycles += n * k * lat_l1;
-                    busy += n * k * lat_l1;
-                    self.last_line[proc] = memo;
-                    advanced = run;
-                }
-            }
-            for (j, a) in accs.iter_mut().enumerate() {
-                a.byte =
-                    (a.byte as i64).wrapping_add(a.dbyte.wrapping_mul(advanced as i64)) as u64;
-                cross[j] -= advanced;
-                if cross[j] == 0 {
-                    cross[j] = line_run(a.byte, a.dbyte, shift);
-                }
-            }
-            remaining -= advanced;
-        }
-        busy
     }
 }
 
@@ -1266,9 +1067,14 @@ mod tests {
         busy
     }
 
-    fn assert_seg_matches(accs: &[SegAccess], rounds: u64, nprocs: usize, warm: &[(usize, u64, bool)]) {
-        let mut a = m(nprocs);
-        let mut b = m(nprocs);
+    fn assert_seg_matches(
+        accs: &[SegAccess],
+        rounds: u64,
+        cfg: MachineConfig,
+        warm: &[(usize, u64, bool)],
+    ) {
+        let mut a = Machine::new(cfg.clone());
+        let mut b = Machine::new(cfg);
         for &(p, addr, w) in warm {
             a.access(p, addr, w);
             b.access(p, addr, w);
@@ -1297,7 +1103,7 @@ mod tests {
             SegAccess { byte: 8192, dbyte: 4, write: false },
             SegAccess { byte: 0, dbyte: 4, write: true },
         ];
-        assert_seg_matches(&accs, 200, 2, &[]);
+        assert_seg_matches(&accs, 200, MachineConfig::tiny(2), &[]);
     }
 
     #[test]
@@ -1309,19 +1115,33 @@ mod tests {
             SegAccess { byte: 4000, dbyte: -8, write: false },
             SegAccess { byte: 256, dbyte: 8, write: true },
         ];
-        assert_seg_matches(&accs, 120, 2, &[]);
+        assert_seg_matches(&accs, 120, MachineConfig::tiny(2), &[]);
     }
 
     #[test]
-    fn access_seg_conflicting_slots_fall_back_exactly() {
+    fn access_seg_conflicting_slots_stay_exact() {
         // tiny L1 = 16 sets: lines 0 and 16 collide, so the two streams
-        // evict each other every round and the steady check must fail —
-        // the per-round path has to stay bit-exact.
+        // evict each other every round.
         let accs = [
             SegAccess { byte: 0, dbyte: 4, write: false },
             SegAccess { byte: 16 * 16, dbyte: 4, write: true },
         ];
-        assert_seg_matches(&accs, 64, 1, &[]);
+        assert_seg_matches(&accs, 64, MachineConfig::tiny(1), &[]);
+    }
+
+    #[test]
+    fn access_seg_associative_l1_matches_reference() {
+        // 2-way L1 = 8 sets: lines 0, 8 and 16 share a set, so three
+        // streams keep evicting the least recently used of each other;
+        // every access that misses the memo probes (and ticks) the LRU.
+        let cfg = MachineConfig { l1_assoc: 2, ..MachineConfig::tiny(2) };
+        let accs = [
+            SegAccess { byte: 0, dbyte: 4, write: false },
+            SegAccess { byte: 8 * 16, dbyte: 4, write: false },
+            SegAccess { byte: 16 * 16, dbyte: 4, write: true },
+            SegAccess { byte: 16 * 16, dbyte: 0, write: false },
+        ];
+        assert_seg_matches(&accs, 100, cfg, &[(1, 0, false), (0, 4096, true)]);
     }
 
     #[test]
@@ -1332,13 +1152,14 @@ mod tests {
             SegAccess { byte: 0, dbyte: 4, write: false },
             SegAccess { byte: 0, dbyte: 4, write: true },
         ];
-        assert_seg_matches(&accs, 40, 2, &[(1, 0, false), (1, 64, false), (0, 0, false)]);
+        let warm = [(1, 0, false), (1, 64, false), (0, 0, false)];
+        assert_seg_matches(&accs, 40, MachineConfig::tiny(2), &warm);
     }
 
     #[test]
     fn access_seg_single_read_slot_all_fast_hits() {
         let accs = [SegAccess { byte: 0, dbyte: 4, write: false }];
-        assert_seg_matches(&accs, 16, 1, &[]);
+        assert_seg_matches(&accs, 16, MachineConfig::tiny(1), &[]);
         // Same line throughout (4 rounds x 4 bytes inside a 16B line):
         // rounds 2..4 must be memo fast hits, like the reference.
         let mut mach = m(1);

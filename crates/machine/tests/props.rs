@@ -1,11 +1,11 @@
 //! Property tests for the machine simulator: accounting invariants and
 //! coherence sanity over random access streams, and the three ways of
-//! issuing one stream (`access`, batched `access_seg`, observed
+//! issuing one stream (`access`, unobserved `access_seg`, observed
 //! `access_seg`) leaving one machine.
 
 #![allow(clippy::needless_range_loop)]
 
-use dct_machine::{AccessLevel, Machine, MachineConfig, MemProbe, ProcStats, SegAccess, MAX_SEG_SLOTS};
+use dct_machine::{AccessLevel, Machine, MachineConfig, MemProbe, ProcStats, SegAccess};
 use proptest::prelude::*;
 
 /// A random access stream: (proc, small address, write).
@@ -21,11 +21,11 @@ enum Op {
     Seg(usize, Vec<SegAccess>, u64),
 }
 
-/// Streams that mix single accesses with every vector shape `access_seg`
-/// tells apart: unit stride, a stride of a line or more (either sign), a
-/// stationary slot among moving ones, slots one L1 apart (the same set of
-/// the direct-mapped tiny config), and more slots than the batched path
-/// holds. Addresses are dense enough that processors share lines.
+/// Streams that mix single accesses with strided vectors: unit stride, a
+/// stride of a line or more (either sign), a stationary slot among moving
+/// ones, slots one L1 apart (the same set of the direct-mapped tiny
+/// config), and a vector of 33 to 36 slots. Addresses are dense enough
+/// that processors share lines.
 fn ops(nprocs: usize) -> impl Strategy<Value = Vec<Op>> {
     let op = (0u8..7, 0..nprocs, 0u64..1536, any::<u64>(), 1u64..40, 1usize..5).prop_map(
         |(shape, proc, at, bits, rounds, k)| {
@@ -40,7 +40,7 @@ fn ops(nprocs: usize) -> impl Strategy<Value = Vec<Op>> {
                 3 => slots(k, 100, &|j| [16, -16, 32, -48][(j + bits as usize) % 4]),
                 4 => slots(k, 36, &|j| if j == 0 { 0 } else { 4 }),
                 5 => slots(k.max(2), 256, &|_| 4),
-                _ => slots(MAX_SEG_SLOTS + k, 20, &|_| 4),
+                _ => slots(32 + k, 20, &|_| 4),
             };
             Op::Seg(proc, accs, rounds)
         },
@@ -142,7 +142,7 @@ fn assert_three_ways_agree(cfg: &MachineConfig, ops: &[Op]) {
 
 /// The L1-hit leg's decision table with the counters written out, so that
 /// the three ways above cannot agree on a wrong answer: each touch goes
-/// through `access`, a batched one-slot vector and a full-line-stride one.
+/// through `access`, a stationary one-slot vector and a full-line-stride one.
 #[test]
 fn l1_hit_leg_decision_table() {
     let cfg = MachineConfig::tiny(2);

@@ -152,11 +152,6 @@ fn main() {
                     .unwrap_or_else(|| die("--faults needs a fault count"))
             }
             "--native" => native = true,
-            // Kernels are bit-identical to the interpreter, so the flag
-            // only trades speed; the env override reaches every executor
-            // (including worker threads) without threading a new option
-            // through each harness entry point.
-            "--no-kernels" => std::env::set_var("DCT_SEG_KERNELS", "0"),
             "--cache" => cache = true,
             "--cache-dir" => {
                 cache = true;
@@ -183,9 +178,11 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--reps needs a repetition count"))
             }
+            other if other.starts_with('-') => die(&format!("unknown option '{other}'")),
             other => targets.push(other.to_string()),
         }
     }
+    check_targets(&targets);
     // The single-point targets (table1, explain, race check) run at the
     // largest requested count; the default list tops out at the paper's 32.
     let max_procs = procs.iter().copied().max().unwrap_or(32);
@@ -455,10 +452,33 @@ fn main() {
                     Ok(r) => println!("{}", r.render()),
                     Err(e) => eprintln!("{fig} failed: {e}"),
                 },
-                None => eprintln!("unknown target {fig}"),
+                None => die(&format!("unknown target '{fig}'")),
             },
         }
         eprintln!("[{t} done in {:?}]", t0.elapsed());
+    }
+}
+
+/// Refuse, before anything runs, a target that is not a figure, a table, a
+/// command or the benchmark name a command takes (the word after
+/// `explain`, `native` or `chaos`).
+fn check_targets(targets: &[String]) {
+    let mut k = 0;
+    while k < targets.len() {
+        let t = targets[k].as_str();
+        if matches!(t, "explain" | "native" | "chaos") {
+            k += 2;
+            continue;
+        }
+        let known = matches!(t, "all" | "serve" | "fig2" | "fig3" | "table1" | "ablations")
+            || ALL_FIGURES.contains(&t);
+        if !known {
+            die(&format!(
+                "unknown target '{t}' (targets: all fig2 fig3 {} table1 ablations explain native chaos serve)",
+                ALL_FIGURES.join(" ")
+            ));
+        }
+        k += 1;
     }
 }
 

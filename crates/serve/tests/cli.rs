@@ -1,5 +1,6 @@
 //! The `repro` command line: `--procs` reaches the plain `table1` path,
-//! and sizes out of range are refused before anything runs.
+//! and sizes out of range, unknown options and unknown targets are refused
+//! before anything runs.
 
 use std::process::Command;
 
@@ -28,5 +29,18 @@ fn out_of_range_sizes_are_refused() {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
+fn unknown_options_and_targets_are_refused() {
+    let refused: [&[&str]; 4] =
+        [&["fig8", "--no-kernels"], &["table1", "--frobnicate"], &["table1", "--proc", "8"], &["fgi8"]];
+    for args in refused {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: unknown "), "{args:?}: {stderr}");
     }
 }

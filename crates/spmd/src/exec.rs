@@ -58,9 +58,6 @@ pub struct FastPathStats {
     /// Segments whose cursors were resolved from scratch, by reason:
     /// indexed like [`RESOLVE_NAMES`] (`Resolve as usize`).
     pub resolves: [u64; 6],
-    /// `Machine::access_seg` calls that left the line-batched path, by
-    /// reason: indexed like [`dct_machine::SEG_BAIL_NAMES`].
-    pub seg_bails: [u64; 5],
     /// Innermost iterations executed through fused segment kernels (a
     /// subset of `fast_iters`; the rest of the strided iterations ran the
     /// postfix interpreter).
@@ -103,8 +100,8 @@ impl FastPathStats {
     }
 
     /// The host-side reason counts as JSON object members (no braces):
-    /// `"cursor_bumps": n, "resolves": {..}, "seg_bails": {..}`, each
-    /// histogram keyed by its label with zero counts left out.
+    /// `"cursor_bumps": n, "resolves": {..}`, the histogram keyed by its
+    /// label with zero counts left out.
     pub fn reasons_json(&self) -> String {
         fn histogram(names: &[&str], counts: &[u64]) -> String {
             let members: Vec<String> = names
@@ -116,10 +113,9 @@ impl FastPathStats {
             format!("{{{}}}", members.join(", "))
         }
         format!(
-            "\"cursor_bumps\": {}, \"resolves\": {}, \"seg_bails\": {}",
+            "\"cursor_bumps\": {}, \"resolves\": {}",
             self.cursor_bumps,
             histogram(&RESOLVE_NAMES, &self.resolves),
-            histogram(&dct_machine::SEG_BAIL_NAMES, &self.seg_bails),
         )
     }
 
@@ -395,11 +391,11 @@ pub struct Executor<'a> {
     /// (default). Disable to force the general walk everywhere — used by
     /// the differential tests that pin bit-exactness between both modes.
     pub fast_path: bool,
-    /// Execute strided segments through fused segment kernels with
-    /// line-batched machine accounting (default). Disable (or set the
-    /// `DCT_SEG_KERNELS=0` env override) to force the postfix interpreter
-    /// for every segment — bit-identical by contract, so this flag only
-    /// trades speed; the differential tests pin the equality.
+    /// Execute strided segments through fused segment kernels, one
+    /// [`Machine::access_seg`] call per segment (default). Disable to force
+    /// the postfix interpreter for every segment — bit-identical by
+    /// contract, so this flag only trades speed; the differential tests pin
+    /// the equality.
     pub seg_kernels: bool,
     /// Run the happens-before race detector alongside execution. A pure
     /// observer: cycles, statistics and results are unchanged; the run
@@ -457,7 +453,7 @@ impl<'a> Executor<'a> {
             cost,
             barriers: 0,
             fast_path: true,
-            seg_kernels: env_seg_kernels(),
+            seg_kernels: true,
             race_detect: false,
             profile: false,
             max_cycles: None,
@@ -556,7 +552,6 @@ impl<'a> Executor<'a> {
         let cycles = self.clocks.iter().copied().max().unwrap_or(0);
         self.fast.replayed_steps = self.memo.replayed_steps;
         self.fast.memo = self.memo.outcome;
-        self.fast.seg_bails = self.machine.seg_bails;
         self.fast.race_shadow_bytes = self.race.as_ref().map_or(0, |d| d.shadow_bytes());
         self.fast.profiler_table_bytes = self.profiler.as_ref().map_or(0, |p| p.table_bytes());
         RunResult {
@@ -780,16 +775,6 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// `DCT_SEG_KERNELS` env override for the fused-kernel default: `0`,
-/// `off`, or `false` disables kernels; anything else (or unset) keeps
-/// them on.
-fn env_seg_kernels() -> bool {
-    match std::env::var("DCT_SEG_KERNELS") {
-        Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
 /// Reusable buffers for allocation-free address computation: one set per
 /// executor.
 #[derive(Default)]
@@ -985,9 +970,9 @@ impl Lane<'_> {
     }
 
     /// Execute one whole strided segment through the fused kernel layer:
-    /// one line-batched [`Machine::access_seg`] call for the machine
-    /// accounting plus a shape-specialized value sweep over raw arena
-    /// slices ([`kernel::exec_values`]). Returns `None` — with no machine,
+    /// one [`Machine::access_seg`] call for the machine accounting plus a
+    /// shape-specialized value sweep over raw arena slices
+    /// ([`kernel::exec_values`]). Returns `None` — with no machine,
     /// arena, or cursor state touched — when the segment must take the
     /// interpreter path instead (no plan, too short, or a sweep would
     /// leave its arena bounds).

@@ -10,9 +10,9 @@
 //! benchmarks actually use — copy, scale, axpy, 2-ref mul-add, k-ary
 //! sum/stencil reduction — or, failing that, into a resolved tape that
 //! still strips the per-element constant work. The executor then runs a
-//! *whole segment* per kernel call: machine accounting goes through the
-//! line-batched [`dct_machine::Machine::access_seg`] and values through
-//! tight raw-pointer sweeps over arena slices.
+//! *whole segment* per kernel call: machine accounting goes through one
+//! [`dct_machine::Machine::access_seg`] call and values through tight
+//! raw-pointer sweeps over arena slices.
 //!
 //! ## Bit-identity argument
 //!
@@ -43,8 +43,7 @@ use dct_ir::BinOp;
 pub(crate) const MIN_KERNEL_SEG: i64 = 4;
 
 /// Most statement references (write + reads, whole body) a plan accepts;
-/// wider bodies fall back to the interpreter. Matches the machine's
-/// batched-path envelope with headroom.
+/// wider bodies fall back to the interpreter.
 pub(crate) const MAX_KERNEL_ACCS: usize = 24;
 
 /// Kernel shape of a nest, for the telemetry histogram. Multi-statement
@@ -109,7 +108,7 @@ pub(crate) struct KernelPlan {
 }
 
 /// Classify a nest body; `None` = the nest always takes the interpreter
-/// (empty body or more references than the batched envelope handles).
+/// (empty body or more than [`MAX_KERNEL_ACCS`] references).
 pub(crate) fn build_plan(nest: &SpmdNest, ops: &[Vec<BodyOp>]) -> Option<KernelPlan> {
     if nest.source.body.is_empty() {
         return None;

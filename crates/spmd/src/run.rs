@@ -27,11 +27,9 @@ pub struct SimOptions {
     /// (default). The general walk produces bit-identical results; the
     /// differential tests flip this to prove it.
     pub fast_path: bool,
-    /// Execute strided segments through fused segment kernels with
-    /// line-batched machine accounting (default; bit-identical to the
-    /// postfix interpreter by contract). `false` — or the
-    /// `DCT_SEG_KERNELS=0` env override — forces the interpreter for
-    /// every segment.
+    /// Execute strided segments through fused segment kernels (default;
+    /// bit-identical to the postfix interpreter by contract). `false`
+    /// forces the interpreter for every segment.
     pub seg_kernels: bool,
     /// Run the happens-before race detector alongside execution (pure
     /// observer: cycles and results are unchanged; the run result gains
@@ -87,9 +85,7 @@ fn build_executor<'a>(
     let machine = opts.machine.clone().unwrap_or_else(|| MachineConfig::dash(opts.procs));
     let mut ex = Executor::new(sp, machine, cost);
     ex.fast_path = opts.fast_path;
-    // `&=`: the env override (applied at construction) and the option must
-    // both allow kernels.
-    ex.seg_kernels &= opts.seg_kernels;
+    ex.seg_kernels = opts.seg_kernels;
     ex.race_detect = opts.race_detect;
     ex.profile = opts.profile;
     ex.max_cycles = opts.max_cycles;

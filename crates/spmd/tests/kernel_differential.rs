@@ -123,8 +123,8 @@ proptest! {
     /// Kernel path vs postfix interpreter vs reference walk: identical
     /// cycles, clocks, stats, checksums, race reports, and memory
     /// profiles for every folding x processor count. Observers on for
-    /// one pair (probed accounting), off for another (batched
-    /// accounting) so both `access_seg` regimes are pinned.
+    /// one pair (the per-access observed loop), off for another
+    /// (`seg_rounds`) so both loops of `access_seg` are pinned.
     #[test]
     fn kernels_match_interpreter_and_reference(
         n in 10i64..=14,
@@ -152,7 +152,7 @@ proptest! {
                 let mut reference = kern.clone();
                 reference.fast_path = false;
 
-                // Plain runs: batched machine accounting (no probe).
+                // Plain runs: no probe, so `access_seg` runs `seg_rounds`.
                 let rk = run(&prog, &dec, &kern);
                 let ri = run(&prog, &dec, &interp);
                 let rr = run(&prog, &dec, &reference);

@@ -45,107 +45,26 @@ fi
 echo "  benchmark --quick: failed_frac 0 on all 6 workloads"
 
 echo "== tier1: panic-site ratchet"
-# New panic!/unwrap() sites must not appear in the compiler crates above
-# the pinned baseline (scripts/panic_baseline.txt). Lowering a count is
-# fine — update the baseline downward when you remove panic sites.
-while read -r crate pinned; do
-    [ -z "$crate" ] && continue
+# New panic!/unwrap() sites must not appear in a crate or file above its
+# pinned count (scripts/panic_baseline.txt: one path and count per line).
+# Lowering a count is fine — update the baseline downward when you remove
+# panic sites. The 0 entries are the code that runs unattended or inside
+# every simulation and must never take the process down: the profiler,
+# the native backend, the serve service, the race detector, the segment
+# kernels, the shared schedule and the chaos supervisor (its one injected
+# panicking site lives in the sweep worker, under the bench count).
+while read -r path pinned; do
+    [ -z "$path" ] && continue
     # `|| true`: grep exits 1 on zero matches, which pipefail would
-    # otherwise turn into a silent script death for panic-free crates.
-    count=$(grep -rhoE 'panic!|\.unwrap\(\)' "crates/$crate/src" --include='*.rs' | wc -l || true)
+    # otherwise turn into a silent script death for panic-free paths.
+    count=$(grep -rhoE 'panic!|\.unwrap\(\)' "$path" --include='*.rs' | wc -l || true)
     if [ "$count" -gt "$pinned" ]; then
-        echo "tier1 FAIL: crates/$crate/src has $count panic!/unwrap() sites (baseline $pinned)" >&2
+        echo "tier1 FAIL: $path has $count panic!/unwrap() sites (baseline $pinned)" >&2
         echo "  use DctError/Result instead, or justify and bump scripts/panic_baseline.txt" >&2
         exit 1
     fi
-    echo "  $crate: $count/$pinned"
+    echo "  $path: $count/$pinned"
 done < scripts/panic_baseline.txt
-
-echo "== tier1: memory profiler is panic-free"
-# The profiler observes every memory access of a profiled run; like the
-# race detector it must never be able to take the process down.
-prof_panics=$(grep -rhoE 'panic!|\.unwrap\(\)' crates/profile/src --include='*.rs' | wc -l || true)
-if [ "${prof_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/profile/src has $prof_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  profile/src: 0 panic sites"
-
-echo "== tier1: native backend is panic-free"
-# The native backend runs real worker threads over shared arenas inside
-# every cross-checked cell; worker death, peer death, and cancellation
-# must all surface as structured errors, never a panic or a deadlock.
-native_panics=$(grep -rhoE 'panic!|\.unwrap\(\)' crates/native/src --include='*.rs' | wc -l || true)
-if [ "${native_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/native/src has $native_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  native/src: 0 panic sites"
-
-echo "== tier1: race detector is panic-free"
-# The happens-before detector runs inside the simulator on every
-# race-checked cell; it must never be able to take the process down.
-race_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/spmd/src/race.rs || true)
-if [ "${race_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/spmd/src/race.rs has $race_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  spmd/src/race.rs: 0 panic sites"
-
-echo "== tier1: segment kernels are panic-free"
-# The fused kernels run raw-pointer sweeps over arena slices inside the
-# innermost loop of every simulation; any failure must be a fallback to
-# the interpreter, never a panic (or worse).
-kern_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/spmd/src/kernel.rs || true)
-if [ "${kern_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/spmd/src/kernel.rs has $kern_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  spmd/src/kernel.rs: 0 panic sites"
-
-echo "== tier1: the shared schedule is panic-free"
-# Every back end (simulator, native threads, C emitter) reads its steps,
-# gates and doacross plans from this one module.
-sched_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/spmd/src/schedule.rs || true)
-if [ "${sched_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/spmd/src/schedule.rs has $sched_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  spmd/src/schedule.rs: 0 panic sites"
-
-echo "== tier1: chaos supervisor is panic-free"
-# The fault-injection supervisor catches panics and heals the sweep; it
-# must never be able to take down what it supervises. (The one injected
-# panicking site lives in the sweep worker, under the bench ratchet.)
-chaos_panics=$(grep -choE 'panic!|\.unwrap\(\)' crates/bench/src/chaos.rs || true)
-if [ "${chaos_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/bench/src/chaos.rs has $chaos_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  bench/src/chaos.rs: 0 panic sites"
-
-echo "== tier1: serve service is panic-free"
-# The cache + job-queue HTTP service runs unattended; a hostile request,
-# a poisoned lock, or a corrupt store entry must surface as an error
-# response or a quarantine, never take the process down.
-serve_panics=$(grep -rhoE 'panic!|\.unwrap\(\)' crates/serve/src --include='*.rs' | wc -l || true)
-if [ "${serve_panics:-0}" -ne 0 ]; then
-    echo "tier1 FAIL: crates/serve/src has $serve_panics panic!/unwrap() sites (must be 0)" >&2
-    exit 1
-fi
-echo "  serve/src: 0 panic sites"
-
-echo "== tier1: segment kernels bit-identity (fig8 kernels off vs on)"
-# The fused-kernel engine must not perturb a single reported number; the
-# interpreter run is the oracle.
-kern_on=$(./target/release/repro fig8 --scale 0.15 --procs 8 2>/dev/null)
-kern_off=$(./target/release/repro fig8 --scale 0.15 --procs 8 --no-kernels 2>/dev/null)
-if [ "$kern_on" != "$kern_off" ]; then
-    echo "tier1 FAIL: fig8 output differs between kernels on and --no-kernels" >&2
-    diff <(echo "$kern_on") <(echo "$kern_off") >&2 || true
-    exit 1
-fi
-echo "  fig8: bit-identical with kernels on and off"
 
 echo "== tier1: repro --race-check smoke (schedule soundness)"
 # Every benchmark x strategy must be certified race-free by the
