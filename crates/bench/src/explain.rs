@@ -297,5 +297,9 @@ mod tests {
         // to give a reason for.
         assert!(json.contains("\"cursor_bumps\": ") && json.contains("\"resolves\": {\"walk_start\": "), "{json}");
         assert!(!json.contains("seg_bails"), "{json}");
+        // Kernel refusals by reason, and the two simulated steps beside the
+        // three replayed ones.
+        assert_eq!(json.matches("\"kernel_refusals\": {").count(), 3, "{json}");
+        assert_eq!(json.matches("\"steps_simulated\": 2").count(), 3, "{json}");
     }
 }

@@ -65,9 +65,19 @@ pub struct FastPathStats {
     /// Kernel-shape histogram, indexed like
     /// [`crate::kernel::SHAPE_NAMES`]: iterations executed per shape.
     pub kernel_shapes: [u64; 6],
+    /// Segments the fused kernels refused, so that the postfix interpreter
+    /// ran them, by reason: indexed like [`REFUSAL_NAMES`] (`Refusal as
+    /// usize`). Counted only with kernels on.
+    pub kernel_refusals: [u64; 3],
+    /// Kernel segments of a one-statement body that took the ordered
+    /// element-major path because a read stream overlaps the write stream
+    /// (bodies of several statements always take it and are not counted).
+    pub kernel_aliased: u64,
     /// Time steps that were replayed from the recorded one instead of
     /// being simulated access by access (see [`crate::replay`]).
     pub replayed_steps: u64,
+    /// Time steps simulated access by access: begun minus replayed.
+    pub steps_simulated: u64,
     /// Why the run replayed, or why it could not.
     pub memo: MemoOutcome,
     /// Bytes the race detector allocated for shadow cells and the profiler
@@ -100,8 +110,9 @@ impl FastPathStats {
     }
 
     /// The host-side reason counts as JSON object members (no braces):
-    /// `"cursor_bumps": n, "resolves": {..}`, the histogram keyed by its
-    /// label with zero counts left out.
+    /// `"cursor_bumps": n, "resolves": {..}, "kernel_refusals": {..},
+    /// "kernel_aliased": n, "steps_simulated": n`, each histogram keyed by
+    /// its label with zero counts left out.
     pub fn reasons_json(&self) -> String {
         fn histogram(names: &[&str], counts: &[u64]) -> String {
             let members: Vec<String> = names
@@ -113,9 +124,13 @@ impl FastPathStats {
             format!("{{{}}}", members.join(", "))
         }
         format!(
-            "\"cursor_bumps\": {}, \"resolves\": {}",
+            "\"cursor_bumps\": {}, \"resolves\": {}, \"kernel_refusals\": {}, \"kernel_aliased\": {}, \
+             \"steps_simulated\": {}",
             self.cursor_bumps,
             histogram(&RESOLVE_NAMES, &self.resolves),
+            histogram(&REFUSAL_NAMES, &self.kernel_refusals),
+            self.kernel_aliased,
+            self.steps_simulated,
         )
     }
 
@@ -141,7 +156,12 @@ impl FastPathStats {
         for (a, b) in self.kernel_shapes.iter_mut().zip(&o.kernel_shapes) {
             *a += b;
         }
+        for (a, b) in self.kernel_refusals.iter_mut().zip(&o.kernel_refusals) {
+            *a += b;
+        }
+        self.kernel_aliased += o.kernel_aliased;
         self.replayed_steps += o.replayed_steps;
+        self.steps_simulated += o.steps_simulated;
         self.memo = self.memo.max(o.memo);
     }
 }
@@ -227,12 +247,29 @@ pub const RESOLVE_NAMES: [&str; 6] = [
     "depth1_nest",
 ];
 
-/// The cursors resolved at one innermost-loop entry, kept so that later
-/// entries need no probe. [`dct_layout::DataLayout::affine_probe`] answers
-/// for a rectangle: `steps1` iterations of the innermost loop by `steps2`
-/// values of the loop around it, on which every reference's address is
-/// `base + t1*(dbyte, dslot) + t2*delta`. An entry with the same inner
-/// `(start, step)`, the same indices further out, at most `steps1`
+/// Why the fused kernels refused a segment (indexes
+/// [`FastPathStats::kernel_refusals`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Refusal {
+    /// The nest body is outside the kernel envelope.
+    NoPlan = 0,
+    /// Shorter than [`kernel::MIN_KERNEL_SEG`] iterations.
+    ShortSegment = 1,
+    /// A sweep would leave its arena.
+    OutOfBounds = 2,
+}
+
+/// Labels of [`FastPathStats::kernel_refusals`], indexed by `Refusal as
+/// usize`.
+pub const REFUSAL_NAMES: [&str; 3] = ["no_plan", "short_segment", "out_of_bounds"];
+
+/// The rectangle the last resolved innermost-loop entry vouches for, kept
+/// so that later entries need no probe and no kernel set-up.
+/// [`dct_layout::DataLayout::affine_probe`] answers for `steps1`
+/// iterations of the innermost loop by `steps2` values of the loop around
+/// it, on which every reference's address is `base + t1*(dbyte, dslot) +
+/// t2*delta`. An entry of the same execution of the loop around the
+/// innermost, with the same inner `(start, step)`, at most `steps1`
 /// iterations, and `0 < k < steps2` outer values later therefore has the
 /// cursors `base + k*delta` and is one unsplit segment. The layouts are
 /// fixed, but bounds and subscripts may use the time parameter, so the
@@ -241,17 +278,44 @@ pub const RESOLVE_NAMES: [&str; 6] = [
 #[derive(Default)]
 struct CursorMemo {
     live: bool,
+    /// The loop around the innermost began a new execution since the last
+    /// resolve, so the loops further out moved. Set by the walk of that
+    /// loop, which knows it without comparing indices.
+    moved_out: bool,
+    /// The innermost loop's `(start, step, count)` for the current
+    /// execution of the loop around it, kept when the innermost bounds do
+    /// not mention that loop's index ([`WalkCtx::inner_fixed`]).
+    range: Option<(i64, i64, i64)>,
+    /// Upper bound of the loop around the innermost in its current
+    /// execution: no bumped entry lies beyond it.
+    outer_hi: i64,
     /// `(start, step)` of the innermost loop at the resolved entry.
     inner: (i64, i64),
     /// Index of the loop around the innermost at the resolved entry.
     outer0: i64,
-    /// Indices of the loops further out.
-    prefix: Vec<i64>,
     steps1: i64,
     steps2: i64,
     base: Vec<RefCursor>,
     /// Per reference, `(byte, slot)` change per step of the outer loop.
     delta: Vec<(i64, i64)>,
+    /// `(seg, unroll_safe)`: the kernel streams and access vector were
+    /// proven for the whole rectangle at this segment length (every sweep
+    /// in bounds, and the aliasing verdict the same at every outer step),
+    /// and the scratch stream vectors still hold the resolved entry's. A
+    /// bumped entry of that length then only moves their addresses.
+    kernel: Option<(i64, bool)>,
+}
+
+/// Where a segment's kernel streams come from (see
+/// [`Lane::exec_segment_kernel`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Streams {
+    /// Moved into place by the bump, from the rectangle's proof.
+    Bumped { unroll_safe: bool },
+    /// The entry that resolved the memo: prove the rectangle it opens.
+    OpensRect,
+    /// Prove this segment alone.
+    Alone,
 }
 
 /// One postfix instruction of a flattened statement body (see
@@ -334,6 +398,14 @@ struct WalkCtx<'n> {
     /// order (per statement: the write first, then its reads) — the race
     /// detector's view of the cursor table.
     ref_info: Vec<(usize, bool)>,
+    /// Cursor index of every kernel write stream, read stream and
+    /// access-vector slot, in the order [`Lane::prove_streams`] builds them.
+    wr_of: Vec<usize>,
+    rd_of: Vec<usize>,
+    acc_of: Vec<usize>,
+    /// The innermost bounds do not mention the index of the loop around
+    /// it, so its range is the same at every step of that loop.
+    inner_fixed: bool,
     /// Fused segment-kernel plan for this nest's body, compiled once here
     /// (`None` = the body is outside the kernel envelope and every
     /// segment runs the postfix interpreter).
@@ -352,13 +424,23 @@ impl<'n> WalkCtx<'n> {
                 v
             })
             .collect();
-        let mut ref_info = Vec::new();
+        let (mut ref_info, mut wr_of, mut rd_of, mut acc_of) = (vec![], vec![], vec![], vec![]);
         for (s, rds) in nest.source.body.iter().zip(&reads) {
+            let w = ref_info.len();
+            wr_of.push(w);
             ref_info.push((s.lhs.array.0, true));
             for r in rds.iter() {
+                rd_of.push(ref_info.len());
+                acc_of.push(ref_info.len());
                 ref_info.push((r.array.0, false));
             }
+            acc_of.push(w);
         }
+        let depth = nest.source.depth;
+        let inner_fixed = depth >= 2 && {
+            let b = &nest.source.bounds[depth - 1];
+            b.los.iter().chain(&b.his).all(|f| f.aff.var_coeff(depth - 2) == 0)
+        };
         let ops: Vec<Vec<BodyOp>> = nest
             .source
             .body
@@ -373,7 +455,7 @@ impl<'n> WalkCtx<'n> {
             })
             .collect();
         let plan = kernel::build_plan(nest, &ops);
-        WalkCtx { nest, reads, ops, ref_info, plan }
+        WalkCtx { nest, reads, ops, ref_info, wr_of, rd_of, acc_of, inner_fixed, plan }
     }
 }
 
@@ -551,6 +633,7 @@ impl<'a> Executor<'a> {
         }
         let cycles = self.clocks.iter().copied().max().unwrap_or(0);
         self.fast.replayed_steps = self.memo.replayed_steps;
+        self.fast.steps_simulated = self.memo.steps - self.memo.replayed_steps;
         self.fast.memo = self.memo.outcome;
         self.fast.race_shadow_bytes = self.race.as_ref().map_or(0, |d| d.shadow_bytes());
         self.fast.profiler_table_bytes = self.profiler.as_ref().map_or(0, |p| p.table_bytes());
@@ -856,13 +939,59 @@ impl Lane<'_> {
         params: &[i64],
         tile: Option<(usize, i64, i64)>,
     ) -> u64 {
-        let nest = ctx.nest;
-        if level == nest.source.depth {
-            return self.exec_body(nest, proc, ivec, params);
+        let depth = ctx.nest.source.depth;
+        if level == depth {
+            return self.exec_body(ctx.nest, proc, ivec, params);
+        }
+        if self.fast_path && level + 1 == depth {
+            return self.walk_innermost(ctx, proc, level, ivec, params, tile);
         }
         if level == 0 {
             self.scratch.memo.live = false;
         }
+        let it = self.level_iter(ctx.nest, proc, level, ivec, params, tile);
+        if level + 2 == depth {
+            // A new execution of the loop around the innermost one.
+            let m = &mut self.scratch.memo;
+            m.moved_out = true;
+            m.range = None;
+            m.outer_hi = it.hi();
+        }
+        self.walk_values(ctx, proc, level, ivec, params, tile, it)
+    }
+
+    /// Run loop `level` over `it`, each value walking the levels inside.
+    fn walk_values(
+        &mut self,
+        ctx: &WalkCtx,
+        proc: usize,
+        level: usize,
+        ivec: &mut Vec<i64>,
+        params: &[i64],
+        tile: Option<(usize, i64, i64)>,
+        it: OwnedIter,
+    ) -> u64 {
+        let mut busy = 0u64;
+        for v in it {
+            ivec[level] = v;
+            busy += self.cost.loop_iter + self.walk(ctx, proc, level + 1, ivec, params, tile);
+        }
+        ivec[level] = 0;
+        busy
+    }
+
+    /// The values of loop `level` this processor runs at the current
+    /// iteration point: its bounds, clamped to the tile, then the subset the
+    /// processor owns when the level is distributed.
+    fn level_iter(
+        &self,
+        nest: &SpmdNest,
+        proc: usize,
+        level: usize,
+        ivec: &[i64],
+        params: &[i64],
+        tile: Option<(usize, i64, i64)>,
+    ) -> OwnedIter {
         let mut lo = nest.source.bounds[level].eval_lo(ivec, params);
         let mut hi = nest.source.bounds[level].eval_hi(ivec, params);
         if let Some((tl, rlo, rhi)) = tile {
@@ -871,48 +1000,57 @@ impl Lane<'_> {
                 hi = hi.min(rhi);
             }
         }
-        let innermost = level + 1 == nest.source.depth;
-        let mut busy = 0u64;
         match &nest.sched[level] {
-            LevelSched::Seq => {
-                if self.fast_path && innermost {
-                    let count = (hi - lo + 1).max(0);
-                    if count > 0 {
-                        busy += self.walk_innermost_strided(ctx, proc, level, ivec, params, lo, 1, count);
-                    }
-                } else {
-                    for v in lo..=hi {
-                        ivec[level] = v;
-                        busy += self.cost.loop_iter + self.walk(ctx, proc, level + 1, ivec, params, tile);
-                    }
-                }
-            }
+            LevelSched::Seq => OwnedIter::Range { next: lo, hi },
             LevelSched::Dist { proc_dim, folding, extent, offset } => {
                 let q = self.coords[proc].get(*proc_dim).copied().unwrap_or(0) as i64;
                 let procs = self.sp.grid.get(*proc_dim).copied().unwrap_or(1) as i64;
-                let off = offset.eval(&[], params);
-                let it = owned_iter(lo, hi, off, *extent, procs, q, *folding);
-                match it.progression() {
-                    // Owned iterations form an arithmetic progression
-                    // (block or cyclic folding): strided execution.
-                    Some((start, step, count)) if self.fast_path && innermost => {
-                        if count > 0 {
-                            busy += self
-                                .walk_innermost_strided(ctx, proc, level, ivec, params, start, step, count);
-                        }
-                    }
-                    _ => {
-                        for v in it {
-                            ivec[level] = v;
-                            busy +=
-                                self.cost.loop_iter + self.walk(ctx, proc, level + 1, ivec, params, tile);
-                        }
-                    }
-                }
+                owned_iter(lo, hi, offset.eval(&[], params), *extent, procs, q, *folding)
             }
         }
-        ivec[level] = 0;
-        busy
+    }
+
+    /// The innermost loop on the segment engine. When its bounds do not
+    /// mention the index of the loop around it ([`WalkCtx::inner_fixed`]),
+    /// its range is worked out at the first entry of each execution of that
+    /// loop and kept in the memo for the others. Owned iterations that form
+    /// no arithmetic progression (block-cyclic) take the general walk.
+    fn walk_innermost(
+        &mut self,
+        ctx: &WalkCtx,
+        proc: usize,
+        level: usize,
+        ivec: &mut Vec<i64>,
+        params: &[i64],
+        tile: Option<(usize, i64, i64)>,
+    ) -> u64 {
+        let (start, step, count) = match self.scratch.memo.range {
+            Some(kept) if ctx.inner_fixed => {
+                // The test profile proves every kept range it uses.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    self.level_iter(ctx.nest, proc, level, ivec, params, tile).progression(),
+                    Some(kept),
+                    "kept innermost range"
+                );
+                kept
+            }
+            _ => {
+                let it = self.level_iter(ctx.nest, proc, level, ivec, params, tile);
+                let Some(range) = it.progression() else {
+                    return self.walk_values(ctx, proc, level, ivec, params, tile, it);
+                };
+                if ctx.inner_fixed {
+                    self.scratch.memo.range = Some(range);
+                }
+                range
+            }
+        };
+        if count > 0 {
+            self.walk_innermost_strided(ctx, proc, level, ivec, params, start, step, count)
+        } else {
+            0
+        }
     }
 
     /// Strided innermost execution: iterate `v = start + t*step` for
@@ -936,12 +1074,13 @@ impl Lane<'_> {
         while remaining > 0 {
             ivec[level] = v;
             let entry = (remaining == count).then_some(count);
-            let seg = self.setup_cursors(ctx, proc, ivec, params, level, step, entry).min(remaining);
+            let (seg, streams) = self.setup_cursors(ctx, proc, ivec, params, level, step, entry);
+            let seg = seg.min(remaining);
             self.fast.segments += 1;
             self.fast.fast_iters += seg as u64;
             self.race_segment(ctx, proc, seg);
             let kern = if self.kernels {
-                self.exec_segment_kernel(ctx, proc, ivec, level, v, step, seg)
+                self.exec_segment_kernel(ctx, proc, ivec, level, v, step, seg, streams)
             } else {
                 None
             };
@@ -955,6 +1094,9 @@ impl Lane<'_> {
                     v += step * seg;
                 }
                 None => {
+                    // The interpreter indexes the arenas, so the next kernel
+                    // segment derives its raw streams afresh.
+                    self.scratch.memo.kernel = None;
                     for _ in 0..seg {
                         ivec[level] = v;
                         busy += self.cost.loop_iter + self.exec_body_fast(ctx, proc, ivec);
@@ -972,10 +1114,12 @@ impl Lane<'_> {
     /// Execute one whole strided segment through the fused kernel layer:
     /// one [`Machine::access_seg`] call for the machine accounting plus a
     /// shape-specialized value sweep over raw arena slices
-    /// ([`kernel::exec_values`]). Returns `None` — with no machine,
-    /// arena, or cursor state touched — when the segment must take the
-    /// interpreter path instead (no plan, too short, or a sweep would
-    /// leave its arena bounds).
+    /// ([`kernel::exec_values`]). A bumped entry comes with its streams and
+    /// access vector already moved into place from its rectangle's proof;
+    /// the entry that opens a rectangle proves it; any other segment is
+    /// proven alone. Returns `None` — with no machine, arena, or cursor
+    /// state touched — when the segment must take the interpreter path
+    /// instead, counted by [`Refusal`].
     fn exec_segment_kernel(
         &mut self,
         ctx: &WalkCtx,
@@ -985,74 +1129,44 @@ impl Lane<'_> {
         v0: i64,
         step: i64,
         seg: i64,
+        streams: Streams,
     ) -> Option<u64> {
-        let plan = ctx.plan.as_ref()?;
+        let Some(plan) = ctx.plan.as_ref() else { return self.refuse(Refusal::NoPlan) };
         if seg < kernel::MIN_KERNEL_SEG {
-            return None;
+            return self.refuse(Refusal::ShortSegment);
+        }
+        let unroll_safe = match streams {
+            Streams::Bumped { unroll_safe } => {
+                #[cfg(debug_assertions)]
+                self.check_bumped_streams(ctx, plan, seg, unroll_safe);
+                unroll_safe
+            }
+            Streams::OpensRect => {
+                let m = &self.scratch.memo;
+                let kmax = (m.steps2 - 1).min(m.outer_hi - m.outer0);
+                match self.prove_streams(ctx, plan, seg, kmax) {
+                    Some(unroll_safe) => {
+                        self.scratch.memo.kernel = Some((seg, unroll_safe));
+                        unroll_safe
+                    }
+                    None => self.prove_alone(ctx, plan, seg)?,
+                }
+            }
+            Streams::Alone => self.prove_alone(ctx, plan, seg)?,
+        };
+        if plan.stmts.len() == 1 && !unroll_safe {
+            self.fast.kernel_aliased += 1;
         }
         let sc = &mut *self.scratch;
-        sc.seg_accs.clear();
-        sc.rd_streams.clear();
-        sc.wr_streams.clear();
-        // Resolve every cursor into a raw stream, bounds-checking the full
-        // sweep (`slot + t*dslot`, `t in 0..seg`) against its arena — a
-        // kernel must never touch memory the interpreter would not.
-        for (&(x, is_write), c) in ctx.ref_info.iter().zip(&sc.cursors) {
-            let arena = &mut self.arenas[x];
-            let (ptr, len) = (arena.as_mut_ptr(), arena.len());
-            let first = c.slot as i64;
-            let last = first + (seg - 1) * c.dslot;
-            let (lo, hi) = (first.min(last), first.max(last));
-            if lo < 0 || hi >= len as i64 {
-                return None;
-            }
-            if is_write {
-                sc.wr_streams.push(WrStream { ptr, slot: first, dslot: c.dslot });
-            } else {
-                sc.rd_streams.push(RdStream { ptr, slot: first, dslot: c.dslot });
-            }
-        }
-        // Machine access vector: per statement, reads in postfix order
-        // then the write — exactly the interpreter's access order. Left
-        // empty on a replayed step: `access_seg` of no slots does nothing.
-        if !self.values_only {
-            let mut k = 0usize;
-            for sp in &plan.stmts {
-                let w = sc.cursors[k];
-                for c in &sc.cursors[k + 1..k + 1 + sp.nreads] {
-                    sc.seg_accs.push(SegAccess { byte: c.byte, dbyte: c.dbyte, write: false });
-                }
-                sc.seg_accs.push(SegAccess { byte: w.byte, dbyte: w.dbyte, write: true });
-                k += 1 + sp.nreads;
-            }
-        }
-        // Unrolled sweeps require the write stream to alias no read
-        // stream (single-statement bodies only; multi-statement bodies
-        // take the ordered element-major path regardless).
-        let mut unroll_safe = plan.stmts.len() == 1;
-        if unroll_safe {
-            let (wx, _) = ctx.ref_info[0];
-            let w = &sc.cursors[0];
-            let (wfirst, wlast) = (w.slot as i64, w.slot as i64 + (seg - 1) * w.dslot);
-            let (wlo, whi) = (wfirst.min(wlast), wfirst.max(wlast));
-            for (&(x, _), c) in ctx.ref_info[1..].iter().zip(&sc.cursors[1..]) {
-                if x != wx {
-                    continue;
-                }
-                let (rfirst, rlast) = (c.slot as i64, c.slot as i64 + (seg - 1) * c.dslot);
-                let (rlo, rhi) = (rfirst.min(rlast), rfirst.max(rlast));
-                if rlo <= whi && wlo <= rhi {
-                    unroll_safe = false;
-                    break;
-                }
-            }
-        }
         let probe = self.profiler.as_deref_mut().map(|p| p as &mut dyn MemProbe);
         let busy = seg as u64 * (self.cost.loop_iter + plan.extra_cycles)
             + self.machine.access_seg(proc, &mut sc.seg_accs, seg as u64, probe);
-        // SAFETY: every stream's sweep was bounds-checked against its
-        // arena above, and the arenas are neither resized nor otherwise
-        // borrowed until this call returns.
+        // SAFETY: every stream's sweep was bounds-checked against its arena
+        // by `prove_streams`, either for this segment alone or for every
+        // segment of this length in the rectangle it belongs to (a bump
+        // lies inside it: see `setup_cursors`). The arenas are never
+        // resized, and none was indexed since the streams were derived (an
+        // interpreted segment drops the rectangle's proof).
         unsafe {
             kernel::exec_values(
                 plan,
@@ -1069,12 +1183,120 @@ impl Lane<'_> {
         Some(busy)
     }
 
+    fn refuse(&mut self, why: Refusal) -> Option<u64> {
+        self.fast.kernel_refusals[why as usize] += 1;
+        None
+    }
+
+    /// [`Self::prove_streams`] for this segment alone; drops the memo's
+    /// rectangle proof, whose streams this overwrites.
+    fn prove_alone(&mut self, ctx: &WalkCtx, plan: &KernelPlan, seg: i64) -> Option<bool> {
+        self.scratch.memo.kernel = None;
+        let verdict = self.prove_streams(ctx, plan, seg, 0);
+        if verdict.is_none() {
+            self.fast.kernel_refusals[Refusal::OutOfBounds as usize] += 1;
+        }
+        verdict
+    }
+
+    /// Resolve every cursor into a raw kernel stream and the machine access
+    /// vector, and prove them for the rectangle of `seg` iterations by the
+    /// next `kmax` steps of the loop around the innermost, along the memo's
+    /// per-step deltas (`kmax` 0: this segment alone). A slot is affine in
+    /// both sides, so the rectangle's four corners bound every sweep: each
+    /// must stay inside its arena, since a kernel must never touch memory
+    /// the interpreter would not. Returns whether the sweeps may unroll,
+    /// which needs no read stream to overlap the write stream — or `None`
+    /// when a corner leaves an arena or the overlap differs between outer
+    /// steps. Out of line: it runs once per rectangle, and inlined it would
+    /// grow `walk_innermost_strided`, which runs once per segment.
+    #[inline(never)]
+    fn prove_streams(&mut self, ctx: &WalkCtx, plan: &KernelPlan, seg: i64, kmax: i64) -> Option<bool> {
+        let sc = &mut *self.scratch;
+        sc.seg_accs.clear();
+        sc.rd_streams.clear();
+        sc.wr_streams.clear();
+        let d2 = |i: usize| if kmax > 0 { sc.memo.delta[i].1 } else { 0 };
+        // Slots a cursor sweeps at outer step 0, widened by `k2` slots.
+        let span = |c: &RefCursor, k2: i64| {
+            let (first, t) = (c.slot as i64, (seg - 1) * c.dslot);
+            let (lo, hi) = (first + t.min(0), first + t.max(0));
+            (lo.saturating_add(k2.min(0)), hi.saturating_add(k2.max(0)))
+        };
+        for (i, (&(x, is_write), c)) in ctx.ref_info.iter().zip(&sc.cursors).enumerate() {
+            let arena = &mut self.arenas[x];
+            let (lo, hi) = span(c, kmax.saturating_mul(d2(i)));
+            if lo < 0 || hi >= arena.len() as i64 {
+                return None;
+            }
+            let (ptr, slot) = (arena.as_mut_ptr(), c.slot as i64);
+            if is_write {
+                sc.wr_streams.push(WrStream { ptr, slot, dslot: c.dslot });
+            } else {
+                sc.rd_streams.push(RdStream { ptr, slot, dslot: c.dslot });
+            }
+        }
+        // Machine access vector: per statement, reads in postfix order
+        // then the write — exactly the interpreter's access order. Left
+        // empty on a replayed step: `access_seg` of no slots does nothing.
+        if !self.values_only {
+            sc.seg_accs.extend(ctx.acc_of.iter().map(|&i| {
+                let c = &sc.cursors[i];
+                SegAccess { byte: c.byte, dbyte: c.dbyte, write: ctx.ref_info[i].1 }
+            }));
+        }
+        // Unrolled sweeps require the write stream to alias no read
+        // stream (single-statement bodies only; multi-statement bodies
+        // take the ordered element-major path regardless). At outer step
+        // `k` a read overlaps the write when `a <= k*d <= b`; over the
+        // rectangle `k*d` stays between 0 and `kmax*d`.
+        if plan.stmts.len() > 1 {
+            return Some(false);
+        }
+        let (wx, _) = ctx.ref_info[0];
+        let (wlo, whi) = span(&sc.cursors[0], 0);
+        let mut mixed = false;
+        for (i, (&(x, _), c)) in ctx.ref_info.iter().zip(&sc.cursors).enumerate().skip(1) {
+            if x != wx {
+                continue;
+            }
+            let (rlo, rhi) = span(c, 0);
+            let (a, b) = (rlo - whi, rhi - wlo);
+            let s = kmax.saturating_mul(d2(0) - d2(i));
+            let (s0, s1) = (s.min(0), s.max(0));
+            if a <= s0 && s1 <= b {
+                return Some(false);
+            }
+            mixed |= s1 >= a && s0 <= b;
+        }
+        (!mixed).then_some(true)
+    }
+
+    /// The test profile derives a bumped entry's streams, access vector and
+    /// verdicts again the per-segment way, and compares.
+    #[cfg(debug_assertions)]
+    fn check_bumped_streams(&mut self, ctx: &WalkCtx, plan: &KernelPlan, seg: i64, unroll_safe: bool) {
+        let taken = |sc: &Scratch| {
+            let accs: Vec<_> = sc.seg_accs.iter().map(|a| (a.byte, a.dbyte, a.write)).collect();
+            (sc.wr_streams.clone(), sc.rd_streams.clone(), accs)
+        };
+        let bumped = taken(&*self.scratch);
+        let verdict = self.prove_streams(ctx, plan, seg, 0);
+        assert_eq!(verdict, Some(unroll_safe), "bumped entry's bounds and aliasing verdicts");
+        assert_eq!(taken(&*self.scratch), bumped, "bumped entry's kernel streams and access vector");
+    }
+
     /// Set the cursors of the segment that starts at the current iteration
-    /// point, returning the number of iterations they stay exact (>= 1).
-    /// `entry` is the trip count when the segment opens an innermost loop:
-    /// such a segment is served from the [`CursorMemo`] when the memo
-    /// vouches for it, and otherwise resolved and remembered. Segments
-    /// after a strip boundary are always resolved.
+    /// point, returning the number of iterations they stay exact (>= 1) and
+    /// where its kernel streams come from. `entry` is the trip count when
+    /// the segment opens an innermost loop: such a segment is bumped from
+    /// the [`CursorMemo`] when it lies in the memo's rectangle, and
+    /// otherwise resolved and remembered. Segments after a strip boundary
+    /// are always resolved. A bump is `base + k*delta` over the cursors,
+    /// and, when the rectangle's kernel proof covers the entry's length,
+    /// the same move of the streams and the access vector; no slice
+    /// comparison, copy or probe (none may sit here: a slice `==` on
+    /// `i64`s is a libc `bcmp` call, and this runs once per entry).
     ///
     /// Out of line on purpose: inlined, it changes how the compiler lays
     /// out the value sweeps that share `walk_innermost_strided` with it,
@@ -1090,17 +1312,16 @@ impl Lane<'_> {
         level: usize,
         step: i64,
         entry: Option<i64>,
-    ) -> i64 {
-        let sc = &mut *self.scratch;
+    ) -> (i64, Streams) {
         let why = match entry {
             None => Resolve::SplitSegment,
             Some(_) if level == 0 => Resolve::Depth1,
             Some(count) => {
-                let m = &sc.memo;
+                let m = &self.scratch.memo;
                 let k = ivec[level - 1] - m.outer0;
                 if !m.live {
                     Resolve::WalkStart
-                } else if m.prefix[..] != ivec[..level - 1] {
+                } else if m.moved_out {
                     Resolve::PrefixChanged
                 } else if m.inner != (ivec[level], step) {
                     Resolve::InnerRangeChanged
@@ -1109,37 +1330,87 @@ impl Lane<'_> {
                 } else if k <= 0 || k >= m.steps2 {
                     Resolve::OuterExhausted
                 } else {
-                    sc.cursors.clear();
-                    sc.cursors.extend(m.base.iter().zip(&m.delta).map(|(c, &(dbyte, dslot))| RefCursor {
-                        byte: (c.byte as i64 + k * dbyte) as u64,
-                        slot: (c.slot as i64 + k * dslot) as usize,
-                        ..*c
-                    }));
                     self.fast.cursor_bumps += 1;
+                    let streams = self.bump(ctx, k, count);
                     // The test profile proves every bump it takes.
                     #[cfg(debug_assertions)]
                     {
+                        let sc = &mut *self.scratch;
                         let bumped = std::mem::take(&mut sc.cursors);
                         let (steps1, _) = resolve_cursors(self.sp, ctx, proc, ivec, params, level, step, sc);
                         assert_eq!(sc.cursors, bumped, "bumped cursors, {k} outer steps from the resolved entry");
                         assert_eq!(steps1.min(count), count, "bumped segment length");
                     }
-                    return count;
+                    return (count, streams);
                 }
             }
         };
         self.fast.resolves[why as usize] += 1;
+        let opens = entry.is_some() && level > 0;
+        let steps1 = self.resolve_entry(ctx, proc, ivec, params, level, step, opens);
+        (steps1, if opens { Streams::OpensRect } else { Streams::Alone })
+    }
+
+    /// Move the cursors `k` outer steps from the memo's resolved entry and,
+    /// when the rectangle's kernel proof is for `seg` iterations, the
+    /// streams and the access vector with them. Part of `setup_cursors`,
+    /// so that one function serves a bumped entry.
+    #[inline(always)]
+    fn bump(&mut self, ctx: &WalkCtx, k: i64, seg: i64) -> Streams {
+        let sc = &mut *self.scratch;
+        let m = &sc.memo;
+        for ((c, b), &(dbyte, dslot)) in sc.cursors.iter_mut().zip(&m.base).zip(&m.delta) {
+            *c = RefCursor {
+                byte: (b.byte as i64 + k * dbyte) as u64,
+                slot: (b.slot as i64 + k * dslot) as usize,
+                ..*b
+            };
+        }
+        match m.kernel {
+            Some((proven, unroll_safe)) if proven == seg => {
+                let cursors = &sc.cursors;
+                for (s, &i) in sc.wr_streams.iter_mut().zip(&ctx.wr_of) {
+                    s.slot = cursors[i].slot as i64;
+                }
+                for (s, &i) in sc.rd_streams.iter_mut().zip(&ctx.rd_of) {
+                    s.slot = cursors[i].slot as i64;
+                }
+                for (a, &i) in sc.seg_accs.iter_mut().zip(&ctx.acc_of) {
+                    a.byte = cursors[i].byte;
+                }
+                Streams::Bumped { unroll_safe }
+            }
+            _ => Streams::Alone,
+        }
+    }
+
+    /// Resolve the segment's cursors from scratch; when it `opens` an
+    /// innermost-loop entry, remember them as the memo's new rectangle.
+    /// Returns the number of iterations they stay exact. Out of line, so
+    /// that its copies stay out of `setup_cursors`, which serves the bumps.
+    #[inline(never)]
+    fn resolve_entry(
+        &mut self,
+        ctx: &WalkCtx,
+        proc: usize,
+        ivec: &[i64],
+        params: &[i64],
+        level: usize,
+        step: i64,
+        opens: bool,
+    ) -> i64 {
+        let sc = &mut *self.scratch;
         let (steps1, steps2) = resolve_cursors(self.sp, ctx, proc, ivec, params, level, step, sc);
-        if entry.is_some() && level > 0 {
+        if opens {
             let m = &mut sc.memo;
             m.live = true;
+            m.moved_out = false;
             m.inner = (ivec[level], step);
             m.outer0 = ivec[level - 1];
-            m.prefix.clear();
-            m.prefix.extend_from_slice(&ivec[..level - 1]);
             (m.steps1, m.steps2) = (steps1, steps2);
             m.base.clone_from(&sc.cursors);
             std::mem::swap(&mut m.delta, &mut sc.delta);
+            m.kernel = None;
         }
         steps1
     }
@@ -1403,6 +1674,13 @@ impl OwnedIter {
                 Some((next, step, count))
             }
             OwnedIter::Filtered { .. } => None,
+        }
+    }
+
+    /// Upper bound of the values still to come.
+    fn hi(&self) -> i64 {
+        match *self {
+            OwnedIter::Range { hi, .. } | OwnedIter::Stepped { hi, .. } | OwnedIter::Filtered { hi, .. } => hi,
         }
     }
 }

@@ -219,7 +219,7 @@ fn tape(ops: &[BodyOp]) -> StmtKernel {
 
 /// One resolved read stream of a segment: raw arena base plus the slot
 /// cursor (`slot + t*dslot` for element `t`).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct RdStream {
     pub(crate) ptr: *const f64,
     pub(crate) slot: i64,
@@ -227,7 +227,7 @@ pub(crate) struct RdStream {
 }
 
 /// One resolved write stream of a segment.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct WrStream {
     pub(crate) ptr: *mut f64,
     pub(crate) slot: i64,

@@ -76,7 +76,7 @@ pub(crate) struct StepMemo {
     pub(crate) outcome: MemoOutcome,
     pub(crate) replayed_steps: u64,
     /// Time steps begun so far.
-    steps: u64,
+    pub(crate) steps: u64,
     digest: u128,
     mismatches: u32,
     /// Busy cycles of every lane walk of the recorded step, in call order.

@@ -13,10 +13,12 @@
 //! the profiler or both attached, where the replayed `RaceReport` and
 //! `MemProfile` must be the walked ones. The third pins the cursor memo: nests
 //! built so that innermost-loop entries are bumped, or refused for each of
-//! the reasons the executor counts, against the reference walk. Debug
-//! builds also resolve every bumped entry from scratch and compare; the
-//! release run of this file (`scripts/tier1.sh`) is the leg without that
-//! net.
+//! the reasons the executor counts, against the reference walk, and each way
+//! an entry falls outside the rectangle whose kernel streams were proven
+//! once. Debug builds also resolve every bumped entry from scratch, derive
+//! its innermost range, kernel streams, access vector and verdicts again,
+//! and compare; the release run of this file (`scripts/tier1.sh`) is the leg
+//! without that net.
 
 use dct_bench::programs::suite;
 use dct_core::{rung_sim_options, Compiler, Strategy as Compile};
@@ -24,8 +26,8 @@ use dct_decomp::{decompose, Folding};
 use dct_dep::{analyze_nest, DepConfig};
 use dct_ir::{Aff, Expr, Program, ProgramBuilder};
 use dct_machine::MachineConfig;
-use dct_spmd::exec::Resolve;
-use dct_spmd::{simulate, MemoOutcome, RunResult, SimOptions};
+use dct_spmd::exec::{Refusal, Resolve};
+use dct_spmd::{simulate, MemoOutcome, RunResult, Schedule, SimOptions};
 use proptest::prelude::*;
 
 /// A randomized 2-array time-stepped program: an init nest, a gather
@@ -230,6 +232,16 @@ fn suite_replays_repeating_steps_and_matches_the_reference_walk() {
                 if want.0 == MemoOutcome::Replayed {
                     assert_eq!(af.fast.memo, MemoOutcome::Associative, "{what}");
                 }
+                // A replayed step still walks its segments for the values,
+                // so the walk counters cover every step, simulated or not.
+                assert_eq!(fast.fast.steps_simulated + fast.fast.replayed_steps, steps, "{what}");
+                assert_eq!(af.fast.steps_simulated, steps, "{what}");
+                assert_same_walk(&what, &af, &fast);
+                assert_eq!(
+                    (af.fast.cursor_bumps, af.fast.resolves, af.fast.kernel_refusals, af.fast.kernel_aliased),
+                    (fast.fast.cursor_bumps, fast.fast.resolves, fast.fast.kernel_refusals, fast.fast.kernel_aliased),
+                    "{what}: walk reasons"
+                );
             }
         }
     }
@@ -557,6 +569,113 @@ fn cursor_memo_on_split_segments_depth_one_pipelines_and_pivots() {
             }
         }
     }
+}
+
+/// An entry outside the rectangle its resolved entry proved takes the
+/// per-segment resolve and kernel proof instead: trip counts that differ
+/// from the proven one, a pipeline tile edge, a strip boundary inside the
+/// innermost loop, and a rectangle whose far corner leaves an arena
+/// although no entry of it does.
+#[test]
+fn rectangle_fallbacks_match_the_reference_walk() {
+    let took = |r: &RunResult, why: Resolve| r.fast.resolves[why as usize];
+    let refused = |r: &RunResult, why: Refusal| r.fast.kernel_refusals[why as usize];
+
+    // Triangular inner bounds from a fixed start: entries bump along `j`,
+    // each with a trip count of its own, so each is proven alone.
+    let prog = two_deep("tri-hi", 24, 2, |j, _| (Aff::konst(0), Aff::var(j)), |i, j| vec![Aff::var(i), Aff::var(j)]);
+    let mut bumps = 0;
+    for procs in [1usize, 4, 8] {
+        for transform_data in [false, true] {
+            let what = format!("triangular from a fixed start P={procs} data {transform_data}");
+            let opts = SimOptions { transform_data, ..SimOptions::new(procs, prog.default_params()) };
+            let r = assert_walks_agree(&what, &prog, &decomposed(&prog), &opts);
+            assert_eq!(refused(&r, Refusal::OutOfBounds), 0, "{what}: {:?}", r.fast);
+            bumps += r.fast.cursor_bumps;
+        }
+    }
+    assert!(bumps > 0, "no triangular entry was bumped");
+
+    // A doacross pipeline walks one tile at a time; the memo, its kept
+    // innermost range and its rectangle end at every tile edge.
+    let adi = suite(0.25).into_iter().find(|b| b.name == "adi").expect("adi is in the suite");
+    let compiled = Compiler::new(Compile::Full).compile(&adi.program).expect("compile");
+    for procs in [3usize, 8] {
+        let what = format!("adi full P={procs}");
+        let opts = rung_sim_options(compiled.rung, procs, adi.program.default_params());
+        let sp = dct_spmd::lower(&compiled.program, &compiled.decomposition, &opts).expect("lower");
+        let sched = Schedule::new(&sp);
+        let tiles: usize = sp.nests.iter().filter_map(|n| sched.pipeline_plan(n, &sp.params)).map(|p| p.tiles.len()).sum();
+        assert!(tiles > 1, "{what}: no pipelined nest");
+        let r = assert_walks_agree(&what, &compiled.program, &compiled.decomposition, &opts);
+        assert!(took(&r, Resolve::WalkStart) as usize > tiles && r.fast.cursor_bumps > 0, "{what}: {:?}", r.fast);
+    }
+
+    // Block edges inside the innermost loop split its entries.
+    let prog = relaxation(40, 2, false);
+    for procs in [4usize, 8] {
+        let what = format!("relaxation P={procs}");
+        let opts = SimOptions::new(procs, prog.default_params());
+        let r = assert_walks_agree(&what, &prog, &decomposed(&prog), &opts);
+        assert!(took(&r, Resolve::SplitSegment) > 0 && r.fast.kernel_iters > 0, "{what}: {:?}", r.fast);
+    }
+
+    // `A(i,j) += B(i+j)` for `i` up to `min(7, N-1-j)`, with `B` exactly
+    // `N` long: the first entries run 8 iterations, so the rectangle an
+    // entry near the start opens reaches `B(7 + N-1)` at its far corner,
+    // past the end of `B`, while the entries themselves shrink and stay
+    // inside it. The opening entry is then proven alone and still runs as a
+    // kernel, as does every later entry of 8 iterations.
+    let n = 24;
+    let mut pb = ProgramBuilder::new("far-corner");
+    let np = pb.param("N", n);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let b = pb.array("B", &[Aff::param(np)], 8);
+    let mut nb = pb.nest_builder("init_b");
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    nb.assign(b, &[Aff::var(i)], Expr::Index(i) * Expr::Const(0.25) + Expr::Const(1.0));
+    pb.init_nest(nb.build());
+    let mut nb = pb.nest_builder("sweep");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var_multi(vec![Aff::konst(0)], vec![Aff::konst(7), Aff::param(np) - 1 - Aff::var(j)]);
+    let rhs = nb.read(a, &[Aff::var(i), Aff::var(j)]) + nb.read(b, &[Aff::var(i) + Aff::var(j)]) * Expr::Const(0.5);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+    let prog = pb.build();
+    for procs in [1usize, 2, 4] {
+        let what = format!("far corner P={procs}");
+        let opts = SimOptions::new(procs, prog.default_params());
+        let r = assert_walks_agree(&what, &prog, &decomposed(&prog), &opts);
+        assert!(r.fast.cursor_bumps > 0 && r.fast.kernel_iters > 0, "{what}: {:?}", r.fast);
+        assert_eq!(refused(&r, Refusal::OutOfBounds), 0, "{what}: {:?}", r.fast);
+    }
+
+    // `A(i,j) = A(i-1,5) + B(i,j)`: a scan through column 5 when `j` is 5
+    // and no overlap anywhere else, so the rectangle has no single aliasing
+    // verdict. Only that entry may take the ordered path; an unrolled sweep
+    // there would read values before they are written.
+    let mut pb = ProgramBuilder::new("alias-moves");
+    let np = pb.param("N", n);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let b = pb.array("B", &[Aff::param(np), Aff::param(np)], 8);
+    for x in [a, b] {
+        let mut nb = pb.nest_builder("init");
+        let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+        let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+        nb.assign(x, &[Aff::var(i), Aff::var(j)], Expr::Index(i) * Expr::Const(0.5) + Expr::Index(j));
+        pb.init_nest(nb.build());
+    }
+    let mut nb = pb.nest_builder("scan");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 1);
+    let rhs = nb.read(a, &[Aff::var(i) - 1, Aff::konst(5)]) + nb.read(b, &[Aff::var(i), Aff::var(j)]);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+    let prog = pb.build();
+    let what = "aliasing that moves along the outer loop";
+    let r = assert_walks_agree(what, &prog, &decomposed(&prog), &SimOptions::new(1, prog.default_params()));
+    assert!(r.fast.cursor_bumps > 0, "{what}: {:?}", r.fast);
+    assert_eq!(r.fast.kernel_aliased, 1, "{what}: {:?}", r.fast);
 }
 
 /// The bump is what LU runs on: a run that quietly refused every entry

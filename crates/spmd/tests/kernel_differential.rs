@@ -7,12 +7,13 @@
 //! profile — under every folding and processor count. A second suite
 //! forces each kernel fallback reason (body outside the plan envelope,
 //! segments shorter than the dispatch minimum, kernels disabled) and
-//! checks both the fallback observability (`kernel_iters == 0`) and the
-//! unchanged results.
+//! checks both the fallback observability (`kernel_iters == 0`, the
+//! refusal counted under its reason) and the unchanged results.
 
 use dct_decomp::{decompose, Folding};
 use dct_dep::{analyze_nest, DepConfig};
 use dct_ir::{Aff, Expr, Program, ProgramBuilder};
+use dct_spmd::exec::Refusal;
 use dct_spmd::{simulate, SimOptions};
 use proptest::prelude::*;
 
@@ -158,6 +159,8 @@ proptest! {
                 let rr = run(&prog, &dec, &reference);
                 any_kernel |= rk.fast.kernel_iters > 0;
                 prop_assert_eq!(ri.fast.kernel_iters, 0, "interpreter run used kernels");
+                // Only the scan reads the array it writes.
+                prop_assert!(shape == 7 || rk.fast.kernel_aliased == 0, "aliased kernel segments: {:?}", rk.fast);
                 assert_same(&rk, &ri, "kernel vs interpreter (plain)");
                 assert_same(&rk, &rr, "kernel vs reference (plain)");
 
@@ -213,7 +216,7 @@ fn fallback_too_many_refs() {
     nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
     pb.nest(nb.build());
     let prog = pb.build();
-    assert_fallback_exact(&prog, |o| o, "too-many-refs");
+    assert_fallback_exact(&prog, |o| o, Some(Refusal::NoPlan), "too-many-refs");
 }
 
 /// Innermost extent below `MIN_KERNEL_SEG`: every segment is too short
@@ -221,7 +224,7 @@ fn fallback_too_many_refs() {
 #[test]
 fn fallback_short_segments() {
     let prog = short_inner_program();
-    assert_fallback_exact(&prog, |o| o, "short-segment");
+    assert_fallback_exact(&prog, |o| o, Some(Refusal::ShortSegment), "short-segment");
 }
 
 /// `SimOptions::seg_kernels = false` forces the interpreter outright.
@@ -234,6 +237,7 @@ fn fallback_kernels_disabled() {
             o.seg_kernels = false;
             o
         },
+        None,
         "kernels-disabled",
     );
 }
@@ -263,10 +267,13 @@ fn short_inner_program() -> Program {
 
 /// Run `prog` with kernels requested (plus `tweak`) and with the
 /// reference walk; require that no iteration was kernelized while the
-/// strided path still ran, and that results are bit-identical.
+/// strided path still ran, that the refusals were counted under `why`
+/// (with kernels off, nothing is refused), and that results are
+/// bit-identical.
 fn assert_fallback_exact(
     prog: &Program,
     tweak: fn(SimOptions) -> SimOptions,
+    why: Option<Refusal>,
     what: &str,
 ) {
     let cfg = DepConfig { nparams: prog.params.len(), param_min: 4 };
@@ -289,6 +296,12 @@ fn assert_fallback_exact(
             0,
             "{what}: histogram counted fallback iterations"
         );
+        let refused = rk.fast.kernel_refusals;
+        match why {
+            Some(why) => assert!(refused[why as usize] > 0, "{what}: {refused:?} (P={procs})"),
+            None => assert_eq!(refused, [0; 3], "{what} (P={procs})"),
+        }
+        assert_eq!(refused[Refusal::OutOfBounds as usize], 0, "{what} (P={procs})");
         assert_same(&rk, &rr, what);
     }
 }

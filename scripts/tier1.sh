@@ -22,13 +22,14 @@ echo "== tier1: cargo test -q"
 # and serve suites, and the 256-case three-way fuzz smoke among them.
 cargo test -q
 
-echo "== tier1: replay and cursor-memo differential, release build"
+echo "== tier1: replay, cursor-memo and kernel differentials, release build"
 # Time-step replay decides on a state digest in release builds and
 # re-checks the full state only under debug assertions (the test profile);
-# likewise a bumped segment entry is resolved again and compared only
-# there. So the release decisions need their own run against the
-# reference walk.
+# likewise a bumped segment entry's cursors, kernel streams and verdicts
+# are derived again and compared only there. So the release decisions
+# need their own run against the reference walk and the interpreter.
 cargo test --release -q -p dct-spmd --test differential
+cargo test --release -q -p dct-spmd --test kernel_differential
 
 echo "== tier1: repository benchmark, quick pass (every cell against golden.json)"
 # Numbers from a --quick pass mean nothing; what it checks does: cycles,
