@@ -33,7 +33,7 @@ fn figures(c: &mut Criterion) {
 fn table1(c: &mut Criterion) {
     c.bench_function("table1_summary", |b| {
         b.iter(|| {
-            let rows = dct_bench::table1(4, 0.08);
+            let rows = dct_bench::table1_parallel(4, 0.08, dct_bench::ThreadBudget::clamp(1));
             std::hint::black_box(rows.len())
         })
     });

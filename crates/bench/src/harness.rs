@@ -1,12 +1,19 @@
 //! Regenerating the paper's figures and tables: speedup curves per
 //! compiler strategy across processor counts, and the Table 1 summary.
 //!
-//! Sweeps are failure-tolerant: a cell whose compilation or simulation
-//! fails (or whose worker panics) becomes a reported failed cell instead
-//! of poisoning the whole sweep.
+//! Every cell runs on the one supervised executor
+//! ([`crate::sweep::run_cells`]), whose scheduler is this module's worker
+//! pool; this module lists a target's cells and assembles its rows and
+//! curves from them. A cell whose compilation or simulation fails (or
+//! whose worker panics) becomes a reported failed cell instead of
+//! poisoning the whole sweep.
 
-use crate::programs;
-use dct_core::{sequential_cycles, Compiler, SpeedupPoint, Strategy};
+use crate::cache::kind_strategy;
+use crate::programs::{self, Benchmark};
+use crate::sweep::{
+    run_cells, sweep_suite, table1_tasks, Cell, CellOutcome, CellTask, SweepConfig, SweepReport, KINDS,
+};
+use dct_core::{Compiler, SpeedupPoint, Strategy};
 use dct_ir::{panic_message, DctError, DctResult, Phase, Program};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,11 +84,11 @@ impl std::fmt::Display for ThreadBudget {
     }
 }
 
-/// The harness's one worker pool: `f(i)` for every `i < n` on
+/// The executor's worker pool: `f(i)` for every `i < n` on
 /// `budget.workers` scoped threads pulling indices off a shared counter,
 /// results in index order. A panicking index becomes `Err(message)` while
 /// the other indices keep their results — a bad cell never poisons a sweep.
-fn par_map<T: Send>(
+pub(crate) fn par_map<T: Send>(
     budget: ThreadBudget,
     n: usize,
     f: impl Fn(usize) -> T + Sync,
@@ -187,6 +194,7 @@ impl FigureResult {
 /// Build a figure spec by id ("fig4", "fig6", "fig6b", "fig8", "fig10",
 /// "fig10b", "fig11", "fig12", "fig13"), at `scale` of the paper size.
 pub fn figure(id: &str, scale: f64) -> Option<FigureSpec> {
+    let id = *ALL_FIGURES.iter().find(|&&f| f == id)?;
     let s = |n: i64| ((n as f64 * scale).round() as i64).max(16);
     let (benchmark, size_label, program): (&'static str, String, Program) = match id {
         "fig4" => ("vpenta", format!("{0}x{0}", s(128)), programs::vpenta(s(128), 3)),
@@ -197,62 +205,51 @@ pub fn figure(id: &str, scale: f64) -> Option<FigureSpec> {
         "fig10b" => ("adi", format!("{0}x{0}", s(1024)), programs::adi(s(1024), 5)),
         "fig11" => ("erlebacher", format!("{0}^3", s(64)), programs::erlebacher(s(64))),
         "fig12" => ("swm256", format!("{0}x{0}", s(257)), programs::swm256(s(257), 5)),
-        "fig13" => ("tomcatv", format!("{0}x{0}", s(257)), programs::tomcatv(s(257), 5)),
-        _ => return None,
+        _ => ("tomcatv", format!("{0}x{0}", s(257)), programs::tomcatv(s(257), 5)),
     };
-    Some(FigureSpec { id: Box::leak(id.to_string().into_boxed_str()), benchmark, size_label, program })
+    Some(FigureSpec { id, benchmark, size_label, program })
 }
 
 /// Every figure id, in paper order.
 pub const ALL_FIGURES: &[&str] =
     &["fig4", "fig6", "fig6b", "fig8", "fig10", "fig10b", "fig11", "fig12", "fig13"];
 
-/// Run a figure: the three strategies across `procs_list`, one point at
-/// a time.
-pub fn run_figure(spec: &FigureSpec, procs_list: &[usize]) -> DctResult<FigureResult> {
-    figure_on(spec, procs_list, ThreadBudget::clamp(1))
-}
-
-/// [`run_figure`] with the independent simulation points swept by a worker
-/// pool sized by the thread budget. A failing or panicking point is
-/// surfaced as the figure's error, not a process abort.
-pub fn run_figure_parallel(
+/// Run a figure's cells on the cell executor under `cfg` (its `procs` is
+/// not read) and assemble the three curves. The cells are the sequential
+/// reference, then each strategy at every count in `procs_list`, labelled
+/// by the figure id so two figures of one benchmark never share a
+/// checkpoint. A failed cell is the figure's error; the report says what
+/// the cells cost either way.
+pub fn run_figure(
     spec: &FigureSpec,
     procs_list: &[usize],
+    cfg: &SweepConfig,
     budget: ThreadBudget,
-) -> DctResult<FigureResult> {
-    eprintln!("[{budget}]");
-    figure_on(spec, procs_list, budget)
+) -> (DctResult<FigureResult>, SweepReport) {
+    let task = |kind, procs| CellTask { prog: &spec.program, bench: spec.id, kind, procs };
+    let curves = KINDS[1..].iter().flat_map(|&kind| procs_list.iter().map(move |&p| task(kind, p)));
+    let tasks: Vec<CellTask> = std::iter::once(task("seq", 1)).chain(curves).collect();
+    let rep = run_cells(cfg, &tasks, budget);
+    (figure_result(spec, procs_list, &rep.cells), rep)
 }
 
-fn figure_on(
-    spec: &FigureSpec,
-    procs_list: &[usize],
-    budget: ThreadBudget,
-) -> DctResult<FigureResult> {
-    let params = spec.program.default_params();
-    let seq = sequential_cycles(&spec.program, &params)?;
-    let np = procs_list.len();
-    // Point t: strategy t / np at procs_list[t % np].
-    let points = par_map(budget, Strategy::ALL.len() * np, |t| -> Result<SpeedupPoint, String> {
-        let (c, procs) = (Compiler::new(Strategy::ALL[t / np]), procs_list[t % np]);
-        let compiled = c.compile(&spec.program).map_err(|e| e.to_string())?;
-        let r = c.simulate(&compiled, procs, &params).map_err(|e| e.to_string())?;
-        Ok(SpeedupPoint { procs, cycles: r.cycles, speedup: seq as f64 / r.cycles as f64 })
-    });
-    let curve_of = |(si, &strategy): (usize, &Strategy)| {
-        let point = |(ki, &procs): (usize, &usize)| {
-            points[si * np + ki].clone().and_then(|p| p).map_err(|e| {
-                DctError::new(
-                    Phase::Sim,
-                    format!("{} under {} at {procs} procs: {e}", spec.id, strategy.label()),
-                )
-            })
-        };
-        let points = procs_list.iter().enumerate().map(point).collect::<DctResult<_>>()?;
-        Ok(StrategyCurve { strategy, points })
+fn figure_result(spec: &FigureSpec, procs_list: &[usize], cells: &[Cell]) -> DctResult<FigureResult> {
+    let cycles = |kind: &str, procs: usize| {
+        let cell = cells.iter().find(|c| c.kind == kind && c.procs == procs);
+        cell.ok_or_else(|| "cell did not run".to_string()).and_then(Cell::cycles)
     };
-    let curves = Strategy::ALL.iter().enumerate().map(curve_of).collect::<DctResult<_>>()?;
+    let fail = |what: String, e| DctError::new(Phase::Sim, format!("{} {what}: {e}", spec.id));
+    let seq = cycles("seq", 1).map_err(|e| fail("sequential reference".to_string(), e))?;
+    let mut curves = Vec::new();
+    for (&strategy, kind) in Strategy::ALL.iter().zip(&KINDS[1..]) {
+        let mut points = Vec::new();
+        for &procs in procs_list {
+            let what = || format!("under {} at {procs} procs", strategy.label());
+            let c = cycles(kind, procs).map_err(|e| fail(what(), e))?;
+            points.push(SpeedupPoint { procs, cycles: c, speedup: seq as f64 / c as f64 });
+        }
+        curves.push(StrategyCurve { strategy, points });
+    }
     Ok(FigureResult {
         spec_id: spec.id.to_string(),
         benchmark: spec.benchmark.to_string(),
@@ -275,32 +272,20 @@ pub struct Table1Row {
     pub notes: Vec<String>,
 }
 
-/// Outcome of one simulation cell: cycles, or why it failed.
-type CellResult = Result<u64, String>;
-
-/// Table 1 cell labels, in task order: sequential reference then the
-/// three strategies.
-const CELL_LABELS: [&str; 4] = ["sequential", "base", "comp-decomp", "full"];
-
-/// Run one Table 1 cell: `k` = 0 is the sequential reference, else
-/// `Strategy::ALL[k - 1]` at `procs`.
-fn run_cell(prog: &Program, params: &[i64], procs: usize, k: usize) -> CellResult {
-    match k {
-        0 => sequential_cycles(prog, params).map_err(|e| e.to_string()),
-        _ => {
-            let c = Compiler::new(Strategy::ALL[k - 1]);
-            let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-            c.simulate(&compiled, procs, params).map(|r| r.cycles).map_err(|e| e.to_string())
-        }
-    }
-}
-
-/// Assemble one Table 1 row from its four cells.
-fn assemble_row(name: &str, prog: &Program, cy: &[CellResult]) -> Table1Row {
+/// Assemble one Table 1 row from its benchmark's cells (any order; a
+/// missing kind is a failed cell).
+fn assemble_row(name: &str, prog: &Program, cells: &[&Cell]) -> Table1Row {
+    let cy: Vec<Result<u64, String>> = KINDS
+        .iter()
+        .map(|&kind| {
+            let cell = cells.iter().find(|c| c.kind == kind);
+            cell.ok_or_else(|| "cell did not run".to_string()).and_then(|c| c.cycles())
+        })
+        .collect();
     let mut notes: Vec<String> = Vec::new();
-    for (k, c) in cy.iter().enumerate() {
+    for (kind, c) in KINDS.iter().zip(&cy) {
         if let Err(e) = c {
-            notes.push(format!("{}: {e}", CELL_LABELS[k]));
+            notes.push(format!("{kind}: {e}"));
         }
     }
     let speed = |k: usize| -> Option<f64> {
@@ -347,91 +332,70 @@ fn assemble_row(name: &str, prog: &Program, cy: &[CellResult]) -> Table1Row {
 }
 
 /// Regenerate Table 1 at `procs` processors and `scale` of the paper
-/// sizes, one cell at a time.
-pub fn table1(procs: usize, scale: f64) -> Vec<Table1Row> {
-    table1_on(procs, scale, ThreadBudget::clamp(1))
-}
-
-/// [`table1`] with the `suite.len() * 4` independent cells (sequential
-/// reference + three strategies per benchmark) swept by a worker pool
-/// sized by the thread budget. Rows are assembled in suite order, so the
-/// output is identical. A failing or panicking cell becomes a failed cell
-/// in its row.
+/// sizes: the `suite.len() * 4` cells (sequential reference + three
+/// strategies per benchmark) on the cell executor's worker pool, sized by
+/// the thread budget, with no checkpoint and no store. A failing or
+/// panicking cell becomes a failed cell in its row.
 pub fn table1_parallel(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
-    eprintln!("[{budget}]");
-    table1_on(procs, scale, budget)
+    let suite = programs::suite(scale);
+    let rep = run_cells(&SweepConfig::plain(procs, scale), &table1_tasks(&suite, procs), budget);
+    table1_rows(&suite, &rep.cells)
 }
 
-fn table1_on(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
-    let suite = programs::suite(scale);
-    // Cell t: benchmark t / 4, run t % 4.
-    let cells: Vec<CellResult> = par_map(budget, suite.len() * 4, |t| {
-        let prog = &suite[t / 4].program;
-        run_cell(prog, &prog.default_params(), procs, t % 4)
-    })
-    .into_iter()
-    .map(|c| c.and_then(|c| c))
-    .collect();
-    suite.iter().zip(cells.chunks(4)).map(|(b, cy)| assemble_row(b.name, &b.program, cy)).collect()
+/// Table 1's rows, in suite order, from its cells.
+pub fn table1_rows(suite: &[Benchmark], cells: &[Cell]) -> Vec<Table1Row> {
+    let row = |b: &Benchmark| {
+        let mine: Vec<&Cell> = cells.iter().filter(|c| c.bench == b.name).collect();
+        assemble_row(b.name, &b.program, &mine)
+    };
+    suite.iter().map(row).collect()
 }
 
 /// One benchmark × strategy cell of the race-check sweep: the detector's
-/// report, or why the cell could not run.
+/// `(accesses checked, sync edges)` for a race-free schedule, or why the
+/// cell is not certified (a racy schedule is a failed cell whose reason
+/// ends in the detector's report).
 #[derive(Clone, Debug)]
 pub struct RaceCheckCell {
     pub program: String,
     pub strategy: Strategy,
-    pub outcome: Result<dct_ir::RaceReport, String>,
+    pub outcome: Result<(u64, u64), String>,
 }
 
 impl RaceCheckCell {
     /// True when the cell ran and the detector certified it race-free.
     pub fn is_clean(&self) -> bool {
-        matches!(&self.outcome, Ok(rep) if rep.is_race_free())
+        self.outcome.is_ok()
     }
 }
 
-/// Run one race-check cell: compile under `strategy`, simulate at `procs`
-/// with the happens-before detector enabled, and return its report.
-fn run_race_cell(
-    prog: &Program,
-    params: &[i64],
-    procs: usize,
-    strategy: Strategy,
-) -> Result<dct_ir::RaceReport, String> {
-    let c = Compiler::new(strategy);
-    let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-    let mut opts = dct_core::rung_sim_options(compiled.rung, procs, params.to_vec());
-    opts.race_detect = true;
-    let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
-        .map_err(|e| e.to_string())?;
-    r.race.ok_or_else(|| "detector produced no report".to_string())
+/// Certify every Table 1 benchmark under every strategy at `cfg.procs`
+/// processors with the happens-before race detector on (whatever
+/// `cfg.race_check` says), on the cell executor. This is the
+/// schedule-soundness check behind `repro --race-check`: the detector is
+/// the only oracle that can see missing synchronization, since the
+/// deterministic simulator never produces "racy but lucky" values.
+pub fn race_check(cfg: &SweepConfig, budget: ThreadBudget) -> Vec<RaceCheckCell> {
+    let cfg = SweepConfig { race_check: true, ..cfg.clone() };
+    let suite = sweep_suite(&cfg);
+    let mut tasks = table1_tasks(&suite, cfg.procs);
+    tasks.retain(|t| t.kind != "seq");
+    race_cells(&run_cells(&cfg, &tasks, budget).cells)
 }
 
-/// Certify every Table 1 benchmark under every strategy at `procs`
-/// processors with the happens-before race detector on. Cells are
-/// independent and swept with a scoped worker pool, like [`table1_parallel`].
-/// This is the schedule-soundness check behind `repro --race-check`: the
-/// detector is the only oracle that can see missing synchronization, since
-/// the deterministic simulator never produces "racy but lucky" values.
-pub fn race_check(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<RaceCheckCell> {
-    eprintln!("[{budget}]");
-    let suite = programs::suite(scale);
-    let ns = Strategy::ALL.len();
-    // Cell t: benchmark t / ns under strategy t % ns.
-    let outcomes = par_map(budget, suite.len() * ns, |t| {
-        let prog = &suite[t / ns].program;
-        run_race_cell(prog, &prog.default_params(), procs, Strategy::ALL[t % ns])
-    });
-    outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(t, outcome)| RaceCheckCell {
-            program: suite[t / ns].name.to_string(),
-            strategy: Strategy::ALL[t % ns],
-            outcome: outcome.and_then(|o| o),
-        })
-        .collect()
+/// The race certificate of cells run with the detector on: one entry per
+/// strategy cell (`seq` cells are skipped).
+pub fn race_cells(cells: &[Cell]) -> Vec<RaceCheckCell> {
+    let entry = |c: &Cell| RaceCheckCell {
+        program: c.bench.clone(),
+        strategy: kind_strategy(&c.kind, c.procs).0,
+        outcome: match (&c.outcome, c.race) {
+            (CellOutcome::Failed(e) | CellOutcome::Quarantined(e), _) => Err(e.clone()),
+            (_, Some(counts)) => Ok(counts),
+            _ => Err("detector produced no report".to_string()),
+        },
+    };
+    cells.iter().filter(|c| c.kind != "seq").map(entry).collect()
 }
 
 /// Render the race-check sweep; one line per benchmark × strategy.
@@ -441,25 +405,14 @@ pub fn render_race_check(cells: &[RaceCheckCell], procs: usize) -> String {
         "Race check: every benchmark x strategy at {procs} processors (happens-before detector)\n"
     ));
     for c in cells {
-        match &c.outcome {
-            Ok(rep) if rep.is_race_free() => out.push_str(&format!(
-                "  {:<12} {:<28} clean ({} accesses checked, {} sync edges)\n",
-                c.program,
-                c.strategy.label(),
-                rep.checked,
-                rep.sync_edges
-            )),
-            Ok(rep) => out.push_str(&format!(
-                "  {:<12} {:<28} RACY: {rep}",
-                c.program,
-                c.strategy.label()
-            )),
-            Err(e) => out.push_str(&format!(
-                "  {:<12} {:<28} failed: {e}\n",
-                c.program,
-                c.strategy.label()
-            )),
-        }
+        let verdict = match &c.outcome {
+            Ok((checked, edges)) => format!("clean ({checked} accesses checked, {edges} sync edges)\n"),
+            Err(e) => match e.split_once("schedule races: ") {
+                Some((_, rep)) => format!("RACY: {rep}"),
+                None => format!("failed: {e}\n"),
+            },
+        };
+        out.push_str(&format!("  {:<12} {:<28} {verdict}", c.program, c.strategy.label()));
     }
     let bad = cells.iter().filter(|c| !c.is_clean()).count();
     if bad == 0 {
@@ -531,8 +484,14 @@ mod tests {
     #[test]
     fn failed_cell_renders_as_fail_with_its_note() {
         let prog = programs::stencil(16, 2);
-        let cy = [Ok(100), Ok(50), Ok(40), Err("worker panicked: injected failure".to_string())];
-        let row = assemble_row("stencil", &prog, &cy);
+        let cell = |kind, outcome| Cell::new("stencil", kind, 4, 1.0, outcome);
+        let cells = [
+            cell("seq", CellOutcome::Cycles(100)),
+            cell("base", CellOutcome::Cycles(50)),
+            cell("comp", CellOutcome::Cycles(40)),
+            cell("full", CellOutcome::Failed("worker panicked: injected failure".to_string())),
+        ];
+        let row = assemble_row("stencil", &prog, &cells.iter().collect::<Vec<_>>());
         assert_eq!(row.base_speedup, Some(2.0));
         assert_eq!(row.full_speedup, None);
         assert_eq!(row.notes, ["full: worker panicked: injected failure"]);

@@ -26,10 +26,9 @@ pub use chaos::{
     FaultSite, RetryPolicy, RetryRung,
 };
 pub use explain::{explain, explain_cached, explain_json, explain_strategies, render_explain, ExplainResult, ExplainRun, StrategyExplain};
-pub use harness::{atomic_write_sync, figure, run_figure, run_figure_parallel, table1, FigureResult, FigureSpec, StrategyCurve, Table1Row, ThreadBudget};
+pub use harness::{atomic_write_sync, figure, run_figure, table1_parallel, FigureResult, FigureSpec, StrategyCurve, Table1Row, ThreadBudget};
 pub use native_check::{render_native_check, run_native_check, run_native_check_cached, NativeCell, NativeVerdict};
 pub use sweep::{
-    render_sweep, run_cell_supervised, run_cell_supervised_keyed, run_sweep, run_sweep_supervised,
-    scale_key, Cell,
-    CellOutcome, CellRun, SweepConfig, SweepReport, KINDS,
+    render_sweep, run_cell_supervised_keyed, run_cells, run_sweep_supervised,
+    scale_key, Cell, CellOutcome, CellRun, CellTask, SweepConfig, SweepReport, KINDS,
 };

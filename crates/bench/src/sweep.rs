@@ -19,15 +19,16 @@
 //! keeps going. Partial results always render: a table with holes beats
 //! no table.
 
-use crate::cache::CacheKey;
+use crate::cache::{kind_strategy, CacheKey};
 use crate::chaos::{backoff_ms, FaultInjector, FaultSite, RetryPolicy, RetryRung};
-use crate::harness::atomic_write_sync;
-use crate::programs;
-use dct_core::{rung_sim_options, Compiler, Strategy};
-use dct_ir::{panic_message, CancelToken};
+use crate::harness::{atomic_write_sync, par_map, ThreadBudget};
+use crate::programs::{self, Benchmark};
+use dct_core::{rung_sim_options, Compiler};
+use dct_ir::{panic_message, CancelToken, Program};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,9 @@ pub struct Cell {
     /// (the observers that were enabled): one word that must survive
     /// every crash, retry, and restart unchanged.
     pub fingerprint: Option<u64>,
+    /// `(accesses checked, sync edges)` of a race-free detector run;
+    /// `None` when the detector was off.
+    pub race: Option<(u64, u64)>,
 }
 
 /// Scale as an integer key (milli-units) so float formatting can never
@@ -91,6 +95,16 @@ impl Cell {
             outcome,
             checksum_bits: None,
             fingerprint: None,
+            race: None,
+        }
+    }
+
+    /// The cell's cycles, or why it has none.
+    pub fn cycles(&self) -> Result<u64, String> {
+        match &self.outcome {
+            CellOutcome::Cycles(n) => Ok(*n),
+            CellOutcome::Timeout => Err("over its budget (timeout)".to_string()),
+            CellOutcome::Failed(e) | CellOutcome::Quarantined(e) => Err(e.clone()),
         }
     }
 
@@ -160,6 +174,11 @@ pub fn cell_to_json(c: &Cell) -> String {
     }
     if let Some(fp) = c.fingerprint {
         s.push_str(&format!(",\"fpr\":\"{fp:016x}\""));
+    }
+    // Written only when present, so cells without a detector run keep
+    // their bytes.
+    if let Some((checked, edges)) = c.race {
+        s.push_str(&format!(",\"checked\":{checked},\"sync_edges\":{edges}"));
     }
     s.push('}');
     s
@@ -242,6 +261,7 @@ pub fn cell_from_json(s: &str) -> Option<Cell> {
     let mut c = Cell::new(bench, kind, procs, scale, outcome);
     c.checksum_bits = json_hex(s, "crcbits");
     c.fingerprint = json_hex(s, "fpr");
+    c.race = json_num(s, "checked").zip(json_num(s, "sync_edges")).map(|(a, b)| (a as u64, b as u64));
     Some(c)
 }
 
@@ -445,8 +465,8 @@ pub struct SweepConfig {
     pub procs: usize,
     /// Problem-size scale relative to the paper sizes.
     pub scale: f64,
-    /// Checkpoint directory.
-    pub out_dir: PathBuf,
+    /// Checkpoint directory; `None` = write no checkpoint.
+    pub out_dir: Option<PathBuf>,
     /// Reuse completed checkpoints instead of recomputing them. Failed
     /// and quarantined cells are retried (their failure may have been
     /// environmental); completed and timed-out cells are skipped.
@@ -486,11 +506,17 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
+    /// A sweep that checkpoints every cell under `out_dir`.
     pub fn new(procs: usize, scale: f64, out_dir: impl Into<PathBuf>) -> SweepConfig {
+        SweepConfig { out_dir: Some(out_dir.into()), ..SweepConfig::plain(procs, scale) }
+    }
+
+    /// A sweep that writes no checkpoint (and so cannot resume).
+    pub fn plain(procs: usize, scale: f64) -> SweepConfig {
         SweepConfig {
             procs,
             scale,
-            out_dir: out_dir.into(),
+            out_dir: None,
             resume: false,
             max_cycles: None,
             max_wall_secs: None,
@@ -521,13 +547,67 @@ impl SweepConfig {
             machine: None,
         }
     }
+
+    /// Can `cell`, found in a checkpoint or the store, stand in for a run
+    /// under this config? Only a completed or timed-out one, and under
+    /// the race detector only one that carries the detector's counts.
+    fn reusable(&self, cell: &Cell) -> bool {
+        matches!(cell.outcome, CellOutcome::Cycles(_) | CellOutcome::Timeout)
+            && (!self.race_check || cell.race.is_some())
+    }
+
+    /// Checkpoint `cell`, when this sweep keeps checkpoints.
+    fn record(&self, cell: &Cell) -> io::Result<()> {
+        match &self.out_dir {
+            Some(dir) => save_cell_checked(dir, cell, self.injector.as_deref()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// One cell to run: `kind` of `prog` at `procs`, recorded under the label
+/// `bench` (a benchmark name, or a figure id for a figure's cells).
+#[derive(Clone, Copy, Debug)]
+pub struct CellTask<'a> {
+    pub prog: &'a Program,
+    pub bench: &'a str,
+    pub kind: &'a str,
+    pub procs: usize,
+}
+
+impl CellTask<'_> {
+    fn cell(&self, scale: f64, outcome: CellOutcome) -> Cell {
+        Cell::new(self.bench, self.kind, self.procs, scale, outcome)
+    }
+}
+
+/// The benchmarks a sweep under `cfg` covers: the suite at its scale,
+/// restricted to `cfg.only`.
+pub fn sweep_suite(cfg: &SweepConfig) -> Vec<Benchmark> {
+    let mut suite = programs::suite(cfg.scale);
+    if let Some(only) = &cfg.only {
+        suite.retain(|b| only.iter().any(|n| n == b.name));
+    }
+    suite
+}
+
+/// Table 1's cells: per benchmark, [`KINDS`] in order, `seq` at one
+/// processor and the strategies at `procs`.
+pub fn table1_tasks(suite: &[Benchmark], procs: usize) -> Vec<CellTask<'_>> {
+    let mut tasks = Vec::with_capacity(suite.len() * KINDS.len());
+    for b in suite {
+        for kind in KINDS {
+            let procs = if kind == "seq" { 1 } else { procs };
+            tasks.push(CellTask { prog: &b.program, bench: b.name, kind, procs });
+        }
+    }
+    tasks
 }
 
 /// What one supervised sweep run did, beyond the cells themselves.
 #[derive(Debug, Default)]
 pub struct SweepReport {
-    /// All cells, in deterministic (suite, kind) order — resumed and
-    /// freshly computed alike.
+    /// All cells, in task order — resumed and freshly computed alike.
     pub cells: Vec<Cell>,
     /// Corrupt checkpoints quarantined during resume `(file, reason)`.
     pub corrupt: Vec<(String, String)>,
@@ -554,38 +634,45 @@ pub struct SweepReport {
     pub checkpoints_current: u64,
 }
 
-/// Result of one compute attempt, before checkpointing.
-struct CellSim {
-    outcome: CellOutcome,
-    checksum_bits: Option<u64>,
-    fingerprint: Option<u64>,
+impl SweepReport {
+    /// Fold one supervised cell run into the report.
+    fn absorb(&mut self, run: CellRun) {
+        self.retries += run.retries;
+        self.cancelled += run.cancelled;
+        self.quarantined += run.quarantined;
+        if run.cache_hit {
+            self.cache_hits += 1;
+        } else {
+            self.executed += 1;
+        }
+        self.checkpoints_current += run.checkpoint_current as u64;
+        self.cells.push(run.cell);
+    }
 }
 
-impl CellSim {
-    fn failed(msg: impl Into<String>) -> CellSim {
-        CellSim { outcome: CellOutcome::Failed(msg.into()), checksum_bits: None, fingerprint: None }
-    }
+/// What a successful compute attempt measured, before it gets the cell's
+/// identity; `cycles` is `None` when the run hit its budget. It owns no
+/// heap memory: the attempt runs on its own short-lived thread, and a
+/// long-lived allocation made there after the simulation would pin the
+/// simulation's freed pages in that thread's allocator arena.
+struct CellSim {
+    cycles: Option<u64>,
+    checksum_bits: Option<u64>,
+    fingerprint: Option<u64>,
+    race: Option<(u64, u64)>,
 }
 
 /// Simulate one cell once, on one rung, under a cancellation token,
 /// catching panics. Runs on the supervised worker thread.
 fn compute_attempt(
-    prog: &dct_ir::Program,
+    task: &CellTask,
     cfg: &SweepConfig,
-    kind: &str,
-    procs: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
-) -> CellSim {
-    let (strategy, procs) = match kind {
-        "seq" => (Strategy::Base, 1),
-        "base" => (Strategy::Base, procs),
-        "comp" => (Strategy::CompDecomp, procs),
-        _ => (Strategy::Full, procs),
-    };
+) -> Result<CellSim, String> {
+    let (strategy, procs) = kind_strategy(task.kind, task.procs);
     let inj = cfg.injector.as_deref();
-    let params = prog.default_params();
     let body = || -> Result<CellSim, String> {
         if fires(inj, FaultSite::WorkerPanic, ctx) {
             panic!("injected: worker panic at {ctx}");
@@ -603,8 +690,8 @@ fn compute_attempt(
             return Err("injected: stuck cell (cancelled by watchdog)".to_string());
         }
         let c = Compiler::new(strategy);
-        let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-        let mut opts = rung_sim_options(compiled.rung, procs, params.clone());
+        let compiled = c.compile(task.prog).map_err(|e| e.to_string())?;
+        let mut opts = rung_sim_options(compiled.rung, procs, task.prog.default_params());
         opts.max_cycles = cfg.max_cycles;
         opts.max_wall_secs = cfg.max_wall_secs;
         opts.race_detect = cfg.race_check;
@@ -621,12 +708,9 @@ fn compute_attempt(
                 return Err(format!("schedule races: {rep}"));
             }
         }
+        let race = r.race.as_ref().map(|rep| (rep.checked, rep.sync_edges));
         if r.timed_out {
-            return Ok(CellSim {
-                outcome: CellOutcome::Timeout,
-                checksum_bits: None,
-                fingerprint: None,
-            });
+            return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race });
         }
         // The bit-identity fingerprint: checksum bits plus every enabled
         // observer's full output.
@@ -641,17 +725,11 @@ fn compute_attempt(
         if let Some(mp) = &r.mem_profile {
             buf.extend_from_slice(format!("{:?}", mp.rows).as_bytes());
         }
-        Ok(CellSim {
-            outcome: CellOutcome::Cycles(r.cycles),
-            checksum_bits: Some(bits),
-            fingerprint: Some(fnv64(&buf)),
-        })
+        let fingerprint = Some(fnv64(&buf));
+        Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race })
     };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(Ok(o)) => o,
-        Ok(Err(e)) => CellSim::failed(e),
-        Err(p) => CellSim::failed(format!("panicked: {}", panic_message(p.as_ref()))),
-    }
+    catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))))
 }
 
 /// Run the cell once more on the native threaded backend and require a
@@ -720,20 +798,18 @@ fn native_cross_check(
 /// the cancellation token and the attempt dies at its next sync-point
 /// boundary (then gets retried on a weaker rung).
 fn supervised_attempt(
-    prog: &dct_ir::Program,
+    task: &CellTask,
     cfg: &SweepConfig,
-    kind: &str,
-    procs: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
-) -> CellSim {
+) -> Result<CellSim, String> {
+    let closed = || Err("worker channel closed before a result".to_string());
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         let worker_token = token.clone();
         s.spawn(move || {
-            let sim = compute_attempt(prog, cfg, kind, procs, fast_path, &worker_token, ctx);
-            let _ = tx.send(sim);
+            let _ = tx.send(compute_attempt(task, cfg, fast_path, &worker_token, ctx));
         });
         match cfg.stuck_wall_secs {
             Some(w) => match rx.recv_timeout(Duration::from_secs_f64(w.max(0.01))) {
@@ -743,32 +819,44 @@ fn supervised_attempt(
                     // The cancel is cooperative: the worker notices at its
                     // next sync point and reports back. Wait for it — a
                     // detached runaway thread would race the next attempt.
-                    rx.recv().unwrap_or_else(|_| CellSim::failed("worker died after watchdog cancel"))
+                    rx.recv().unwrap_or_else(|_| Err("worker died after watchdog cancel".to_string()))
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    CellSim::failed("worker channel closed before a result")
-                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => closed(),
             },
-            None => rx.recv().unwrap_or_else(|_| CellSim::failed("worker channel closed before a result")),
+            None => rx.recv().unwrap_or_else(|_| closed()),
         }
     })
 }
 
 /// The cache key of one cell under `cfg`; `None` (the cell runs uncached)
 /// when the sweep has no store or the key cannot be derived.
-fn derive_cache_key(
-    prog: &dct_ir::Program,
-    cfg: &SweepConfig,
-    bench: &str,
-    kind: &str,
-    procs: usize,
-) -> Option<CacheKey> {
+fn derive_cache_key(task: &CellTask, cfg: &SweepConfig) -> Option<CacheKey> {
     cfg.cache.as_ref()?;
-    crate::cache::cell_cache_key(bench, &cfg.key_inputs(prog, kind, procs))
+    crate::cache::cell_cache_key(task.bench, &cfg.key_inputs(task.prog, task.kind, task.procs))
         .map_err(|e| {
-            eprintln!("[cache: {bench}/{kind}: key derivation failed ({e}); cell will not be cached]")
+            eprintln!(
+                "[cache: {}/{}: key derivation failed ({e}); cell will not be cached]",
+                task.bench, task.kind
+            )
         })
         .ok()
+}
+
+/// What one supervised cell run did: the cell plus the recovery counters
+/// its computation cost.
+#[derive(Debug)]
+pub struct CellRun {
+    pub cell: Cell,
+    pub retries: u64,
+    pub cancelled: u64,
+    pub quarantined: u64,
+    /// True when the cell was served from the content-addressed cache
+    /// without executing.
+    pub cache_hit: bool,
+    /// True when that hit found its checkpoint on disk byte for byte and
+    /// wrote nothing; false when the checkpoint was written (every miss,
+    /// and a hit whose file was absent or differed) or none is kept.
+    pub checkpoint_current: bool,
 }
 
 /// Compute one cell through the full self-healing protocol: cache look-up
@@ -776,62 +864,52 @@ fn derive_cache_key(
 /// bit-identical degradation ladder, watchdog cancellation, checkpointing
 /// (with its own faults retried), quarantine after the last attempt.
 fn compute_cell_supervised(
-    prog: &dct_ir::Program,
+    task: &CellTask,
     cfg: &SweepConfig,
-    bench: &str,
-    kind: &str,
-    procs: usize,
     cache_key: Option<&CacheKey>,
-    rep: &mut SweepReport,
-) -> Cell {
-    let inj = cfg.injector.as_deref();
+) -> CellRun {
     let max_attempts = cfg.retry.max_attempts.max(1);
-    let cell_id = format!("{bench}/{kind}");
+    let cell_id = format!("{}/{}", task.bench, task.kind);
     // Content-addressed cache: a completed or timed-out cell whose key
     // matches is served without executing anything. Failed/quarantined
     // entries are never cached, so a cached cell is always trustworthy
     // (and crc64-verified on read).
     if let (Some(store), Some(key)) = (cfg.cache.as_deref(), cache_key) {
-        if let Some(cell) = store.lookup_cell(key) {
-            if matches!(cell.outcome, CellOutcome::Cycles(_) | CellOutcome::Timeout) {
-                // Keep the checkpoint record consistent so `--resume`
-                // and partial-table rendering see the cell either way;
-                // one that is already there is not written again.
-                if checkpoint_is_current(&cfg.out_dir, &cell) {
-                    rep.checkpoints_current += 1;
-                } else {
-                    let _ = save_cell_checked(&cfg.out_dir, &cell, inj);
-                }
-                rep.cache_hits += 1;
-                return cell;
+        if let Some(cell) = store.lookup_cell(key).filter(|c| cfg.reusable(c)) {
+            // Keep the checkpoint record consistent so `--resume`
+            // and partial-table rendering see the cell either way;
+            // one that is already there is not written again.
+            let current = cfg.out_dir.as_deref().is_some_and(|d| checkpoint_is_current(d, &cell));
+            if !current {
+                let _ = cfg.record(&cell);
             }
+            let (retries, cancelled, quarantined) = (0, 0, 0);
+            return CellRun { cell, retries, cancelled, quarantined, cache_hit: true, checkpoint_current: current };
         }
     }
-    rep.executed += 1;
+    let (mut retries, mut cancelled) = (0, 0);
     let mut last_err = "no attempt was made".to_string();
     for attempt in 0..max_attempts {
         let rung = RetryRung::for_attempt(attempt);
-        let fast_path = rung.params();
         let token = CancelToken::new();
         let ctx = format!("{cell_id} attempt {} (rung {})", attempt + 1, rung.label());
-        let sim = supervised_attempt(prog, cfg, kind, procs, fast_path, &token, &ctx);
+        let sim = supervised_attempt(task, cfg, rung.params(), &token, &ctx);
         if token.is_cancelled() {
-            rep.cancelled += 1;
+            cancelled += 1;
         }
-        match &sim.outcome {
-            CellOutcome::Cycles(_) | CellOutcome::Timeout => {
-                let mut cell = Cell::new(bench, kind, procs, cfg.scale, sim.outcome);
-                cell.checksum_bits = sim.checksum_bits;
-                cell.fingerprint = sim.fingerprint;
-                match save_cell_checked(&cfg.out_dir, &cell, inj)
-                    .and_then(|()| match (cfg.cache.as_deref(), cache_key) {
-                        // The cache is part of the durable record: a cell
-                        // that could not be inserted retries the whole
-                        // attempt, exactly like a failed checkpoint (this
-                        // is where `cache-write-io` faults land and heal).
-                        (Some(store), Some(key)) => store.insert_cell(key, &cell, inj),
-                        _ => Ok(()),
-                    }) {
+        match sim {
+            Ok(sim) => {
+                let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
+                let (checksum_bits, fingerprint, race) = (sim.checksum_bits, sim.fingerprint, sim.race);
+                let cell = Cell { checksum_bits, fingerprint, race, ..task.cell(cfg.scale, outcome) };
+                match cfg.record(&cell).and_then(|()| match (cfg.cache.as_deref(), cache_key) {
+                    // The cache is part of the durable record: a cell
+                    // that could not be inserted retries the whole
+                    // attempt, exactly like a failed checkpoint (this
+                    // is where `cache-write-io` faults land and heal).
+                    (Some(store), Some(key)) => store.insert_cell(key, &cell, cfg.injector.as_deref()),
+                    _ => Ok(()),
+                }) {
                     Ok(()) => {
                         if attempt > 0 {
                             eprintln!(
@@ -840,7 +918,8 @@ fn compute_cell_supervised(
                                 rung.label()
                             );
                         }
-                        return cell;
+                        let quarantined = 0;
+                        return CellRun { cell, retries, cancelled, quarantined, cache_hit: false, checkpoint_current: false };
                     }
                     Err(e) => {
                         // The checkpoint is the record; a cell that was
@@ -854,63 +933,30 @@ fn compute_cell_supervised(
                     }
                 }
             }
-            CellOutcome::Failed(e) | CellOutcome::Quarantined(e) => {
-                last_err = format!("attempt {} (rung {}): {e}", attempt + 1, rung.label());
-            }
+            Err(e) => last_err = format!("attempt {} (rung {}): {e}", attempt + 1, rung.label()),
         }
         if attempt + 1 < max_attempts {
-            rep.retries += 1;
+            retries += 1;
             let wait = backoff_ms(&cfg.retry, &cell_id, attempt);
             if wait > 0 {
                 std::thread::sleep(Duration::from_millis(wait));
             }
         }
     }
-    rep.quarantined += 1;
     eprintln!("[sweep: {cell_id} QUARANTINED after {max_attempts} attempt(s): {last_err}]");
-    let cell = Cell::new(bench, kind, procs, cfg.scale, CellOutcome::Quarantined(last_err));
+    let cell = task.cell(cfg.scale, CellOutcome::Quarantined(last_err));
     // Best effort: a quarantine record on disk beats losing the reason,
     // but a failing disk must not mask the quarantine itself.
-    let _ = save_cell_checked(&cfg.out_dir, &cell, inj);
-    cell
+    let _ = cfg.record(&cell);
+    CellRun { cell, retries, cancelled, quarantined: 1, cache_hit: false, checkpoint_current: false }
 }
 
-/// What one supervised single-cell run did (the serve queue's unit of
-/// work): the cell plus the recovery counters its computation cost.
-#[derive(Debug)]
-pub struct CellRun {
-    pub cell: Cell,
-    pub retries: u64,
-    pub cancelled: u64,
-    pub quarantined: u64,
-    /// True when the cell was served from the content-addressed cache
-    /// without executing.
-    pub cache_hit: bool,
-    /// True when that hit found its checkpoint on disk byte for byte and
-    /// wrote nothing; false when the checkpoint was written (every miss,
-    /// and a hit whose file was absent or differed).
-    pub checkpoint_current: bool,
-}
-
-/// Compute exactly one cell through the full self-healing protocol —
-/// cache lookup, supervised attempts down the retry ladder, watchdog,
-/// checkpoint + cache insert, quarantine. This is the sweep loop's own
-/// per-cell path, exposed for the job-queue service (dct-serve), so a
-/// queued cell and a swept cell can never diverge in behavior.
-pub fn run_cell_supervised(
-    prog: &dct_ir::Program,
-    cfg: &SweepConfig,
-    bench: &str,
-    kind: &str,
-    procs: usize,
-) -> CellRun {
-    let key = derive_cache_key(prog, cfg, bench, kind, procs);
-    run_cell_supervised_keyed(prog, cfg, bench, kind, procs, key.as_ref())
-}
-
-/// [`run_cell_supervised`] for a caller that already holds the cell's
-/// cache key (`None` = run uncached): the serve queue derives it once, at
-/// submit, to deduplicate in-flight cells.
+/// Compute exactly one cell through the full self-healing protocol, for a
+/// caller that already holds the cell's cache key (`None` = run
+/// uncached): the job-queue service (dct-serve) derives it once, at
+/// submit, to deduplicate in-flight cells. This is the executor's own
+/// per-cell path, so a queued cell and a swept cell can never diverge in
+/// behavior.
 pub fn run_cell_supervised_keyed(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
@@ -919,79 +965,76 @@ pub fn run_cell_supervised_keyed(
     procs: usize,
     cache_key: Option<&CacheKey>,
 ) -> CellRun {
-    let mut rep = SweepReport::default();
-    let cell = compute_cell_supervised(prog, cfg, bench, kind, procs, cache_key, &mut rep);
-    CellRun {
-        cell,
-        retries: rep.retries,
-        cancelled: rep.cancelled,
-        quarantined: rep.quarantined,
-        cache_hit: rep.cache_hits > 0,
-        checkpoint_current: rep.checkpoints_current > 0,
-    }
+    compute_cell_supervised(&CellTask { prog, bench, kind, procs }, cfg, cache_key)
 }
 
-/// Run (or resume) a sweep under the self-healing executor. Every missing
-/// cell is simulated on a supervised worker and checkpointed the moment
-/// it finishes; the report carries everything the run had to survive.
-pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
-    eprintln!("[thread budget: 1 cell in flight (checkpointed sweep is serial)]");
+/// The one cell executor behind every target: each task runs through the
+/// self-healing protocol on the worker pool and the runs fold into one
+/// report, cells in task order. With `cfg.resume`, a task whose
+/// checkpoint already holds a completed cell is not run again. An
+/// injected [`FaultSite::KillSweep`] after a cell drops every later task
+/// (chaos runs use one worker, so "later" is the order faults are counted
+/// in).
+pub fn run_cells(cfg: &SweepConfig, tasks: &[CellTask], budget: ThreadBudget) -> SweepReport {
+    eprintln!("[{budget}]");
     let inj = cfg.injector.as_deref();
     let mut rep = SweepReport::default();
-    let done: Vec<Cell> = if cfg.resume {
-        let lr = load_report(&cfg.out_dir, inj);
-        rep.corrupt = lr.corrupt;
-        rep.unreadable = lr.unreadable;
-        rep.tmp_cleaned = lr.tmp_cleaned;
-        lr.cells
-    } else {
-        Vec::new()
-    };
-    let suite = programs::suite(cfg.scale);
-    'cells: for b in &suite {
-        if let Some(only) = &cfg.only {
-            if !only.iter().any(|n| n == b.name) {
-                continue;
-            }
+    let done: Vec<Cell> = match &cfg.out_dir {
+        Some(dir) if cfg.resume => {
+            let lr = load_report(dir, inj);
+            rep.corrupt = lr.corrupt;
+            rep.unreadable = lr.unreadable;
+            rep.tmp_cleaned = lr.tmp_cleaned;
+            lr.cells
         }
-        for kind in KINDS {
-            let procs = if kind == "seq" { 1 } else { cfg.procs };
-            let key = (b.name.to_string(), kind.to_string(), procs, scale_key(cfg.scale));
-            if let Some(prev) = done.iter().find(|c| {
-                c.key() == key
-                    && matches!(c.outcome, CellOutcome::Cycles(_) | CellOutcome::Timeout)
-            }) {
-                rep.cells.push(prev.clone());
-                continue;
-            }
-            let cache_key = derive_cache_key(&b.program, cfg, b.name, kind, procs);
-            let cell = compute_cell_supervised(
-                &b.program,
-                cfg,
-                b.name,
-                kind,
-                procs,
-                cache_key.as_ref(),
-                &mut rep,
+        _ => Vec::new(),
+    };
+    let resumed: Vec<Option<&Cell>> = tasks
+        .iter()
+        .map(|t| {
+            let key = (t.bench.to_string(), t.kind.to_string(), t.procs, scale_key(cfg.scale));
+            done.iter().find(|c| c.key() == key && cfg.reusable(c))
+        })
+        .collect();
+    let killed_at = AtomicUsize::new(usize::MAX);
+    let runs = par_map(budget, tasks.len(), |i| {
+        if resumed[i].is_some() || i > killed_at.load(Ordering::Relaxed) {
+            return None;
+        }
+        let t = &tasks[i];
+        let run = compute_cell_supervised(t, cfg, derive_cache_key(t, cfg).as_ref());
+        if fires(inj, FaultSite::KillSweep, &format!("after {}/{}", t.bench, t.kind)) {
+            eprintln!(
+                "[sweep: injected kill after {}/{} — restart with --resume to continue]",
+                t.bench, t.kind
             );
-            rep.cells.push(cell);
-            if fires(inj, FaultSite::KillSweep, &format!("after {}/{kind}", b.name)) {
-                eprintln!(
-                    "[sweep: injected kill after {}/{kind} — restart with --resume to continue]",
-                    b.name
-                );
-                rep.killed = true;
-                break 'cells;
+            killed_at.fetch_min(i, Ordering::Relaxed);
+        }
+        Some(run)
+    });
+    let killed_at = killed_at.into_inner();
+    rep.killed = killed_at != usize::MAX;
+    for (i, run) in runs.into_iter().enumerate().take(killed_at.saturating_add(1)) {
+        match (resumed[i], run) {
+            (Some(prev), _) => rep.cells.push(prev.clone()),
+            (None, Ok(Some(run))) => rep.absorb(run),
+            (None, Ok(None)) => {}
+            (None, Err(e)) => {
+                rep.executed += 1;
+                rep.cells.push(tasks[i].cell(cfg.scale, CellOutcome::Failed(e)));
             }
         }
     }
-    Ok(rep)
+    rep
 }
 
-/// Run (or resume) a sweep; cells only. See [`run_sweep_supervised`] for
-/// the full report.
-pub fn run_sweep(cfg: &SweepConfig) -> io::Result<Vec<Cell>> {
-    run_sweep_supervised(cfg).map(|r| r.cells)
+/// Run (or resume) Table 1's sweep over [`sweep_suite`] on one worker.
+/// Every missing cell is simulated on a supervised worker and
+/// checkpointed the moment it finishes; the report carries everything
+/// the run had to survive.
+pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
+    let suite = sweep_suite(cfg);
+    Ok(run_cells(cfg, &table1_tasks(&suite, cfg.procs), ThreadBudget::clamp(1)))
 }
 
 /// Render whatever cells exist as a (possibly partial) Table 1: holes
@@ -1078,6 +1121,9 @@ mod tests {
             let mut c = Cell::new("lu", "full", 32, 0.25, outcome.clone());
             c.checksum_bits = Some(0xdead_beef_0bad_f00d);
             c.fingerprint = Some(7);
+            // A cell without detector counts writes no member for them.
+            assert!(!cell_to_json(&c).contains("checked"));
+            c.race = Some((123_456, 9));
             let back = cell_from_json(&cell_to_json(&c)).expect("roundtrip");
             assert_eq!(back.bench, "lu");
             assert_eq!(back.kind, "full");
@@ -1086,6 +1132,7 @@ mod tests {
             assert_eq!(back.outcome, outcome);
             assert_eq!(back.checksum_bits, Some(0xdead_beef_0bad_f00d));
             assert_eq!(back.fingerprint, Some(7));
+            assert_eq!(back.race, Some((123_456, 9)));
         }
         // A request body as `json.dumps` writes it (space after the
         // colon) reads like the compact form this crate writes.

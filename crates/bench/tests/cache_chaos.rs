@@ -6,9 +6,10 @@
 
 use dct_bench::chaos::{run_chaos, ChaosConfig, Fault, FaultInjector, FaultPlan, FaultSite};
 use dct_bench::sweep::{
-    load_report, render_sweep, run_sweep_supervised, CellOutcome, SweepConfig, SweepReport,
+    load_report, render_sweep, run_sweep_supervised, save_cell, sweep_suite, Cell, CellOutcome,
+    SweepConfig, SweepReport,
 };
-use dct_bench::ResultStore;
+use dct_bench::{cell_cache_key, ResultStore};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -209,6 +210,34 @@ fn cache_keys_respect_observers_but_not_out_dir() {
     cfg.race_check = true;
     let raced = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(raced.executed, 4, "race_check is part of the key");
+}
+
+/// A race-checked cell carries the detector's counts, which the race
+/// certificate prints; a stored or checkpointed race cell without them
+/// (as written before cells recorded them) is a miss and is rewritten.
+#[test]
+fn race_cell_without_detector_counts_is_a_miss() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let mut cfg = small_sweep(dir.path("out"), Some(store.clone()));
+    cfg.race_check = true;
+    let cold = run_sweep_supervised(&cfg).unwrap();
+    assert!(cold.cells.iter().all(|c| c.race.is_some()), "{:?}", cold.cells);
+
+    let suite = sweep_suite(&cfg);
+    for c in &cold.cells {
+        let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
+        let key = key.unwrap();
+        let stripped = Cell { race: None, ..c.clone() };
+        store.insert_cell(&key, &stripped, None).unwrap();
+        save_cell(&dir.path("out"), &stripped).unwrap();
+    }
+    cfg.resume = true;
+    let rerun = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!((rerun.executed, rerun.cache_hits), (4, 0), "counts-less cells must miss");
+    assert_eq!(rerun.cells, cold.cells);
+    let warm = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!(warm.cells, cold.cells, "the rewritten checkpoints resume");
 }
 
 /// `cache-write-io`: a failing store insert is treated exactly like a

@@ -5,8 +5,8 @@
 //! and partial results always render.
 
 use dct_bench::sweep::{
-    checkpoint_to_json, load_cells, load_report, render_sweep, run_sweep, save_cell, Cell,
-    CellOutcome, SweepConfig,
+    checkpoint_to_json, load_cells, load_report, render_sweep, run_sweep_supervised, save_cell,
+    Cell, CellOutcome, SweepConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -58,7 +58,7 @@ fn resume_skips_completed_cells() {
 
     // Resume: the checkpointed cell is reused verbatim, the rest run.
     cfg.resume = true;
-    let cells = run_sweep(&cfg).unwrap();
+    let cells = run_sweep_supervised(&cfg).unwrap().cells;
     assert_eq!(cells.len(), 4, "seq + three strategies");
     let base = cells.iter().find(|c| c.kind == "base").unwrap();
     assert_eq!(
@@ -84,14 +84,14 @@ fn resume_skips_completed_cells() {
 
     // A second resume recomputes nothing: every outcome is identical,
     // including the sentinel.
-    let again = run_sweep(&cfg).unwrap();
+    let again = run_sweep_supervised(&cfg).unwrap().cells;
     for (a, b) in cells.iter().zip(&again) {
         assert_eq!(a.outcome, b.outcome, "{}/{}", a.bench, a.kind);
     }
 
     // Without --resume the sentinel cell is recomputed for real.
     cfg.resume = false;
-    let fresh = run_sweep(&cfg).unwrap();
+    let fresh = run_sweep_supervised(&cfg).unwrap().cells;
     let base = fresh.iter().find(|c| c.kind == "base").unwrap();
     assert_ne!(base.outcome, CellOutcome::Cycles(SENTINEL));
 }
@@ -101,7 +101,7 @@ fn budget_aborts_into_timeout_cells() {
     let dir = Scratch::new();
     let mut cfg = stencil_only(&dir);
     cfg.max_cycles = Some(1); // everything is over budget immediately
-    let cells = run_sweep(&cfg).unwrap();
+    let cells = run_sweep_supervised(&cfg).unwrap().cells;
     assert_eq!(cells.len(), 4);
     for c in &cells {
         assert_eq!(c.outcome, CellOutcome::Timeout, "{c:?}");
@@ -109,7 +109,7 @@ fn budget_aborts_into_timeout_cells() {
     // Timeout cells count as completed: resume does not retry them.
     cfg.resume = true;
     cfg.max_cycles = None;
-    let again = run_sweep(&cfg).unwrap();
+    let again = run_sweep_supervised(&cfg).unwrap().cells;
     for c in &again {
         assert_eq!(c.outcome, CellOutcome::Timeout, "{c:?}");
     }
@@ -141,7 +141,7 @@ fn crash_between_temp_write_and_rename_is_cleaned_up() {
     // The cell recomputes for real on resume (no sentinel anywhere).
     let mut cfg = cfg;
     cfg.resume = true;
-    let cells = run_sweep(&cfg).unwrap();
+    let cells = run_sweep_supervised(&cfg).unwrap().cells;
     let base = cells.iter().find(|c| c.kind == "base").unwrap();
     assert!(matches!(base.outcome, CellOutcome::Cycles(n) if n != SENTINEL), "{base:?}");
 }
@@ -177,7 +177,7 @@ fn bit_flipped_checkpoint_lands_in_corrupt_dir() {
 
     // Resume recomputes the cell instead of trusting the corpse.
     cfg.resume = true;
-    let cells = run_sweep(&cfg).unwrap();
+    let cells = run_sweep_supervised(&cfg).unwrap().cells;
     let base = cells.iter().find(|c| c.kind == "base").unwrap();
     assert!(matches!(base.outcome, CellOutcome::Cycles(n) if n != SENTINEL), "{base:?}");
 }
@@ -222,7 +222,7 @@ fn quarantined_cells_render_and_are_retried_on_resume() {
     )
     .unwrap();
     cfg.resume = true;
-    let cells = run_sweep(&cfg).unwrap();
+    let cells = run_sweep_supervised(&cfg).unwrap().cells;
     let base = cells.iter().find(|c| c.kind == "base").unwrap();
     assert!(
         matches!(base.outcome, CellOutcome::Cycles(_)),

@@ -46,14 +46,17 @@
 //!                           # (port 0 = ephemeral; bound port on stdout)
 //! ```
 //!
-//! With `--resume`, `--max-cycles`, `--max-wall` or `--out`, `table1` runs
-//! through the crash-safe sweep harness: every cell is checkpointed
-//! atomically (temp file + fsync + rename) as it finishes, verified by a
-//! per-file content checksum on reload (corrupt files quarantine to
-//! `corrupt/`), and a re-run with `--resume` only simulates the missing
-//! cells.
+//! `table1`, every figure and `--race-check` run their cells through one
+//! supervised executor (watchdog, retry ladder, `--cache`), `--workers`
+//! cells at a time. With `--resume`, `--max-cycles`, `--max-wall`, `--out`
+//! or `--cache`, every cell is also checkpointed atomically (temp file +
+//! fsync + rename) as it finishes, verified by a per-file content checksum
+//! on reload (corrupt files quarantine to `corrupt/`), and a re-run with
+//! `--resume` only simulates the missing cells; `table1` then prints the
+//! sweep table, which shows partial results, instead of Table 1.
 
 use dct_bench::harness::{self, ThreadBudget, ALL_FIGURES, PAPER_PROCS};
+use dct_bench::sweep::{self, SweepConfig, SweepReport};
 use dct_core::machine::MachineConfig;
 use dct_layout::{diagram, DataLayout};
 use std::path::Path;
@@ -240,20 +243,54 @@ fn main() {
         }
         return;
     }
-    if race_check && targets.is_empty() {
-        // Schedule soundness: run every benchmark x strategy with the
-        // happens-before race detector on. Exit non-zero on any race (or
-        // any cell that failed to run) — this is the CI gate proving the
-        // compiler's barrier elision and doacross pipelining sound. With
-        // an explicit `table1` target the flag instead threads detection
-        // through the table sweep below.
-        let t0 = Instant::now();
-        let cells = harness::race_check(max_procs, scale, ThreadBudget::clamp(workers));
-        print!("{}", harness::render_race_check(&cells, max_procs));
-        eprintln!("[race-check done in {:?}]", t0.elapsed());
+    // The cell executor's configuration, shared by every target that
+    // runs cells: checkpoints only when asked for one way or another.
+    let checkpointed = resume
+        || out_dir.is_some()
+        || max_cycles.is_some()
+        || max_wall.is_some()
+        || store.is_some();
+    let budget = ThreadBudget::clamp(workers);
+    let mut cfg = SweepConfig::plain(max_procs, scale);
+    if checkpointed {
+        cfg.out_dir = Some(out_dir.clone().unwrap_or_else(|| "results".to_string()).into());
+    }
+    cfg.resume = resume;
+    cfg.max_cycles = max_cycles;
+    cfg.max_wall_secs = max_wall;
+    cfg.native_check = native;
+    cfg.cache = store.clone();
+    // Stats go to stderr so warm and cold stdout diff byte-identical.
+    let cache_line = |rep: &SweepReport| {
+        if let Some(s) = &store {
+            eprintln!(
+                "[cache: {}; cells executed {} served {} checkpoints current {}]",
+                s.stats_line(),
+                rep.executed,
+                rep.cache_hits,
+                rep.checkpoints_current
+            );
+        }
+    };
+    // Exit non-zero on any race (or any cell that failed to run) — this is
+    // the CI gate proving the compiler's barrier elision and doacross
+    // pipelining sound.
+    let certify = |cells: &[harness::RaceCheckCell]| {
+        print!("{}", harness::render_race_check(cells, max_procs));
         if cells.iter().any(|c| !c.is_clean()) {
             std::process::exit(1);
         }
+    };
+
+    if race_check && targets.is_empty() {
+        // Schedule soundness: run every benchmark x strategy with the
+        // happens-before race detector on. With an explicit `table1`
+        // target the flag instead runs the table's own cells with the
+        // detector on and certifies those.
+        let t0 = Instant::now();
+        let cells = harness::race_check(&cfg, budget);
+        eprintln!("[race-check done in {:?}]", t0.elapsed());
+        certify(&cells);
         return;
     }
     if targets.is_empty() {
@@ -385,57 +422,20 @@ fn main() {
             "fig2" => print_fig2(),
             "fig3" => print_fig3(),
             "table1" => {
-                let checkpointed = resume
-                    || out_dir.is_some()
-                    || max_cycles.is_some()
-                    || max_wall.is_some()
-                    || store.is_some();
+                // One cell run serves the table and, with --race-check, the
+                // certificate: detection never changes cycles.
+                let cfg = SweepConfig { race_check, ..cfg.clone() };
+                let suite = sweep::sweep_suite(&cfg);
+                let rep = sweep::run_cells(&cfg, &sweep::table1_tasks(&suite, max_procs), budget);
                 if checkpointed {
-                    // Crash-safe path: per-cell checkpoints + resume +
-                    // budgets (+ the content-addressed cache with
-                    // --cache).
-                    let mut cfg = dct_bench::SweepConfig::new(
-                        max_procs,
-                        scale,
-                        out_dir.clone().unwrap_or_else(|| "results".to_string()),
-                    );
-                    cfg.resume = resume;
-                    cfg.max_cycles = max_cycles;
-                    cfg.max_wall_secs = max_wall;
-                    cfg.race_check = race_check;
-                    cfg.native_check = native;
-                    cfg.cache = store.clone();
-                    match dct_bench::run_sweep_supervised(&cfg) {
-                        Ok(rep) => {
-                            println!(
-                                "{}",
-                                dct_bench::sweep::render_sweep(&rep.cells, max_procs, scale)
-                            );
-                            if let Some(s) = &store {
-                                // Stats go to stderr so warm and cold
-                                // stdout tables diff byte-identical.
-                                eprintln!(
-                                    "[cache: {}; cells executed {} served {} checkpoints current {}]",
-                                    s.stats_line(),
-                                    rep.executed,
-                                    rep.cache_hits,
-                                    rep.checkpoints_current
-                                );
-                            }
-                        }
-                        Err(e) => die(&format!("sweep failed: {e}")),
-                    }
+                    println!("{}", sweep::render_sweep(&rep.cells, max_procs, scale));
                 } else {
-                    let budget = ThreadBudget::clamp(workers);
-                    let rows = harness::table1_parallel(max_procs, scale, budget);
+                    let rows = harness::table1_rows(&suite, &rep.cells);
                     println!("{}", harness::render_table1(&rows, max_procs));
-                    if race_check {
-                        let cells = harness::race_check(max_procs, scale, budget);
-                        print!("{}", harness::render_race_check(&cells, max_procs));
-                        if cells.iter().any(|c| !c.is_clean()) {
-                            std::process::exit(1);
-                        }
-                    }
+                }
+                cache_line(&rep);
+                if race_check {
+                    certify(&harness::race_cells(&rep.cells));
                 }
             }
             "ablations" => {
@@ -444,14 +444,14 @@ fn main() {
                 }
             }
             fig => match harness::figure(fig, scale) {
-                Some(spec) => match harness::run_figure_parallel(
-                    &spec,
-                    &procs,
-                    ThreadBudget::clamp(workers),
-                ) {
-                    Ok(r) => println!("{}", r.render()),
-                    Err(e) => eprintln!("{fig} failed: {e}"),
-                },
+                Some(spec) => {
+                    let (result, rep) = harness::run_figure(&spec, &procs, &cfg, budget);
+                    match result {
+                        Ok(r) => println!("{}", r.render()),
+                        Err(e) => eprintln!("{fig} failed: {e}"),
+                    }
+                    cache_line(&rep);
+                }
                 None => die(&format!("unknown target '{fig}'")),
             },
         }

@@ -12,7 +12,7 @@
 //! | GET    | `/api/job/<id>/table`  | rendered Table 1 (text; 409 until done)|
 //! | GET    | `/api/job/<id>/races`  | race certificate (text; 409 until done)|
 //! | GET    | `/api/explain/<bench>` | cached explain report (`?format=json`) |
-//! | GET    | `/api/figure/<fig>`    | cached speedup figure (text)           |
+//! | GET    | `/api/figure/<fig>`    | speedup figure, cells cached (text)    |
 //! | POST   | `/api/shutdown`        | stop accepting, drain, exit            |
 //!
 //! Query parameters `scale_milli` (integer, thousandths of the paper
@@ -21,8 +21,8 @@
 //! writes the shared content-addressed store.
 
 use crate::queue::{JobQueue, JobSpec, QueueConfig};
-use dct_bench::sweep::{self, render_sweep, scale_key, CellOutcome};
-use dct_bench::{artifact_cache_key, harness, ResultStore, ThreadBudget};
+use dct_bench::sweep::{self, render_sweep, CellOutcome, SweepConfig};
+use dct_bench::{harness, ResultStore, ThreadBudget};
 use dct_core::machine::MachineConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -190,13 +190,19 @@ fn checked_size(name: &str, v: i64, range: std::ops::RangeInclusive<i64>) -> Res
 
 /// `scale_milli` / `procs` (a comma-separated list) with server defaults
 /// (paper scale, 8 procs — modest because synchronous endpoints run on the
-/// request thread).
+/// request thread). A value that does not parse is refused, not defaulted.
 fn query_scale_procs(query: &str) -> Result<(f64, Vec<usize>), String> {
-    let scale_milli =
-        query_param(query, "scale_milli").and_then(|v| v.parse::<i64>().ok()).unwrap_or(1000);
-    let procs: Vec<i64> = query_param(query, "procs")
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|| vec![8]);
+    let number = |key: &str, v: &str| {
+        v.parse::<i64>().map_err(|_| format!("\"{key}\" has an unreadable value '{v}'"))
+    };
+    let scale_milli = match query_param(query, "scale_milli") {
+        Some(v) => number("scale_milli", &v)?,
+        None => 1000,
+    };
+    let procs: Vec<i64> = match query_param(query, "procs") {
+        Some(v) => v.split(',').map(|x| number("procs", x)).collect::<Result<_, _>>()?,
+        None => vec![8],
+    };
     let scale = checked_size("scale_milli", scale_milli, SCALE_MILLI_RANGE)? as f64 / 1000.0;
     let procs =
         procs.into_iter().map(|p| checked_size("procs", p, PROCS_RANGE).map(|p| p as usize));
@@ -431,30 +437,11 @@ fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
         Some(s) => s,
         None => return respond(stream, "404 Not Found", "text/plain", "unknown figure\n"),
     };
-    let tag = format!(
-        "figure-{fig}-p{}",
-        procs_list.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(",")
-    );
-    let max_procs = procs_list.iter().copied().max().unwrap_or(1);
-    let key =
-        artifact_cache_key(&tag, spec.benchmark, &spec.program, max_procs, scale_key(scale))
-            .map_err(|e| eprintln!("[serve: figure key derivation failed: {e}]"))
-            .ok();
-    if let Some(k) = &key {
-        if let Some(text) = st.store.lookup_artifact(k) {
-            return respond(stream, "200 OK", "text/plain", &text);
-        }
-    }
-    match harness::run_figure_parallel(&spec, &procs_list, ThreadBudget::clamp(1)) {
-        Ok(r) => {
-            let text = r.render();
-            if let Some(k) = &key {
-                if let Err(e) = st.store.insert_artifact(k, &text, None) {
-                    eprintln!("[serve: figure insert failed: {e}]");
-                }
-            }
-            respond(stream, "200 OK", "text/plain", &text);
-        }
+    // The figure's cells go through the store; no checkpoint is kept.
+    let mut cfg = SweepConfig::plain(procs_list.iter().copied().max().unwrap_or(1), scale);
+    cfg.cache = Some(Arc::clone(&st.store));
+    match harness::run_figure(&spec, &procs_list, &cfg, ThreadBudget::clamp(1)).0 {
+        Ok(r) => respond(stream, "200 OK", "text/plain", &r.render()),
         Err(e) => respond(stream, "500 Internal Server Error", "text/plain", &format!("{e}\n")),
     }
 }

@@ -1,6 +1,6 @@
 //! The sweep job queue: submitted jobs expand into cells, cells drain
 //! through a fixed pool of worker threads, and every cell runs through
-//! [`dct_bench::sweep::run_cell_supervised`] — the same self-healing
+//! [`dct_bench::sweep::run_cell_supervised_keyed`] — the same self-healing
 //! protocol (cache lookup, retry ladder, watchdog, checkpoint + cache
 //! insert, quarantine) as a command-line sweep, so a queued cell and a
 //! swept cell can never diverge in behavior.

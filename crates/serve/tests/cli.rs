@@ -1,11 +1,68 @@
 //! The `repro` command line: `--procs` reaches the plain `table1` path,
-//! and sizes out of range, unknown options and unknown targets are refused
-//! before anything runs.
+//! sizes out of range, unknown options and unknown targets are refused
+//! before anything runs, and cached tables and figures rerun warm without
+//! executing a cell.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-fn repro(args: &[&str]) -> std::process::Output {
+fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro")
+}
+
+static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
+
+/// A fresh directory, removed on drop; cached runs use it as their working
+/// directory, so the default `results/` checkpoint directory lands in it.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Scratch {
+        let d = std::env::temp_dir().join(format!(
+            "dct-cli-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&d);
+        std::fs::create_dir_all(&d).expect("scratch directory");
+        Scratch(d)
+    }
+
+    /// Run `repro` in this directory; it must succeed.
+    fn repro(&self, args: &[&str]) -> (String, String) {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&self.0)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).to_string(), stderr)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `(file name, inode, mtime ns)` of every file in `dir`.
+fn stamps(dir: &Path) -> Vec<(String, u64, i64)> {
+    use std::os::unix::fs::MetadataExt;
+    let mut stamps: Vec<_> = std::fs::read_dir(dir)
+        .expect("checkpoint directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let md = std::fs::metadata(&p).expect("file metadata");
+            let name = p.file_name().expect("file name").to_string_lossy().to_string();
+            (name, md.ino(), md.mtime() * 1_000_000_000 + md.mtime_nsec())
+        })
+        .collect();
+    stamps.sort();
+    stamps
 }
 
 #[test]
@@ -43,4 +100,54 @@ fn unknown_options_and_targets_are_refused() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("error: unknown "), "{args:?}: {stderr}");
     }
+}
+
+/// A figure's cells go through the store: a second run against the same
+/// store executes none of its seven cells and prints the same bytes.
+#[test]
+fn cached_figure_reruns_warm() {
+    let dir = Scratch::new();
+    let args = ["fig8", "--scale", "0.05", "--procs", "2,4", "--cache", "--cache-dir", "cache"];
+    let (cold, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 7 served 0"), "{err}");
+    let (warm, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 0 served 7"), "{err}");
+    assert_eq!(warm, cold, "a warm figure must print the cold one's bytes");
+}
+
+/// `table1 --race-check` runs the table's cells once with the detector on
+/// and prints the table and the certificate from them.
+#[test]
+fn table1_race_check_prints_table_and_certificate() {
+    let dir = Scratch::new();
+    let (out, _) = dir.repro(&["table1", "--race-check", "--scale", "0.05", "--procs", "4"]);
+    assert!(out.starts_with("Table 1: summary at 4 processors"), "{out}");
+    assert!(out.contains("Race check: every benchmark x strategy at 4 processors"), "{out}");
+    assert!(out.contains("all schedules certified race-free"), "{out}");
+}
+
+/// The cached table's acceptance bar: a second run against the same
+/// store executes nothing and prints the same bytes, and a third run into
+/// the checkpoint directory the second one filled finds every checkpoint
+/// current and touches none of them.
+#[test]
+fn cached_table1_reruns_warm_and_leaves_current_checkpoints_alone() {
+    let dir = Scratch::new();
+    let run = |out: &str| {
+        dir.repro(&[
+            "table1", "--scale", "0.1", "--procs", "8", "--cache", "--cache-dir", "cache", "--out",
+            out,
+        ])
+    };
+    let (cold, err) = run("ckpt1");
+    assert!(err.contains("cells executed 28 served 0"), "cold run must execute all 28 cells: {err}");
+    let (warm, err) = run("ckpt2");
+    assert!(err.contains("cells executed 0 served 28"), "warm run must serve all 28 cells: {err}");
+    assert_eq!(warm, cold, "a warm table must print the cold one's bytes");
+    let before = stamps(&dir.0.join("ckpt2"));
+    assert_eq!(before.len(), 28);
+    let (again, err) = run("ckpt2");
+    assert!(err.contains("cells executed 0 served 28 checkpoints current 28"), "{err}");
+    assert_eq!(again, cold);
+    assert_eq!(stamps(&dir.0.join("ckpt2")), before, "a current checkpoint was touched");
 }

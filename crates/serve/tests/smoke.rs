@@ -5,6 +5,7 @@
 //! parameters, and a resubmitted job must be served entirely warm.
 
 use dct_bench::sweep::{json_num, render_sweep, run_sweep_supervised, SweepConfig};
+use dct_bench::ThreadBudget;
 use dct_serve::queue::MAX_FINISHED_JOBS;
 use dct_serve::{JobQueue, JobSpec, QueueConfig, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -176,6 +177,14 @@ fn serve_smoke_end_to_end() {
     }
     assert_eq!(http(port, "GET", "/api/explain/stencil?scale_milli=100000000", "").0, 400);
     assert_eq!(http(port, "GET", "/api/figure/fig8?scale_milli=50&procs=4,100000", "").0, 400);
+    // A query value that does not parse is refused, not defaulted: an
+    // unreadable scale used to run the paper-size figure on the request
+    // thread, and a bad or empty processor list to drop entries silently.
+    for query in ["scale_milli=abc", "scale_milli=50&procs=8,x", "scale_milli=50&procs="] {
+        let (status, err) = http(port, "GET", &format!("/api/figure/fig6b?{query}"), "");
+        assert_eq!(status, 400, "{query}: {err}");
+    }
+    assert_eq!(http(port, "GET", "/api/explain/stencil?scale_milli=abc", "").0, 400);
     assert_eq!(http(port, "GET", "/api/stats", "").0, 200, "the server survived");
 
     // Explain is served (and cached) synchronously.
@@ -191,6 +200,45 @@ fn serve_smoke_end_to_end() {
     // Clean shutdown: the endpoint answers, then wait() drains and joins.
     let (status, _) = http(port, "POST", "/api/shutdown", "");
     assert_eq!(status, 200);
+    server.wait();
+}
+
+/// A figure is served from its cells: the body is what a direct run
+/// renders, and a repeat request inserts nothing and hits all seven cells
+/// (the sequential reference and three strategies at two counts).
+#[test]
+fn figure_is_served_from_its_cached_cells() {
+    let dir = Scratch::new();
+    let server = Server::start(&ServeConfig {
+        port: 0,
+        cache_dir: dir.path("cache"),
+        max_cache_bytes: None,
+        out_dir: dir.path("serve"),
+        workers: 1,
+        threads: 1,
+    })
+    .expect("server start");
+    let port = server.port;
+    let path = "/api/figure/fig8?scale_milli=50&procs=2,4";
+    let cache = |key: &str| {
+        let (_, stats) = http(port, "GET", "/api/stats", "");
+        json_num(&stats, key).unwrap_or_else(|| panic!("{key} missing: {stats}"))
+    };
+
+    let (status, body) = http(port, "GET", path, "");
+    assert_eq!(status, 200, "{body}");
+    let spec = dct_bench::figure("fig8", 0.05).expect("fig8 is a figure");
+    let cfg = SweepConfig::plain(4, 0.05);
+    let (direct, _) = dct_bench::run_figure(&spec, &[2, 4], &cfg, ThreadBudget::clamp(1));
+    assert_eq!(body, direct.expect("direct figure").render());
+
+    let (inserts, hits) = (cache("inserts"), cache("hits"));
+    let (status, again) = http(port, "GET", path, "");
+    assert_eq!((status, again), (200, body), "a repeat request must serve the same bytes");
+    assert_eq!(cache("inserts"), inserts, "a repeat request inserted a cell");
+    assert_eq!(cache("hits"), hits + 7, "a repeat request must hit every cell");
+
+    server.stop();
     server.wait();
 }
 

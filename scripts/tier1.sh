@@ -126,51 +126,6 @@ if ! grep -q "all 21 cells bit-identical to the simulator" <<<"$native_out"; the
     exit 1
 fi
 
-echo "== tier1: repro table1 --cache warm rerun (zero executions)"
-# The content-addressed cache's acceptance bar: a second run against the
-# same store must execute nothing (every cell served by key) and print a
-# byte-identical table. Stats go to stderr, so stdout diffs are clean.
-rm -rf results/cache-smoke
-cold_out=$(./target/release/repro table1 --scale 0.1 --procs 8 \
-    --cache --cache-dir results/cache-smoke/cache \
-    --out results/cache-smoke/ckpt1 2>results/cache-smoke-cold.err)
-if ! grep -q "cells executed 28 served 0" results/cache-smoke-cold.err; then
-    echo "tier1 FAIL: cold cached table1 did not execute all 28 cells" >&2
-    cat results/cache-smoke-cold.err >&2
-    exit 1
-fi
-warm_out=$(./target/release/repro table1 --scale 0.1 --procs 8 \
-    --cache --cache-dir results/cache-smoke/cache \
-    --out results/cache-smoke/ckpt2 2>results/cache-smoke-warm.err)
-if ! grep -q "cells executed 0 served 28" results/cache-smoke-warm.err; then
-    echo "tier1 FAIL: warm cached table1 executed cells (must serve all 28 from the store)" >&2
-    cat results/cache-smoke-warm.err >&2
-    exit 1
-fi
-if [ "$cold_out" != "$warm_out" ]; then
-    echo "tier1 FAIL: warm cached table1 output differs from the cold run" >&2
-    diff <(echo "$cold_out") <(echo "$warm_out") >&2 || true
-    exit 1
-fi
-# A third run into the directory the second one filled: every checkpoint
-# is already there byte for byte, so a hit must not write it again.
-stamps() { find "$1" -type f -printf '%p %i %T@\n' | sort; }
-ckpt2_before=$(stamps results/cache-smoke/ckpt2)
-again_out=$(./target/release/repro table1 --scale 0.1 --procs 8 \
-    --cache --cache-dir results/cache-smoke/cache \
-    --out results/cache-smoke/ckpt2 2>results/cache-smoke-warm.err)
-if ! grep -q "cells executed 0 served 28 checkpoints current 28" results/cache-smoke-warm.err; then
-    echo "tier1 FAIL: third cached table1 did not find all 28 checkpoints current" >&2
-    cat results/cache-smoke-warm.err >&2
-    exit 1
-fi
-if [ "$(stamps results/cache-smoke/ckpt2)" != "$ckpt2_before" ] || [ "$again_out" != "$cold_out" ]; then
-    echo "tier1 FAIL: a warm table1 into current checkpoints touched them or printed a different table" >&2
-    diff <(echo "$ckpt2_before") <(stamps results/cache-smoke/ckpt2) >&2 || true
-    exit 1
-fi
-echo "  table1 --cache: 28 cells cold, 0 executed warm, tables byte-identical, current checkpoints untouched"
-
 echo "== tier1: repro serve smoke (HTTP API end-to-end)"
 # The sweep service: bind an ephemeral port, submit the suite as a job,
 # poll it to completion, and require the served table to be byte-for-byte
@@ -226,6 +181,7 @@ fi
 # The same job again is warm: it must compile for no key, write no
 # checkpoint, and leave every file under ckpt/ as it is.
 stat_of() { sed -nE "s|.*\"$1\":([0-9]+).*|\1|p" <<<"$2"; }
+stamps() { find "$1" -type f -printf '%p %i %T@\n' | sort; }
 stats_cold=$(curl -sS "http://127.0.0.1:$port/api/stats")
 ckpt_before=$(stamps results/serve-smoke/ckpt)
 resub=$(curl -sS -X POST "http://127.0.0.1:$port/api/sweep" --data '{"scale_milli":100,"procs":8}')

@@ -66,7 +66,7 @@ fn tomcatv_decompositions() {
 /// sane rows: positive speedups, every paper benchmark present.
 #[test]
 fn table1_harness_small_scale() {
-    let rows = dct_bench::table1(8, 0.25);
+    let rows = dct_bench::table1_parallel(8, 0.25, dct_bench::ThreadBudget::clamp(1));
     assert_eq!(rows.len(), 7);
     for r in &rows {
         let base = r.base_speedup.unwrap_or_else(|| panic!("{}: {:?}", r.program, r.notes));
