@@ -20,6 +20,7 @@
 //! sibling envelope `{"schema":2,"crc64":...,"artifact":"..."}` so the
 //! serve API can answer explain requests from cache.
 
+use crate::ablate::Variant;
 use crate::chaos::{FaultInjector, FaultSite};
 use crate::harness::atomic_write_sync;
 use crate::sweep::{
@@ -64,9 +65,9 @@ pub struct KeyInputs<'a> {
     pub max_cycles: Option<u64>,
     /// Wall budget, seconds (idem).
     pub max_wall_secs: Option<f64>,
-    /// Machine override; `None` = the DASH preset for `procs` (resolved
-    /// and hashed field by field either way).
-    pub machine: Option<&'a MachineConfig>,
+    /// The ablation variant; its machine is resolved and hashed field by
+    /// field.
+    pub variant: Variant,
 }
 
 /// A fully derived cache key: human-readable prefix + content hash.
@@ -209,19 +210,11 @@ fn compile_prefix(prog: &Program, strategy: Strategy) -> Result<FpHasher, String
 }
 
 /// Finish a key from its compile prefix with everything the compiler
-/// never sees: machine, processor count, scale, observers, budgets. Every
-/// [`KeyInputs`] field but `prog` is read here and only here, for the
-/// memoised and the direct derivation alike.
+/// never sees: machine, processor count, scale, observers, budgets and
+/// variant. Every [`KeyInputs`] field but `prog` is read here and only
+/// here, for the memoised and the direct derivation alike.
 fn finish_key(mut h: FpHasher, bench: &str, inp: &KeyInputs, procs: usize) -> CacheKey {
-    let dash;
-    let machine = match inp.machine {
-        Some(m) => m,
-        None => {
-            dash = MachineConfig::dash(procs);
-            &dash
-        }
-    };
-    hash_machine(&mut h, machine);
+    hash_machine(&mut h, &inp.variant.machine(procs));
     h.write_u64(procs as u64);
     h.write_i64(inp.scale_milli);
     h.write_bool(inp.race_check);
@@ -239,6 +232,16 @@ fn finish_key(mut h: FpHasher, bench: &str, inp: &KeyInputs, procs: usize) -> Ca
             h.write_tag(0x4f);
             h.write_f64(v);
         }
+    }
+    // Last, and nothing for `Default`, so a plain cell keeps its key.
+    // `LineBytes` also reached the key through the machine above.
+    match inp.variant {
+        Variant::Default => {}
+        Variant::NoAddrOpt => h.write_tag(0x50),
+        Variant::NoBarrierElision => h.write_tag(0x51),
+        Variant::BlockFolding => h.write_tag(0x52),
+        Variant::GridRank1 => h.write_tag(0x53),
+        Variant::LineBytes(_) => h.write_tag(0x54),
     }
     CacheKey {
         bench: bench.to_string(),
@@ -606,7 +609,7 @@ mod tests {
             profile: false,
             max_cycles: None,
             max_wall_secs: None,
-            machine: None,
+            variant: Variant::Default,
         };
         cell_cache_key("stencil", &inp).expect("key derivation")
     }
@@ -645,7 +648,7 @@ mod tests {
             profile: false,
             max_cycles: None,
             max_wall_secs: None,
-            machine: None,
+            variant: Variant::Default,
         };
         let k0 = cell_cache_key("stencil", &base).expect("key");
         let mut i = base.clone();
@@ -660,12 +663,32 @@ mod tests {
         let mut i = base.clone();
         i.procs = 16;
         assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "procs");
-        let tiny = MachineConfig::tiny(8);
         let mut i = base.clone();
-        i.machine = Some(&tiny);
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "machine");
+        i.variant = Variant::LineBytes(64);
+        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "line bytes");
         // Identical inputs rebuild the identical key (fresh compile).
         assert_eq!(cell_cache_key("stencil", &base).expect("key"), k0);
+    }
+
+    /// The ablations' cells never share a key, and their `Default` cells
+    /// are the plain Table 1 cells.
+    #[test]
+    fn variants_never_share_a_key() {
+        let suite = programs::suite(0.1);
+        let cfg = crate::sweep::SweepConfig::plain(8, 0.1);
+        let mut hashes = Vec::new();
+        for (bench, kind, variant) in crate::ablate::ablation_cells() {
+            let prog = &suite.iter().find(|b| b.name == bench).expect("suite program").program;
+            let plain = cfg.key_inputs(prog, kind, 8);
+            let inp = KeyInputs { variant, ..plain.clone() };
+            let key = cell_cache_key(&variant.label(bench), &inp).expect("key");
+            if variant == Variant::Default {
+                assert_eq!(key, cell_cache_key(bench, &plain).expect("key"), "{bench}/{kind}");
+            }
+            assert!(!hashes.contains(&key.hash), "{key} shares a key");
+            hashes.push(key.hash);
+        }
+        assert_eq!(hashes.len(), 11);
     }
 
     /// The memo changes where a key's compile comes from, never a bit of
@@ -691,7 +714,7 @@ mod tests {
                                     profile: false,
                                     max_cycles: None,
                                     max_wall_secs: None,
-                                    machine: None,
+                                    variant: Variant::Default,
                                 };
                                 let want = cell_cache_key(b.name, &inp).expect("direct key");
                                 let got = memo.cell_key(b.name, fp, &inp).expect("memoised key");
@@ -728,7 +751,7 @@ mod tests {
             profile: false,
             max_cycles: None,
             max_wall_secs: None,
-            machine: None,
+            variant: Variant::Default,
         };
         let direct = cell_cache_key("stencil", &inp).expect_err("direct derivation fails");
         let memo = KeyMemo::default();

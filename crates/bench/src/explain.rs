@@ -52,15 +52,6 @@ impl ExplainResult {
             .and_then(|s| s.outcome.as_ref().ok())
             .map(|r| &r.profile)
     }
-
-    /// Cycles of one strategy's run, if it succeeded.
-    pub fn cycles_of(&self, strategy: Strategy) -> Option<u64> {
-        self.strategies
-            .iter()
-            .find(|s| s.strategy == strategy)
-            .and_then(|s| s.outcome.as_ref().ok())
-            .map(|r| r.cycles)
-    }
 }
 
 fn run_explain_cell(
@@ -254,7 +245,7 @@ pub fn explain_json(r: &ExplainResult) -> String {
                 out.push_str(&format!(
                     "    {{\"strategy\": \"{}\", \"error\": \"{}\"}}{comma}\n",
                     s.strategy.label(),
-                    e.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', " ")
+                    crate::sweep::esc(e)
                 ));
             }
         }
@@ -270,6 +261,17 @@ mod tests {
     #[test]
     fn unknown_benchmark_is_none() {
         assert!(explain("nonesuch", 0.1, 4).is_none());
+    }
+
+    /// A failed strategy's reason is escaped like every other JSON string,
+    /// so no raw control character reaches the artifact.
+    #[test]
+    fn failed_strategy_error_is_escaped() {
+        let outcome = Err("bad\t\"x\"\r\nend\\".to_string());
+        let strategies = vec![StrategyExplain { strategy: Strategy::Full, outcome }];
+        let r = ExplainResult { benchmark: "stencil".into(), procs: 4, scale: 0.1, strategies };
+        let json = explain_json(&r);
+        assert!(json.contains(r#""error": "bad\t\"x\"\u000d\nend\\""#), "{json}");
     }
 
     #[test]

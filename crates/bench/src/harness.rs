@@ -8,12 +8,13 @@
 //! whose worker panics) becomes a reported failed cell instead of
 //! poisoning the whole sweep.
 
+use crate::ablate::Variant;
 use crate::cache::kind_strategy;
 use crate::programs::{self, Benchmark};
 use crate::sweep::{
     run_cells, sweep_suite, table1_tasks, Cell, CellOutcome, CellTask, SweepConfig, SweepReport, KINDS,
 };
-use dct_core::{Compiler, SpeedupPoint, Strategy};
+use dct_core::{Compiler, Strategy};
 use dct_ir::{panic_message, DctError, DctResult, Phase, Program};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,6 +130,14 @@ pub struct FigureSpec {
     pub program: Program,
 }
 
+/// One point of a speedup curve.
+#[derive(Clone, Copy, Debug)]
+pub struct SpeedupPoint {
+    pub procs: usize,
+    pub cycles: u64,
+    pub speedup: f64,
+}
+
 /// One strategy's speedup curve.
 #[derive(Clone, Debug)]
 pub struct StrategyCurve {
@@ -147,27 +156,6 @@ pub struct FigureResult {
 }
 
 impl FigureResult {
-    /// Speedup of `strategy` at the largest processor count.
-    pub fn final_speedup(&self, strategy: Strategy) -> f64 {
-        self.curves
-            .iter()
-            .find(|c| c.strategy == strategy)
-            .and_then(|c| c.points.last())
-            .map(|p| p.speedup)
-            .unwrap_or(0.0)
-    }
-
-    /// Speedup of `strategy` at processor count `p`.
-    pub fn speedup_at(&self, strategy: Strategy, p: usize) -> Option<f64> {
-        self.curves
-            .iter()
-            .find(|c| c.strategy == strategy)?
-            .points
-            .iter()
-            .find(|x| x.procs == p)
-            .map(|x| x.speedup)
-    }
-
     /// Render as the rows the paper plots: one line per processor count
     /// with the three speedups.
     pub fn render(&self) -> String {
@@ -226,7 +214,7 @@ pub fn run_figure(
     cfg: &SweepConfig,
     budget: ThreadBudget,
 ) -> (DctResult<FigureResult>, SweepReport) {
-    let task = |kind, procs| CellTask { prog: &spec.program, bench: spec.id, kind, procs };
+    let task = |kind, procs| CellTask { prog: &spec.program, bench: spec.id, kind, procs, variant: Variant::Default };
     let curves = KINDS[1..].iter().flat_map(|&kind| procs_list.iter().map(move |&p| task(kind, p)));
     let tasks: Vec<CellTask> = std::iter::once(task("seq", 1)).chain(curves).collect();
     let rep = run_cells(cfg, &tasks, budget);

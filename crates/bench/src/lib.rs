@@ -16,7 +16,7 @@ pub mod profile;
 pub mod programs;
 pub mod sweep;
 
-pub use ablate::{all_ablations, Ablation};
+pub use ablate::{all_ablations, Ablation, Variant};
 pub use cache::{
     artifact_cache_key, cell_cache_key, CacheKey, CacheStats, KeyInputs, KeyMemo, ResultStore,
     CACHE_KEY_SCHEMA,
@@ -26,9 +26,9 @@ pub use chaos::{
     FaultSite, RetryPolicy, RetryRung,
 };
 pub use explain::{explain, explain_cached, explain_json, explain_strategies, render_explain, ExplainResult, ExplainRun, StrategyExplain};
-pub use harness::{atomic_write_sync, figure, run_figure, table1_parallel, FigureResult, FigureSpec, StrategyCurve, Table1Row, ThreadBudget};
+pub use harness::{atomic_write_sync, figure, run_figure, table1_parallel, FigureResult, FigureSpec, SpeedupPoint, StrategyCurve, Table1Row, ThreadBudget};
 pub use native_check::{render_native_check, run_native_check, run_native_check_cached, NativeCell, NativeVerdict};
 pub use sweep::{
-    render_sweep, run_cell_supervised_keyed, run_cells, run_sweep_supervised,
+    compute_cell_supervised, render_sweep, run_cells, run_sweep_supervised,
     scale_key, Cell, CellOutcome, CellRun, CellTask, SweepConfig, SweepReport, KINDS,
 };

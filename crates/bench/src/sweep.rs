@@ -19,6 +19,7 @@
 //! keeps going. Partial results always render: a table with holes beats
 //! no table.
 
+use crate::ablate::Variant;
 use crate::cache::{kind_strategy, CacheKey};
 use crate::chaos::{backoff_ms, FaultInjector, FaultSite, RetryPolicy, RetryRung};
 use crate::harness::{atomic_write_sync, par_map, ThreadBudget};
@@ -71,6 +72,8 @@ pub struct Cell {
     /// `(accesses checked, sync edges)` of a race-free detector run;
     /// `None` when the detector was off.
     pub race: Option<(u64, u64)>,
+    /// Barriers the run executed, when the cell completed.
+    pub barriers: Option<u64>,
 }
 
 /// Scale as an integer key (milli-units) so float formatting can never
@@ -96,6 +99,7 @@ impl Cell {
             checksum_bits: None,
             fingerprint: None,
             race: None,
+            barriers: None,
         }
     }
 
@@ -180,6 +184,9 @@ pub fn cell_to_json(c: &Cell) -> String {
     if let Some((checked, edges)) = c.race {
         s.push_str(&format!(",\"checked\":{checked},\"sync_edges\":{edges}"));
     }
+    if let Some(b) = c.barriers {
+        s.push_str(&format!(",\"barriers\":{b}"));
+    }
     s.push('}');
     s
 }
@@ -262,6 +269,7 @@ pub fn cell_from_json(s: &str) -> Option<Cell> {
     c.checksum_bits = json_hex(s, "crcbits");
     c.fingerprint = json_hex(s, "fpr");
     c.race = json_num(s, "checked").zip(json_num(s, "sync_edges")).map(|(a, b)| (a as u64, b as u64));
+    c.barriers = json_num(s, "barriers").map(|b| b as u64);
     Some(c)
 }
 
@@ -544,16 +552,21 @@ impl SweepConfig {
             profile: self.profile,
             max_cycles: self.max_cycles,
             max_wall_secs: self.max_wall_secs,
-            machine: None,
+            variant: Variant::Default,
         }
     }
 
     /// Can `cell`, found in a checkpoint or the store, stand in for a run
-    /// under this config? Only a completed or timed-out one, and under
-    /// the race detector only one that carries the detector's counts.
+    /// under this config? Only a timed-out one or a completed one that
+    /// carries its barrier count, and under the race detector only one
+    /// that carries the detector's counts.
     fn reusable(&self, cell: &Cell) -> bool {
-        matches!(cell.outcome, CellOutcome::Cycles(_) | CellOutcome::Timeout)
-            && (!self.race_check || cell.race.is_some())
+        let finished = match cell.outcome {
+            CellOutcome::Cycles(_) => cell.barriers.is_some(),
+            CellOutcome::Timeout => true,
+            _ => false,
+        };
+        finished && (!self.race_check || cell.race.is_some())
     }
 
     /// Checkpoint `cell`, when this sweep keeps checkpoints.
@@ -565,14 +578,16 @@ impl SweepConfig {
     }
 }
 
-/// One cell to run: `kind` of `prog` at `procs`, recorded under the label
-/// `bench` (a benchmark name, or a figure id for a figure's cells).
+/// One cell to run: `kind` of `prog` at `procs` under `variant`, recorded
+/// under the label `bench` (a benchmark name, a figure id for a figure's
+/// cells, or an ablation's label for a variant's).
 #[derive(Clone, Copy, Debug)]
 pub struct CellTask<'a> {
     pub prog: &'a Program,
     pub bench: &'a str,
     pub kind: &'a str,
     pub procs: usize,
+    pub variant: Variant,
 }
 
 impl CellTask<'_> {
@@ -598,7 +613,7 @@ pub fn table1_tasks(suite: &[Benchmark], procs: usize) -> Vec<CellTask<'_>> {
     for b in suite {
         for kind in KINDS {
             let procs = if kind == "seq" { 1 } else { procs };
-            tasks.push(CellTask { prog: &b.program, bench: b.name, kind, procs });
+            tasks.push(CellTask { prog: &b.program, bench: b.name, kind, procs, variant: Variant::Default });
         }
     }
     tasks
@@ -660,6 +675,7 @@ struct CellSim {
     checksum_bits: Option<u64>,
     fingerprint: Option<u64>,
     race: Option<(u64, u64)>,
+    barriers: Option<u64>,
 }
 
 /// Simulate one cell once, on one rung, under a cancellation token,
@@ -690,8 +706,9 @@ fn compute_attempt(
             return Err("injected: stuck cell (cancelled by watchdog)".to_string());
         }
         let c = Compiler::new(strategy);
-        let compiled = c.compile(task.prog).map_err(|e| e.to_string())?;
+        let mut compiled = c.compile(task.prog).map_err(|e| e.to_string())?;
         let mut opts = rung_sim_options(compiled.rung, procs, task.prog.default_params());
+        task.variant.apply(&mut compiled.decomposition, &mut opts);
         opts.max_cycles = cfg.max_cycles;
         opts.max_wall_secs = cfg.max_wall_secs;
         opts.race_detect = cfg.race_check;
@@ -710,7 +727,7 @@ fn compute_attempt(
         }
         let race = r.race.as_ref().map(|rep| (rep.checked, rep.sync_edges));
         if r.timed_out {
-            return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race });
+            return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race, barriers: None });
         }
         // The bit-identity fingerprint: checksum bits plus every enabled
         // observer's full output.
@@ -726,7 +743,8 @@ fn compute_attempt(
             buf.extend_from_slice(format!("{:?}", mp.rows).as_bytes());
         }
         let fingerprint = Some(fnv64(&buf));
-        Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race })
+        let barriers = Some(r.barriers);
+        Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race, barriers })
     };
     catch_unwind(AssertUnwindSafe(body))
         .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))))
@@ -832,7 +850,8 @@ fn supervised_attempt(
 /// when the sweep has no store or the key cannot be derived.
 fn derive_cache_key(task: &CellTask, cfg: &SweepConfig) -> Option<CacheKey> {
     cfg.cache.as_ref()?;
-    crate::cache::cell_cache_key(task.bench, &cfg.key_inputs(task.prog, task.kind, task.procs))
+    let inp = crate::cache::KeyInputs { variant: task.variant, ..cfg.key_inputs(task.prog, task.kind, task.procs) };
+    crate::cache::cell_cache_key(task.bench, &inp)
         .map_err(|e| {
             eprintln!(
                 "[cache: {}/{}: key derivation failed ({e}); cell will not be cached]",
@@ -863,7 +882,11 @@ pub struct CellRun {
 /// under `cache_key`, bounded retries with seeded backoff down the
 /// bit-identical degradation ladder, watchdog cancellation, checkpointing
 /// (with its own faults retried), quarantine after the last attempt.
-fn compute_cell_supervised(
+/// `cache_key` is `None` to run uncached. The job-queue service
+/// (dct-serve) calls this directly with the key it derived at submit to
+/// deduplicate in-flight cells, so a queued cell and a swept cell can
+/// never diverge in behavior.
+pub fn compute_cell_supervised(
     task: &CellTask,
     cfg: &SweepConfig,
     cache_key: Option<&CacheKey>,
@@ -900,8 +923,8 @@ fn compute_cell_supervised(
         match sim {
             Ok(sim) => {
                 let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
-                let (checksum_bits, fingerprint, race) = (sim.checksum_bits, sim.fingerprint, sim.race);
-                let cell = Cell { checksum_bits, fingerprint, race, ..task.cell(cfg.scale, outcome) };
+                let CellSim { checksum_bits, fingerprint, race, barriers, .. } = sim;
+                let cell = Cell { checksum_bits, fingerprint, race, barriers, ..task.cell(cfg.scale, outcome) };
                 match cfg.record(&cell).and_then(|()| match (cfg.cache.as_deref(), cache_key) {
                     // The cache is part of the durable record: a cell
                     // that could not be inserted retries the whole
@@ -949,23 +972,6 @@ fn compute_cell_supervised(
     // but a failing disk must not mask the quarantine itself.
     let _ = cfg.record(&cell);
     CellRun { cell, retries, cancelled, quarantined: 1, cache_hit: false, checkpoint_current: false }
-}
-
-/// Compute exactly one cell through the full self-healing protocol, for a
-/// caller that already holds the cell's cache key (`None` = run
-/// uncached): the job-queue service (dct-serve) derives it once, at
-/// submit, to deduplicate in-flight cells. This is the executor's own
-/// per-cell path, so a queued cell and a swept cell can never diverge in
-/// behavior.
-pub fn run_cell_supervised_keyed(
-    prog: &dct_ir::Program,
-    cfg: &SweepConfig,
-    bench: &str,
-    kind: &str,
-    procs: usize,
-    cache_key: Option<&CacheKey>,
-) -> CellRun {
-    compute_cell_supervised(&CellTask { prog, bench, kind, procs }, cfg, cache_key)
 }
 
 /// The one cell executor behind every target: each task runs through the
@@ -1058,47 +1064,35 @@ pub fn render_sweep(cells: &[Cell], procs: usize, scale: f64) -> String {
     );
     out.push_str("program      seq-cycles      base      comp      full\n");
     for bench in benches {
-        let seq = match find(bench, "seq").map(|c| &c.outcome) {
+        let outcome = |kind: &str| find(bench, kind).map(|c| &c.outcome);
+        let seq = match outcome("seq") {
             Some(CellOutcome::Cycles(n)) => Some(*n),
             _ => None,
         };
-        let col = |kind: &str| -> String {
-            match find(bench, kind).map(|c| &c.outcome) {
-                Some(CellOutcome::Cycles(n)) => match seq {
-                    Some(s) => format!("{:>9.1}", s as f64 / *n as f64),
-                    // No sequential reference to divide by: label the raw
-                    // cycle count so it cannot be misread as a speedup.
-                    None => format!("{:>9}", format!("{n}cy")),
-                },
-                Some(CellOutcome::Timeout) => format!("{:>9}", "timeout"),
-                Some(CellOutcome::Failed(_)) => format!("{:>9}", "fail"),
-                Some(CellOutcome::Quarantined(_)) => format!("{:>9}", "quar"),
-                None => format!("{:>9}", "-"),
-            }
+        // A completed cell shows `shown(cycles)`, a hole shows its mark.
+        let col = |kind: &str, width: usize, shown: &dyn Fn(u64) -> String| {
+            let text = match outcome(kind) {
+                Some(CellOutcome::Cycles(n)) => shown(*n),
+                Some(CellOutcome::Timeout) => "timeout".to_string(),
+                Some(CellOutcome::Failed(_)) => "fail".to_string(),
+                Some(CellOutcome::Quarantined(_)) => "quar".to_string(),
+                None => "-".to_string(),
+            };
+            format!("{text:>width$}")
         };
-        let seqcol = match find(bench, "seq").map(|c| &c.outcome) {
-            Some(CellOutcome::Cycles(n)) => format!("{n:>10}"),
-            Some(CellOutcome::Timeout) => format!("{:>10}", "timeout"),
-            Some(CellOutcome::Failed(_)) => format!("{:>10}", "fail"),
-            Some(CellOutcome::Quarantined(_)) => format!("{:>10}", "quar"),
-            None => format!("{:>10}", "-"),
+        let speedup = |n: u64| match seq {
+            Some(s) => format!("{:.1}", s as f64 / n as f64),
+            // No sequential reference to divide by: label the raw cycle
+            // count so it cannot be misread as a speedup.
+            None => format!("{n}cy"),
         };
-        out.push_str(&format!(
-            "{:<12} {}{}{}{}\n",
-            bench,
-            seqcol,
-            col("base"),
-            col("comp"),
-            col("full")
-        ));
+        let seq_col = col("seq", 10, &|n| n.to_string());
+        let (base, comp, full) = (col("base", 9, &speedup), col("comp", 9, &speedup), col("full", 9, &speedup));
+        out.push_str(&format!("{bench:<12} {seq_col}{base}{comp}{full}\n"));
         for kind in ["full", "seq"] {
-            match find(bench, kind).map(|c| &c.outcome) {
-                Some(CellOutcome::Failed(e)) => {
-                    out.push_str(&format!("             ! {kind}: {e}\n"));
-                }
-                Some(CellOutcome::Quarantined(e)) => {
-                    out.push_str(&format!("             ! {kind} quarantined: {e}\n"));
-                }
+            match outcome(kind) {
+                Some(CellOutcome::Failed(e)) => out.push_str(&format!("             ! {kind}: {e}\n")),
+                Some(CellOutcome::Quarantined(e)) => out.push_str(&format!("             ! {kind} quarantined: {e}\n")),
                 _ => {}
             }
         }
@@ -1124,6 +1118,7 @@ mod tests {
             // A cell without detector counts writes no member for them.
             assert!(!cell_to_json(&c).contains("checked"));
             c.race = Some((123_456, 9));
+            c.barriers = Some(5);
             let back = cell_from_json(&cell_to_json(&c)).expect("roundtrip");
             assert_eq!(back.bench, "lu");
             assert_eq!(back.kind, "full");
@@ -1133,6 +1128,7 @@ mod tests {
             assert_eq!(back.checksum_bits, Some(0xdead_beef_0bad_f00d));
             assert_eq!(back.fingerprint, Some(7));
             assert_eq!(back.race, Some((123_456, 9)));
+            assert_eq!(back.barriers, Some(5));
         }
         // A request body as `json.dumps` writes it (space after the
         // colon) reads like the compact form this crate writes.

@@ -240,6 +240,33 @@ fn race_cell_without_detector_counts_is_a_miss() {
     assert_eq!(warm.cells, cold.cells, "the rewritten checkpoints resume");
 }
 
+/// A completed cell carries its run's barrier count, which the ablations
+/// print; a stored or checkpointed completed cell without it (as written
+/// before cells recorded it) is a miss and is rewritten.
+#[test]
+fn completed_cell_without_barriers_is_a_miss() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let mut cfg = small_sweep(dir.path("out"), Some(store.clone()));
+    let cold = run_sweep_supervised(&cfg).unwrap();
+    assert!(cold.cells.iter().all(|c| c.barriers.is_some()), "{:?}", cold.cells);
+
+    let suite = sweep_suite(&cfg);
+    for c in &cold.cells {
+        let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
+        let stripped = Cell { barriers: None, ..c.clone() };
+        store.insert_cell(&key.unwrap(), &stripped, None).unwrap();
+        save_cell(&dir.path("out"), &stripped).unwrap();
+    }
+    cfg.resume = true;
+    let rerun = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!((rerun.executed, rerun.cache_hits), (4, 0), "barrier-less cells must miss");
+    assert_eq!(rerun.cells, cold.cells);
+    let warm = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!(warm.executed, 0, "the rewritten checkpoints resume");
+    assert_eq!(warm.cells, cold.cells);
+}
+
 /// `cache-write-io`: a failing store insert is treated exactly like a
 /// checkpoint-write failure — the attempt retries down the ladder and
 /// the converged sweep is bit-identical to a fault-free cached sweep.

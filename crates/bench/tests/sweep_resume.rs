@@ -41,11 +41,12 @@ fn stencil_only(dir: &Scratch) -> SweepConfig {
 }
 
 /// The sentinel pre-seeded checkpoint: simulates a cell completed by a
-/// previous sweep that was killed mid-run.
+/// previous sweep that was killed mid-run (with the barrier count every
+/// completed cell carries).
 const SENTINEL: u64 = 123_456_789;
 
 fn sentinel_cell(scale: f64) -> Cell {
-    Cell::new("stencil", "base", 4, scale, CellOutcome::Cycles(SENTINEL))
+    Cell { barriers: Some(1), ..Cell::new("stencil", "base", 4, scale, CellOutcome::Cycles(SENTINEL)) }
 }
 
 #[test]

@@ -37,8 +37,8 @@ pub mod pipeline;
 pub mod report;
 
 pub use pipeline::{
-    rung_sim_options, sequential_cycles, speedup_curve, CompileError, Compiled, Compiler,
-    Degradation, Rung, SpeedupPoint, Strategy,
+    rung_sim_options, sequential_cycles, CompileError, Compiled, Compiler, Degradation, Rung,
+    Strategy,
 };
 pub use report::{render_profile, render_report};
 

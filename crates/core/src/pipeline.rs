@@ -324,14 +324,6 @@ fn sequential_decomposition(prog: &Program) -> Decomposition {
     }
 }
 
-/// One point of a speedup curve.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeedupPoint {
-    pub procs: usize,
-    pub cycles: u64,
-    pub speedup: f64,
-}
-
 /// Sequential reference time: the base-compiled program on one processor.
 pub fn sequential_cycles(prog: &Program, params: &[i64]) -> DctResult<u64> {
     let c = Compiler::new(Strategy::Base);
@@ -343,32 +335,6 @@ pub fn sequential_cycles(prog: &Program, params: &[i64]) -> DctResult<u64> {
             .unwrap_or_else(|| DctError::new(Phase::Decomp, "compilation failed"))
     })?;
     Ok(c.simulate(&compiled, 1, params)?.cycles)
-}
-
-/// Speedups of one strategy over the sequential reference, across processor
-/// counts (the paper's figures).
-pub fn speedup_curve(
-    prog: &Program,
-    strategy: Strategy,
-    procs_list: &[usize],
-    params: &[i64],
-    seq_cycles: u64,
-) -> DctResult<Vec<SpeedupPoint>> {
-    let c = Compiler::new(strategy);
-    let compiled = c.compile(prog).map_err(|e| {
-        e.attempts
-            .into_iter()
-            .next_back()
-            .map(|(_, e)| e)
-            .unwrap_or_else(|| DctError::new(Phase::Decomp, "compilation failed"))
-    })?;
-    procs_list
-        .iter()
-        .map(|&p| {
-            let r = c.simulate(&compiled, p, params)?;
-            Ok(SpeedupPoint { procs: p, cycles: r.cycles, speedup: seq_cycles as f64 / r.cycles as f64 })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -446,17 +412,6 @@ mod tests {
         let c = Compiler::new(Strategy::Full);
         let o = c.sim_options(4, vec![]);
         assert!(o.transform_data && o.barrier_elision);
-    }
-
-    #[test]
-    fn speedup_curve_is_ordered() {
-        let prog = figure1();
-        let params = prog.default_params();
-        let seq = sequential_cycles(&prog, &params).unwrap();
-        let curve = speedup_curve(&prog, Strategy::Full, &[1, 2, 4], &params, seq).unwrap();
-        assert_eq!(curve.len(), 3);
-        assert!(curve[0].speedup > 0.5 && curve[0].speedup <= 1.5);
-        assert!(curve[2].speedup > curve[0].speedup);
     }
 
     /// A decomposition that defeats `Full` (an unrealizable doacross

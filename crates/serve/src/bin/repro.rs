@@ -439,9 +439,11 @@ fn main() {
                 }
             }
             "ablations" => {
-                for a in dct_bench::all_ablations(32, scale) {
+                let (ablations, rep) = dct_bench::all_ablations(&cfg, budget);
+                for a in ablations {
                     println!("{}", a.render());
                 }
+                cache_line(&rep);
             }
             fig => match harness::figure(fig, scale) {
                 Some(spec) => {
@@ -459,14 +461,18 @@ fn main() {
     }
 }
 
-/// Refuse, before anything runs, a target that is not a figure, a table, a
-/// command or the benchmark name a command takes (the word after
-/// `explain`, `native` or `chaos`).
+/// Refuse, before anything runs, a target that is not a figure, a table or
+/// a command, and a word after `explain`, `native` or `chaos` that is not
+/// a suite benchmark (a typo would otherwise check nothing and pass).
 fn check_targets(targets: &[String]) {
+    let suite: Vec<&str> = dct_bench::programs::suite(1.0).iter().map(|b| b.name).collect();
     let mut k = 0;
     while k < targets.len() {
         let t = targets[k].as_str();
         if matches!(t, "explain" | "native" | "chaos") {
+            if let Some(b) = targets.get(k + 1).filter(|b| !suite.contains(&b.as_str())) {
+                die(&format!("unknown benchmark '{b}' after '{t}' (suite: {})", suite.join(" ")));
+            }
             k += 2;
             continue;
         }

@@ -1,6 +1,6 @@
 //! The sweep job queue: submitted jobs expand into cells, cells drain
 //! through a fixed pool of worker threads, and every cell runs through
-//! [`dct_bench::sweep::run_cell_supervised_keyed`] — the same self-healing
+//! [`dct_bench::sweep::compute_cell_supervised`] — the same self-healing
 //! protocol (cache lookup, retry ladder, watchdog, checkpoint + cache
 //! insert, quarantine) as a command-line sweep, so a queued cell and a
 //! swept cell can never diverge in behavior.
@@ -17,7 +17,7 @@
 //! strategy) for the life of the queue ([`KeyMemo`]).
 
 use dct_bench::programs;
-use dct_bench::sweep::{run_cell_supervised_keyed, Cell, SweepConfig, KINDS};
+use dct_bench::sweep::{compute_cell_supervised, Cell, CellTask, SweepConfig, KINDS};
 use dct_bench::{CacheKey, KeyMemo, ResultStore};
 use dct_ir::{program_fingerprint, CancelToken, Program};
 use std::collections::{BTreeMap, HashMap};
@@ -361,14 +361,14 @@ fn worker_loop(q: &Arc<JobQueue>, rx: &Arc<Mutex<mpsc::Receiver<Arc<CellSlot>>>>
         // the slot here and is dropped when the cell is done.
         let Some(prog) = slot.start() else { continue };
         let cfg = q.cell_config(slot.procs, slot.scale, slot.race_check);
-        let run = run_cell_supervised_keyed(
-            &prog,
-            &cfg,
-            &slot.bench,
-            &slot.kind,
-            slot.procs,
-            slot.key.as_ref(),
-        );
+        let task = CellTask {
+            prog: &prog,
+            bench: &slot.bench,
+            kind: &slot.kind,
+            procs: slot.procs,
+            variant: dct_bench::Variant::Default,
+        };
+        let run = compute_cell_supervised(&task, &cfg, slot.key.as_ref());
         if run.cache_hit {
             q.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {

@@ -1,7 +1,8 @@
 //! The `repro` command line: `--procs` reaches the plain `table1` path,
-//! sizes out of range, unknown options and unknown targets are refused
-//! before anything runs, and cached tables and figures rerun warm without
-//! executing a cell.
+//! sizes out of range, unknown options, targets and benchmark names are
+//! refused before anything runs, cached tables, figures and ablations
+//! rerun warm without executing a cell, and the race check and `explain`
+//! run end to end.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -91,8 +92,16 @@ fn out_of_range_sizes_are_refused() {
 
 #[test]
 fn unknown_options_and_targets_are_refused() {
-    let refused: [&[&str]; 4] =
-        [&["fig8", "--no-kernels"], &["table1", "--frobnicate"], &["table1", "--proc", "8"], &["fgi8"]];
+    let refused: [&[&str]; 8] = [
+        &["fig8", "--no-kernels"],
+        &["table1", "--frobnicate"],
+        &["table1", "--proc", "8"],
+        &["fgi8"],
+        &["native", "nonesuch"],
+        &["chaos", "nonesuch"],
+        &["explain", "nonesuch"],
+        &["chaos", "table1", "--scale", "0.05"],
+    ];
     for args in refused {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -150,4 +159,41 @@ fn cached_table1_reruns_warm_and_leaves_current_checkpoints_alone() {
     assert!(err.contains("cells executed 0 served 28 checkpoints current 28"), "{err}");
     assert_eq!(again, cold);
     assert_eq!(stamps(&dir.0.join("ckpt2")), before, "a current checkpoint was touched");
+}
+
+/// The ablations run at `--procs` and through the store: their four plain
+/// cells are Table 1's, served from the table's run, and a second run
+/// executes none of the eleven and prints the same bytes.
+#[test]
+fn cached_ablations_rerun_warm() {
+    let dir = Scratch::new();
+    let args = ["table1", "ablations", "--scale", "0.05", "--procs", "4", "--cache", "--cache-dir", "cache"];
+    let (cold, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 7 served 4"), "{err}");
+    let (warm, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 0 served 11"), "{err}");
+    assert_eq!(warm, cold, "warm ablations must print the cold ones' bytes");
+}
+
+/// Schedule soundness end to end: every benchmark x strategy is certified
+/// race-free by the happens-before detector.
+#[test]
+fn race_check_certifies_every_schedule() {
+    let dir = Scratch::new();
+    let (out, _) = dir.repro(&["--race-check", "--scale", "0.1", "--procs", "8"]);
+    assert!(out.contains("all schedules certified race-free"), "{out}");
+}
+
+/// `explain` runs every strategy with the profiler on, renders the
+/// ranked attribution table and writes the JSON artifact, in which all
+/// three profiled runs replay their repeating time steps.
+#[test]
+fn explain_stencil_reports_and_replays() {
+    let dir = Scratch::new();
+    let (out, _) = dir.repro(&["explain", "stencil", "--scale", "0.1", "--procs", "32"]);
+    for needle in ["why is this slow", "diagnosis:", "false-sh"] {
+        assert!(out.contains(needle), "explain output missing '{needle}': {out}");
+    }
+    let json = std::fs::read_to_string(dir.0.join("results/explain_stencil.json")).expect("explain JSON written");
+    assert_eq!(json.matches("\"memo\": \"Replayed\"").count(), 3, "{json}");
 }

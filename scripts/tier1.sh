@@ -67,35 +67,6 @@ while read -r path pinned; do
     echo "  $path: $count/$pinned"
 done < scripts/panic_baseline.txt
 
-echo "== tier1: repro --race-check smoke (schedule soundness)"
-# Every benchmark x strategy must be certified race-free by the
-# happens-before detector — the only oracle that can see missing
-# synchronization in a deterministic simulator.
-./target/release/repro --race-check --scale 0.1 --procs 8
-
-echo "== tier1: repro explain stencil smoke (memory profiler end-to-end)"
-# The explain pipeline must run every strategy with the profiler on,
-# render the ranked attribution table, and emit the JSON artifact.
-explain_out=$(./target/release/repro explain stencil --scale 0.1 --procs 32 2>/dev/null)
-for needle in "why is this slow" "diagnosis:" "false-sh"; do
-    if ! grep -q "$needle" <<<"$explain_out"; then
-        echo "tier1 FAIL: 'repro explain stencil' output missing '$needle'" >&2
-        exit 1
-    fi
-done
-if [ ! -s results/explain_stencil.json ]; then
-    echo "tier1 FAIL: results/explain_stencil.json not written" >&2
-    exit 1
-fi
-# A profiled run replays its repeating time steps: the profiler's state
-# is part of the boundary digest. All three strategies must say so.
-replayed=$(grep -c '"memo": "Replayed"' results/explain_stencil.json || true)
-if [ "${replayed:-0}" -ne 3 ]; then
-    echo "tier1 FAIL: results/explain_stencil.json: ${replayed:-0} of 3 strategies report \"memo\": \"Replayed\"" >&2
-    exit 1
-fi
-echo "  explain stencil: table + diagnosis + JSON artifact OK, 3 of 3 profiled runs replayed"
-
 echo "== tier1: repro chaos smoke (seeded fault injection, bit-identity)"
 # The chaos oracle: a sweep under seeded injected faults (worker panics,
 # checkpoint corruption, stuck cells, whole-sweep kills) must converge

@@ -4,20 +4,24 @@
 //! substrate is a simulator, not the DASH prototype); the orderings and
 //! crossovers are what these tests pin down.
 
-use dct_bench::programs;
-use dct_core::{sequential_cycles, speedup_curve, Strategy};
+use dct_bench::sweep::{run_cells, CellTask, SweepConfig};
+use dct_bench::{programs, ThreadBudget, Variant};
+use dct_core::Strategy;
 
-fn speedups(
-    prog: &dct_core::ir::Program,
-    strategy: Strategy,
-    procs: &[usize],
-) -> Vec<f64> {
-    let params = prog.default_params();
-    let seq = sequential_cycles(prog, &params).unwrap();
-    speedup_curve(prog, strategy, procs, &params, seq).unwrap()
-        .into_iter()
-        .map(|p| p.speedup)
-        .collect()
+/// Speedups of `strategy` over the sequential reference at each count in
+/// `procs`, from one run of the cell executor.
+fn speedups(prog: &dct_core::ir::Program, strategy: Strategy, procs: &[usize]) -> Vec<f64> {
+    let kind = match strategy {
+        Strategy::Base => "base",
+        Strategy::CompDecomp => "comp",
+        Strategy::Full => "full",
+    };
+    let task = |kind, procs| CellTask { prog, bench: "shape", kind, procs, variant: Variant::Default };
+    let tasks: Vec<CellTask> =
+        std::iter::once(task("seq", 1)).chain(procs.iter().map(|&p| task(kind, p))).collect();
+    let rep = run_cells(&SweepConfig::plain(1, 1.0), &tasks, ThreadBudget::clamp(2));
+    let cycles: Vec<u64> = rep.cells.iter().map(|c| c.cycles().unwrap()).collect();
+    cycles[1..].iter().map(|&c| cycles[0] as f64 / c as f64).collect()
 }
 
 /// Figure 4 (vpenta): the base compiler stalls at a small speedup while
