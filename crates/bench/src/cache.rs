@@ -524,7 +524,9 @@ impl ResultStore {
 
     /// LRU sweep: delete oldest-touched entries until the store fits in
     /// `budget` bytes. Returns how many entries were evicted. `corrupt/`
-    /// is never touched (it is evidence, not cache).
+    /// is never touched (it is evidence, not cache), and neither is a
+    /// dot-file: that is another writer's in-flight temp file, whose
+    /// rename would fail if it went.
     pub fn evict_to(&self, budget: u64) -> usize {
         let mut entries: Vec<(PathBuf, SystemTime, u64)> = Vec::new();
         let Ok(shards) = std::fs::read_dir(&self.root) else { return 0 };
@@ -536,7 +538,7 @@ impl ResultStore {
             let Ok(files) = std::fs::read_dir(&sp) else { continue };
             for f in files.flatten() {
                 let p = f.path();
-                if !p.is_file() {
+                if !p.is_file() || f.file_name().to_string_lossy().starts_with('.') {
                     continue;
                 }
                 if let Ok(md) = f.metadata() {
@@ -846,6 +848,20 @@ mod tests {
         let remaining: usize =
             keys.iter().filter(|k| dir.join(k.shard()).join(k.filename()).exists()).count();
         assert!(remaining <= 3, "{remaining} entries left over budget");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_spares_in_flight_temp_files() {
+        let dir = tmpdir("lru-tmp");
+        let store = ResultStore::open(&dir, None).expect("open");
+        let key = stencil_key("full");
+        store.insert_cell(&key, &sample_cell(1), None).expect("insert");
+        let tmp = dir.join(key.shard()).join(".x.tmp");
+        std::fs::write(&tmp, b"another writer's half-written entry").expect("temp file");
+        assert_eq!(store.evict_to(0), 1, "only the entry counts");
+        assert!(tmp.exists(), "an in-flight temp file was evicted");
+        assert!(!dir.join(key.shard()).join(key.filename()).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,8 +22,10 @@
 use crate::sweep::{
     run_sweep_supervised, scale_key, Cell, CellOutcome, SweepConfig, SweepReport,
 };
+use dct_ir::CancelToken;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 // ------------------------------------------------------------- plan --
 
@@ -253,6 +255,16 @@ impl FaultInjector {
     /// Total arrivals recorded at `site`.
     pub fn arrivals(&self, site: FaultSite) -> u64 {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).arrivals[site.index()]
+    }
+}
+
+/// Wedge cooperatively, as an injected stuck cell or stuck native worker
+/// does: spin until the watchdog cancels `token` (bounded so a
+/// watchdog-less config cannot hang forever).
+pub fn wedge_until_cancelled(token: &CancelToken) {
+    let start = Instant::now();
+    while !token.is_cancelled() && start.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -486,7 +498,7 @@ fn sweep_config(cfg: &ChaosConfig, sub: &str) -> SweepConfig {
     sc.race_check = cfg.race_check;
     sc.profile = cfg.profile;
     sc.stuck_wall_secs = Some(cfg.stuck_wall_secs);
-    sc.native_check = cfg.native_check;
+    sc.native_reps = cfg.native_check.then_some(0);
     sc
 }
 

@@ -27,7 +27,7 @@ pub use chaos::{
 };
 pub use explain::{explain, explain_cached, explain_json, explain_strategies, render_explain, ExplainResult, ExplainRun, StrategyExplain};
 pub use harness::{atomic_write_sync, figure, run_figure, table1_parallel, FigureResult, FigureSpec, SpeedupPoint, StrategyCurve, Table1Row, ThreadBudget};
-pub use native_check::{render_native_check, run_native_check, run_native_check_cached, NativeCell, NativeVerdict};
+pub use native_check::{native_sweep, NATIVE_DIVERGES};
 pub use sweep::{
     compute_cell_supervised, render_sweep, run_cells, run_sweep_supervised,
     scale_key, Cell, CellOutcome, CellRun, CellTask, SweepConfig, SweepReport, KINDS,

@@ -1,111 +1,113 @@
-//! `repro native [bench]`: execute every benchmark x strategy on the
-//! native threaded backend and require checksums bit-identical to the
-//! simulator — not once, but across repeated runs under randomized
-//! thread-spawn jitter and yield injection (default 16 reps), so a
-//! timing-dependent divergence has many chances to show itself.
+//! The native leg of the cell executor, and `repro native [bench]`.
 //!
-//! Any divergence is minimized by nest removal (drop compute nests one
-//! at a time while the divergence persists, then try dropping the time
-//! loop) and the shrunken program is dumped to `results/` as a
-//! self-contained repro file. A sweep can ride the same oracle with
-//! `--native` (see [`crate::sweep::SweepConfig::native_check`]).
+//! A cell's native leg runs its compiled schedule on the native threaded
+//! backend once calm and then `reps` times under randomized thread-spawn
+//! jitter and yield injection, and requires the checksum bits and the
+//! barrier count of every run to equal the simulator's, so a
+//! timing-dependent divergence has many chances to show itself. The leg
+//! runs inside [`crate::sweep::compute_cell_supervised`] whenever
+//! [`crate::sweep::SweepConfig::native_reps`] is set (`--native` sets
+//! `Some(0)`), on computed and served cells alike.
+//!
+//! `repro native` is one [`run_cells`] call over Table 1's strategy cells
+//! (16 jittered reps by default), so it shares Table 1's store entries and
+//! checkpoints. Each divergence is then minimized by nest removal (drop
+//! compute nests one at a time while the divergence persists, then try
+//! dropping the time loop) and the shrunken program is dumped to the
+//! output directory as a self-contained repro file.
 
-use crate::harness::atomic_write_sync;
-use crate::programs::suite;
+use crate::cache::kind_strategy;
+use crate::chaos::{wedge_until_cancelled, FaultInjector, FaultSite};
+use crate::harness::{atomic_write_sync, ThreadBudget};
+use crate::sweep::{run_cells, sweep_suite, CellTask, SweepConfig, SweepReport, KINDS};
+use crate::Variant;
 use dct_core::{rung_sim_options, Compiler, Strategy};
 use dct_ir::pretty::render_program;
-use dct_ir::Program;
+use dct_ir::{CancelToken, Program};
 use std::path::Path;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Jitter seeds are derived from this base so a failing rep can name its
 /// exact seed in the repro file.
 const JITTER_BASE: u64 = 0x5EED_0000;
 
-/// What one (benchmark, strategy, procs) native check concluded.
-#[derive(Clone, Debug)]
-pub enum NativeVerdict {
-    /// Every rep bit-identical to the simulator.
-    Identical,
-    /// At least one rep diverged; `repro` is the dumped file, if the
-    /// dump succeeded.
-    Diverged { detail: String, repro: Option<String> },
-    /// The native backend (or the simulator) failed outright.
-    Failed(String),
-}
+/// The reason prefix of a cell whose native leg disagreed with the
+/// simulator: such a cell is `Failed` at once, never retried.
+pub const NATIVE_DIVERGES: &str = "native diverges from the simulator: ";
 
-/// One cell of the native differential table.
-#[derive(Clone, Debug)]
-pub struct NativeCell {
-    pub bench: String,
-    pub strategy: &'static str,
-    pub procs: usize,
-    /// Stress reps run in addition to the calm rep.
-    pub reps: u64,
-    pub sim_checksum_bits: u64,
-    /// Wall time of the simulator run (host seconds).
-    pub sim_wall_secs: f64,
-    /// Wall time of the calm (unjittered) native run.
-    pub native_wall_secs: f64,
-    /// Dynamic barrier count (native == simulator, asserted).
-    pub barriers: u64,
-    pub verdict: NativeVerdict,
-}
-
-impl NativeCell {
-    pub fn ok(&self) -> bool {
-        matches!(self.verdict, NativeVerdict::Identical)
+/// The fault hook of a native run: a planned `native-worker-panic` panics
+/// worker 0 (the backend turns it into a structured error), a planned
+/// `native-stuck` wedges it until the watchdog fires `token`.
+fn fault_hook(inj: Option<&FaultInjector>, token: &CancelToken, ctx: &str) -> Option<Arc<dyn Fn(usize) + Send + Sync>> {
+    let inj = inj?;
+    let panic_worker = inj.fire(FaultSite::NativeWorkerPanic, ctx);
+    let stuck_worker = inj.fire(FaultSite::NativeStuck, ctx);
+    if !panic_worker && !stuck_worker {
+        return None;
     }
+    let (t, at) = (token.clone(), ctx.to_string());
+    Some(Arc::new(move |p: usize| {
+        if p != 0 {
+            return;
+        }
+        if panic_worker {
+            panic!("injected: native worker panic at {at}");
+        }
+        wedge_until_cancelled(&t);
+    }))
 }
 
-/// Run one native execution (jittered when `jitter` is set) and compare
-/// it against the simulator's bits. `Ok(wall)` on agreement.
-fn one_rep(
+/// Run `sp` natively once calm (carrying the fault hooks) and `reps`
+/// times jittered, each against the simulator's checksum `bits` and
+/// `barriers`. A mismatch is an `Err` starting with [`NATIVE_DIVERGES`];
+/// any other `Err` (a native error, a watchdog cancel) is transient.
+pub(crate) fn native_leg(
     sp: &dct_spmd::SpmdProgram,
-    sim_bits: u64,
-    sim_barriers: u64,
-    jitter: Option<u64>,
-) -> Result<f64, String> {
-    let nopts = dct_native::NativeOptions { jitter, ..dct_native::NativeOptions::default() };
-    let t0 = Instant::now();
-    let nr = dct_native::execute(sp, &nopts).map_err(|e| format!("native: {e}"))?;
-    let wall = t0.elapsed().as_secs_f64();
-    if nr.checksum.to_bits() != sim_bits {
-        return Err(format!(
-            "checksum diverges{}: native {:#018x} vs simulator {sim_bits:#018x}",
-            match jitter {
-                Some(s) => format!(" (jitter seed {s:#x})"),
-                None => String::new(),
-            },
-            nr.checksum.to_bits()
-        ));
+    bits: u64,
+    barriers: u64,
+    reps: u64,
+    inj: Option<&FaultInjector>,
+    token: &CancelToken,
+    ctx: &str,
+) -> Result<(), String> {
+    for rep in 0..=reps {
+        let jitter = (rep > 0).then(|| JITTER_BASE + rep);
+        let worker_hook = if rep == 0 { fault_hook(inj, token, ctx) } else { None };
+        let nopts = dct_native::NativeOptions { cancel: Some(token.clone()), jitter, worker_hook };
+        let nr = dct_native::execute(sp, &nopts).map_err(|e| format!("native: {e}"))?;
+        if nr.cancelled {
+            return Err("native run cancelled at a sync boundary (watchdog)".to_string());
+        }
+        if nr.checksum.to_bits() != bits {
+            let seed = jitter.map(|s| format!(" (jitter seed {s:#x})")).unwrap_or_default();
+            return Err(format!(
+                "{NATIVE_DIVERGES}checksum diverges{seed}: native {:#018x} vs simulator {bits:#018x}",
+                nr.checksum.to_bits()
+            ));
+        }
+        if nr.barriers != barriers {
+            return Err(format!(
+                "{NATIVE_DIVERGES}barrier count diverges: native {} vs simulator {barriers}",
+                nr.barriers
+            ));
+        }
     }
-    if nr.barriers != sim_barriers {
-        return Err(format!(
-            "barrier count diverges: native {} vs simulator {sim_barriers}",
-            nr.barriers
-        ));
-    }
-    Ok(wall)
+    Ok(())
 }
 
 /// Does `prog` still diverge between simulator and native under this
-/// configuration? Used by the minimizer: compile failures and simulator
-/// failures mean the candidate is unusable (`None`), a native failure or
-/// checksum mismatch is a divergence (`Some(detail)`).
+/// configuration? Used by the minimizer, whose candidates are not suite
+/// cells: compile failures and simulator failures mean the candidate is
+/// unusable (`None`), a native failure or mismatch is a divergence
+/// (`Some(detail)`).
 fn diverges(prog: &Program, strategy: Strategy, procs: usize, reps: u64) -> Option<String> {
     let compiled = Compiler::new(strategy).compile(prog).ok()?;
     let params = prog.default_params();
     let opts = rung_sim_options(compiled.rung, procs, params);
     let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts).ok()?;
     let sp = dct_spmd::lower(&compiled.program, &compiled.decomposition, &opts).ok()?;
-    for rep in 0..=reps {
-        let jitter = (rep > 0).then(|| JITTER_BASE + rep);
-        if let Err(e) = one_rep(&sp, r.checksum.to_bits(), r.barriers, jitter) {
-            return Some(e);
-        }
-    }
-    None
+    let e = native_leg(&sp, r.checksum.to_bits(), r.barriers, reps, None, &CancelToken::new(), "").err()?;
+    Some(e.strip_prefix(NATIVE_DIVERGES).unwrap_or(&e).to_string())
 }
 
 /// Shrink a diverging program by structural removal: drop compute nests
@@ -180,220 +182,103 @@ fn dump_repro(
     }
 }
 
-/// Serialize / parse the cached sim leg: `"<checksum_bits> <barriers>"`
-/// in hex, wrapped in the store's crc64 artifact envelope.
-fn sim_leg_artifact(bits: u64, barriers: u64) -> String {
-    format!("{bits:016x} {barriers:016x}")
-}
-
-fn parse_sim_leg(text: &str) -> Option<(u64, u64)> {
-    let mut it = text.split_whitespace();
-    let bits = u64::from_str_radix(it.next()?, 16).ok()?;
-    let barriers = u64::from_str_radix(it.next()?, 16).ok()?;
-    it.next().is_none().then_some((bits, barriers))
-}
-
-/// Cache key of one cell's sim leg. The tag carries strategy + procs so
-/// every cell of the differential table gets its own entry.
-fn sim_leg_key(
-    bench: &str,
-    prog: &Program,
-    strategy: Strategy,
-    procs: usize,
-    scale: f64,
-) -> Option<crate::cache::CacheKey> {
-    let tag = format!("native-sim-{}-p{procs}", strategy.label());
-    crate::cache::artifact_cache_key(&tag, bench, prog, procs, crate::sweep::scale_key(scale))
-        .map_err(|e| eprintln!("[cache: native key derivation failed: {e}]"))
-        .ok()
-}
-
-/// Check one (benchmark, strategy, procs) cell: simulator run, calm
-/// native run, then `reps` jittered native runs, all bit-identical.
-/// With a store, the simulator leg (checksum bits + barrier count) is
-/// served from cache when warm — the native runs always execute, since
-/// they are the thing under test.
-fn check_cell(
-    bench: &str,
-    prog: &Program,
-    strategy: Strategy,
-    procs: usize,
-    reps: u64,
-    out_dir: &Path,
-    scale: f64,
-    store: Option<&crate::cache::ResultStore>,
-) -> NativeCell {
-    let mut cell = NativeCell {
-        bench: bench.to_string(),
-        strategy: strategy.label(),
-        procs,
-        reps,
-        sim_checksum_bits: 0,
-        sim_wall_secs: 0.0,
-        native_wall_secs: 0.0,
-        barriers: 0,
-        verdict: NativeVerdict::Identical,
-    };
-    let compiled = match Compiler::new(strategy).compile(prog) {
-        Ok(c) => c,
-        Err(e) => {
-            cell.verdict = NativeVerdict::Failed(format!("compile: {e}"));
-            return cell;
-        }
-    };
-    let opts = rung_sim_options(compiled.rung, procs, prog.default_params());
-    let key = store.and_then(|_| sim_leg_key(bench, prog, strategy, procs, scale));
-    let cached = match (store, &key) {
-        (Some(s), Some(k)) => s.lookup_artifact(k).and_then(|t| parse_sim_leg(&t)),
-        _ => None,
-    };
-    match cached {
-        Some((bits, barriers)) => {
-            // Warm sim leg: the oracle values come from the store (crc64
-            // verified); only the native runs below actually execute.
-            cell.sim_checksum_bits = bits;
-            cell.barriers = barriers;
-        }
-        None => {
-            let t0 = Instant::now();
-            let r = match dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts) {
-                Ok(r) => r,
-                Err(e) => {
-                    cell.verdict = NativeVerdict::Failed(format!("simulate: {e}"));
-                    return cell;
-                }
-            };
-            cell.sim_wall_secs = t0.elapsed().as_secs_f64();
-            cell.sim_checksum_bits = r.checksum.to_bits();
-            cell.barriers = r.barriers;
-            if let (Some(s), Some(k)) = (store, &key) {
-                let art = sim_leg_artifact(cell.sim_checksum_bits, cell.barriers);
-                if let Err(e) = s.insert_artifact(k, &art, None) {
-                    eprintln!("[cache: native insert failed: {e}]");
-                }
-            }
-        }
-    }
-    let sp = match dct_spmd::lower(&compiled.program, &compiled.decomposition, &opts) {
-        Ok(sp) => sp,
-        Err(e) => {
-            cell.verdict = NativeVerdict::Failed(format!("lower: {e}"));
-            return cell;
-        }
-    };
-    for rep in 0..=reps {
-        let jitter = (rep > 0).then(|| JITTER_BASE + rep);
-        match one_rep(&sp, cell.sim_checksum_bits, cell.barriers, jitter) {
-            Ok(wall) => {
-                if rep == 0 {
-                    cell.native_wall_secs = wall;
-                }
-            }
-            Err(detail) => {
-                let repro = dump_repro(out_dir, bench, strategy, procs, reps, &detail, prog);
-                cell.verdict = NativeVerdict::Diverged { detail, repro };
-                return cell;
-            }
-        }
-    }
-    cell
-}
-
-/// The `repro native` entry point: every benchmark (or the named subset)
-/// x every strategy x every processor count, each stress-checked with
-/// `reps` jittered native runs against the simulator.
-pub fn run_native_check(
-    only: Option<&[String]>,
-    scale: f64,
+/// The `repro native` entry point: each benchmark of `cfg`'s suite in its
+/// three strategy kinds at each of `procs_list`, labelled as Table 1
+/// labels them, through the cell executor with a native leg of `reps`
+/// jittered runs; then a minimized repro in `out_dir` for each divergence,
+/// and the differential table.
+pub fn native_sweep(
+    cfg: &SweepConfig,
     procs_list: &[usize],
     reps: u64,
     out_dir: &Path,
-) -> Vec<NativeCell> {
-    run_native_check_cached(only, scale, procs_list, reps, out_dir, None)
-}
-
-/// [`run_native_check`] with an optional content-addressed store: warm
-/// sim legs are served from cache, so a repeat `repro native --cache`
-/// spends its wall time where it matters (the jittered native runs).
-pub fn run_native_check_cached(
-    only: Option<&[String]>,
-    scale: f64,
-    procs_list: &[usize],
-    reps: u64,
-    out_dir: &Path,
-    store: Option<&crate::cache::ResultStore>,
-) -> Vec<NativeCell> {
-    let mut cells = Vec::new();
-    for b in suite(scale) {
-        if let Some(only) = only {
-            if !only.iter().any(|n| n == b.name) {
-                continue;
-            }
-        }
-        for &strategy in &Strategy::ALL {
+    budget: ThreadBudget,
+) -> (String, SweepReport) {
+    let cfg = SweepConfig { native_reps: Some(reps), ..cfg.clone() };
+    let suite = sweep_suite(&cfg);
+    let mut tasks = Vec::new();
+    for b in &suite {
+        for kind in &KINDS[1..] {
             for &procs in procs_list {
-                cells.push(check_cell(
-                    b.name, &b.program, strategy, procs, reps, out_dir, scale, store,
-                ));
+                tasks.push(CellTask { prog: &b.program, bench: b.name, kind, procs, variant: Variant::Default });
             }
         }
     }
-    cells
-}
-
-/// Human-readable native differential table.
-pub fn render_native_check(cells: &[NativeCell], reps: u64) -> String {
-    let mut out = format!(
-        "Native backend vs simulator ({reps} jittered reps per cell; wall is host seconds)\n"
-    );
-    out.push_str("program      strategy                     procs  sim-wall  native-wall  barriers  verdict\n");
-    for c in cells {
-        let verdict = match &c.verdict {
-            NativeVerdict::Identical => "bit-identical".to_string(),
-            NativeVerdict::Diverged { repro, .. } => match repro {
-                Some(p) => format!("DIVERGED -> {p}"),
-                None => "DIVERGED (repro dump failed)".to_string(),
+    let rep = run_cells(&cfg, &tasks, budget);
+    let mut out = format!("Native backend vs simulator ({reps} jittered reps per cell)\n");
+    out.push_str("program      strategy                     procs  barriers  verdict\n");
+    for (t, c) in tasks.iter().zip(&rep.cells) {
+        let strategy = kind_strategy(t.kind, t.procs).0;
+        let (verdict, detail) = match c.cycles() {
+            Ok(_) => ("bit-identical".to_string(), None),
+            Err(reason) => match reason.strip_prefix(NATIVE_DIVERGES) {
+                Some(detail) => {
+                    let verdict = match dump_repro(out_dir, t.bench, strategy, t.procs, reps, detail, t.prog) {
+                        Some(p) => format!("DIVERGED -> {p}"),
+                        None => "DIVERGED (repro dump failed)".to_string(),
+                    };
+                    (verdict, Some(detail.to_string()))
+                }
+                None => (format!("FAILED: {reason}"), None),
             },
-            NativeVerdict::Failed(e) => format!("FAILED: {e}"),
         };
-        out.push_str(&format!(
-            "{:<12} {:<28} {:>5} {:>9.3} {:>12.3} {:>9}  {}\n",
-            c.bench, c.strategy, c.procs, c.sim_wall_secs, c.native_wall_secs, c.barriers, verdict
-        ));
-        if let NativeVerdict::Diverged { detail, .. } = &c.verdict {
+        let barriers = c.barriers.map_or("-".to_string(), |b| b.to_string());
+        out.push_str(&format!("{:<12} {:<28} {:>5} {barriers:>9}  {verdict}\n", t.bench, strategy.label(), t.procs));
+        if let Some(detail) = detail {
             out.push_str(&format!("             ! {detail}\n"));
         }
     }
-    let bad = cells.iter().filter(|c| !c.ok()).count();
+    let bad = rep.cells.iter().filter(|c| c.cycles().is_err()).count();
     out.push_str(&if bad == 0 {
-        format!("native: all {} cells bit-identical to the simulator\n", cells.len())
+        format!("native: all {} cells bit-identical to the simulator\n", rep.cells.len())
     } else {
-        format!("native: {bad} of {} cells NOT identical\n", cells.len())
+        format!("native: {bad} of {} cells NOT identical\n", rep.cells.len())
     });
-    out
+    (out, rep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::suite;
 
     #[test]
     fn native_check_runs_clean_on_the_suite() {
         let dir = std::env::temp_dir().join(format!("dct-native-check-{}", std::process::id()));
-        let cells = run_native_check(
-            Some(&["stencil".to_string()]),
-            0.05,
-            &[3],
-            2,
-            &dir,
-        );
-        assert_eq!(cells.len(), 3, "one cell per strategy");
-        for c in &cells {
-            assert!(c.ok(), "{c:?}");
-            assert!(c.barriers > 0, "{c:?}");
+        let mut cfg = SweepConfig::plain(3, 0.05);
+        cfg.only = Some(vec!["stencil".to_string()]);
+        let (text, rep) = native_sweep(&cfg, &[3], 2, &dir, ThreadBudget::clamp(1));
+        assert_eq!(rep.cells.len(), 3, "one cell per strategy");
+        for c in &rep.cells {
+            assert!(c.cycles().is_ok(), "{c:?}");
+            assert!(c.barriers.is_some_and(|b| b > 0), "{c:?}");
         }
-        let text = render_native_check(&cells, 2);
-        assert!(text.contains("bit-identical"));
+        assert!(text.contains("native: all 3 cells bit-identical to the simulator"), "{text}");
+        assert!(!dir.exists(), "a clean check dumps no repro");
+    }
+
+    #[test]
+    fn forged_served_cell_diverges_and_dumps_a_repro() {
+        let dir = std::env::temp_dir().join(format!("dct-native-forged-{}", std::process::id()));
+        let mut cfg = SweepConfig::plain(3, 0.05);
+        cfg.only = Some(vec!["stencil".to_string()]);
+        let store = crate::cache::ResultStore::open(dir.join("cache"), None).expect("store");
+        cfg.cache = Some(Arc::new(store));
+        let (_, cold) = native_sweep(&cfg, &[3], 0, &dir, ThreadBudget::clamp(1));
+        let full = cold.cells.iter().find(|c| c.kind == "full").expect("full cell");
+        let prog = &sweep_suite(&cfg)[0].program;
+        let key = crate::cache::cell_cache_key("stencil", &cfg.key_inputs(prog, "full", 3)).expect("key");
+        let forged = crate::sweep::Cell { checksum_bits: full.checksum_bits.map(|b| b ^ 1), ..full.clone() };
+        cfg.cache.as_ref().expect("store").insert_cell(&key, &forged, None).expect("insert");
+
+        let (text, rep) = native_sweep(&cfg, &[3], 0, &dir, ThreadBudget::clamp(1));
+        assert_eq!((rep.executed, rep.cache_hits, rep.retries), (0, 3, 0), "{rep:?}");
+        assert!(text.contains("! checksum diverges: native"), "{text}");
+        assert!(text.contains("native: 1 of 3 cells NOT identical"), "{text}");
+        let repro = dir.join("native_repro_stencil_comp decomp + data transform_p3.txt");
+        assert!(text.contains(&format!("DIVERGED -> {}", repro.display())), "{text}");
+        let body = std::fs::read_to_string(&repro).expect("repro dumped");
+        assert!(body.starts_with("native/simulator divergence repro\nbenchmark: stencil\n"), "{body}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

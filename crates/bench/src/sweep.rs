@@ -21,8 +21,9 @@
 
 use crate::ablate::Variant;
 use crate::cache::{kind_strategy, CacheKey};
-use crate::chaos::{backoff_ms, FaultInjector, FaultSite, RetryPolicy, RetryRung};
+use crate::chaos::{backoff_ms, wedge_until_cancelled, FaultInjector, FaultSite, RetryPolicy, RetryRung};
 use crate::harness::{atomic_write_sync, par_map, ThreadBudget};
+use crate::native_check::{native_leg, NATIVE_DIVERGES};
 use crate::programs::{self, Benchmark};
 use dct_core::{rung_sim_options, Compiler};
 use dct_ir::{panic_message, CancelToken, Program};
@@ -31,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cell kinds, in table order: the sequential reference then the three
 /// strategies at the sweep's processor count.
@@ -502,10 +503,13 @@ pub struct SweepConfig {
     /// Deterministic fault injection (chaos runs only; `None` in
     /// production).
     pub injector: Option<Arc<FaultInjector>>,
-    /// Re-run every completed cell on the native threaded backend and
-    /// fail the attempt unless its checksum is bit-identical to the
-    /// simulator's (the third leg of the differential oracle).
-    pub native_check: bool,
+    /// The native leg, the third leg of the differential oracle: every
+    /// completed cell, computed or served, also runs on the native
+    /// threaded backend, once calm and then this many times under jitter,
+    /// and must match its checksum bits and barrier count. A mismatch
+    /// fails the cell at once; a native error retries like any attempt.
+    /// `None` = no native leg.
+    pub native_reps: Option<u64>,
     /// Content-addressed result store: completed cells are served from it
     /// without executing, and freshly computed cells are inserted. A
     /// store insert failure is treated exactly like a checkpoint-write
@@ -534,7 +538,7 @@ impl SweepConfig {
             retry: RetryPolicy::default(),
             stuck_wall_secs: None,
             injector: None,
-            native_check: false,
+            native_reps: None,
             cache: None,
         }
     }
@@ -650,17 +654,17 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Fold one supervised cell run into the report.
-    fn absorb(&mut self, run: CellRun) {
+    /// Fold one supervised cell run into the report; a `resumed` one
+    /// (a checkpoint's native leg) counts as neither served nor executed.
+    fn absorb(&mut self, run: CellRun, resumed: bool) {
         self.retries += run.retries;
         self.cancelled += run.cancelled;
         self.quarantined += run.quarantined;
-        if run.cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.executed += 1;
+        if !resumed {
+            self.cache_hits += run.cache_hit as u64;
+            self.executed += !run.cache_hit as u64;
+            self.checkpoints_current += run.checkpoint_current as u64;
         }
-        self.checkpoints_current += run.checkpoint_current as u64;
         self.cells.push(run.cell);
     }
 }
@@ -679,10 +683,14 @@ struct CellSim {
 }
 
 /// Simulate one cell once, on one rung, under a cancellation token,
-/// catching panics. Runs on the supervised worker thread.
+/// catching panics, then run the config's native leg against it. A
+/// `served` cell (a store or checkpoint hit) skips only the simulation:
+/// it is compiled and lowered again and its native leg checks the served
+/// values. Runs on the supervised worker thread.
 fn compute_attempt(
     task: &CellTask,
     cfg: &SweepConfig,
+    served: Option<&Cell>,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
@@ -690,20 +698,19 @@ fn compute_attempt(
     let (strategy, procs) = kind_strategy(task.kind, task.procs);
     let inj = cfg.injector.as_deref();
     let body = || -> Result<CellSim, String> {
-        if fires(inj, FaultSite::WorkerPanic, ctx) {
-            panic!("injected: worker panic at {ctx}");
-        }
-        if fires(inj, FaultSite::AllocCap, ctx) {
-            return Err("injected: allocation cap exceeded (simulated arena budget)".to_string());
-        }
-        if fires(inj, FaultSite::StuckCell, ctx) {
-            // Wedge cooperatively: spin until the watchdog cancels us
-            // (bounded so a watchdog-less config cannot hang forever).
-            let start = Instant::now();
-            while !token.is_cancelled() && start.elapsed() < Duration::from_secs(30) {
-                std::thread::sleep(Duration::from_millis(2));
+        // The compute fault sites model the simulation, so a served cell
+        // does not arrive at them.
+        if served.is_none() {
+            if fires(inj, FaultSite::WorkerPanic, ctx) {
+                panic!("injected: worker panic at {ctx}");
             }
-            return Err("injected: stuck cell (cancelled by watchdog)".to_string());
+            if fires(inj, FaultSite::AllocCap, ctx) {
+                return Err("injected: allocation cap exceeded (simulated arena budget)".to_string());
+            }
+            if fires(inj, FaultSite::StuckCell, ctx) {
+                wedge_until_cancelled(token);
+                return Err("injected: stuck cell (cancelled by watchdog)".to_string());
+            }
         }
         let c = Compiler::new(strategy);
         let mut compiled = c.compile(task.prog).map_err(|e| e.to_string())?;
@@ -715,100 +722,53 @@ fn compute_attempt(
         opts.profile = cfg.profile;
         opts.fast_path = fast_path;
         opts.cancel = Some(token.clone());
-        let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
-            .map_err(|e| e.to_string())?;
-        if r.cancelled {
-            return Err("cancelled at a sync-point boundary (watchdog)".to_string());
+        let sim = match served {
+            Some(cell) => CellSim {
+                cycles: cell.cycles().ok(),
+                checksum_bits: cell.checksum_bits,
+                fingerprint: cell.fingerprint,
+                race: cell.race,
+                barriers: cell.barriers,
+            },
+            None => simulate_cell(&compiled, &opts)?,
+        };
+        if let (Some(reps), Some(bits), Some(barriers)) = (cfg.native_reps, sim.checksum_bits, sim.barriers) {
+            let sp = dct_spmd::lower(&compiled.program, &compiled.decomposition, &opts)
+                .map_err(|e| format!("native lowering: {e}"))?;
+            native_leg(&sp, bits, barriers, reps, inj, token, ctx)?;
         }
-        if let Some(rep) = &r.race {
-            if !rep.is_race_free() {
-                return Err(format!("schedule races: {rep}"));
-            }
-        }
-        let race = r.race.as_ref().map(|rep| (rep.checked, rep.sync_edges));
-        if r.timed_out {
-            return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race, barriers: None });
-        }
-        // The bit-identity fingerprint: checksum bits plus every enabled
-        // observer's full output.
-        let bits = r.checksum.to_bits();
-        if cfg.native_check {
-            native_cross_check(&compiled, &opts, bits, inj, token, ctx)?;
-        }
-        let mut buf = bits.to_le_bytes().to_vec();
-        if let Some(rep) = &r.race {
-            buf.extend_from_slice(format!("{rep:?}").as_bytes());
-        }
-        if let Some(mp) = &r.mem_profile {
-            buf.extend_from_slice(format!("{:?}", mp.rows).as_bytes());
-        }
-        let fingerprint = Some(fnv64(&buf));
-        let barriers = Some(r.barriers);
-        Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race, barriers })
+        Ok(sim)
     };
     catch_unwind(AssertUnwindSafe(body))
         .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p.as_ref()))))
 }
 
-/// Run the cell once more on the native threaded backend and require a
-/// bit-identical checksum — the sweep-side leg of the differential
-/// oracle. Injected native faults are translated into the backend's
-/// worker startup hook: a planned `NativeWorkerPanic` panics one worker
-/// (the backend turns it into a structured error), a planned
-/// `NativeStuck` wedges one worker until the attempt's watchdog fires
-/// the cancellation token. Any failure, cancellation, or divergence
-/// fails the attempt; the retry ladder then heals it like any other
-/// transient fault.
-fn native_cross_check(
-    compiled: &dct_core::Compiled,
-    opts: &dct_spmd::SimOptions,
-    sim_bits: u64,
-    inj: Option<&FaultInjector>,
-    token: &CancelToken,
-    ctx: &str,
-) -> Result<(), String> {
-    let panic_worker = fires(inj, FaultSite::NativeWorkerPanic, ctx);
-    let stuck_worker = fires(inj, FaultSite::NativeStuck, ctx);
-    let hook: Option<Arc<dyn Fn(usize) + Send + Sync>> = if panic_worker || stuck_worker {
-        let t = token.clone();
-        let at = ctx.to_string();
-        Some(Arc::new(move |p: usize| {
-            if p != 0 {
-                return;
-            }
-            if panic_worker {
-                panic!("injected: native worker panic at {at}");
-            }
-            // Wedge cooperatively, exactly like StuckCell: spin until the
-            // watchdog cancels (bounded so a watchdog-less config cannot
-            // hang forever).
-            let start = Instant::now();
-            while !t.is_cancelled() && start.elapsed() < Duration::from_secs(30) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }))
-    } else {
-        None
-    };
-    let sp = dct_spmd::lower(&compiled.program, &compiled.decomposition, opts)
-        .map_err(|e| format!("native lowering: {e}"))?;
-    let nopts = dct_native::NativeOptions {
-        cancel: Some(token.clone()),
-        jitter: None,
-        worker_hook: hook,
-    };
-    let nr = dct_native::execute(&sp, &nopts).map_err(|e| format!("native cross-check: {e}"))?;
-    if nr.cancelled {
-        return Err("native cross-check cancelled at a sync boundary (watchdog)".to_string());
+/// The simulation of one compiled cell, with its bit-identity
+/// fingerprint: checksum bits plus every enabled observer's full output.
+fn simulate_cell(compiled: &dct_core::Compiled, opts: &dct_spmd::SimOptions) -> Result<CellSim, String> {
+    let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, opts).map_err(|e| e.to_string())?;
+    if r.cancelled {
+        return Err("cancelled at a sync-point boundary (watchdog)".to_string());
     }
-    if nr.checksum.to_bits() != sim_bits {
-        return Err(format!(
-            "native cross-check diverges: native {:#018x} vs simulator {:#018x}",
-            nr.checksum.to_bits(),
-            sim_bits
-        ));
+    if let Some(rep) = &r.race {
+        if !rep.is_race_free() {
+            return Err(format!("schedule races: {rep}"));
+        }
     }
-    Ok(())
+    let race = r.race.as_ref().map(|rep| (rep.checked, rep.sync_edges));
+    if r.timed_out {
+        return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race, barriers: None });
+    }
+    let bits = r.checksum.to_bits();
+    let mut buf = bits.to_le_bytes().to_vec();
+    if let Some(rep) = &r.race {
+        buf.extend_from_slice(format!("{rep:?}").as_bytes());
+    }
+    if let Some(mp) = &r.mem_profile {
+        buf.extend_from_slice(format!("{:?}", mp.rows).as_bytes());
+    }
+    let fingerprint = Some(fnv64(&buf));
+    Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race, barriers: Some(r.barriers) })
 }
 
 /// Run one attempt on a supervised worker thread with a watchdog: if the
@@ -818,6 +778,7 @@ fn native_cross_check(
 fn supervised_attempt(
     task: &CellTask,
     cfg: &SweepConfig,
+    served: Option<&Cell>,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
@@ -827,7 +788,7 @@ fn supervised_attempt(
     std::thread::scope(|s| {
         let worker_token = token.clone();
         s.spawn(move || {
-            let _ = tx.send(compute_attempt(task, cfg, fast_path, &worker_token, ctx));
+            let _ = tx.send(compute_attempt(task, cfg, served, fast_path, &worker_token, ctx));
         });
         match cfg.stuck_wall_secs {
             Some(w) => match rx.recv_timeout(Duration::from_secs_f64(w.max(0.01))) {
@@ -891,70 +852,84 @@ pub fn compute_cell_supervised(
     cfg: &SweepConfig,
     cache_key: Option<&CacheKey>,
 ) -> CellRun {
+    // Content-addressed cache: a completed or timed-out cell whose key
+    // matches is served without simulating. Failed/quarantined entries
+    // are never cached, so a cached cell is always trustworthy (and
+    // crc64-verified on read).
+    let served = match (cfg.cache.as_deref(), cache_key) {
+        (Some(store), Some(key)) => store.lookup_cell(key).filter(|c| cfg.reusable(c)),
+        _ => None,
+    };
+    supervise(task, cfg, cache_key, served)
+}
+
+/// A served cell as a run: its checkpoint is written unless the file on
+/// disk already holds it byte for byte, so `--resume` and partial-table
+/// rendering see the cell either way.
+fn served_run(cfg: &SweepConfig, cell: Cell) -> CellRun {
+    let current = cfg.out_dir.as_deref().is_some_and(|d| checkpoint_is_current(d, &cell));
+    if !current {
+        let _ = cfg.record(&cell);
+    }
+    let (retries, cancelled, quarantined) = (0, 0, 0);
+    CellRun { cell, retries, cancelled, quarantined, cache_hit: true, checkpoint_current: current }
+}
+
+/// The attempt loop of [`compute_cell_supervised`]. A `served` cell (a
+/// store or checkpoint hit) is returned as it is unless the config asks
+/// for a native leg; then only that leg runs, under the same watchdog and
+/// ladder, and the store is not written. A native divergence is never
+/// retried: it fails the cell at once.
+fn supervise(task: &CellTask, cfg: &SweepConfig, cache_key: Option<&CacheKey>, served: Option<Cell>) -> CellRun {
+    let served = match served {
+        Some(cell) if cfg.native_reps.is_none() || cell.checksum_bits.is_none() => return served_run(cfg, cell),
+        served => served,
+    };
+    let cache_hit = served.is_some();
     let max_attempts = cfg.retry.max_attempts.max(1);
     let cell_id = format!("{}/{}", task.bench, task.kind);
-    // Content-addressed cache: a completed or timed-out cell whose key
-    // matches is served without executing anything. Failed/quarantined
-    // entries are never cached, so a cached cell is always trustworthy
-    // (and crc64-verified on read).
-    if let (Some(store), Some(key)) = (cfg.cache.as_deref(), cache_key) {
-        if let Some(cell) = store.lookup_cell(key).filter(|c| cfg.reusable(c)) {
-            // Keep the checkpoint record consistent so `--resume`
-            // and partial-table rendering see the cell either way;
-            // one that is already there is not written again.
-            let current = cfg.out_dir.as_deref().is_some_and(|d| checkpoint_is_current(d, &cell));
-            if !current {
-                let _ = cfg.record(&cell);
-            }
-            let (retries, cancelled, quarantined) = (0, 0, 0);
-            return CellRun { cell, retries, cancelled, quarantined, cache_hit: true, checkpoint_current: current };
-        }
-    }
     let (mut retries, mut cancelled) = (0, 0);
     let mut last_err = "no attempt was made".to_string();
     for attempt in 0..max_attempts {
         let rung = RetryRung::for_attempt(attempt);
         let token = CancelToken::new();
         let ctx = format!("{cell_id} attempt {} (rung {})", attempt + 1, rung.label());
-        let sim = supervised_attempt(task, cfg, rung.params(), &token, &ctx);
+        let sim = supervised_attempt(task, cfg, served.as_ref(), rung.params(), &token, &ctx);
         if token.is_cancelled() {
             cancelled += 1;
         }
-        match sim {
-            Ok(sim) => {
-                let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
-                let CellSim { checksum_bits, fingerprint, race, barriers, .. } = sim;
-                let cell = Cell { checksum_bits, fingerprint, race, barriers, ..task.cell(cfg.scale, outcome) };
-                match cfg.record(&cell).and_then(|()| match (cfg.cache.as_deref(), cache_key) {
-                    // The cache is part of the durable record: a cell
-                    // that could not be inserted retries the whole
-                    // attempt, exactly like a failed checkpoint (this
-                    // is where `cache-write-io` faults land and heal).
+        let recorded = sim.and_then(|sim| {
+            if let Some(cell) = &served {
+                return Ok(served_run(cfg, cell.clone()));
+            }
+            let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
+            let CellSim { checksum_bits, fingerprint, race, barriers, .. } = sim;
+            let cell = Cell { checksum_bits, fingerprint, race, barriers, ..task.cell(cfg.scale, outcome) };
+            // The checkpoint and the cache are the durable record: a cell
+            // that was computed but not recorded is an unfinished cell, and
+            // retries the whole attempt (this is where `ckpt-write-io` and
+            // `cache-write-io` faults land and heal).
+            cfg.record(&cell)
+                .and_then(|()| match (cfg.cache.as_deref(), cache_key) {
                     (Some(store), Some(key)) => store.insert_cell(key, &cell, cfg.injector.as_deref()),
                     _ => Ok(()),
-                }) {
-                    Ok(()) => {
-                        if attempt > 0 {
-                            eprintln!(
-                                "[sweep: {cell_id} recovered on attempt {} (rung {})]",
-                                attempt + 1,
-                                rung.label()
-                            );
-                        }
-                        let quarantined = 0;
-                        return CellRun { cell, retries, cancelled, quarantined, cache_hit: false, checkpoint_current: false };
-                    }
-                    Err(e) => {
-                        // The checkpoint is the record; a cell that was
-                        // computed but not durably recorded is an
-                        // unfinished cell. Retry the whole attempt.
-                        last_err = format!(
-                            "attempt {} (rung {}): durable record write failed: {e}",
-                            attempt + 1,
-                            rung.label()
-                        );
-                    }
+                })
+                .map_err(|e| format!("durable record write failed: {e}"))?;
+            let (quarantined, cache_hit, checkpoint_current) = (0, false, false);
+            Ok(CellRun { cell, retries: 0, cancelled: 0, quarantined, cache_hit, checkpoint_current })
+        });
+        match recorded {
+            Ok(run) => {
+                if attempt > 0 {
+                    eprintln!("[sweep: {cell_id} recovered on attempt {} (rung {})]", attempt + 1, rung.label());
                 }
+                return CellRun { retries, cancelled, ..run };
+            }
+            Err(e) if e.starts_with(NATIVE_DIVERGES) => {
+                eprintln!("[sweep: {cell_id} FAILED: {e}]");
+                let cell = task.cell(cfg.scale, CellOutcome::Failed(e));
+                let _ = cfg.record(&cell);
+                return CellRun { cell, retries, cancelled, quarantined: 0, cache_hit, checkpoint_current: false };
             }
             Err(e) => last_err = format!("attempt {} (rung {}): {e}", attempt + 1, rung.label()),
         }
@@ -971,7 +946,7 @@ pub fn compute_cell_supervised(
     // Best effort: a quarantine record on disk beats losing the reason,
     // but a failing disk must not mask the quarantine itself.
     let _ = cfg.record(&cell);
-    CellRun { cell, retries, cancelled, quarantined: 1, cache_hit: false, checkpoint_current: false }
+    CellRun { cell, retries, cancelled, quarantined: 1, cache_hit, checkpoint_current: false }
 }
 
 /// The one cell executor behind every target: each task runs through the
@@ -1004,10 +979,15 @@ pub fn run_cells(cfg: &SweepConfig, tasks: &[CellTask], budget: ThreadBudget) ->
         .collect();
     let killed_at = AtomicUsize::new(usize::MAX);
     let runs = par_map(budget, tasks.len(), |i| {
-        if resumed[i].is_some() || i > killed_at.load(Ordering::Relaxed) {
+        if i > killed_at.load(Ordering::Relaxed) {
             return None;
         }
         let t = &tasks[i];
+        if let Some(prev) = resumed[i] {
+            // A resumed cell skips only its simulation: a native leg
+            // still runs against it.
+            return cfg.native_reps.map(|_| supervise(t, cfg, None, Some(prev.clone())));
+        }
         let run = compute_cell_supervised(t, cfg, derive_cache_key(t, cfg).as_ref());
         if fires(inj, FaultSite::KillSweep, &format!("after {}/{}", t.bench, t.kind)) {
             eprintln!(
@@ -1022,10 +1002,10 @@ pub fn run_cells(cfg: &SweepConfig, tasks: &[CellTask], budget: ThreadBudget) ->
     rep.killed = killed_at != usize::MAX;
     for (i, run) in runs.into_iter().enumerate().take(killed_at.saturating_add(1)) {
         match (resumed[i], run) {
-            (Some(prev), _) => rep.cells.push(prev.clone()),
-            (None, Ok(Some(run))) => rep.absorb(run),
+            (prev, Ok(Some(run))) => rep.absorb(run, prev.is_some()),
+            (Some(prev), Ok(None)) => rep.cells.push(prev.clone()),
             (None, Ok(None)) => {}
-            (None, Err(e)) => {
+            (_, Err(e)) => {
                 rep.executed += 1;
                 rep.cells.push(tasks[i].cell(cfg.scale, CellOutcome::Failed(e)));
             }

@@ -9,7 +9,7 @@ use dct_bench::sweep::{
     load_report, render_sweep, run_sweep_supervised, save_cell, sweep_suite, Cell, CellOutcome,
     SweepConfig, SweepReport,
 };
-use dct_bench::{cell_cache_key, ResultStore};
+use dct_bench::{cell_cache_key, ResultStore, NATIVE_DIVERGES};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -265,6 +265,44 @@ fn completed_cell_without_barriers_is_a_miss() {
     let warm = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(warm.executed, 0, "the rewritten checkpoints resume");
     assert_eq!(warm.cells, cold.cells);
+}
+
+/// A served cell is checked natively too, and a divergence is final: a
+/// store whose entries carry flipped checksum bits (valid envelopes) makes
+/// every cell of a native-checked rerun fail at once, without simulating
+/// and without a retry. Resumed checkpoints are checked the same way.
+#[test]
+fn served_cells_are_checked_natively_and_divergences_not_retried() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let cfg = small_sweep(dir.path("cold"), Some(store.clone()));
+    let cold = run_sweep_supervised(&cfg).unwrap();
+    let suite = sweep_suite(&cfg);
+    for c in &cold.cells {
+        let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
+        let forged = Cell { checksum_bits: c.checksum_bits.map(|b| b ^ 1), ..c.clone() };
+        store.insert_cell(&key.unwrap(), &forged, None).unwrap();
+        save_cell(&dir.path("resumed"), &forged).unwrap();
+    }
+    let all_diverge = |rep: &SweepReport| {
+        assert_eq!((rep.executed, rep.retries, rep.cells.len()), (0, 0, 4), "{rep:?}");
+        for c in &rep.cells {
+            match &c.outcome {
+                CellOutcome::Failed(e) => assert!(e.starts_with(NATIVE_DIVERGES), "{e}"),
+                o => panic!("a forged cell passed its native leg: {o:?}"),
+            }
+        }
+    };
+    let mut cfg = small_sweep(dir.path("warm"), Some(store.clone()));
+    cfg.native_reps = Some(0);
+    let served = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!(served.cache_hits, 4);
+    all_diverge(&served);
+
+    let mut cfg = small_sweep(dir.path("resumed"), None);
+    cfg.native_reps = Some(0);
+    cfg.resume = true;
+    all_diverge(&run_sweep_supervised(&cfg).unwrap());
 }
 
 /// `cache-write-io`: a failing store insert is treated exactly like a

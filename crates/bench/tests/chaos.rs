@@ -178,7 +178,7 @@ fn native_faults_heal_bit_identical() {
         cfg.only = Some(vec!["stencil".to_string()]);
         cfg.retry.backoff_base_ms = 1;
         cfg.stuck_wall_secs = Some(0.3);
-        cfg.native_check = true;
+        cfg.native_reps = Some(0);
         cfg
     };
 

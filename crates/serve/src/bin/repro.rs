@@ -37,7 +37,9 @@
 //!                           # when every input matches (a warm rerun
 //!                           # executes zero cells, byte-identical table)
 //! repro explain stencil --cache     # cached explain report
-//! repro native --cache      # cached simulator legs
+//! repro native --cache      # shares Table 1's cells: a table1 --cache run
+//!                           # serves their simulations, the native runs
+//!                           # still execute
 //! repro chaos --cache       # chaos incl. the cache-write-io fault site
 //! repro table1 --cache --cache-dir /tmp/c --max-cache-bytes 1000000
 //!                           # custom store root + LRU byte budget
@@ -133,7 +135,8 @@ fn main() {
                 max_wall = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--max-wall needs seconds")),
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .unwrap_or_else(|| die("--max-wall needs a positive finite number of seconds")),
                 )
             }
             "--workers" => {
@@ -258,7 +261,7 @@ fn main() {
     cfg.resume = resume;
     cfg.max_cycles = max_cycles;
     cfg.max_wall_secs = max_wall;
-    cfg.native_check = native;
+    cfg.native_reps = native.then_some(0);
     cfg.cache = store.clone();
     // Stats go to stderr so warm and cold stdout diff byte-identical.
     let cache_line = |rep: &SweepReport| {
@@ -341,9 +344,9 @@ fn main() {
     }
 
     // `native [bench]`: the three-way differential oracle's third leg,
-    // standalone — every cell run on the native threaded backend under
-    // jitter stress, checksums bit-identical to the simulator. Exits
-    // non-zero on any divergence (after dumping a minimized repro).
+    // standalone — Table 1's strategy cells, each with a native leg of
+    // `--reps` jittered runs. Exits non-zero on any divergence (after
+    // dumping a minimized repro).
     if let Some(k) = targets.iter().position(|t| t == "native") {
         targets.remove(k);
         let bench = if k < targets.len() { Some(targets.remove(k)) } else { None };
@@ -354,23 +357,14 @@ fn main() {
         } else {
             procs.clone()
         };
-        let only = bench.map(|b| vec![b]);
         let dir = out_dir.clone().unwrap_or_else(|| "results".to_string());
         let t0 = Instant::now();
-        let cells = dct_bench::run_native_check_cached(
-            only.as_deref(),
-            scale,
-            &native_procs,
-            reps,
-            Path::new(&dir),
-            store.as_deref(),
-        );
-        print!("{}", dct_bench::render_native_check(&cells, reps));
+        let cfg = SweepConfig { only: bench.map(|b| vec![b]), ..cfg.clone() };
+        let (text, rep) = dct_bench::native_sweep(&cfg, &native_procs, reps, Path::new(&dir), budget);
+        print!("{text}");
+        cache_line(&rep);
         eprintln!("[native done in {:?}]", t0.elapsed());
-        if let Some(s) = &store {
-            eprintln!("[cache: {}]", s.stats_line());
-        }
-        if cells.iter().any(|c| !c.ok()) {
+        if rep.cells.iter().any(|c| c.cycles().is_err()) {
             std::process::exit(1);
         }
         if targets.is_empty() {

@@ -1,8 +1,8 @@
 //! The `repro` command line: `--procs` reaches the plain `table1` path,
 //! sizes out of range, unknown options, targets and benchmark names are
 //! refused before anything runs, cached tables, figures and ablations
-//! rerun warm without executing a cell, and the race check and `explain`
-//! run end to end.
+//! rerun warm without executing a cell, and the race check, `explain`,
+//! the native check and the chaos oracle run end to end.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -83,6 +83,9 @@ fn out_of_range_sizes_are_refused() {
         ["table1", "--scale", "inf"],
         ["table1", "--scale", "0"],
         ["table1", "--scale", "-1"],
+        ["table1", "--max-wall", "nan"],
+        ["table1", "--max-wall", "-1"],
+        ["table1", "--max-wall", "inf"],
     ] {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -173,6 +176,44 @@ fn cached_ablations_rerun_warm() {
     let (warm, err) = dir.repro(&args);
     assert!(err.contains("cells executed 0 served 11"), "{err}");
     assert_eq!(warm, cold, "warm ablations must print the cold ones' bytes");
+}
+
+/// The native check runs every benchmark x strategy on real threads, calm
+/// and under jitter, bit-identical to the simulator.
+#[test]
+fn native_matches_the_simulator_on_every_cell() {
+    let dir = Scratch::new();
+    let (out, _) = dir.repro(&["native", "--scale", "0.1", "--procs", "8", "--reps", "4"]);
+    assert!(out.contains("native: all 21 cells bit-identical to the simulator"), "{out}");
+}
+
+/// `repro native` runs Table 1's strategy cells: after a cached table the
+/// native check simulates nothing, serves all 21 cells and still runs
+/// their native legs, and a second native run prints the same bytes.
+#[test]
+fn native_reuses_table1_cells() {
+    let dir = Scratch::new();
+    dir.repro(&["table1", "--scale", "0.1", "--procs", "8", "--cache", "--cache-dir", "cache"]);
+    let args = ["native", "--scale", "0.1", "--procs", "8", "--reps", "2", "--cache", "--cache-dir", "cache"];
+    let (first, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 0 served 21"), "{err}");
+    assert!(first.contains("native: all 21 cells bit-identical to the simulator"), "{first}");
+    let (second, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 0 served 21"), "{err}");
+    assert_eq!(second, first, "a native run must print the same bytes twice");
+}
+
+/// The chaos oracle: a sweep under seeded injected faults converges
+/// bit-identical to a fault-free sweep, and the seed fires enough faults
+/// to mean something.
+#[test]
+fn chaos_converges_bit_identical() {
+    let dir = Scratch::new();
+    let (out, _) =
+        dir.repro(&["chaos", "stencil", "--scale", "0.1", "--seed", "42", "--faults", "6", "--out", "chaos"]);
+    assert!(out.contains("BIT-IDENTICAL"), "{out}");
+    let fired = out.lines().filter(|l| l.starts_with("  fired")).count();
+    assert!(fired >= 3, "only {fired} fault(s) fired: {out}");
 }
 
 /// Schedule soundness end to end: every benchmark x strategy is certified

@@ -19,7 +19,9 @@ cargo build --release
 
 echo "== tier1: cargo test -q"
 # The whole workspace (default-members): the differential, chaos, native
-# and serve suites, and the 256-case three-way fuzz smoke among them.
+# and serve suites, the CLI smokes (crates/serve/tests/cli.rs: cached
+# runs, race check, explain, chaos, native) and the 256-case three-way
+# fuzz smoke among them.
 cargo test -q
 
 echo "== tier1: replay, cursor-memo and kernel differentials, release build"
@@ -66,36 +68,6 @@ while read -r path pinned; do
     fi
     echo "  $path: $count/$pinned"
 done < scripts/panic_baseline.txt
-
-echo "== tier1: repro chaos smoke (seeded fault injection, bit-identity)"
-# The chaos oracle: a sweep under seeded injected faults (worker panics,
-# checkpoint corruption, stuck cells, whole-sweep kills) must converge
-# bit-identical to a fault-free sweep. The binary exits non-zero on any
-# divergence; we additionally require the seed to actually fire faults.
-chaos_out=$(./target/release/repro chaos stencil --scale 0.1 --seed 42 --faults 6 --out results/chaos-smoke 2>/dev/null)
-echo "$chaos_out"
-if ! grep -q "BIT-IDENTICAL" <<<"$chaos_out"; then
-    echo "tier1 FAIL: chaos sweep did not converge bit-identical" >&2
-    exit 1
-fi
-fired=$(grep -c '^  fired' <<<"$chaos_out" || true)
-if [ "${fired:-0}" -lt 3 ]; then
-    echo "tier1 FAIL: chaos smoke fired only ${fired} fault(s) (need >= 3 to mean anything)" >&2
-    exit 1
-fi
-echo "  chaos: ${fired} faults fired, converged bit-identical"
-
-echo "== tier1: repro native smoke (threaded backend vs simulator)"
-# The third leg of the differential oracle, standalone: every benchmark x
-# strategy executed on real threads under jitter stress, checksums
-# bit-identical to the simulator. The binary exits non-zero on any
-# divergence (after dumping a minimized repro to results/).
-native_out=$(./target/release/repro native --scale 0.1 --procs 8 --reps 4 2>/dev/null)
-echo "$native_out"
-if ! grep -q "all 21 cells bit-identical to the simulator" <<<"$native_out"; then
-    echo "tier1 FAIL: native backend did not match the simulator on all cells" >&2
-    exit 1
-fi
 
 echo "== tier1: repro serve smoke (HTTP API end-to-end)"
 # The sweep service: bind an ephemeral port, submit the suite as a job,
