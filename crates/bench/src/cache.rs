@@ -9,19 +9,23 @@
 //! that are proven bit-identical (`fast_path`) are *excluded* by
 //! construction — they never reach the key builder.
 //!
-//! Entries live under `<root>/<2-hex-shard>/<key>.json` and reuse the v2
-//! checkpoint envelope from [`crate::sweep`] (schema + crc64 + flat cell
-//! body, written with [`atomic_write_sync`]). A lookup that fails
-//! verification quarantines the file to `<root>/corrupt/` and reports a
-//! miss: a flipped bit costs one recompute, never a wrong table. An
-//! optional byte budget is enforced by an LRU sweep over entry mtimes.
+//! Entries live under `<root>/<2-hex-shard>/<key>.json` in the v2 cell
+//! envelope from [`crate::sweep`] (schema + crc64 + flat cell body,
+//! written with [`atomic_write_sync`]). The store is a cell's only durable
+//! record: a sweep re-run against it serves every finished cell, which is
+//! how a killed sweep resumes. A lookup that fails verification
+//! quarantines the file to `<root>/corrupt/` and reports a miss: a flipped
+//! bit costs one recompute, never a wrong table. An optional byte budget
+//! is enforced by an LRU sweep over entry mtimes. The chaos fault sites of
+//! the durable record (`cache-write-io`, `cache-torn`, `cache-bit-flip`,
+//! `cache-truncate`, `cache-read-io`) live here.
 //!
 //! The same store also holds rendered *artifacts* (explain reports) in a
 //! sibling envelope `{"schema":2,"crc64":...,"artifact":"..."}` so the
 //! serve API can answer explain requests from cache.
 
 use crate::ablate::Variant;
-use crate::chaos::{FaultInjector, FaultSite};
+use crate::chaos::{fires, FaultInjector, FaultSite};
 use crate::harness::atomic_write_sync;
 use crate::sweep::{
     checkpoint_from_json, checkpoint_to_json, esc, fnv64, json_str, Cell, CKPT_SCHEMA,
@@ -407,9 +411,8 @@ impl ResultStore {
         self.root.join(key.shard()).join(key.filename())
     }
 
-    /// Quarantine a bad entry to `<root>/corrupt/` (mirrors the sweep's
-    /// checkpoint policy: corrupt data is preserved for autopsy, never
-    /// silently deleted or trusted).
+    /// Quarantine a bad entry to `<root>/corrupt/`: corrupt data is
+    /// preserved for autopsy, never silently deleted or trusted.
     fn quarantine(&self, path: &Path, reason: &str) {
         let cdir = self.root.join("corrupt");
         let _ = std::fs::create_dir_all(&cdir);
@@ -426,13 +429,20 @@ impl ResultStore {
     /// fields; anything untrustworthy is quarantined and reported as a
     /// miss.
     pub fn lookup_cell(&self, key: &CacheKey) -> Option<Cell> {
+        self.lookup_cell_checked(key, None)
+    }
+
+    /// [`ResultStore::lookup_cell`] with the `cache-read-io` fault hook. An
+    /// entry that cannot be read (absent, or an IO error) is a miss and
+    /// stays where it is: the error may be transient.
+    pub fn lookup_cell_checked(&self, key: &CacheKey, inj: Option<&FaultInjector>) -> Option<Cell> {
         let path = self.path_of(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let text = std::fs::read_to_string(&path)
+            .ok()
+            .filter(|_| !fires(inj, FaultSite::CacheReadIo, &key.filename()));
+        let Some(text) = text else {
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         match checkpoint_from_json(&text) {
             Ok(cell) => {
@@ -452,9 +462,9 @@ impl ResultStore {
         }
     }
 
-    /// Insert a cell (atomic + durable), with the `cache-write-io` fault
-    /// hook. Callers treat an error like a checkpoint-write failure: the
-    /// attempt is retried by the ladder.
+    /// Insert a cell (atomic + durable), with the write fault hooks. The
+    /// sweep treats an error as an unfinished cell: the attempt is retried
+    /// by the ladder.
     pub fn insert_cell(
         &self,
         key: &CacheKey,
@@ -503,18 +513,36 @@ impl ResultStore {
         }
     }
 
+    /// Write one entry atomically and durably, with the fault hooks of the
+    /// write path: an IO error before the temp file exists, a crash
+    /// between the temp write and the rename (half the temp file lands;
+    /// the retry's own write replaces it), and bit-rot or truncation of
+    /// the final file after a clean write (the checksum catches both on
+    /// the next look-up).
     fn insert_raw(&self, key: &CacheKey, json: &str, inj: Option<&FaultInjector>) -> io::Result<()> {
-        if inj.is_some_and(|i| i.fire(FaultSite::CacheWriteIo, &key.filename())) {
-            return Err(io::Error::other(format!(
-                "injected: cache write IO error ({})",
-                key.filename()
-            )));
+        let name = key.filename();
+        if fires(inj, FaultSite::CacheWriteIo, &name) {
+            return Err(io::Error::other(format!("injected: cache write IO error ({name})")));
         }
         let path = self.path_of(key);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
+        if fires(inj, FaultSite::CacheTorn, &name) {
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir)?;
+                let _ = std::fs::write(dir.join(format!(".{name}.tmp")), &json.as_bytes()[..json.len() / 2]);
+            }
+            return Err(io::Error::other(format!("injected: torn temp write, crash before rename ({name})")));
         }
         atomic_write_sync(&path, json.as_bytes())?;
+        if fires(inj, FaultSite::CacheBitFlip, &name) {
+            let mut bytes = json.as_bytes().to_vec();
+            if let Some(b) = bytes.get_mut(json.len() / 2) {
+                *b ^= 0x08;
+            }
+            let _ = std::fs::write(&path, bytes);
+        }
+        if fires(inj, FaultSite::CacheTruncate, &name) {
+            let _ = std::fs::write(&path, &json.as_bytes()[..json.len() / 2]);
+        }
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(budget) = self.max_bytes {
             self.evict_to(budget);

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the sweep executor.
 //!
 //! A seeded [`FaultPlan`] names exactly which arrivals at which fault
-//! *sites* (worker panic, checkpoint IO error, torn temp file, bit-flipped
-//! checkpoint, allocation-cap hit, stuck cell, whole-sweep kill) misbehave;
+//! *sites* (worker panic, store IO error, torn temp file, bit-flipped
+//! store entry, allocation-cap hit, stuck cell, whole-sweep kill) misbehave;
 //! the shared [`FaultInjector`] counts arrivals and fires each planned
 //! fault exactly once. Because the schedule is a pure function of the seed
 //! and the arrival order is deterministic (the sweep is serial over cells,
@@ -10,15 +10,17 @@
 //! same seed re-creates the same crashes in the same places.
 //!
 //! [`run_chaos`] is the end-to-end oracle: run a sweep fault-free, run it
-//! again under a fault plan with injected kills and restarts, and assert
-//! that the converged chaos sweep is **bit-identical** (outcomes, checksum
-//! bits, race/profile fingerprints) to the fault-free one. Self-healing
+//! again under a fault plan with injected kills and re-runs against its
+//! own result store, and assert that the converged chaos sweep is
+//! **bit-identical** (outcomes, checksum bits, race/profile fingerprints)
+//! to the fault-free one. Self-healing
 //! that silently changes results is worse than crashing; this module
 //! exists to prove ours does not.
 //!
 //! This module is panic-free by contract (tier-1 gates it): the one
 //! injected panicking site lives in the sweep worker it supervises.
 
+use crate::cache::ResultStore;
 use crate::sweep::{
     run_sweep_supervised, scale_key, Cell, CellOutcome, SweepConfig, SweepReport,
 };
@@ -35,25 +37,28 @@ use std::time::{Duration, Instant};
 pub enum FaultSite {
     /// The cell worker panics mid-compute (caught by the supervisor).
     WorkerPanic,
-    /// Checkpoint write fails with an IO error before the temp file exists.
-    CkptWriteIo,
+    /// A result-store insert fails with an IO error before the temp file
+    /// exists (the attempt is retried).
+    CacheWriteIo,
     /// Crash between temp-file write and rename: a torn `.tmp` is left
-    /// behind and the final checkpoint never appears.
-    CkptTorn,
-    /// One bit of the final checkpoint flips after a successful write
-    /// (storage corruption; caught by the content checksum on reload).
-    CkptBitFlip,
-    /// The final checkpoint is truncated to half its length after a
-    /// successful write (caught by the checksum / parser on reload).
-    CkptTruncate,
-    /// Reading a checkpoint during `--resume` fails with an IO error.
-    CkptReadIo,
+    /// behind and the entry never appears (the retry's write replaces
+    /// the temp file).
+    CacheTorn,
+    /// One bit of the stored entry flips after a successful write
+    /// (storage corruption; caught by the content checksum on look-up).
+    CacheBitFlip,
+    /// The stored entry is truncated to half its length after a
+    /// successful write (caught by the checksum / parser on look-up).
+    CacheTruncate,
+    /// Reading an existing store entry fails with an IO error (a miss;
+    /// the entry stays in place).
+    CacheReadIo,
     /// The simulated allocation cap is hit while setting up the cell.
     AllocCap,
     /// The cell wedges (cooperative spin) until the watchdog cancels it.
     StuckCell,
-    /// The whole sweep process dies between cells; the driver restarts
-    /// it with `--resume`.
+    /// The whole sweep process dies after a cell it executed;
+    /// [`run_chaos`] runs it again against the same store.
     KillSweep,
     /// One native-backend worker thread panics at startup (the native
     /// cross-check run of a cell; arrives only with `--native`).
@@ -61,42 +66,36 @@ pub enum FaultSite {
     /// One native-backend worker wedges (cooperative spin) until the
     /// watchdog cancels the attempt (arrives only with `--native`).
     NativeStuck,
-    /// Writing a cell into the content-addressed result cache fails with
-    /// an IO error (arrives only with `--cache`; the attempt is retried
-    /// like a checkpoint-write failure).
-    CacheWriteIo,
 }
 
 impl FaultSite {
-    pub const ALL: [FaultSite; 12] = [
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::WorkerPanic,
-        FaultSite::CkptWriteIo,
-        FaultSite::CkptTorn,
-        FaultSite::CkptBitFlip,
-        FaultSite::CkptTruncate,
-        FaultSite::CkptReadIo,
+        FaultSite::CacheWriteIo,
+        FaultSite::CacheTorn,
+        FaultSite::CacheBitFlip,
+        FaultSite::CacheTruncate,
+        FaultSite::CacheReadIo,
         FaultSite::AllocCap,
         FaultSite::StuckCell,
         FaultSite::KillSweep,
         FaultSite::NativeWorkerPanic,
         FaultSite::NativeStuck,
-        FaultSite::CacheWriteIo,
     ];
 
     pub fn label(&self) -> &'static str {
         match self {
             FaultSite::WorkerPanic => "worker-panic",
-            FaultSite::CkptWriteIo => "ckpt-write-io",
-            FaultSite::CkptTorn => "ckpt-torn",
-            FaultSite::CkptBitFlip => "ckpt-bit-flip",
-            FaultSite::CkptTruncate => "ckpt-truncate",
-            FaultSite::CkptReadIo => "ckpt-read-io",
+            FaultSite::CacheWriteIo => "cache-write-io",
+            FaultSite::CacheTorn => "cache-torn",
+            FaultSite::CacheBitFlip => "cache-bit-flip",
+            FaultSite::CacheTruncate => "cache-truncate",
+            FaultSite::CacheReadIo => "cache-read-io",
             FaultSite::AllocCap => "alloc-cap",
             FaultSite::StuckCell => "stuck-cell",
             FaultSite::KillSweep => "kill-sweep",
             FaultSite::NativeWorkerPanic => "native-worker-panic",
             FaultSite::NativeStuck => "native-stuck",
-            FaultSite::CacheWriteIo => "cache-write-io",
         }
     }
 
@@ -131,25 +130,26 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 impl FaultPlan {
     /// Generate `n` faults from `seed`. Sites are drawn from the pool of
-    /// *always-arriving* sites (compute and checkpoint-write paths run for
-    /// every cell), plus at most two whole-sweep kills, so a generated
-    /// plan actually exercises the executor instead of naming arrivals
+    /// *always-arriving* sites (compute and store-write paths run for
+    /// every executed cell), plus at most two whole-sweep kills, so a
+    /// generated plan actually exercises the executor instead of naming arrivals
     /// that never happen. Per-site occurrences are assigned densely
     /// (0, 1, 2, ...): the first arrivals fault, later ones succeed —
     /// which is exactly the shape a consumed-once retry must survive.
     pub fn generate(seed: u64, n: usize) -> FaultPlan {
-        // CkptReadIo is deliberately excluded: it only arrives on resume
-        // loads, which only happen after a kill. The native sites only
-        // arrive when the sweep runs the native cross-check, and
-        // CacheWriteIo only when the sweep writes a result cache, so they
-        // too are planned explicitly (tests, `--native` / `--cache`
-        // chaos runs) rather than drawn blind.
+        // CacheReadIo is deliberately excluded: it only fires on an
+        // existing entry, which a chaos sweep only reads after a kill. The
+        // native sites only arrive when the sweep runs the native
+        // cross-check, so they too are planned explicitly (tests,
+        // `--native` chaos runs) rather than drawn blind. The pool and its
+        // order are part of what a seed means: changing either re-plans
+        // every seed.
         const POOL: [FaultSite; 8] = [
             FaultSite::WorkerPanic,
-            FaultSite::CkptWriteIo,
-            FaultSite::CkptTorn,
-            FaultSite::CkptBitFlip,
-            FaultSite::CkptTruncate,
+            FaultSite::CacheWriteIo,
+            FaultSite::CacheTorn,
+            FaultSite::CacheBitFlip,
+            FaultSite::CacheTruncate,
             FaultSite::AllocCap,
             FaultSite::StuckCell,
             FaultSite::KillSweep,
@@ -258,6 +258,12 @@ impl FaultInjector {
     }
 }
 
+/// One arrival at `site` on `inj`, when there is an injector: true when a
+/// planned fault fires here.
+pub(crate) fn fires(inj: Option<&FaultInjector>, site: FaultSite, ctx: &str) -> bool {
+    inj.is_some_and(|i| i.fire(site, ctx))
+}
+
 /// Wedge cooperatively, as an injected stuck cell or stuck native worker
 /// does: spin until the watchdog cancels `token` (bounded so a
 /// watchdog-less config cannot hang forever).
@@ -348,8 +354,10 @@ pub struct ChaosConfig {
     pub procs: usize,
     /// Problem-size scale.
     pub scale: f64,
-    /// Root output directory; the fault-free sweep checkpoints under
-    /// `clean/`, the chaos sweep under `chaos/`.
+    /// Root output directory; each sweep has its own result store, the
+    /// fault-free one under `clean/`, the chaos one under `chaos/`
+    /// (separate stores, so injected compute faults still exercise the
+    /// compute path).
     pub out_dir: PathBuf,
     /// Restrict to these benchmarks (`None` = whole suite).
     pub only: Option<Vec<String>>,
@@ -366,11 +374,6 @@ pub struct ChaosConfig {
     /// backend (joins the bit-identity contract; native fault sites
     /// only arrive when this is on).
     pub native_check: bool,
-    /// Give each sweep a content-addressed result cache (`cache-clean/`
-    /// and `cache-chaos/` under the output root — separate stores, so
-    /// injected compute faults still exercise the compute path). The
-    /// `cache-write-io` fault site only arrives when this is on.
-    pub cache: bool,
 }
 
 impl ChaosConfig {
@@ -386,7 +389,6 @@ impl ChaosConfig {
             profile: false,
             stuck_wall_secs: 2.0,
             native_check: false,
-            cache: false,
         }
     }
 }
@@ -414,8 +416,8 @@ pub struct ChaosReport {
     pub retries: u64,
     pub cancelled: u64,
     pub quarantined: u64,
-    pub corrupt: usize,
-    pub tmp_cleaned: usize,
+    /// Entries the chaos sweep's store found corrupt and quarantined.
+    pub corrupt: u64,
     /// Bit-identity divergences (empty = converged identical).
     pub diffs: Vec<ChaosDiff>,
 }
@@ -492,72 +494,53 @@ pub fn diff_sweeps(clean: &[Cell], chaos: &[Cell]) -> Vec<ChaosDiff> {
     diffs
 }
 
-fn sweep_config(cfg: &ChaosConfig, sub: &str) -> SweepConfig {
-    let mut sc = SweepConfig::new(cfg.procs, cfg.scale, cfg.out_dir.join(sub));
+/// The sweep config of one side of a chaos run, with its own store under
+/// `sub/` of the output root, emptied first: entries left by a previous
+/// run would be served and break determinism.
+fn sweep_config(cfg: &ChaosConfig, sub: &str) -> std::io::Result<(SweepConfig, Arc<ResultStore>)> {
+    let root = cfg.out_dir.join(sub);
+    if root.exists() {
+        std::fs::remove_dir_all(&root)?;
+    }
+    let store = Arc::new(ResultStore::open(root, None)?);
+    let mut sc = SweepConfig::plain(cfg.procs, cfg.scale);
     sc.only = cfg.only.clone();
     sc.race_check = cfg.race_check;
     sc.profile = cfg.profile;
     sc.stuck_wall_secs = Some(cfg.stuck_wall_secs);
     sc.native_reps = cfg.native_check.then_some(0);
-    sc
+    sc.retry.seed = cfg.seed;
+    sc.cache = Some(store.clone());
+    Ok((sc, store))
 }
 
 /// The end-to-end chaos oracle. Runs the sweep fault-free; then runs it
-/// under the seeded fault plan, restarting with `--resume` every time an
-/// injected kill takes the sweep down; then asserts the converged chaos
-/// results are bit-identical to the fault-free ones.
+/// under the seeded fault plan, running it again against its store every
+/// time an injected kill takes the sweep down; then asserts the converged
+/// chaos results are bit-identical to the fault-free ones.
 pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
-    // Stale checkpoints (or cache entries) from a previous chaos run
-    // would be resumed into incarnation 2+ and break determinism: start
-    // from scratch.
-    for sub in ["clean", "chaos", "cache-clean", "cache-chaos"] {
-        let d = cfg.out_dir.join(sub);
-        if d.exists() {
-            std::fs::remove_dir_all(&d)?;
-        }
-    }
-
-    // Reference sweep: no faults, no resume, default retry policy.
-    let mut clean_cfg = sweep_config(cfg, "clean");
-    clean_cfg.retry.seed = cfg.seed;
-    if cfg.cache {
-        clean_cfg.cache = Some(Arc::new(crate::cache::ResultStore::open(
-            cfg.out_dir.join("cache-clean"),
-            None,
-        )?));
-    }
-    let clean = run_sweep_supervised(&clean_cfg)?;
+    // Reference sweep: no faults, default retry policy.
+    let clean = run_sweep_supervised(&sweep_config(cfg, "clean")?.0)?;
 
     // Chaos sweep: seeded plan, one injector spanning every incarnation.
     let plan = FaultPlan::generate(cfg.seed, cfg.faults);
     let injector = Arc::new(FaultInjector::new(&plan));
-    let mut chaos_cfg = sweep_config(cfg, "chaos");
+    let (mut chaos_cfg, store) = sweep_config(cfg, "chaos")?;
     chaos_cfg.injector = Some(injector.clone());
-    chaos_cfg.retry.seed = cfg.seed;
-    if cfg.cache {
-        chaos_cfg.cache = Some(Arc::new(crate::cache::ResultStore::open(
-            cfg.out_dir.join("cache-chaos"),
-            None,
-        )?));
-    }
     // Every injected compute fault is consumed once, so `faults + 1`
     // attempts always reach a fault-free rung; +1 more for headroom
-    // (a save fault can burn an attempt of an already-computed cell).
+    // (a store fault can burn an attempt of an already-computed cell).
     chaos_cfg.retry.max_attempts = cfg.faults + 2;
 
     let max_incarnations = plan.kills() + 2;
     let mut incarnations = 0;
     let (mut retries, mut cancelled, mut quarantined) = (0u64, 0u64, 0u64);
-    let (mut corrupt, mut tmp_cleaned) = (0usize, 0usize);
     let chaos = loop {
         incarnations += 1;
-        chaos_cfg.resume = incarnations > 1;
         let rep = run_sweep_supervised(&chaos_cfg)?;
         retries += rep.retries;
         cancelled += rep.cancelled;
         quarantined += rep.quarantined;
-        corrupt += rep.corrupt.len();
-        tmp_cleaned += rep.tmp_cleaned;
         if !rep.killed || incarnations >= max_incarnations {
             break rep;
         }
@@ -574,8 +557,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
         retries,
         cancelled,
         quarantined,
-        corrupt,
-        tmp_cleaned,
+        corrupt: store.stats().corrupt.load(std::sync::atomic::Ordering::Relaxed),
         diffs,
     })
 }
@@ -596,13 +578,13 @@ pub fn render_chaos(r: &ChaosReport) -> String {
         out.push_str(&format!("  unfired {:>12} #{} (site never reached)\n", f.site.label(), f.occurrence));
     }
     out.push_str(&format!(
-        "  recovery: {} retr{}, {} watchdog cancel(s), {} quarantine(s), {} corrupt checkpoint(s), {} stale tmp cleaned\n",
+        "  recovery: {} retr{}, {} watchdog cancel(s), {} quarantine(s), {} corrupt store entr{}\n",
         r.retries,
         if r.retries == 1 { "y" } else { "ies" },
         r.cancelled,
         r.quarantined,
         r.corrupt,
-        r.tmp_cleaned
+        if r.corrupt == 1 { "y" } else { "ies" }
     ));
     if r.identical() {
         out.push_str(&format!(
@@ -638,14 +620,14 @@ mod tests {
             seed: 0,
             faults: vec![
                 Fault { site: FaultSite::WorkerPanic, occurrence: 1 },
-                Fault { site: FaultSite::CkptWriteIo, occurrence: 0 },
+                Fault { site: FaultSite::CacheWriteIo, occurrence: 0 },
             ],
         };
         let inj = FaultInjector::new(&plan);
         assert!(!inj.fire(FaultSite::WorkerPanic, "a"), "occ 0 not planned");
         assert!(inj.fire(FaultSite::WorkerPanic, "b"), "occ 1 planned");
         assert!(!inj.fire(FaultSite::WorkerPanic, "c"), "consumed once");
-        assert!(inj.fire(FaultSite::CkptWriteIo, "d"));
+        assert!(inj.fire(FaultSite::CacheWriteIo, "d"));
         assert_eq!(inj.fired().len(), 2);
         assert_eq!(inj.arrivals(FaultSite::WorkerPanic), 3);
         assert!(inj.unfired().is_empty());

@@ -16,10 +16,12 @@ use crate::sweep::{
 };
 use dct_core::{Compiler, Strategy};
 use dct_ir::{panic_message, DctError, DctResult, Phase, Program};
+use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Atomically and durably write a result artifact: temp file in the same
 /// directory, write, fsync the file, rename over the target, fsync the
@@ -205,8 +207,8 @@ pub const ALL_FIGURES: &[&str] =
 /// Run a figure's cells on the cell executor under `cfg` (its `procs` is
 /// not read) and assemble the three curves. The cells are the sequential
 /// reference, then each strategy at every count in `procs_list`, labelled
-/// by the figure id so two figures of one benchmark never share a
-/// checkpoint. A failed cell is the figure's error; the report says what
+/// by the figure id so two figures of one benchmark never share a cell
+/// label. A failed cell is the figure's error; the report says what
 /// the cells cost either way.
 pub fn run_figure(
     spec: &FigureSpec,
@@ -260,9 +262,31 @@ pub struct Table1Row {
     pub notes: Vec<String>,
 }
 
+/// What Table 1 prints of a program besides its speedups: the HPF
+/// decompositions of its `full` compile, and a note when that compile
+/// degraded or failed.
+type Decompositions = (Vec<String>, Option<String>);
+
+fn decompositions(prog: &Program) -> Decompositions {
+    match Compiler::new(Strategy::Full).compile(prog) {
+        Ok(compiled) => {
+            let degraded = (!compiled.degradations.is_empty())
+                .then(|| format!("full: degraded to {}", compiled.rung.label()));
+            let decos = compiled
+                .decomposition
+                .hpf_all(&compiled.program)
+                .into_iter()
+                .filter(|d| !d.contains("(*") || d.contains("BLOCK") || d.contains("CYCLIC"))
+                .collect();
+            (decos, degraded)
+        }
+        Err(e) => (Vec::new(), Some(format!("decompositions unavailable: {e}"))),
+    }
+}
+
 /// Assemble one Table 1 row from its benchmark's cells (any order; a
 /// missing kind is a failed cell).
-fn assemble_row(name: &str, prog: &Program, cells: &[&Cell]) -> Table1Row {
+fn assemble_row(name: &str, cells: &[&Cell], (decos, deco_note): Decompositions) -> Table1Row {
     let cy: Vec<Result<u64, String>> = KINDS
         .iter()
         .map(|&kind| {
@@ -291,23 +315,7 @@ fn assemble_row(name: &str, prog: &Program, cells: &[&Cell]) -> Table1Row {
         }
         _ => (false, false),
     };
-    let decos: Vec<String> = match Compiler::new(Strategy::Full).compile(prog) {
-        Ok(compiled) => {
-            if !compiled.degradations.is_empty() {
-                notes.push(format!("full: degraded to {}", compiled.rung.label()));
-            }
-            compiled
-                .decomposition
-                .hpf_all(&compiled.program)
-                .into_iter()
-                .filter(|d| !d.contains("(*") || d.contains("BLOCK") || d.contains("CYCLIC"))
-                .collect()
-        }
-        Err(e) => {
-            notes.push(format!("decompositions unavailable: {e}"));
-            Vec::new()
-        }
-    };
+    notes.extend(deco_note);
     Table1Row {
         program: name.to_string(),
         base_speedup: base,
@@ -322,21 +330,52 @@ fn assemble_row(name: &str, prog: &Program, cells: &[&Cell]) -> Table1Row {
 /// Regenerate Table 1 at `procs` processors and `scale` of the paper
 /// sizes: the `suite.len() * 4` cells (sequential reference + three
 /// strategies per benchmark) on the cell executor's worker pool, sized by
-/// the thread budget, with no checkpoint and no store. A failing or
-/// panicking cell becomes a failed cell in its row.
+/// the thread budget, with no store. A failing or panicking cell becomes a
+/// failed cell in its row.
 pub fn table1_parallel(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
     let suite = programs::suite(scale);
     let rep = run_cells(&SweepConfig::plain(procs, scale), &table1_tasks(&suite, procs), budget);
     table1_rows(&suite, &rep.cells)
 }
 
-/// Table 1's rows, in suite order, from its cells.
+/// Table 1's rows, in suite order, from its cells; a kind with no cell is
+/// a failed cell whose note says it did not run.
 pub fn table1_rows(suite: &[Benchmark], cells: &[Cell]) -> Vec<Table1Row> {
-    let row = |b: &Benchmark| {
-        let mine: Vec<&Cell> = cells.iter().filter(|c| c.bench == b.name).collect();
-        assemble_row(b.name, &b.program, &mine)
-    };
-    suite.iter().map(row).collect()
+    Table1Memo::default().rows(suite, cells)
+}
+
+/// Programs a [`Table1Memo`] remembers before it is cleared.
+const TABLE1_MEMO_MAX: usize = 4096;
+
+/// [`table1_rows`] for a long-lived owner (the serve API): the
+/// decompositions column is compiled once per program, remembered by
+/// source-program fingerprint (which covers every field the compiler
+/// reads), instead of once per rendered table.
+#[derive(Debug, Default)]
+pub struct Table1Memo {
+    decompositions: Mutex<HashMap<u128, Decompositions>>,
+}
+
+impl Table1Memo {
+    /// [`table1_rows`], bit for bit.
+    pub fn rows(&self, suite: &[Benchmark], cells: &[Cell]) -> Vec<Table1Row> {
+        let row = |b: &Benchmark| {
+            let fp = dct_ir::program_fingerprint(&b.program);
+            let stored = self.decompositions.lock().unwrap_or_else(|e| e.into_inner()).get(&fp).cloned();
+            let decos = stored.unwrap_or_else(|| {
+                let decos = decompositions(&b.program);
+                let mut memo = self.decompositions.lock().unwrap_or_else(|e| e.into_inner());
+                if memo.len() >= TABLE1_MEMO_MAX {
+                    memo.clear();
+                }
+                memo.insert(fp, decos.clone());
+                decos
+            });
+            let mine: Vec<&Cell> = cells.iter().filter(|c| c.bench == b.name).collect();
+            assemble_row(b.name, &mine, decos)
+        };
+        suite.iter().map(row).collect()
+    }
 }
 
 /// One benchmark × strategy cell of the race-check sweep: the detector's
@@ -479,7 +518,7 @@ mod tests {
             cell("comp", CellOutcome::Cycles(40)),
             cell("full", CellOutcome::Failed("worker panicked: injected failure".to_string())),
         ];
-        let row = assemble_row("stencil", &prog, &cells.iter().collect::<Vec<_>>());
+        let row = assemble_row("stencil", &cells.iter().collect::<Vec<_>>(), decompositions(&prog));
         assert_eq!(row.base_speedup, Some(2.0));
         assert_eq!(row.full_speedup, None);
         assert_eq!(row.notes, ["full: worker panicked: injected failure"]);

@@ -29,6 +29,6 @@ pub use explain::{explain, explain_cached, explain_json, explain_strategies, ren
 pub use harness::{atomic_write_sync, figure, run_figure, table1_parallel, FigureResult, FigureSpec, SpeedupPoint, StrategyCurve, Table1Row, ThreadBudget};
 pub use native_check::{native_sweep, NATIVE_DIVERGES};
 pub use sweep::{
-    compute_cell_supervised, render_sweep, run_cells, run_sweep_supervised,
+    compute_cell_supervised, run_cells, run_sweep_supervised,
     scale_key, Cell, CellOutcome, CellRun, CellTask, SweepConfig, SweepReport, KINDS,
 };

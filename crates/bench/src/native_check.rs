@@ -10,8 +10,8 @@
 //! `Some(0)`), on computed and served cells alike.
 //!
 //! `repro native` is one [`run_cells`] call over Table 1's strategy cells
-//! (16 jittered reps by default), so it shares Table 1's store entries and
-//! checkpoints. Each divergence is then minimized by nest removal (drop
+//! (16 jittered reps by default), so it shares Table 1's store entries.
+//! Each divergence is then minimized by nest removal (drop
 //! compute nests one at a time while the divergence persists, then try
 //! dropping the time loop) and the shrunken program is dumped to the
 //! output directory as a self-contained repro file.

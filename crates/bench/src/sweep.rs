@@ -1,14 +1,14 @@
-//! Crash-safe, resumable, **self-healing** benchmark sweeps.
+//! Self-healing benchmark sweeps over the content-addressed result store.
 //!
 //! Every simulation cell — one `(benchmark, strategy-kind, procs, scale)`
-//! point — is checkpointed to its own JSON file under the results
-//! directory the moment it finishes, written atomically (temp file +
-//! fsync + rename + directory fsync) so a kill at any instant leaves
-//! either the previous state or a complete checkpoint, never a torn file.
-//! Checkpoints carry a schema version and an FNV-64 content checksum,
-//! verified on `--resume`: a corrupt file is moved to `corrupt/` with a
-//! reason and its cell recomputed — never silently trusted, never
-//! silently overwritten.
+//! point — runs through one supervised executor. With a store
+//! ([`SweepConfig::cache`]) the store is the cell's only durable record:
+//! a finished cell is inserted the moment it completes, written
+//! atomically (temp file + fsync + rename + directory fsync) in a
+//! versioned, checksummed envelope, and a re-run against the same store
+//! serves it without executing. That is how a killed sweep resumes. A
+//! corrupt entry is moved to `corrupt/` with a reason and its cell
+//! recomputed — never silently trusted, never silently overwritten.
 //!
 //! Cells run inside a *supervised worker*: panics are caught, a watchdog
 //! cancels a wedged cell cooperatively at its next sync-point boundary
@@ -16,12 +16,12 @@
 //! seeded backoff down a degradation ladder whose rungs are all
 //! bit-identical (the fast path — never the science). A cell that
 //! fails every attempt is quarantined with a structured reason; the sweep
-//! keeps going. Partial results always render: a table with holes beats
-//! no table.
+//! keeps going. Failed and quarantined cells are never stored, so the
+//! next run recomputes them.
 
 use crate::ablate::Variant;
 use crate::cache::{kind_strategy, CacheKey};
-use crate::chaos::{backoff_ms, wedge_until_cancelled, FaultInjector, FaultSite, RetryPolicy, RetryRung};
+use crate::chaos::{backoff_ms, fires, wedge_until_cancelled, FaultInjector, FaultSite, RetryPolicy, RetryRung};
 use crate::harness::{atomic_write_sync, par_map, ThreadBudget};
 use crate::native_check::{native_leg, NATIVE_DIVERGES};
 use crate::programs::{self, Benchmark};
@@ -38,7 +38,7 @@ use std::time::Duration;
 /// strategies at the sweep's processor count.
 pub const KINDS: [&str; 4] = ["seq", "base", "comp", "full"];
 
-/// Checkpoint schema version written (and required) by this build.
+/// Schema version of the cell envelope written (and required) by this build.
 pub const CKPT_SCHEMA: i64 = 2;
 
 /// What happened to one simulation cell.
@@ -51,11 +51,12 @@ pub enum CellOutcome {
     /// Compilation or simulation failed (message preserved).
     Failed(String),
     /// Failed every rung of the retry ladder; reason of the last attempt
-    /// preserved. Quarantined cells are retried on `--resume`.
+    /// preserved. Quarantined cells are never stored, so the next run
+    /// retries them.
     Quarantined(String),
 }
 
-/// One checkpointed simulation cell.
+/// One simulation cell, as it is stored.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cell {
     pub bench: String,
@@ -117,11 +118,6 @@ impl Cell {
     pub fn key(&self) -> (String, String, usize, i64) {
         (self.bench.clone(), self.kind.clone(), self.procs, scale_key(self.scale))
     }
-
-    /// Checkpoint file name, unique per cell identity.
-    pub fn filename(&self) -> String {
-        format!("{}-{}-p{}-s{}.json", self.bench, self.kind, self.procs, scale_key(self.scale))
-    }
 }
 
 // ---------------------------------------------------------------- JSON --
@@ -141,7 +137,7 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// FNV-1a, 64-bit: the checkpoint content checksum and the fingerprint
+/// FNV-1a, 64-bit: the envelope content checksum and the fingerprint
 /// hash. Not cryptographic — it guards against torn writes and storage
 /// bit-rot, not adversaries.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -153,7 +149,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialize a cell as one small flat JSON object (the checkpoint body).
+/// Serialize a cell as one small flat JSON object (the envelope body).
 pub fn cell_to_json(c: &Cell) -> String {
     let mut s = format!(
         "{{\"bench\":\"{}\",\"kind\":\"{}\",\"procs\":{},\"scale_milli\":{}",
@@ -229,11 +225,13 @@ pub fn json_str(s: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extract a numeric field from a flat JSON object.
+/// Extract an integer field from a flat JSON object. The token must end
+/// the value (at `,`, `}`, `]`, whitespace or the end of input), so `1e3`,
+/// `4.9` or `8x` read as unparseable, not as their digit prefix.
 pub fn json_num(s: &str, key: &str) -> Option<i64> {
-    let digits: String =
-        json_value(s, key)?.chars().take_while(|c| c.is_ascii_digit() || *c == '-').collect();
-    digits.parse().ok()
+    let v = json_value(s, key)?;
+    let end = v.find(|c: char| matches!(c, ',' | '}' | ']') || c.is_ascii_whitespace()).unwrap_or(v.len());
+    v[..end].parse().ok().filter(|_| !v.starts_with('+'))
 }
 
 /// Extract a `true`/`false` field from a flat JSON object.
@@ -252,7 +250,7 @@ fn json_hex(s: &str, key: &str) -> Option<u64> {
     u64::from_str_radix(&json_str(s, key)?, 16).ok()
 }
 
-/// Parse a checkpoint body produced by [`cell_to_json`]. `None` on
+/// Parse an envelope body produced by [`cell_to_json`]. `None` on
 /// anything malformed — a truncated or foreign file is skipped, not fatal.
 pub fn cell_from_json(s: &str) -> Option<Cell> {
     let bench = json_str(s, "bench")?;
@@ -274,7 +272,7 @@ pub fn cell_from_json(s: &str) -> Option<Cell> {
     Some(c)
 }
 
-/// Wrap a cell in the versioned, checksummed checkpoint envelope:
+/// Wrap a cell in the versioned, checksummed envelope the store keeps:
 /// `{"schema":2,"crc64":"<fnv64 of body>","cell":{...}}`.
 pub fn checkpoint_to_json(c: &Cell) -> String {
     let inner = cell_to_json(c);
@@ -284,10 +282,10 @@ pub fn checkpoint_to_json(c: &Cell) -> String {
     )
 }
 
-/// Parse and *verify* a checkpoint file: schema version must match, the
-/// stored checksum must match the body. `Err` carries the reason the file
-/// is untrustworthy (the loader moves it to `corrupt/`). Pre-integrity
-/// (v1) checkpoints — a bare flat object — are still accepted.
+/// Parse and *verify* an envelope: schema version must match, the stored
+/// checksum must match the body. `Err` carries the reason the file is
+/// untrustworthy (the store moves it to `corrupt/`). Pre-integrity (v1)
+/// bodies — a bare flat object — are still accepted.
 pub fn checkpoint_from_json(s: &str) -> Result<Cell, String> {
     if !s.contains("\"schema\"") {
         return cell_from_json(s)
@@ -319,167 +317,30 @@ pub fn checkpoint_from_json(s: &str) -> Result<Cell, String> {
     let actual = fnv64(inner.as_bytes());
     if actual != crc {
         return Err(format!(
-            "content checksum mismatch: stored {crc:016x}, computed {actual:016x} (corrupt checkpoint)"
+            "content checksum mismatch: stored {crc:016x}, computed {actual:016x} (corrupt entry)"
         ));
     }
     cell_from_json(inner).ok_or_else(|| "unparseable cell body".to_string())
 }
 
-// --------------------------------------------------------- checkpoints --
-
-fn fires(inj: Option<&FaultInjector>, site: FaultSite, ctx: &str) -> bool {
-    inj.is_some_and(|i| i.fire(site, ctx))
-}
-
-/// Atomically and durably write one cell checkpoint (temp file + fsync +
-/// rename + directory fsync), with fault-injection hooks on the write
-/// path. A crash at any instant leaves either the previous state or a
-/// complete checkpoint; the checksum in the envelope catches anything
-/// the storage does to it afterwards.
-pub fn save_cell_checked(
-    dir: &Path,
-    cell: &Cell,
-    inj: Option<&FaultInjector>,
-) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let name = cell.filename();
-    let finals = dir.join(&name);
-    let json = checkpoint_to_json(cell);
-    if fires(inj, FaultSite::CkptWriteIo, &name) {
-        return Err(io::Error::other(format!("injected: checkpoint write IO error ({name})")));
-    }
-    if fires(inj, FaultSite::CkptTorn, &name) {
-        // Crash between temp write and rename: half the temp file lands,
-        // the rename never happens. The loader must clean this up.
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let _ = std::fs::write(&tmp, &json.as_bytes()[..json.len() / 2]);
-        return Err(io::Error::other(format!(
-            "injected: torn temp write, crash before rename ({name})"
-        )));
-    }
-    atomic_write_sync(&finals, json.as_bytes())?;
-    if fires(inj, FaultSite::CkptBitFlip, &name) {
-        // Storage bit-rot after a clean write: flip one bit mid-file.
-        if let Ok(mut bytes) = std::fs::read(&finals) {
-            if !bytes.is_empty() {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x08;
-                let _ = std::fs::write(&finals, &bytes);
-            }
-        }
-    }
-    if fires(inj, FaultSite::CkptTruncate, &name) {
-        if let Ok(bytes) = std::fs::read(&finals) {
-            let _ = std::fs::write(&finals, &bytes[..bytes.len() / 2]);
-        }
-    }
-    Ok(())
-}
-
-/// [`save_cell_checked`] without fault injection (the public default).
+/// Write `cell`'s envelope to `dir/<bench>-<kind>-p<procs>-s<scale>.json`
+/// with [`atomic_write_sync`] and no fault hooks. Inert: no sweep writes
+/// or reads these files (the store is the only durable record); it stays
+/// because `benchmark/` times it (ROADMAP item 1b).
 pub fn save_cell(dir: &Path, cell: &Cell) -> io::Result<()> {
-    save_cell_checked(dir, cell, None)
-}
-
-/// Does `dir` already hold, byte for byte, the checkpoint
-/// [`save_cell_checked`] would write for `cell`? A file reaches its final
-/// name only through [`atomic_write_sync`] (synced before the rename), so
-/// byte-equal means complete and durable. Absent, flipped, truncated,
-/// stale or foreign all read as not current.
-fn checkpoint_is_current(dir: &Path, cell: &Cell) -> bool {
-    std::fs::read(dir.join(cell.filename()))
-        .is_ok_and(|on_disk| on_disk == checkpoint_to_json(cell).as_bytes())
-}
-
-/// What a checkpoint-directory scan found.
-#[derive(Debug, Default)]
-pub struct LoadReport {
-    /// Every verified cell, sorted by file name.
-    pub cells: Vec<Cell>,
-    /// Corrupt checkpoints `(file name, reason)` — moved to `corrupt/`,
-    /// their cells recomputed.
-    pub corrupt: Vec<(String, String)>,
-    /// Files that could not be read at all `(file name, reason)` — left
-    /// in place (the error may be transient), their cells recomputed.
-    pub unreadable: Vec<(String, String)>,
-    /// Stale `.tmp` files from crashed writes, deleted on sight.
-    pub tmp_cleaned: usize,
-}
-
-/// Scan a checkpoint directory: verify every checkpoint's schema and
-/// content checksum, move corrupt files into `corrupt/` (with the reason
-/// on stderr and in the report — never silently recomputed over), and
-/// delete stale temp files left by crashed writers.
-pub fn load_report(dir: &Path, inj: Option<&FaultInjector>) -> LoadReport {
-    let mut rep = LoadReport::default();
-    let Ok(entries) = std::fs::read_dir(dir) else { return rep };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file())
-        .collect();
-    paths.sort();
-    for p in paths {
-        let name = p.file_name().map(|n| n.to_string_lossy().to_string()).unwrap_or_default();
-        if name.ends_with(".tmp") {
-            // A crashed writer died between temp write and rename; the
-            // final file never appeared, so the temp is garbage.
-            let _ = std::fs::remove_file(&p);
-            rep.tmp_cleaned += 1;
-            continue;
-        }
-        if !name.ends_with(".json") {
-            continue;
-        }
-        if fires(inj, FaultSite::CkptReadIo, &name) {
-            rep.unreadable.push((name, "injected: checkpoint read IO error".to_string()));
-            continue;
-        }
-        let text = match std::fs::read_to_string(&p) {
-            Ok(t) => t,
-            Err(e) => {
-                rep.unreadable.push((name, e.to_string()));
-                continue;
-            }
-        };
-        match checkpoint_from_json(&text) {
-            Ok(c) => rep.cells.push(c),
-            Err(reason) => {
-                let cdir = dir.join("corrupt");
-                let _ = std::fs::create_dir_all(&cdir);
-                let moved = std::fs::rename(&p, cdir.join(&name)).is_ok();
-                eprintln!(
-                    "[sweep: corrupt checkpoint {name}: {reason}{}]",
-                    if moved { " -> corrupt/" } else { " (could not be moved)" }
-                );
-                rep.corrupt.push((name, reason));
-            }
-        }
-    }
-    rep
-}
-
-/// Load every verified checkpoint in `dir` (missing directory = empty).
-/// Corrupt files are quarantined to `corrupt/` as a side effect; use
-/// [`load_report`] to see them.
-pub fn load_cells(dir: &Path) -> Vec<Cell> {
-    load_report(dir, None).cells
+    let name = format!("{}-{}-p{}-s{}.json", cell.bench, cell.kind, cell.procs, scale_key(cell.scale));
+    atomic_write_sync(&dir.join(name), checkpoint_to_json(cell).as_bytes())
 }
 
 // --------------------------------------------------------------- sweep --
 
-/// Configuration of one resumable sweep.
+/// Configuration of one sweep.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// Processor count of the parallel cells (the paper's Table 1 uses 32).
     pub procs: usize,
     /// Problem-size scale relative to the paper sizes.
     pub scale: f64,
-    /// Checkpoint directory; `None` = write no checkpoint.
-    pub out_dir: Option<PathBuf>,
-    /// Reuse completed checkpoints instead of recomputing them. Failed
-    /// and quarantined cells are retried (their failure may have been
-    /// environmental); completed and timed-out cells are skipped.
-    pub resume: bool,
     /// Per-cell simulated-cycle budget.
     pub max_cycles: Option<u64>,
     /// Per-cell host wall-clock budget, seconds.
@@ -489,7 +350,7 @@ pub struct SweepConfig {
     /// Run every cell with the happens-before race detector on; a cell
     /// whose schedule races becomes a [`CellOutcome::Failed`] cell
     /// carrying the race report (detection never changes cycles, so
-    /// checkpointed numbers stay comparable either way).
+    /// stored numbers stay comparable either way).
     pub race_check: bool,
     /// Run every cell with the memory profiler on; its rows join the
     /// cell fingerprint (pure observer — cycles unchanged).
@@ -510,26 +371,27 @@ pub struct SweepConfig {
     /// fails the cell at once; a native error retries like any attempt.
     /// `None` = no native leg.
     pub native_reps: Option<u64>,
-    /// Content-addressed result store: completed cells are served from it
-    /// without executing, and freshly computed cells are inserted. A
-    /// store insert failure is treated exactly like a checkpoint-write
-    /// failure (the attempt retries). `None` = no caching.
+    /// Content-addressed result store, the only durable record of a
+    /// cell: finished cells are served from it without executing, and
+    /// freshly computed cells are inserted (an insert failure retries the
+    /// attempt), so a re-run against the same store resumes a killed
+    /// sweep. `None` = nothing is recorded.
     pub cache: Option<Arc<crate::cache::ResultStore>>,
 }
 
 impl SweepConfig {
-    /// A sweep that checkpoints every cell under `out_dir`.
-    pub fn new(procs: usize, scale: f64, out_dir: impl Into<PathBuf>) -> SweepConfig {
-        SweepConfig { out_dir: Some(out_dir.into()), ..SweepConfig::plain(procs, scale) }
+    /// [`SweepConfig::plain`]. Inert `dir`: no sweep writes a file of its
+    /// own; the argument stays because `benchmark/` passes one (ROADMAP
+    /// item 1b).
+    pub fn new(procs: usize, scale: f64, _dir: impl Into<PathBuf>) -> SweepConfig {
+        SweepConfig::plain(procs, scale)
     }
 
-    /// A sweep that writes no checkpoint (and so cannot resume).
+    /// A sweep with no store, no budget, no observer and no native leg.
     pub fn plain(procs: usize, scale: f64) -> SweepConfig {
         SweepConfig {
             procs,
             scale,
-            out_dir: None,
-            resume: false,
             max_cycles: None,
             max_wall_secs: None,
             only: None,
@@ -560,8 +422,8 @@ impl SweepConfig {
         }
     }
 
-    /// Can `cell`, found in a checkpoint or the store, stand in for a run
-    /// under this config? Only a timed-out one or a completed one that
+    /// Can `cell`, found in the store, stand in for a run under this
+    /// config? Only a timed-out one or a completed one that
     /// carries its barrier count, and under the race detector only one
     /// that carries the detector's counts.
     fn reusable(&self, cell: &Cell) -> bool {
@@ -571,14 +433,6 @@ impl SweepConfig {
             _ => false,
         };
         finished && (!self.race_check || cell.race.is_some())
-    }
-
-    /// Checkpoint `cell`, when this sweep keeps checkpoints.
-    fn record(&self, cell: &Cell) -> io::Result<()> {
-        match &self.out_dir {
-            Some(dir) => save_cell_checked(dir, cell, self.injector.as_deref()),
-            None => Ok(()),
-        }
     }
 }
 
@@ -626,14 +480,8 @@ pub fn table1_tasks(suite: &[Benchmark], procs: usize) -> Vec<CellTask<'_>> {
 /// What one supervised sweep run did, beyond the cells themselves.
 #[derive(Debug, Default)]
 pub struct SweepReport {
-    /// All cells, in task order — resumed and freshly computed alike.
+    /// All cells, in task order — served and freshly computed alike.
     pub cells: Vec<Cell>,
-    /// Corrupt checkpoints quarantined during resume `(file, reason)`.
-    pub corrupt: Vec<(String, String)>,
-    /// Unreadable checkpoints skipped during resume `(file, reason)`.
-    pub unreadable: Vec<(String, String)>,
-    /// Stale temp files cleaned during resume.
-    pub tmp_cleaned: usize,
     /// Failed attempts that were retried.
     pub retries: u64,
     /// Attempts aborted by the watchdog's cancellation token.
@@ -641,30 +489,24 @@ pub struct SweepReport {
     /// Cells that exhausted the retry ladder.
     pub quarantined: u64,
     /// The sweep was killed by an injected [`FaultSite::KillSweep`]
-    /// before finishing (chaos runs only); restart with `resume`.
+    /// before finishing (chaos runs only); run it again against the same
+    /// store to finish.
     pub killed: bool,
     /// Cells served from the content-addressed cache without executing.
     pub cache_hits: u64,
     /// Cells that actually entered the compute path (attempt loop). A
     /// fully warm cached sweep has `executed == 0`.
     pub executed: u64,
-    /// Cache hits whose checkpoint was already on disk byte for byte, so
-    /// nothing was written; the other hits wrote theirs.
-    pub checkpoints_current: u64,
 }
 
 impl SweepReport {
-    /// Fold one supervised cell run into the report; a `resumed` one
-    /// (a checkpoint's native leg) counts as neither served nor executed.
-    fn absorb(&mut self, run: CellRun, resumed: bool) {
+    /// Fold one supervised cell run into the report.
+    fn absorb(&mut self, run: CellRun) {
         self.retries += run.retries;
         self.cancelled += run.cancelled;
         self.quarantined += run.quarantined;
-        if !resumed {
-            self.cache_hits += run.cache_hit as u64;
-            self.executed += !run.cache_hit as u64;
-            self.checkpoints_current += run.checkpoint_current as u64;
-        }
+        self.cache_hits += run.cache_hit as u64;
+        self.executed += !run.cache_hit as u64;
         self.cells.push(run.cell);
     }
 }
@@ -684,7 +526,7 @@ struct CellSim {
 
 /// Simulate one cell once, on one rung, under a cancellation token,
 /// catching panics, then run the config's native leg against it. A
-/// `served` cell (a store or checkpoint hit) skips only the simulation:
+/// `served` cell (a store hit) skips only the simulation:
 /// it is compiled and lowered again and its native leg checks the served
 /// values. Runs on the supervised worker thread.
 fn compute_attempt(
@@ -833,16 +675,12 @@ pub struct CellRun {
     /// True when the cell was served from the content-addressed cache
     /// without executing.
     pub cache_hit: bool,
-    /// True when that hit found its checkpoint on disk byte for byte and
-    /// wrote nothing; false when the checkpoint was written (every miss,
-    /// and a hit whose file was absent or differed) or none is kept.
-    pub checkpoint_current: bool,
 }
 
 /// Compute one cell through the full self-healing protocol: cache look-up
 /// under `cache_key`, bounded retries with seeded backoff down the
-/// bit-identical degradation ladder, watchdog cancellation, checkpointing
-/// (with its own faults retried), quarantine after the last attempt.
+/// bit-identical degradation ladder, watchdog cancellation, the store
+/// insert (with its own faults retried), quarantine after the last attempt.
 /// `cache_key` is `None` to run uncached. The job-queue service
 /// (dct-serve) calls this directly with the key it derived at submit to
 /// deduplicate in-flight cells, so a queued cell and a swept cell can
@@ -853,36 +691,20 @@ pub fn compute_cell_supervised(
     cache_key: Option<&CacheKey>,
 ) -> CellRun {
     // Content-addressed cache: a completed or timed-out cell whose key
-    // matches is served without simulating. Failed/quarantined entries
-    // are never cached, so a cached cell is always trustworthy (and
+    // matches is served without simulating. Failed/quarantined cells are
+    // never stored, so a stored cell is always trustworthy (and
     // crc64-verified on read).
-    let served = match (cfg.cache.as_deref(), cache_key) {
-        (Some(store), Some(key)) => store.lookup_cell(key).filter(|c| cfg.reusable(c)),
-        _ => None,
-    };
-    supervise(task, cfg, cache_key, served)
-}
-
-/// A served cell as a run: its checkpoint is written unless the file on
-/// disk already holds it byte for byte, so `--resume` and partial-table
-/// rendering see the cell either way.
-fn served_run(cfg: &SweepConfig, cell: Cell) -> CellRun {
-    let current = cfg.out_dir.as_deref().is_some_and(|d| checkpoint_is_current(d, &cell));
-    if !current {
-        let _ = cfg.record(&cell);
-    }
-    let (retries, cancelled, quarantined) = (0, 0, 0);
-    CellRun { cell, retries, cancelled, quarantined, cache_hit: true, checkpoint_current: current }
-}
-
-/// The attempt loop of [`compute_cell_supervised`]. A `served` cell (a
-/// store or checkpoint hit) is returned as it is unless the config asks
-/// for a native leg; then only that leg runs, under the same watchdog and
-/// ladder, and the store is not written. A native divergence is never
-/// retried: it fails the cell at once.
-fn supervise(task: &CellTask, cfg: &SweepConfig, cache_key: Option<&CacheKey>, served: Option<Cell>) -> CellRun {
+    let store = cfg.cache.as_deref().zip(cache_key);
+    let served = store
+        .and_then(|(store, key)| store.lookup_cell_checked(key, cfg.injector.as_deref()))
+        .filter(|c| cfg.reusable(c));
+    let served_run = |cell| CellRun { cell, retries: 0, cancelled: 0, quarantined: 0, cache_hit: true };
+    // A served cell is returned as it is unless the config asks for a
+    // native leg; then only that leg runs, under the same watchdog and
+    // ladder, and the store is not written. A native divergence is never
+    // retried: it fails the cell at once.
     let served = match served {
-        Some(cell) if cfg.native_reps.is_none() || cell.checksum_bits.is_none() => return served_run(cfg, cell),
+        Some(cell) if cfg.native_reps.is_none() || cell.checksum_bits.is_none() => return served_run(cell),
         served => served,
     };
     let cache_hit = served.is_some();
@@ -900,23 +722,21 @@ fn supervise(task: &CellTask, cfg: &SweepConfig, cache_key: Option<&CacheKey>, s
         }
         let recorded = sim.and_then(|sim| {
             if let Some(cell) = &served {
-                return Ok(served_run(cfg, cell.clone()));
+                return Ok(served_run(cell.clone()));
             }
             let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
             let CellSim { checksum_bits, fingerprint, race, barriers, .. } = sim;
             let cell = Cell { checksum_bits, fingerprint, race, barriers, ..task.cell(cfg.scale, outcome) };
-            // The checkpoint and the cache are the durable record: a cell
-            // that was computed but not recorded is an unfinished cell, and
-            // retries the whole attempt (this is where `ckpt-write-io` and
-            // `cache-write-io` faults land and heal).
-            cfg.record(&cell)
-                .and_then(|()| match (cfg.cache.as_deref(), cache_key) {
-                    (Some(store), Some(key)) => store.insert_cell(key, &cell, cfg.injector.as_deref()),
-                    _ => Ok(()),
-                })
-                .map_err(|e| format!("durable record write failed: {e}"))?;
-            let (quarantined, cache_hit, checkpoint_current) = (0, false, false);
-            Ok(CellRun { cell, retries: 0, cancelled: 0, quarantined, cache_hit, checkpoint_current })
+            // The store is the durable record: a cell that was computed
+            // but not stored is an unfinished cell, and retries the whole
+            // attempt (this is where the `cache-write-io` and `cache-torn`
+            // faults land and heal).
+            if let Some((store, key)) = store {
+                store
+                    .insert_cell(key, &cell, cfg.injector.as_deref())
+                    .map_err(|e| format!("durable record write failed: {e}"))?;
+            }
+            Ok(CellRun { cell, retries: 0, cancelled: 0, quarantined: 0, cache_hit: false })
         });
         match recorded {
             Ok(run) => {
@@ -928,8 +748,7 @@ fn supervise(task: &CellTask, cfg: &SweepConfig, cache_key: Option<&CacheKey>, s
             Err(e) if e.starts_with(NATIVE_DIVERGES) => {
                 eprintln!("[sweep: {cell_id} FAILED: {e}]");
                 let cell = task.cell(cfg.scale, CellOutcome::Failed(e));
-                let _ = cfg.record(&cell);
-                return CellRun { cell, retries, cancelled, quarantined: 0, cache_hit, checkpoint_current: false };
+                return CellRun { cell, retries, cancelled, quarantined: 0, cache_hit };
             }
             Err(e) => last_err = format!("attempt {} (rung {}): {e}", attempt + 1, rung.label()),
         }
@@ -943,69 +762,37 @@ fn supervise(task: &CellTask, cfg: &SweepConfig, cache_key: Option<&CacheKey>, s
     }
     eprintln!("[sweep: {cell_id} QUARANTINED after {max_attempts} attempt(s): {last_err}]");
     let cell = task.cell(cfg.scale, CellOutcome::Quarantined(last_err));
-    // Best effort: a quarantine record on disk beats losing the reason,
-    // but a failing disk must not mask the quarantine itself.
-    let _ = cfg.record(&cell);
-    CellRun { cell, retries, cancelled, quarantined: 1, cache_hit, checkpoint_current: false }
+    CellRun { cell, retries, cancelled, quarantined: 1, cache_hit }
 }
 
 /// The one cell executor behind every target: each task runs through the
 /// self-healing protocol on the worker pool and the runs fold into one
-/// report, cells in task order. With `cfg.resume`, a task whose
-/// checkpoint already holds a completed cell is not run again. An
-/// injected [`FaultSite::KillSweep`] after a cell drops every later task
-/// (chaos runs use one worker, so "later" is the order faults are counted
-/// in).
+/// report, cells in task order. An injected [`FaultSite::KillSweep`]
+/// arrives after each executed cell (a served one costs nothing to lose)
+/// and drops every later task (chaos runs use one worker, so "later" is
+/// the order faults are counted in).
 pub fn run_cells(cfg: &SweepConfig, tasks: &[CellTask], budget: ThreadBudget) -> SweepReport {
     eprintln!("[{budget}]");
-    let inj = cfg.injector.as_deref();
-    let mut rep = SweepReport::default();
-    let done: Vec<Cell> = match &cfg.out_dir {
-        Some(dir) if cfg.resume => {
-            let lr = load_report(dir, inj);
-            rep.corrupt = lr.corrupt;
-            rep.unreadable = lr.unreadable;
-            rep.tmp_cleaned = lr.tmp_cleaned;
-            lr.cells
-        }
-        _ => Vec::new(),
-    };
-    let resumed: Vec<Option<&Cell>> = tasks
-        .iter()
-        .map(|t| {
-            let key = (t.bench.to_string(), t.kind.to_string(), t.procs, scale_key(cfg.scale));
-            done.iter().find(|c| c.key() == key && cfg.reusable(c))
-        })
-        .collect();
     let killed_at = AtomicUsize::new(usize::MAX);
     let runs = par_map(budget, tasks.len(), |i| {
         if i > killed_at.load(Ordering::Relaxed) {
             return None;
         }
         let t = &tasks[i];
-        if let Some(prev) = resumed[i] {
-            // A resumed cell skips only its simulation: a native leg
-            // still runs against it.
-            return cfg.native_reps.map(|_| supervise(t, cfg, None, Some(prev.clone())));
-        }
         let run = compute_cell_supervised(t, cfg, derive_cache_key(t, cfg).as_ref());
-        if fires(inj, FaultSite::KillSweep, &format!("after {}/{}", t.bench, t.kind)) {
-            eprintln!(
-                "[sweep: injected kill after {}/{} — restart with --resume to continue]",
-                t.bench, t.kind
-            );
+        if !run.cache_hit && fires(cfg.injector.as_deref(), FaultSite::KillSweep, &format!("after {}/{}", t.bench, t.kind)) {
+            eprintln!("[sweep: injected kill after {}/{} — run again to continue]", t.bench, t.kind);
             killed_at.fetch_min(i, Ordering::Relaxed);
         }
         Some(run)
     });
     let killed_at = killed_at.into_inner();
-    rep.killed = killed_at != usize::MAX;
+    let mut rep = SweepReport { killed: killed_at != usize::MAX, ..SweepReport::default() };
     for (i, run) in runs.into_iter().enumerate().take(killed_at.saturating_add(1)) {
-        match (resumed[i], run) {
-            (prev, Ok(Some(run))) => rep.absorb(run, prev.is_some()),
-            (Some(prev), Ok(None)) => rep.cells.push(prev.clone()),
-            (None, Ok(None)) => {}
-            (_, Err(e)) => {
+        match run {
+            Ok(Some(run)) => rep.absorb(run),
+            Ok(None) => {}
+            Err(e) => {
                 rep.executed += 1;
                 rep.cells.push(tasks[i].cell(cfg.scale, CellOutcome::Failed(e)));
             }
@@ -1014,70 +801,13 @@ pub fn run_cells(cfg: &SweepConfig, tasks: &[CellTask], budget: ThreadBudget) ->
     rep
 }
 
-/// Run (or resume) Table 1's sweep over [`sweep_suite`] on one worker.
-/// Every missing cell is simulated on a supervised worker and
-/// checkpointed the moment it finishes; the report carries everything
-/// the run had to survive.
+/// Run Table 1's sweep over [`sweep_suite`] on one worker. Every cell the
+/// store cannot serve is simulated on a supervised worker and stored the
+/// moment it finishes; the report carries everything the run had to
+/// survive.
 pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
     let suite = sweep_suite(cfg);
     Ok(run_cells(cfg, &table1_tasks(&suite, cfg.procs), ThreadBudget::clamp(1)))
-}
-
-/// Render whatever cells exist as a (possibly partial) Table 1: holes
-/// print `-`, budget aborts print `timeout`, failures print `fail`,
-/// quarantined cells print `quar`.
-pub fn render_sweep(cells: &[Cell], procs: usize, scale: f64) -> String {
-    let mut benches: Vec<&str> = Vec::new();
-    for c in cells {
-        if scale_key(c.scale) == scale_key(scale) && !benches.contains(&c.bench.as_str()) {
-            benches.push(&c.bench);
-        }
-    }
-    let find = |bench: &str, kind: &str| -> Option<&Cell> {
-        let p = if kind == "seq" { 1 } else { procs };
-        cells.iter().find(|c| {
-            c.bench == bench && c.kind == kind && c.procs == p && scale_key(c.scale) == scale_key(scale)
-        })
-    };
-    let mut out = format!(
-        "Sweep at {procs} processors, scale {scale} (speedups vs sequential; partial cells allowed)\n"
-    );
-    out.push_str("program      seq-cycles      base      comp      full\n");
-    for bench in benches {
-        let outcome = |kind: &str| find(bench, kind).map(|c| &c.outcome);
-        let seq = match outcome("seq") {
-            Some(CellOutcome::Cycles(n)) => Some(*n),
-            _ => None,
-        };
-        // A completed cell shows `shown(cycles)`, a hole shows its mark.
-        let col = |kind: &str, width: usize, shown: &dyn Fn(u64) -> String| {
-            let text = match outcome(kind) {
-                Some(CellOutcome::Cycles(n)) => shown(*n),
-                Some(CellOutcome::Timeout) => "timeout".to_string(),
-                Some(CellOutcome::Failed(_)) => "fail".to_string(),
-                Some(CellOutcome::Quarantined(_)) => "quar".to_string(),
-                None => "-".to_string(),
-            };
-            format!("{text:>width$}")
-        };
-        let speedup = |n: u64| match seq {
-            Some(s) => format!("{:.1}", s as f64 / n as f64),
-            // No sequential reference to divide by: label the raw cycle
-            // count so it cannot be misread as a speedup.
-            None => format!("{n}cy"),
-        };
-        let seq_col = col("seq", 10, &|n| n.to_string());
-        let (base, comp, full) = (col("base", 9, &speedup), col("comp", 9, &speedup), col("full", 9, &speedup));
-        out.push_str(&format!("{bench:<12} {seq_col}{base}{comp}{full}\n"));
-        for kind in ["full", "seq"] {
-            match outcome(kind) {
-                Some(CellOutcome::Failed(e)) => out.push_str(&format!("             ! {kind}: {e}\n")),
-                Some(CellOutcome::Quarantined(e)) => out.push_str(&format!("             ! {kind} quarantined: {e}\n")),
-                _ => {}
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

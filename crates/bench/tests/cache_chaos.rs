@@ -5,13 +5,10 @@
 //! recomputed — never trusted.
 
 use dct_bench::chaos::{run_chaos, ChaosConfig, Fault, FaultInjector, FaultPlan, FaultSite};
-use dct_bench::sweep::{
-    load_report, render_sweep, run_sweep_supervised, save_cell, sweep_suite, Cell, CellOutcome,
-    SweepConfig, SweepReport,
-};
+use dct_bench::harness::{render_table1, table1_rows};
+use dct_bench::sweep::{run_sweep_supervised, sweep_suite, Cell, CellOutcome, SweepConfig, SweepReport};
 use dct_bench::{cell_cache_key, ResultStore, NATIVE_DIVERGES};
-use std::os::unix::fs::MetadataExt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -49,10 +46,13 @@ fn small_sweep(out_dir: PathBuf, store: Option<Arc<ResultStore>>) -> SweepConfig
     cfg
 }
 
+fn table(cfg: &SweepConfig, rep: &SweepReport) -> String {
+    render_table1(&table1_rows(&sweep_suite(cfg), &rep.cells), 4)
+}
+
 /// The acceptance criterion in miniature: a second sweep against a warm
 /// store executes zero cells (hit counter == cell count) and renders a
-/// byte-identical table. Distinct checkpoint dirs prove the cache — not
-/// resume — is serving.
+/// byte-identical table.
 #[test]
 fn warm_cache_executes_zero_cells_bit_identical() {
     let dir = Scratch::new();
@@ -63,135 +63,20 @@ fn warm_cache_executes_zero_cells_bit_identical() {
     assert_eq!(cold.cache_hits, 0, "first run, store is empty");
     assert_eq!(cold.executed, 4, "every cell computes cold");
 
-    let warm = run_sweep_supervised(&small_sweep(dir.path("run2"), Some(store.clone()))).unwrap();
+    let cfg = small_sweep(dir.path("run2"), Some(store.clone()));
+    let warm = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(warm.executed, 0, "warm run must not execute anything");
     assert_eq!(warm.cache_hits, 4, "every cell served from the store");
-    assert_eq!(
-        render_sweep(&warm.cells, 4, 0.05),
-        render_sweep(&cold.cells, 4, 0.05),
-        "warm table must be byte-identical to the cold one"
-    );
+    assert_eq!(table(&cfg, &warm), table(&cfg, &cold), "warm table must be byte-identical to the cold one");
     // Bit-level, not just text-level, identity.
     for (c, w) in cold.cells.iter().zip(&warm.cells) {
         assert_eq!(c, w, "cached cell diverges");
     }
 }
 
-/// `(file name, inode, mtime ns, bytes)` of every checkpoint in `dir`: a
-/// rewrite goes through a rename, so it shows as a new inode.
-fn checkpoint_files(dir: &Path) -> Vec<(String, u64, i64, Vec<u8>)> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.is_file())
-        .map(|p| {
-            let md = std::fs::metadata(&p).unwrap();
-            let mtime = md.mtime() * 1_000_000_000 + md.mtime_nsec();
-            let name = p.file_name().unwrap().to_string_lossy().to_string();
-            (name, md.ino(), mtime, std::fs::read(&p).unwrap())
-        })
-        .collect();
-    files.sort();
-    files
-}
-
-fn assert_all_served(rep: &SweepReport, current: u64) {
-    assert_eq!(rep.executed, 0, "a warm sweep executes nothing");
-    assert_eq!(rep.cache_hits, 4, "every cell served from the store");
-    assert_eq!(rep.checkpoints_current, current, "hits that found their checkpoint on disk");
-}
-
-/// A hit whose checkpoint is already on disk costs no write: a second
-/// warm sweep into the *same* checkpoint directory serves every cell,
-/// leaves every file's inode and mtime alone and renders the same table.
-#[test]
-fn warm_sweep_into_current_checkpoints_writes_nothing() {
-    let dir = Scratch::new();
-    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
-    run_sweep_supervised(&small_sweep(dir.path("cold"), Some(store.clone()))).unwrap();
-
-    // First warm sweep into a fresh directory: every hit writes.
-    let first = run_sweep_supervised(&small_sweep(dir.path("warm"), Some(store.clone()))).unwrap();
-    assert_all_served(&first, 0);
-    let before = checkpoint_files(&dir.path("warm"));
-    assert_eq!(before.len(), 4);
-
-    let second = run_sweep_supervised(&small_sweep(dir.path("warm"), Some(store.clone()))).unwrap();
-    assert_all_served(&second, 4);
-    assert_eq!(checkpoint_files(&dir.path("warm")), before, "a current checkpoint was touched");
-    assert_eq!(render_sweep(&second.cells, 4, 0.05), render_sweep(&first.cells, 4, 0.05));
-    assert_eq!(second.cells, first.cells);
-}
-
-/// Only byte-equal counts as current: a checkpoint with one bit flipped,
-/// one truncated to half and one deleted are each written again on the
-/// next hit, and the directory then verifies clean.
-#[test]
-fn damaged_checkpoints_are_rewritten_on_the_next_hit() {
-    let dir = Scratch::new();
-    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
-    let out = dir.path("out");
-    run_sweep_supervised(&small_sweep(out.clone(), Some(store.clone()))).unwrap();
-    let good = checkpoint_files(&out);
-    assert_eq!(good.len(), 4);
-
-    let mut flipped = good[0].3.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x08;
-    std::fs::write(out.join(&good[0].0), &flipped).unwrap();
-    std::fs::write(out.join(&good[1].0), &good[1].3[..good[1].3.len() / 2]).unwrap();
-    std::fs::remove_file(out.join(&good[2].0)).unwrap();
-
-    let warm = run_sweep_supervised(&small_sweep(out.clone(), Some(store.clone()))).unwrap();
-    assert_all_served(&warm, 1);
-    let after = checkpoint_files(&out);
-    for (g, a) in good.iter().zip(&after) {
-        assert_eq!((&g.0, &g.3), (&a.0, &a.3), "checkpoint bytes not restored");
-    }
-    assert_eq!(after[3], good[3], "the intact checkpoint was touched");
-    let rep = load_report(&out, None);
-    assert_eq!(rep.cells.len(), 4);
-    assert!(rep.corrupt.is_empty() && rep.unreadable.is_empty(), "{rep:?}");
-}
-
-/// The same under fault injection: `ckpt-bit-flip` strikes the checkpoint
-/// a hit has just written, and the next hit — finding bytes that differ —
-/// repairs it through the full write path.
-#[test]
-fn injected_bit_flip_on_a_hit_is_repaired_by_the_next_hit() {
-    let dir = Scratch::new();
-    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
-    run_sweep_supervised(&small_sweep(dir.path("cold"), Some(store.clone()))).unwrap();
-
-    let out = dir.path("warm");
-    let plan =
-        FaultPlan { seed: 0, faults: vec![Fault { site: FaultSite::CkptBitFlip, occurrence: 1 }] };
-    let inj = Arc::new(FaultInjector::new(&plan));
-    let mut cfg = small_sweep(out.clone(), Some(store.clone()));
-    cfg.injector = Some(inj.clone());
-    assert_all_served(&run_sweep_supervised(&cfg).unwrap(), 0);
-    assert!(inj.unfired().is_empty(), "the flip must land: {:?}", inj.unfired());
-    let cold = checkpoint_files(&dir.path("cold"));
-    let struck: Vec<_> = checkpoint_files(&out)
-        .into_iter()
-        .zip(&cold)
-        .filter(|(w, c)| w.3 != c.3)
-        .map(|(w, _)| w.0)
-        .collect();
-    assert_eq!(struck.len(), 1, "exactly one checkpoint carries the flipped bit");
-
-    // Injector still attached, its plan spent: three current, one repaired.
-    assert_all_served(&run_sweep_supervised(&cfg).unwrap(), 3);
-    for (w, c) in checkpoint_files(&out).iter().zip(&cold) {
-        assert_eq!((&w.0, &w.3), (&c.0, &c.3), "checkpoint not repaired");
-    }
-    let rep = load_report(&out, None);
-    assert_eq!(rep.cells.len(), 4);
-    assert!(rep.corrupt.is_empty(), "{:?}", rep.corrupt);
-}
-
 /// Changing an option that is *in* the key (race_check) must miss; what
-/// is outside it (the checkpoint directory) must still hit.
+/// is outside it (the inert directory of `SweepConfig::new`) must still
+/// hit.
 #[test]
 fn cache_keys_respect_observers_but_not_out_dir() {
     let dir = Scratch::new();
@@ -199,7 +84,7 @@ fn cache_keys_respect_observers_but_not_out_dir() {
     let base = run_sweep_supervised(&small_sweep(dir.path("a"), Some(store.clone()))).unwrap();
     assert_eq!(base.executed, 4);
 
-    // Different checkpoint directory: not a result input, so it hits.
+    // Different directory: not a result input, so it hits.
     let cfg = small_sweep(dir.path("b"), Some(store.clone()));
     let moved = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(moved.executed, 0, "out_dir is excluded from the key");
@@ -213,8 +98,8 @@ fn cache_keys_respect_observers_but_not_out_dir() {
 }
 
 /// A race-checked cell carries the detector's counts, which the race
-/// certificate prints; a stored or checkpointed race cell without them
-/// (as written before cells recorded them) is a miss and is rewritten.
+/// certificate prints; a stored race cell without them (as written before
+/// cells recorded them) is a miss and is rewritten.
 #[test]
 fn race_cell_without_detector_counts_is_a_miss() {
     let dir = Scratch::new();
@@ -230,24 +115,23 @@ fn race_cell_without_detector_counts_is_a_miss() {
         let key = key.unwrap();
         let stripped = Cell { race: None, ..c.clone() };
         store.insert_cell(&key, &stripped, None).unwrap();
-        save_cell(&dir.path("out"), &stripped).unwrap();
     }
-    cfg.resume = true;
     let rerun = run_sweep_supervised(&cfg).unwrap();
     assert_eq!((rerun.executed, rerun.cache_hits), (4, 0), "counts-less cells must miss");
     assert_eq!(rerun.cells, cold.cells);
     let warm = run_sweep_supervised(&cfg).unwrap();
-    assert_eq!(warm.cells, cold.cells, "the rewritten checkpoints resume");
+    assert_eq!(warm.executed, 0, "the rewritten entries serve");
+    assert_eq!(warm.cells, cold.cells);
 }
 
 /// A completed cell carries its run's barrier count, which the ablations
-/// print; a stored or checkpointed completed cell without it (as written
-/// before cells recorded it) is a miss and is rewritten.
+/// print; a stored completed cell without it (as written before cells
+/// recorded it) is a miss and is rewritten.
 #[test]
 fn completed_cell_without_barriers_is_a_miss() {
     let dir = Scratch::new();
     let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
-    let mut cfg = small_sweep(dir.path("out"), Some(store.clone()));
+    let cfg = small_sweep(dir.path("out"), Some(store.clone()));
     let cold = run_sweep_supervised(&cfg).unwrap();
     assert!(cold.cells.iter().all(|c| c.barriers.is_some()), "{:?}", cold.cells);
 
@@ -256,21 +140,19 @@ fn completed_cell_without_barriers_is_a_miss() {
         let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
         let stripped = Cell { barriers: None, ..c.clone() };
         store.insert_cell(&key.unwrap(), &stripped, None).unwrap();
-        save_cell(&dir.path("out"), &stripped).unwrap();
     }
-    cfg.resume = true;
     let rerun = run_sweep_supervised(&cfg).unwrap();
     assert_eq!((rerun.executed, rerun.cache_hits), (4, 0), "barrier-less cells must miss");
     assert_eq!(rerun.cells, cold.cells);
     let warm = run_sweep_supervised(&cfg).unwrap();
-    assert_eq!(warm.executed, 0, "the rewritten checkpoints resume");
+    assert_eq!(warm.executed, 0, "the rewritten entries serve");
     assert_eq!(warm.cells, cold.cells);
 }
 
 /// A served cell is checked natively too, and a divergence is final: a
 /// store whose entries carry flipped checksum bits (valid envelopes) makes
 /// every cell of a native-checked rerun fail at once, without simulating
-/// and without a retry. Resumed checkpoints are checked the same way.
+/// and without a retry, and leaves the forged entries where they are.
 #[test]
 fn served_cells_are_checked_natively_and_divergences_not_retried() {
     let dir = Scratch::new();
@@ -282,7 +164,6 @@ fn served_cells_are_checked_natively_and_divergences_not_retried() {
         let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
         let forged = Cell { checksum_bits: c.checksum_bits.map(|b| b ^ 1), ..c.clone() };
         store.insert_cell(&key.unwrap(), &forged, None).unwrap();
-        save_cell(&dir.path("resumed"), &forged).unwrap();
     }
     let all_diverge = |rep: &SweepReport| {
         assert_eq!((rep.executed, rep.retries, rep.cells.len()), (0, 0, 4), "{rep:?}");
@@ -298,16 +179,15 @@ fn served_cells_are_checked_natively_and_divergences_not_retried() {
     let served = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(served.cache_hits, 4);
     all_diverge(&served);
-
-    let mut cfg = small_sweep(dir.path("resumed"), None);
-    cfg.native_reps = Some(0);
-    cfg.resume = true;
-    all_diverge(&run_sweep_supervised(&cfg).unwrap());
+    // A divergence is not stored: the forged entries still serve.
+    let again = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!(again.cache_hits, 4);
+    all_diverge(&again);
 }
 
-/// `cache-write-io`: a failing store insert is treated exactly like a
-/// checkpoint-write failure — the attempt retries down the ladder and
-/// the converged sweep is bit-identical to a fault-free cached sweep.
+/// `cache-write-io`: a failing store insert leaves the cell unfinished —
+/// the attempt retries down the ladder and the converged sweep is
+/// bit-identical to a fault-free cached sweep.
 #[test]
 fn cache_write_io_heals_bit_identical() {
     let clean_dir = Scratch::new();
@@ -386,9 +266,9 @@ fn corrupt_cache_entry_is_quarantined_and_recomputed() {
     }
 }
 
-/// `repro chaos --cache` end to end: both sweeps get (separate) stores,
-/// the planned compute faults still fire, and the converged result is
-/// bit-identical.
+/// Every chaos run gives each sweep its own store, so the planned compute
+/// faults still fire, and the converged result is bit-identical; the
+/// fault-free store ends up holding every cell.
 #[test]
 fn chaos_with_cache_converges() {
     let dir = Scratch::new();
@@ -397,10 +277,12 @@ fn chaos_with_cache_converges() {
     cfg.scale = 0.05;
     cfg.only = Some(vec!["stencil".to_string()]);
     cfg.stuck_wall_secs = 0.3;
-    cfg.cache = true;
     let rep = run_chaos(&cfg).unwrap();
     assert!(rep.identical(), "cached chaos diverged:\n{:#?}", rep.diffs);
     assert!(!rep.fired.is_empty(), "plan must exercise the executor: {:?}", rep.plan);
-    assert!(dir.path("chaos").join("cache-clean").exists());
-    assert!(dir.path("chaos").join("cache-chaos").exists());
+    assert!(dir.path("chaos").join("chaos").is_dir());
+    let store = Arc::new(ResultStore::open(dir.path("chaos").join("clean"), None).unwrap());
+    let mut sweep = small_sweep(dir.path("unused"), Some(store));
+    sweep.race_check = true;
+    assert_eq!(run_sweep_supervised(&sweep).unwrap().executed, 0, "the fault-free store is not warm");
 }

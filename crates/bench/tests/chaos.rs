@@ -1,14 +1,16 @@
 //! The chaos oracle end to end: a sweep bombarded with deterministic
-//! injected faults — worker panics, checkpoint IO errors, torn temp
-//! files, bit-flipped checkpoints, allocation-cap hits, stuck cells,
+//! injected faults — worker panics, store IO errors, torn temp files,
+//! bit-flipped store entries, allocation-cap hits, stuck cells,
 //! whole-sweep kills — must converge, through retries, watchdog cancels,
-//! quarantines, and restarts, to results **bit-identical** to a
-//! fault-free sweep. Self-healing that changes answers is not healing.
+//! quarantines, and re-runs against the store, to results
+//! **bit-identical** to a fault-free sweep. Self-healing that changes
+//! answers is not healing.
 
 use dct_bench::chaos::{
     run_chaos, ChaosConfig, Fault, FaultInjector, FaultPlan, FaultSite,
 };
 use dct_bench::sweep::{run_sweep_supervised, CellOutcome, SweepConfig};
+use dct_bench::ResultStore;
 use dct_core::{Compiler, Strategy};
 use dct_ir::CancelToken;
 use std::path::PathBuf;
@@ -35,6 +37,15 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Stencil's four cells at P = 4, scale 0.05, against a store in `dir`.
+fn stencil_sweep(dir: &Scratch) -> SweepConfig {
+    let mut cfg = SweepConfig::plain(4, 0.05);
+    cfg.only = Some(vec!["stencil".to_string()]);
+    cfg.retry.backoff_base_ms = 1;
+    cfg.cache = Some(Arc::new(ResultStore::open(&dir.0, None).unwrap()));
+    cfg
 }
 
 fn small_chaos(dir: &Scratch, seed: u64, faults: usize) -> ChaosConfig {
@@ -126,14 +137,13 @@ fn cancel_token_aborts_simulation_as_structured_error() {
 }
 
 /// A cell that fails on every rung of the ladder is quarantined with the
-/// last reason, the sweep keeps going, and resume retries the cell.
+/// last reason, the sweep keeps going, and a re-run against the store
+/// retries the cell.
 #[test]
 fn repeated_failures_quarantine_the_cell_and_resume_retries() {
     let dir = Scratch::new();
-    let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
-    cfg.only = Some(vec!["stencil".to_string()]);
+    let mut cfg = stencil_sweep(&dir);
     cfg.retry.max_attempts = 3;
-    cfg.retry.backoff_base_ms = 1;
     // Panic the worker on its first three arrivals: exactly the first
     // cell's three attempts.
     let plan = FaultPlan {
@@ -157,10 +167,10 @@ fn repeated_failures_quarantine_the_cell_and_resume_retries() {
         assert!(matches!(c.outcome, CellOutcome::Cycles(_)), "{c:?}");
     }
 
-    // Resume with the faults exhausted: the quarantined cell recovers.
-    cfg.resume = true;
+    // Run again with the faults exhausted: the quarantined cell was never
+    // stored, so it is computed and recovers; the others are served.
     let rep = run_sweep_supervised(&cfg).unwrap();
-    assert_eq!(rep.quarantined, 0);
+    assert_eq!((rep.quarantined, rep.executed, rep.cache_hits), (0, 1, 3));
     let seq = rep.cells.iter().find(|c| c.kind == "seq").unwrap();
     assert!(matches!(seq.outcome, CellOutcome::Cycles(_)), "{seq:?}");
 }
@@ -174,9 +184,7 @@ fn native_faults_heal_bit_identical() {
     let clean_dir = Scratch::new();
     let chaos_dir = Scratch::new();
     let mk = |dir: &Scratch| {
-        let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
-        cfg.only = Some(vec!["stencil".to_string()]);
-        cfg.retry.backoff_base_ms = 1;
+        let mut cfg = stencil_sweep(dir);
         cfg.stuck_wall_secs = Some(0.3);
         cfg.native_reps = Some(0);
         cfg
@@ -216,12 +224,12 @@ fn native_faults_heal_bit_identical() {
 }
 
 /// An injected whole-sweep kill stops the run mid-way with `killed` set;
-/// a resume finishes the remaining cells without recomputing done ones.
+/// a re-run against the store finishes the remaining cells without
+/// recomputing done ones.
 #[test]
 fn injected_kill_is_survived_by_resume() {
     let dir = Scratch::new();
-    let mut cfg = SweepConfig::new(4, 0.05, dir.0.clone());
-    cfg.only = Some(vec!["stencil".to_string()]);
+    let mut cfg = stencil_sweep(&dir);
     let plan = FaultPlan {
         seed: 0,
         faults: vec![Fault { site: FaultSite::KillSweep, occurrence: 1 }],
@@ -232,10 +240,10 @@ fn injected_kill_is_survived_by_resume() {
     assert!(rep.killed, "the kill must be reported");
     assert_eq!(rep.cells.len(), 2, "killed after the second cell");
 
-    cfg.resume = true;
     let rep = run_sweep_supervised(&cfg).unwrap();
     assert!(!rep.killed);
-    assert_eq!(rep.cells.len(), 4, "resume completes the sweep");
+    assert_eq!(rep.cells.len(), 4, "the re-run completes the sweep");
+    assert_eq!((rep.executed, rep.cache_hits), (2, 2), "the finished cells are served");
     for c in &rep.cells {
         assert!(matches!(c.outcome, CellOutcome::Cycles(_)), "{c:?}");
     }

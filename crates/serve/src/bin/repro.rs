@@ -9,10 +9,8 @@
 //! repro fig8 --scale 0.5    # half the paper problem size
 //! repro fig6 --procs 1,8,32 # custom processor counts
 //! repro --profile           # simulator throughput -> BENCH_sim_throughput.json
-//! repro table1 --resume     # resumable sweep: skip checkpointed cells
 //! repro table1 --max-wall 30 --max-cycles 2000000000
 //!                           # bound each cell; over-budget cells -> timeout
-//! repro table1 --out results/run1   # checkpoint directory
 //! repro --race-check        # certify every benchmark x strategy race-free
 //! repro explain stencil     # why is it slow? ranked miss/sharing tables
 //!                           # (text here, JSON -> results/explain_stencil.json)
@@ -29,18 +27,19 @@
 //!                           # simulator (divergences dump a minimized
 //!                           # repro to results/)
 //! repro native stencil --reps 32 --procs 8   # one benchmark, harder
-//! repro table1 --out results/run1 --native   # sweep cells cross-checked
-//!                           # against the native backend
+//! repro table1 --native    # table cells cross-checked against the
+//!                           # native backend
 //! repro chaos --native      # chaos oracle incl. native fault sites
-//! repro table1 --cache      # content-addressed result cache: cells are
+//! repro table1 --cache      # content-addressed result store: cells are
 //!                           # served from results/cache without executing
 //!                           # when every input matches (a warm rerun
-//!                           # executes zero cells, byte-identical table)
+//!                           # executes zero cells, byte-identical table;
+//!                           # a killed run, run again, serves every cell
+//!                           # that finished)
 //! repro explain stencil --cache     # cached explain report
 //! repro native --cache      # shares Table 1's cells: a table1 --cache run
 //!                           # serves their simulations, the native runs
 //!                           # still execute
-//! repro chaos --cache       # chaos incl. the cache-write-io fault site
 //! repro table1 --cache --cache-dir /tmp/c --max-cache-bytes 1000000
 //!                           # custom store root + LRU byte budget
 //! repro serve --port 0      # HTTP service: submit sweeps, poll, fetch
@@ -50,12 +49,14 @@
 //!
 //! `table1`, every figure and `--race-check` run their cells through one
 //! supervised executor (watchdog, retry ladder, `--cache`), `--workers`
-//! cells at a time. With `--resume`, `--max-cycles`, `--max-wall`, `--out`
-//! or `--cache`, every cell is also checkpointed atomically (temp file +
-//! fsync + rename) as it finishes, verified by a per-file content checksum
-//! on reload (corrupt files quarantine to `corrupt/`), and a re-run with
-//! `--resume` only simulates the missing cells; `table1` then prints the
-//! sweep table, which shows partial results, instead of Table 1.
+//! cells at a time. With `--cache`, the result store is the one durable
+//! record of a cell: each finished cell is stored atomically (temp file +
+//! fsync + rename) as it finishes, verified by its content checksum when
+//! it is read (corrupt entries quarantine to `corrupt/`), and a re-run
+//! against the same store only simulates the cells it cannot serve.
+//! `table1` prints Table 1 under every flag; a cell that did not finish
+//! prints `fail` with a note saying why. `--out` names where the explain
+//! JSON, native repro dumps and chaos stores go.
 
 use dct_bench::harness::{self, ThreadBudget, ALL_FIGURES, PAPER_PROCS};
 use dct_bench::sweep::{self, SweepConfig, SweepReport};
@@ -77,7 +78,6 @@ fn main() {
     let mut workers = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(4);
     let mut profile = false;
     let mut race_check = false;
-    let mut resume = false;
     let mut out_dir: Option<String> = None;
     let mut max_cycles: Option<u64> = None;
     let mut max_wall: Option<f64> = None;
@@ -118,7 +118,6 @@ fn main() {
                     })
                     .unwrap_or_else(|| die("--procs needs a comma-separated list"))
             }
-            "--resume" => resume = true,
             "--out" => {
                 out_dir = Some(
                     it.next().cloned().unwrap_or_else(|| die("--out needs a directory path")),
@@ -200,7 +199,7 @@ fn main() {
             port,
             cache_dir: cache_dir.clone().into(),
             max_cache_bytes,
-            out_dir: out_dir.clone().unwrap_or_else(|| "results/serve".to_string()).into(),
+            out_dir: Default::default(),
             workers,
             threads: 1,
         };
@@ -247,18 +246,9 @@ fn main() {
         return;
     }
     // The cell executor's configuration, shared by every target that
-    // runs cells: checkpoints only when asked for one way or another.
-    let checkpointed = resume
-        || out_dir.is_some()
-        || max_cycles.is_some()
-        || max_wall.is_some()
-        || store.is_some();
+    // runs cells.
     let budget = ThreadBudget::clamp(workers);
     let mut cfg = SweepConfig::plain(max_procs, scale);
-    if checkpointed {
-        cfg.out_dir = Some(out_dir.clone().unwrap_or_else(|| "results".to_string()).into());
-    }
-    cfg.resume = resume;
     cfg.max_cycles = max_cycles;
     cfg.max_wall_secs = max_wall;
     cfg.native_reps = native.then_some(0);
@@ -266,13 +256,7 @@ fn main() {
     // Stats go to stderr so warm and cold stdout diff byte-identical.
     let cache_line = |rep: &SweepReport| {
         if let Some(s) = &store {
-            eprintln!(
-                "[cache: {}; cells executed {} served {} checkpoints current {}]",
-                s.stats_line(),
-                rep.executed,
-                rep.cache_hits,
-                rep.checkpoints_current
-            );
+            eprintln!("[cache: {}; cells executed {} served {}]", s.stats_line(), rep.executed, rep.cache_hits);
         }
     };
     // Exit non-zero on any race (or any cell that failed to run) — this is
@@ -393,7 +377,6 @@ fn main() {
         ccfg.only = bench.map(|b| vec![b]);
         ccfg.race_check = true;
         ccfg.native_check = native;
-        ccfg.cache = cache;
         let t0 = Instant::now();
         match dct_bench::run_chaos(&ccfg) {
             Ok(rep) => {
@@ -421,12 +404,8 @@ fn main() {
                 let cfg = SweepConfig { race_check, ..cfg.clone() };
                 let suite = sweep::sweep_suite(&cfg);
                 let rep = sweep::run_cells(&cfg, &sweep::table1_tasks(&suite, max_procs), budget);
-                if checkpointed {
-                    println!("{}", sweep::render_sweep(&rep.cells, max_procs, scale));
-                } else {
-                    let rows = harness::table1_rows(&suite, &rep.cells);
-                    println!("{}", harness::render_table1(&rows, max_procs));
-                }
+                let rows = harness::table1_rows(&suite, &rep.cells);
+                println!("{}", harness::render_table1(&rows, max_procs));
                 cache_line(&rep);
                 if race_check {
                     certify(&harness::race_cells(&rep.cells));

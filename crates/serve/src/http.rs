@@ -9,7 +9,7 @@
 //! | GET    | `/api/stats`           | cache + queue counters (JSON)          |
 //! | POST   | `/api/sweep`           | `{bench?,scale_milli?,procs?,race_check?}` -> `{job,cells}` |
 //! | GET    | `/api/job/<id>`        | job status + per-cell states (JSON)    |
-//! | GET    | `/api/job/<id>/table`  | rendered Table 1 (text; 409 until done)|
+//! | GET    | `/api/job/<id>/table`  | Table 1 as `repro table1` prints it (text; 409 until done)|
 //! | GET    | `/api/job/<id>/races`  | race certificate (text; 409 until done)|
 //! | GET    | `/api/explain/<bench>` | cached explain report (`?format=json`) |
 //! | GET    | `/api/figure/<fig>`    | speedup figure, cells cached (text)    |
@@ -21,8 +21,8 @@
 //! writes the shared content-addressed store.
 
 use crate::queue::{JobQueue, JobSpec, QueueConfig};
-use dct_bench::sweep::{self, render_sweep, CellOutcome, SweepConfig};
-use dct_bench::{harness, ResultStore, ThreadBudget};
+use dct_bench::sweep::{self, CellOutcome, SweepConfig};
+use dct_bench::{harness, programs, ResultStore, ThreadBudget};
 use dct_core::machine::MachineConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -41,7 +41,8 @@ pub struct ServeConfig {
     pub cache_dir: PathBuf,
     /// LRU byte budget of the store; `None` = unbounded.
     pub max_cache_bytes: Option<u64>,
-    /// Checkpoint directory for queued cells.
+    /// Inert (never read: the store is the only thing a cell writes);
+    /// goes with the follow-up benchmark PR.
     pub out_dir: PathBuf,
     /// Queue worker threads.
     pub workers: usize,
@@ -52,6 +53,8 @@ pub struct ServeConfig {
 struct State {
     queue: Arc<JobQueue>,
     store: Arc<ResultStore>,
+    /// Job tables' decompositions column, compiled once per program.
+    tables: harness::Table1Memo,
     stop: AtomicBool,
     port: u16,
 }
@@ -67,14 +70,11 @@ pub struct Server {
 impl Server {
     pub fn start(cfg: &ServeConfig) -> std::io::Result<Server> {
         let store = Arc::new(ResultStore::open(&cfg.cache_dir, cfg.max_cache_bytes)?);
-        let queue = JobQueue::start(QueueConfig {
-            out_dir: cfg.out_dir.clone(),
-            store: Arc::clone(&store),
-            workers: cfg.workers,
-        });
+        let queue = JobQueue::start(QueueConfig { store: Arc::clone(&store), workers: cfg.workers });
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
-        let state = Arc::new(State { queue, store, stop: AtomicBool::new(false), port });
+        let tables = harness::Table1Memo::default();
+        let state = Arc::new(State { queue, store, tables, stop: AtomicBool::new(false), port });
         let st = Arc::clone(&state);
         let accept = thread::spawn(move || {
             for conn in listener.incoming() {
@@ -255,7 +255,7 @@ fn api_stats(st: &State, stream: &mut TcpStream) {
     let body = format!(
         "{{\"cache\":{{\"hits\":{h},\"misses\":{m},\"inserts\":{i},\"evictions\":{e},\"corrupt\":{c}}},\
          \"queue\":{{\"jobs\":{},\"executed\":{},\"cache_hits\":{},\"deduped\":{},\"inflight\":{},\
-         \"keys_derived\":{},\"key_memo_hits\":{},\"checkpoints_written\":{},\"checkpoints_current\":{}}}}}\n",
+         \"keys_derived\":{},\"key_memo_hits\":{}}}}}\n",
         st.queue.job_count(),
         st.queue.executed.load(Ordering::Relaxed),
         st.queue.cache_hits.load(Ordering::Relaxed),
@@ -263,8 +263,6 @@ fn api_stats(st: &State, stream: &mut TcpStream) {
         st.queue.inflight_count(),
         st.queue.keys_derived(),
         st.queue.key_memo_hits(),
-        st.queue.checkpoints_written.load(Ordering::Relaxed),
-        st.queue.checkpoints_current.load(Ordering::Relaxed),
     );
     respond(stream, "200 OK", "application/json", &body);
 }
@@ -349,8 +347,11 @@ fn api_job(st: &State, stream: &mut TcpStream, path: &str) {
             if !job.is_done() {
                 return respond(stream, "409 Conflict", "text/plain", "job not complete\n");
             }
-            let table = render_sweep(&job.done_cells(), job.procs, job.scale);
-            respond(stream, "200 OK", "text/plain", &table);
+            // Table 1 of the job's benchmarks, as `repro table1` prints it.
+            let mut suite = programs::suite(job.scale);
+            suite.retain(|b| job.cells.iter().any(|c| c.bench == b.name));
+            let rows = st.tables.rows(&suite, &job.done_cells());
+            respond(stream, "200 OK", "text/plain", &harness::render_table1(&rows, job.procs));
         }
         "races" => {
             if !job.race_check {
@@ -437,7 +438,7 @@ fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
         Some(s) => s,
         None => return respond(stream, "404 Not Found", "text/plain", "unknown figure\n"),
     };
-    // The figure's cells go through the store; no checkpoint is kept.
+    // The figure's cells go through the store.
     let mut cfg = SweepConfig::plain(procs_list.iter().copied().max().unwrap_or(1), scale);
     cfg.cache = Some(Arc::clone(&st.store));
     match harness::run_figure(&spec, &procs_list, &cfg, ThreadBudget::clamp(1)).0 {

@@ -1,9 +1,10 @@
 //! The sweep job queue: submitted jobs expand into cells, cells drain
 //! through a fixed pool of worker threads, and every cell runs through
 //! [`dct_bench::sweep::compute_cell_supervised`] — the same self-healing
-//! protocol (cache lookup, retry ladder, watchdog, checkpoint + cache
-//! insert, quarantine) as a command-line sweep, so a queued cell and a
-//! swept cell can never diverge in behavior.
+//! protocol (cache lookup, retry ladder, watchdog, cache insert,
+//! quarantine) as a command-line sweep, so a queued cell and a swept cell
+//! can never diverge in behavior. The store is the only thing a cell
+//! writes.
 //!
 //! Identical in-flight cells are deduplicated by content-addressed cache
 //! key: two jobs submitting the same (program, strategy, options) cell
@@ -21,7 +22,6 @@ use dct_bench::sweep::{compute_cell_supervised, Cell, CellTask, SweepConfig, KIN
 use dct_bench::{CacheKey, KeyMemo, ResultStore};
 use dct_ir::{program_fingerprint, CancelToken, Program};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -33,8 +33,6 @@ pub const MAX_FINISHED_JOBS: usize = 4096;
 /// What the queue needs to know once, at startup.
 #[derive(Clone)]
 pub struct QueueConfig {
-    /// Checkpoint directory for cells (the store lives elsewhere).
-    pub out_dir: PathBuf,
     /// The shared content-addressed result store.
     pub store: Arc<ResultStore>,
     /// Worker threads draining the queue (cells in flight at once).
@@ -169,11 +167,6 @@ pub struct JobQueue {
     pub cache_hits: AtomicU64,
     /// Submissions that piggybacked on an identical in-flight cell.
     pub deduped: AtomicU64,
-    /// Cells whose checkpoint was written: every executed cell, and a
-    /// cache hit whose file was absent or differed.
-    pub checkpoints_written: AtomicU64,
-    /// Cache hits that found their checkpoint on disk and wrote nothing.
-    pub checkpoints_current: AtomicU64,
     cancel: CancelToken,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -193,8 +186,6 @@ impl JobQueue {
             executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoints_current: AtomicU64::new(0),
             cancel: CancelToken::new(),
             workers: Mutex::new(Vec::new()),
         });
@@ -212,7 +203,7 @@ impl JobQueue {
     /// The per-cell sweep config of a job's cells: what a worker runs
     /// `slot` under, and what its key is derived from.
     fn cell_config(&self, procs: usize, scale: f64, race_check: bool) -> SweepConfig {
-        let mut cfg = SweepConfig::new(procs, scale, self.cfg.out_dir.clone());
+        let mut cfg = SweepConfig::plain(procs, scale);
         cfg.race_check = race_check;
         cfg.cache = Some(Arc::clone(&self.cfg.store));
         cfg
@@ -373,11 +364,6 @@ fn worker_loop(q: &Arc<JobQueue>, rx: &Arc<Mutex<mpsc::Receiver<Arc<CellSlot>>>>
             q.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             q.executed.fetch_add(1, Ordering::Relaxed);
-        }
-        if run.checkpoint_current {
-            q.checkpoints_current.fetch_add(1, Ordering::Relaxed);
-        } else {
-            q.checkpoints_written.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(k) = &slot.key {
             q.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(k);

@@ -1,12 +1,18 @@
-//! The `repro` command line: `--procs` reaches the plain `table1` path,
-//! sizes out of range, unknown options, targets and benchmark names are
-//! refused before anything runs, cached tables, figures and ablations
-//! rerun warm without executing a cell, and the race check, `explain`,
-//! the native check and the chaos oracle run end to end.
+//! The `repro` command line: `--procs` reaches `table1`, sizes out of
+//! range, unknown options, targets and benchmark names are refused before
+//! anything runs, `table1` prints one table under every flag, cached
+//! tables, figures and ablations rerun warm without executing a cell, a
+//! budget is part of a cell's key, and the race check, `explain`, the
+//! native check, the chaos oracle, the paper-scale table smoke and the
+//! `repro serve` service run end to end.
 
+use dct_bench::sweep::json_num;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro")
@@ -14,8 +20,8 @@ fn repro(args: &[&str]) -> Output {
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
-/// A fresh directory, removed on drop; cached runs use it as their working
-/// directory, so the default `results/` checkpoint directory lands in it.
+/// A fresh directory, removed on drop; runs use it as their working
+/// directory, so the default `results/` output directory lands in it.
 struct Scratch(PathBuf);
 
 impl Scratch {
@@ -49,19 +55,20 @@ impl Drop for Scratch {
     }
 }
 
-/// `(file name, inode, mtime ns)` of every file in `dir`.
-fn stamps(dir: &Path) -> Vec<(String, u64, i64)> {
+/// `(path, inode, mtime ns)` of every file under `dir`, recursively: a
+/// rewrite goes through a rename, so it shows as a new inode.
+fn file_stamps(dir: &Path) -> Vec<(PathBuf, u64, i64)> {
     use std::os::unix::fs::MetadataExt;
-    let mut stamps: Vec<_> = std::fs::read_dir(dir)
-        .expect("checkpoint directory")
-        .map(|e| e.expect("directory entry").path())
-        .filter(|p| p.is_file())
-        .map(|p| {
+    let mut stamps = Vec::new();
+    for e in std::fs::read_dir(dir).expect("directory") {
+        let p = e.expect("directory entry").path();
+        if p.is_dir() {
+            stamps.extend(file_stamps(&p));
+        } else {
             let md = std::fs::metadata(&p).expect("file metadata");
-            let name = p.file_name().expect("file name").to_string_lossy().to_string();
-            (name, md.ino(), md.mtime() * 1_000_000_000 + md.mtime_nsec())
-        })
-        .collect();
+            stamps.push((p, md.ino(), md.mtime() * 1_000_000_000 + md.mtime_nsec()));
+        }
+    }
     stamps.sort();
     stamps
 }
@@ -138,30 +145,43 @@ fn table1_race_check_prints_table_and_certificate() {
     assert!(out.contains("all schedules certified race-free"), "{out}");
 }
 
-/// The cached table's acceptance bar: a second run against the same
-/// store executes nothing and prints the same bytes, and a third run into
-/// the checkpoint directory the second one filled finds every checkpoint
-/// current and touches none of them.
+/// `table1` prints Table 1 under every flag: cold and warm against a
+/// store, and under a wall budget, its stdout is the plain run's, and the
+/// warm run executes nothing.
 #[test]
-fn cached_table1_reruns_warm_and_leaves_current_checkpoints_alone() {
+fn cached_table1_reruns_warm_and_prints_the_plain_table() {
     let dir = Scratch::new();
-    let run = |out: &str| {
-        dir.repro(&[
-            "table1", "--scale", "0.1", "--procs", "8", "--cache", "--cache-dir", "cache", "--out",
-            out,
-        ])
-    };
-    let (cold, err) = run("ckpt1");
-    assert!(err.contains("cells executed 28 served 0"), "cold run must execute all 28 cells: {err}");
-    let (warm, err) = run("ckpt2");
-    assert!(err.contains("cells executed 0 served 28"), "warm run must serve all 28 cells: {err}");
-    assert_eq!(warm, cold, "a warm table must print the cold one's bytes");
-    let before = stamps(&dir.0.join("ckpt2"));
-    assert_eq!(before.len(), 28);
-    let (again, err) = run("ckpt2");
-    assert!(err.contains("cells executed 0 served 28 checkpoints current 28"), "{err}");
-    assert_eq!(again, cold);
-    assert_eq!(stamps(&dir.0.join("ckpt2")), before, "a current checkpoint was touched");
+    let args = ["table1", "--scale", "0.1", "--procs", "8"];
+    let (plain, _) = dir.repro(&args);
+    assert!(plain.starts_with("Table 1: summary at 8 processors"), "{plain}");
+    let cached = [&args[..], &["--cache", "--cache-dir", "cache"]].concat();
+    let (cold, err) = dir.repro(&cached);
+    assert!(err.contains("cells executed 28 served 0]"), "cold run must execute all 28 cells: {err}");
+    assert_eq!(cold, plain, "a cached table must print the plain one's bytes");
+    let before = file_stamps(&dir.0.join("cache"));
+    let (warm, err) = dir.repro(&cached);
+    assert!(err.contains("cells executed 0 served 28]"), "warm run must serve all 28 cells: {err}");
+    assert_eq!(warm, plain, "a warm table must print the plain one's bytes");
+    assert_eq!(file_stamps(&dir.0.join("cache")), before, "a warm run touched a store file");
+    let (budgeted, _) = dir.repro(&[&args[..], &["--max-wall", "600"]].concat());
+    assert_eq!(budgeted, plain, "a budget that bounds nothing must not change the table");
+}
+
+/// A budget is part of a cell's key: a run whose every cell times out,
+/// then the same run without the budget against the same store, prints
+/// the plain table with no `timeout` or `fail` (a resume keyed by cell
+/// identity used to print the timed-out table again).
+#[test]
+fn budget_change_misses_the_store() {
+    let dir = Scratch::new();
+    let args = ["table1", "--scale", "0.05", "--procs", "4", "--cache", "--cache-dir", "cache"];
+    let (timed_out, _) = dir.repro(&[&args[..], &["--max-cycles", "1000"]].concat());
+    assert!(timed_out.contains("! seq: over its budget (timeout)"), "{timed_out}");
+    let (free, err) = dir.repro(&args);
+    assert!(err.contains("cells executed 28 served 0]"), "a budget change must miss: {err}");
+    assert!(!free.contains("timeout") && !free.contains("fail"), "{free}");
+    let (plain, _) = dir.repro(&args[..5]);
+    assert_eq!(free, plain);
 }
 
 /// The ablations run at `--procs` and through the store: their four plain
@@ -237,4 +257,109 @@ fn explain_stencil_reports_and_replays() {
     }
     let json = std::fs::read_to_string(dir.0.join("results/explain_stencil.json")).expect("explain JSON written");
     assert_eq!(json.matches("\"memo\": \"Replayed\"").count(), 3, "{json}");
+}
+
+/// The paper-scale table's smoke: `repro table1 --scale 0.25` prints a
+/// row for every benchmark, none failed, well inside 120 s (about 2 s on
+/// one core; blowing the bound is a serious regression, not noise).
+#[test]
+fn table1_quarter_scale_smoke_within_budget() {
+    let dir = Scratch::new();
+    let start = Instant::now();
+    let (out, _) = dir.repro(&["table1", "--scale", "0.25"]);
+    let elapsed = start.elapsed();
+    for bench in ["vpenta", "lu", "stencil", "adi", "erlebacher", "swm256", "tomcatv"] {
+        let row = out.lines().find(|l| l.starts_with(bench)).unwrap_or_else(|| panic!("no {bench} row: {out}"));
+        assert!(!row.contains("fail"), "{row}");
+    }
+    assert!(elapsed < Duration::from_secs(120), "table1 --scale 0.25 took {elapsed:?} > 120 s");
+}
+
+/// One HTTP/1.1 exchange; returns (status code, body).
+fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    s.write_all(req.as_bytes()).expect("send request");
+    let mut resp = String::new();
+    s.read_to_string(&mut resp).expect("read response");
+    let status = resp.split_whitespace().nth(1).and_then(|c| c.parse().ok()).unwrap_or(0);
+    (status, resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default())
+}
+
+/// A `repro serve` child process, killed on drop if it is still running.
+struct Service(Child);
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Submit `body`, poll the job to completion, and return its table.
+fn served_table(port: u16, body: &str) -> String {
+    let (status, resp) = http(port, "POST", "/api/sweep", body);
+    assert_eq!(status, 200, "submit: {resp}");
+    let job = json_num(&resp, "job").expect("job id");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !http(port, "GET", &format!("/api/job/{job}"), "").1.contains("\"state\":\"done\"") {
+        assert!(Instant::now() < deadline, "job {job} never finished");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let (status, table) = http(port, "GET", &format!("/api/job/{job}/table"), "");
+    assert_eq!(status, 200, "{table}");
+    table
+}
+
+/// `repro serve` end to end: the served table is what `repro table1`
+/// prints for the same sizes, a warm resubmit compiles for no key,
+/// executes nothing, inserts nothing and touches no store file, and
+/// `/api/shutdown` drains the service, which exits cleanly.
+#[test]
+fn serve_table_matches_table1_and_warm_resubmit_writes_nothing() {
+    let dir = Scratch::new();
+    let mut service = Service(
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["serve", "--port", "0", "--cache-dir", "cache", "--workers", "2"])
+            .current_dir(&dir.0)
+            .stdout(Stdio::piped())
+            .stderr(std::fs::File::create(dir.0.join("serve.err")).expect("stderr log"))
+            .spawn()
+            .expect("spawn repro serve"),
+    );
+    let mut line = String::new();
+    BufReader::new(service.0.stdout.take().expect("stdout")).read_line(&mut line).expect("port line");
+    let port: u16 = line.trim().rsplit(':').next().and_then(|p| p.parse().ok()).unwrap_or_else(|| panic!("{line}"));
+
+    let body = "{\"scale_milli\":100,\"procs\":8}";
+    let table = served_table(port, body);
+    let (direct, _) = dir.repro(&["table1", "--scale", "0.1", "--procs", "8"]);
+    assert_eq!(direct, format!("{table}\n"), "the served table is not what repro table1 prints");
+
+    let counters = || {
+        let (_, stats) = http(port, "GET", "/api/stats", "");
+        ["keys_derived", "executed", "inserts"]
+            .map(|k| json_num(&stats, k).unwrap_or_else(|| panic!("{k} missing: {stats}")))
+    };
+    let (cold, before) = (counters(), file_stamps(&dir.0.join("cache")));
+    assert_eq!(cold[1..], [28, 28], "the cold job executes and stores every cell");
+    assert_eq!(served_table(port, body), table, "a warm job served a different table");
+    assert_eq!(counters(), cold, "a warm job compiled for a key, executed or inserted");
+    assert_eq!(file_stamps(&dir.0.join("cache")), before, "a warm job touched a store file");
+
+    assert_eq!(http(port, "POST", "/api/shutdown", "").0, 200);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = service.0.try_wait().expect("wait on serve") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "serve did not exit within 10 s of /api/shutdown");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "{status}");
+    let stderr = std::fs::read_to_string(dir.0.join("serve.err")).expect("serve stderr");
+    assert!(stderr.contains("shut down cleanly"), "{stderr}");
 }

@@ -1,10 +1,11 @@
 //! End-to-end smoke of `repro serve`, in-process: bind an ephemeral
 //! port, drive the JSON API with a raw `TcpStream` HTTP/1.1 client,
 //! and hold the service to the same oracle as the CLI — a job's table
-//! must be byte-identical to a direct supervised sweep with the same
-//! parameters, and a resubmitted job must be served entirely warm.
+//! must be byte-identical to Table 1 of a direct supervised sweep with the
+//! same parameters, and a resubmitted job must be served entirely warm.
 
-use dct_bench::sweep::{json_num, render_sweep, run_sweep_supervised, SweepConfig};
+use dct_bench::harness::{render_table1, table1_rows};
+use dct_bench::sweep::{json_num, run_sweep_supervised, sweep_suite, SweepConfig};
 use dct_bench::ThreadBudget;
 use dct_serve::queue::MAX_FINISHED_JOBS;
 use dct_serve::{JobQueue, JobSpec, QueueConfig, ServeConfig, Server};
@@ -115,16 +116,17 @@ fn serve_smoke_end_to_end() {
     let (status, table) = http(port, "GET", &format!("/api/job/{job}/table"), "");
     assert_eq!(status, 200);
 
-    // The oracle: a direct supervised sweep with the same parameters
-    // must render the exact same bytes.
-    let mut cfg = SweepConfig::new(4, 0.05, dir.path("direct"));
+    // The oracle: Table 1 of a direct supervised sweep with the same
+    // parameters must render the exact same bytes.
+    let mut cfg = SweepConfig::plain(4, 0.05);
     cfg.only = Some(vec!["stencil".to_string()]);
     let direct = run_sweep_supervised(&cfg).expect("direct sweep");
     assert_eq!(
         table,
-        render_sweep(&direct.cells, 4, 0.05),
+        render_table1(&table1_rows(&sweep_suite(&cfg), &direct.cells), 4),
         "served table diverges from a direct sweep"
     );
+    assert!(table.starts_with("Table 1: summary at 4 processors"), "{table}");
 
     // First run was cold...
     let (_, stats) = http(port, "GET", "/api/stats", "");
@@ -162,9 +164,17 @@ fn serve_smoke_end_to_end() {
     assert_eq!(status, 200, "spaced race_check was dropped: {cert}");
     assert!(cert.contains("(8 procs"), "certificate: {cert}");
     assert!(cert.contains("certificate: all 4 cells race-free"), "certificate: {cert}");
-    // A known key whose value does not parse is refused, not defaulted.
-    let (status, err) = http(port, "POST", "/api/sweep", "{\"bench\": \"stencil\", \"procs\": \"eight\"}");
-    assert_eq!(status, 400, "unparseable procs must be refused: {err}");
+    // A known key whose value does not parse is refused, not defaulted:
+    // a number that is not an integer is not its digit prefix (these two
+    // used to run at scale 0.001 and at P = 4).
+    for body in [
+        "{\"bench\": \"stencil\", \"procs\": \"eight\"}",
+        "{\"bench\":\"stencil\",\"scale_milli\":1e3,\"procs\":4}",
+        "{\"bench\":\"stencil\",\"procs\":4.9}",
+    ] {
+        let (status, err) = http(port, "POST", "/api/sweep", body);
+        assert_eq!(status, 400, "{body} must be refused: {err}");
+    }
     // Sizes out of range are refused where they enter: this scale used to
     // abort the whole server on a 20 PB allocation, this processor count
     // to trip the machine's 64-processor assert on every retry.
@@ -242,28 +252,28 @@ fn figure_is_served_from_its_cached_cells() {
     server.wait();
 }
 
-/// `(file name, inode, mtime ns)` of every checkpoint under `dir`.
-fn checkpoint_stamps(dir: &std::path::Path) -> Vec<(String, u64, i64)> {
+/// `(path, inode, mtime ns)` of every file under `dir`, recursively.
+fn file_stamps(dir: &std::path::Path) -> Vec<(PathBuf, u64, i64)> {
     use std::os::unix::fs::MetadataExt;
-    let mut stamps: Vec<_> = std::fs::read_dir(dir)
-        .expect("checkpoint directory")
-        .map(|e| e.expect("directory entry").path())
-        .filter(|p| p.is_file())
-        .map(|p| {
-            let md = std::fs::metadata(&p).expect("checkpoint metadata");
-            let name = p.file_name().expect("file name").to_string_lossy().to_string();
-            (name, md.ino(), md.mtime() * 1_000_000_000 + md.mtime_nsec())
-        })
-        .collect();
+    let mut stamps = Vec::new();
+    for e in std::fs::read_dir(dir).expect("directory") {
+        let p = e.expect("directory entry").path();
+        if p.is_dir() {
+            stamps.extend(file_stamps(&p));
+        } else {
+            let md = std::fs::metadata(&p).expect("file metadata");
+            stamps.push((p, md.ino(), md.mtime() * 1_000_000_000 + md.mtime_nsec()));
+        }
+    }
     stamps.sort();
     stamps
 }
 
 /// A warm job costs its look-ups: resubmitting the whole suite derives no
-/// key by compiling, writes no checkpoint, executes nothing, and serves
-/// the same table bytes.
+/// key by compiling, executes nothing, writes nothing to the store, and
+/// serves the same table bytes.
 #[test]
-fn warm_job_derives_no_key_and_writes_no_checkpoint() {
+fn warm_job_derives_no_key_and_writes_nothing_to_the_store() {
     let dir = Scratch::new();
     let server = Server::start(&ServeConfig {
         port: 0,
@@ -277,8 +287,7 @@ fn warm_job_derives_no_key_and_writes_no_checkpoint() {
     let port = server.port;
     let spec = "{\"scale_milli\":50,\"procs\":4}";
     let counters = |stats: &str| {
-        ["executed", "cache_hits", "deduped", "keys_derived", "key_memo_hits",
-         "checkpoints_written", "checkpoints_current"]
+        ["executed", "cache_hits", "deduped", "keys_derived", "key_memo_hits", "inserts"]
             .map(|k| json_num(stats, k).unwrap_or_else(|| panic!("{k} missing: {stats}")))
     };
 
@@ -286,32 +295,31 @@ fn warm_job_derives_no_key_and_writes_no_checkpoint() {
     wait_done(port, cold);
     let (_, table) = http(port, "GET", &format!("/api/job/{cold}/table"), "");
     let (_, stats) = http(port, "GET", "/api/stats", "");
-    // Existing fields keep their names and order; the four new ones follow.
     assert!(
         stats.contains("\"queue\":{\"jobs\":1,\"executed\":28,\"cache_hits\":0,\"deduped\":0,\"inflight\":0,\"keys_derived\":"),
         "{stats}"
     );
-    let [executed, hits, deduped, derived, memo_hits, written, current] = counters(&stats);
-    assert_eq!((executed, hits, deduped), (28, 0, 0), "{stats}");
+    assert!(!stats.contains("checkpoints"), "{stats}");
+    let [executed, hits, deduped, derived, memo_hits, inserts] = counters(&stats);
+    assert_eq!((executed, hits, deduped, inserts), (28, 0, 0, 28), "{stats}");
     // `seq` shares the `base` compile; vpenta and erlebacher are at their
     // size floor at this scale but still distinct programs.
     assert_eq!((derived, memo_hits), (21, 7), "{stats}");
-    assert_eq!((written, current), (28, 0), "{stats}");
-    let stamps = checkpoint_stamps(&dir.path("serve"));
+    let stamps = file_stamps(&dir.path("cache"));
     assert_eq!(stamps.len(), 28);
+    assert!(!dir.path("serve").exists(), "a job wrote outside the store");
 
     let warm = submit_cells(port, spec, 28);
     wait_done(port, warm);
     let (_, retable) = http(port, "GET", &format!("/api/job/{warm}/table"), "");
     assert_eq!(retable, table, "warm table must be byte-identical");
     let (_, stats) = http(port, "GET", "/api/stats", "");
-    let [executed, hits, deduped, derived2, memo_hits2, written2, current2] = counters(&stats);
+    let [executed, hits, deduped, derived2, memo_hits2, inserts2] = counters(&stats);
     assert_eq!((executed, hits, deduped), (28, 28, 0), "{stats}");
     assert_eq!(derived2, derived, "a warm job compiled for a key: {stats}");
     assert_eq!(memo_hits2, memo_hits + 28, "{stats}");
-    assert_eq!(written2, written, "a warm job wrote a checkpoint: {stats}");
-    assert_eq!(current2, 28, "{stats}");
-    assert_eq!(checkpoint_stamps(&dir.path("serve")), stamps, "a current checkpoint was touched");
+    assert_eq!(inserts2, inserts, "a warm job inserted a cell: {stats}");
+    assert_eq!(file_stamps(&dir.path("cache")), stamps, "a warm job touched a store file");
 
     server.stop();
     server.wait();
@@ -326,7 +334,7 @@ fn warm_job_derives_no_key_and_writes_no_checkpoint() {
 fn finished_jobs_beyond_the_cap_are_forgotten_oldest_first() {
     let dir = Scratch::new();
     let store = Arc::new(dct_bench::ResultStore::open(dir.path("cache"), None).expect("store"));
-    let queue = JobQueue::start(QueueConfig { out_dir: dir.path("out"), store, workers: 1 });
+    let queue = JobQueue::start(QueueConfig { store, workers: 1 });
     let spec =
         JobSpec { bench: Some("stencil".to_string()), scale: 0.05, procs: 2, race_check: false };
     let run = |want_id: u64| {
