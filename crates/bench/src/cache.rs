@@ -18,18 +18,14 @@
 //! bit costs one recompute, never a wrong table. An optional byte budget
 //! is enforced by an LRU sweep over entry mtimes. The chaos fault sites of
 //! the durable record (`cache-write-io`, `cache-torn`, `cache-bit-flip`,
-//! `cache-truncate`, `cache-read-io`) live here.
-//!
-//! The same store also holds rendered *artifacts* (explain reports) in a
-//! sibling envelope `{"schema":2,"crc64":...,"artifact":"..."}` so the
-//! serve API can answer explain requests from cache.
+//! `cache-truncate`, `cache-read-io`) live here. Cells are the only kind
+//! of entry: a profiled cell (`repro explain`, `/api/explain`) carries its
+//! memory profile in its own envelope.
 
 use crate::ablate::Variant;
 use crate::chaos::{fires, FaultInjector, FaultSite};
 use crate::harness::atomic_write_sync;
-use crate::sweep::{
-    checkpoint_from_json, checkpoint_to_json, esc, fnv64, json_str, Cell, CKPT_SCHEMA,
-};
+use crate::sweep::{checkpoint_from_json, checkpoint_to_json, Cell};
 use dct_core::{Compiler, Strategy};
 use dct_decomp::{CompRow, Decomposition, Folding};
 use dct_ir::{FpHasher, Program};
@@ -320,37 +316,6 @@ impl KeyMemo {
     }
 }
 
-/// Key of a rendered artifact (explain report): the cell-key machinery
-/// over every per-strategy compile, plus an artifact tag, so a report is
-/// reusable exactly when all its inputs are.
-pub fn artifact_cache_key(
-    tag: &str,
-    bench: &str,
-    prog: &Program,
-    procs: usize,
-    scale_milli: i64,
-) -> Result<CacheKey, String> {
-    let mut h = FpHasher::new();
-    h.write_str("dct-cache-artifact");
-    h.write_u32(CACHE_KEY_SCHEMA);
-    h.write_str(tag);
-    for kind in ["seq", "base", "comp", "full"] {
-        let (strategy, procs) = kind_strategy(kind, procs);
-        let compiled = Compiler::new(strategy).compile(prog).map_err(|e| e.to_string())?;
-        h.add_program(&compiled.program);
-        h.write_str(compiled.rung.label());
-        hash_decomposition(&mut h, &compiled.decomposition);
-        h.write_u64(procs as u64);
-    }
-    h.write_i64(scale_milli);
-    Ok(CacheKey {
-        bench: bench.to_string(),
-        kind: tag.to_string(),
-        procs,
-        hash: h.finish128(),
-    })
-}
-
 // --------------------------------------------------------------- store --
 
 /// Monotonic counters of one store's lifetime (shared across threads).
@@ -462,64 +427,15 @@ impl ResultStore {
         }
     }
 
-    /// Insert a cell (atomic + durable), with the write fault hooks. The
-    /// sweep treats an error as an unfinished cell: the attempt is retried
-    /// by the ladder.
-    pub fn insert_cell(
-        &self,
-        key: &CacheKey,
-        cell: &Cell,
-        inj: Option<&FaultInjector>,
-    ) -> io::Result<()> {
-        self.insert_raw(key, &checkpoint_to_json(cell), inj)
-    }
-
-    /// Artifact envelope: same schema/crc64 discipline as cell entries.
-    pub fn insert_artifact(
-        &self,
-        key: &CacheKey,
-        text: &str,
-        inj: Option<&FaultInjector>,
-    ) -> io::Result<()> {
-        let body = format!("\"{}\"", esc(text));
-        let json = format!(
-            "{{\"schema\":{CKPT_SCHEMA},\"crc64\":\"{:016x}\",\"artifact\":{body}}}",
-            fnv64(body.as_bytes())
-        );
-        self.insert_raw(key, &json, inj)
-    }
-
-    /// Look an artifact up, verifying its checksum; corrupt entries are
-    /// quarantined and miss.
-    pub fn lookup_artifact(&self, key: &CacheKey) -> Option<String> {
-        let path = self.path_of(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match verify_artifact(&text) {
-            Ok(a) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(a)
-            }
-            Err(reason) => {
-                self.quarantine(&path, &reason);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Write one entry atomically and durably, with the fault hooks of the
+    /// Insert a cell atomically and durably, with the fault hooks of the
     /// write path: an IO error before the temp file exists, a crash
     /// between the temp write and the rename (half the temp file lands;
     /// the retry's own write replaces it), and bit-rot or truncation of
     /// the final file after a clean write (the checksum catches both on
-    /// the next look-up).
-    fn insert_raw(&self, key: &CacheKey, json: &str, inj: Option<&FaultInjector>) -> io::Result<()> {
+    /// the next look-up). The sweep treats an error as an unfinished cell:
+    /// the attempt is retried by the ladder.
+    pub fn insert_cell(&self, key: &CacheKey, cell: &Cell, inj: Option<&FaultInjector>) -> io::Result<()> {
+        let json = checkpoint_to_json(cell);
         let name = key.filename();
         if fires(inj, FaultSite::CacheWriteIo, &name) {
             return Err(io::Error::other(format!("injected: cache write IO error ({name})")));
@@ -594,31 +510,6 @@ impl ResultStore {
         }
         evicted
     }
-}
-
-/// Parse + verify an artifact envelope. `Err` carries why the file is
-/// untrustworthy.
-fn verify_artifact(s: &str) -> Result<String, String> {
-    let schema = crate::sweep::json_num(s, "schema").ok_or("schema field unreadable")?;
-    if schema != CKPT_SCHEMA {
-        return Err(format!("unsupported schema {schema} (this build reads {CKPT_SCHEMA})"));
-    }
-    let crc = u64::from_str_radix(&json_str(s, "crc64").ok_or("crc64 field unreadable")?, 16)
-        .map_err(|_| "crc64 field unreadable".to_string())?;
-    let pat = "\"artifact\":";
-    let start = s.find(pat).ok_or("artifact body missing")? + pat.len();
-    let trimmed = s.trim_end();
-    if trimmed.len() <= start + 1 {
-        return Err("truncated artifact body".to_string());
-    }
-    let body = &trimmed[start..trimmed.len() - 1];
-    let actual = fnv64(body.as_bytes());
-    if actual != crc {
-        return Err(format!(
-            "content checksum mismatch: stored {crc:016x}, computed {actual:016x} (corrupt entry)"
-        ));
-    }
-    json_str(s, "artifact").ok_or_else(|| "unparseable artifact body".to_string())
 }
 
 #[cfg(test)]
@@ -909,27 +800,6 @@ mod tests {
         // Consumed once: the retry succeeds.
         store.insert_cell(&key, &sample_cell(1), Some(&inj)).expect("retry clean");
         assert!(store.lookup_cell(&key).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn artifact_roundtrip_and_corruption() {
-        let dir = tmpdir("artifact");
-        let store = ResultStore::open(&dir, None).expect("open");
-        let suite = programs::suite(0.1);
-        let b = suite.iter().find(|b| b.name == "stencil").expect("stencil");
-        let key = artifact_cache_key("explain", "stencil", &b.program, 8, 100).expect("key");
-        let text = "why is this slow\nline two\t\"quoted\"";
-        store.insert_artifact(&key, text, None).expect("insert");
-        assert_eq!(store.lookup_artifact(&key).as_deref(), Some(text));
-
-        let path = dir.join(key.shard()).join(key.filename());
-        let mut bytes = std::fs::read(&path).expect("read");
-        let mid = bytes.len() - 4;
-        bytes[mid] ^= 0x02;
-        std::fs::write(&path, &bytes).expect("corrupt");
-        assert!(store.lookup_artifact(&key).is_none(), "corrupt artifact must miss");
-        assert!(dir.join("corrupt").join(key.filename()).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

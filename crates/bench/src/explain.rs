@@ -8,141 +8,92 @@
 //! direct-mapped conflict pathology vanishes under strip-mining") become
 //! measured artifacts instead of prose. A JSON artifact is written under
 //! `results/` by the CLI.
+//!
+//! Each strategy is a cell of the one executor ([`run_cells`]) with the
+//! profiler on: the cell carries its profile ([`CellProfile`]), in the
+//! store too, so a warm `--cache` run renders the cold run's bytes
+//! without simulating.
 
+use crate::ablate::Variant;
+use crate::cache::kind_strategy;
+use crate::harness::ThreadBudget;
 use crate::programs;
-use dct_core::{rung_sim_options, Compiler, Strategy};
-use dct_ir::{panic_message, MemProfile, Program};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::sweep::{run_cells, Cell, CellProfile, CellTask, SweepConfig, SweepReport};
+use dct_core::Strategy;
+use dct_ir::{esc, MemProfile};
 
-/// One profiled run of a benchmark under one strategy.
-#[derive(Clone, Debug)]
-pub struct ExplainRun {
-    /// Wall-clock simulated cycles.
-    pub cycles: u64,
-    /// The attribution profile.
-    pub profile: MemProfile,
-    /// The rung actually realized (after any strategy degradation).
-    pub rung_label: String,
-    /// The run's walk counters, replay outcome and observer footprint.
-    pub fast: dct_spmd::exec::FastPathStats,
-}
-
-/// One benchmark x strategy cell of the explain sweep.
-#[derive(Clone, Debug)]
-pub struct StrategyExplain {
-    pub strategy: Strategy,
-    pub outcome: Result<ExplainRun, String>,
-}
-
-/// The explain report for one benchmark.
+/// The explain report for one benchmark: one profiled cell per strategy.
 #[derive(Clone, Debug)]
 pub struct ExplainResult {
     pub benchmark: String,
     pub procs: usize,
     pub scale: f64,
-    pub strategies: Vec<StrategyExplain>,
+    /// The strategy cells, in the order asked for.
+    pub cells: Vec<Cell>,
+}
+
+/// The cell kind of a strategy (the inverse of `cache::kind_strategy`).
+fn strategy_kind(s: Strategy) -> &'static str {
+    match s {
+        Strategy::Base => "base",
+        Strategy::CompDecomp => "comp",
+        Strategy::Full => "full",
+    }
+}
+
+/// The strategy label of a cell.
+fn strategy_label(c: &Cell) -> &'static str {
+    kind_strategy(&c.kind, c.procs).0.label()
+}
+
+/// A cell's cycles and profile, or why it has none.
+fn profiled(c: &Cell) -> Result<(u64, &CellProfile), String> {
+    let cycles = c.cycles()?;
+    c.profile.as_deref().map(|p| (cycles, p)).ok_or_else(|| "profiler produced no profile".to_string())
 }
 
 impl ExplainResult {
     /// The profile of one strategy's run, if it succeeded.
     pub fn profile_of(&self, strategy: Strategy) -> Option<&MemProfile> {
-        self.strategies
-            .iter()
-            .find(|s| s.strategy == strategy)
-            .and_then(|s| s.outcome.as_ref().ok())
-            .map(|r| &r.profile)
+        let cell = self.cells.iter().find(|c| c.kind == strategy_kind(strategy))?;
+        profiled(cell).ok().map(|(_, p)| &p.mem)
     }
 }
 
-fn run_explain_cell(
-    prog: &Program,
-    params: &[i64],
-    procs: usize,
-    strategy: Strategy,
-) -> Result<ExplainRun, String> {
-    let body = || -> Result<ExplainRun, String> {
-        let c = Compiler::new(strategy);
-        let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-        let mut opts = rung_sim_options(compiled.rung, procs, params.to_vec());
-        opts.profile = true;
-        let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
-            .map_err(|e| e.to_string())?;
-        let profile = r.mem_profile.ok_or_else(|| "profiler produced no profile".to_string())?;
-        let rung_label = compiled.rung.label().to_string();
-        Ok(ExplainRun { cycles: r.cycles, profile, rung_label, fast: r.fast })
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(r) => r,
-        Err(p) => Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
-    }
-}
-
-/// Profile `benchmark` under every strategy at `procs` processors and
-/// `scale` of the paper problem size. Returns `None` for an unknown
+/// Profile `benchmark` under every strategy at `cfg.procs` processors and
+/// `cfg.scale` of the paper problem size. Returns `None` for an unknown
 /// benchmark name.
-pub fn explain(benchmark: &str, scale: f64, procs: usize) -> Option<ExplainResult> {
-    explain_strategies(benchmark, scale, procs, &Strategy::ALL)
-}
-
-/// [`explain`] behind the content-addressed store: the rendered text and
-/// JSON reports are cached as artifacts keyed on the compiled programs
-/// (all strategies), so a repeat `repro explain --cache` serves both
-/// without re-simulating. Returns `(text, json)`; `None` for an unknown
-/// benchmark.
-pub fn explain_cached(
-    benchmark: &str,
-    scale: f64,
-    procs: usize,
-    store: &crate::cache::ResultStore,
-) -> Option<(String, String)> {
-    let bench = programs::suite(scale).into_iter().find(|b| b.name == benchmark)?;
-    let scale_milli = crate::sweep::scale_key(scale);
-    let key = |tag: &str| {
-        crate::cache::artifact_cache_key(tag, benchmark, &bench.program, procs, scale_milli)
-            .map_err(|e| eprintln!("[cache: explain key derivation failed: {e}]"))
-            .ok()
-    };
-    let (tkey, jkey) = (key("explain-text"), key("explain-json"));
-    if let (Some(tk), Some(jk)) = (&tkey, &jkey) {
-        if let (Some(text), Some(json)) = (store.lookup_artifact(tk), store.lookup_artifact(jk)) {
-            return Some((text, json));
-        }
-    }
-    let r = explain(benchmark, scale, procs)?;
-    let text = render_explain(&r);
-    let json = explain_json(&r);
-    if let (Some(tk), Some(jk)) = (&tkey, &jkey) {
-        let write = store
-            .insert_artifact(tk, &text, None)
-            .and_then(|()| store.insert_artifact(jk, &json, None));
-        if let Err(e) = write {
-            // Artifact caching is best-effort: the report itself already
-            // exists, so a failed insert only costs the next run a redo.
-            eprintln!("[cache: explain insert failed: {e}]");
-        }
-    }
-    Some((text, json))
+pub fn explain(benchmark: &str, cfg: &SweepConfig, budget: ThreadBudget) -> Option<(ExplainResult, SweepReport)> {
+    explain_strategies(benchmark, cfg, budget, &Strategy::ALL)
 }
 
 /// [`explain`] restricted to a strategy subset — the diagnosis tests use
 /// this to skip strategies irrelevant to (and much slower than) the claim
-/// under test.
+/// under test. The strategies are cells of one [`run_cells`] call with
+/// the profiler on, so `cfg`'s store, budgets, native leg and retry
+/// ladder apply; the returned report carries the run's counters, its
+/// cells moved into the result.
 pub fn explain_strategies(
     benchmark: &str,
-    scale: f64,
-    procs: usize,
+    cfg: &SweepConfig,
+    budget: ThreadBudget,
     strategies: &[Strategy],
-) -> Option<ExplainResult> {
-    let bench = programs::suite(scale).into_iter().find(|b| b.name == benchmark)?;
-    let params = bench.program.default_params();
-    let strategies = strategies
+) -> Option<(ExplainResult, SweepReport)> {
+    let bench = programs::suite(cfg.scale).into_iter().find(|b| b.name == benchmark)?;
+    let cfg = SweepConfig { profile: true, ..cfg.clone() };
+    let tasks: Vec<CellTask> = strategies
         .iter()
-        .map(|&strategy| StrategyExplain {
-            strategy,
-            outcome: run_explain_cell(&bench.program, &params, procs, strategy),
+        .map(|&s| CellTask {
+            prog: &bench.program,
+            bench: bench.name,
+            kind: strategy_kind(s),
+            procs: cfg.procs,
+            variant: Variant::Default,
         })
         .collect();
-    Some(ExplainResult { benchmark: benchmark.to_string(), procs, scale, strategies })
+    let mut rep = run_cells(&cfg, &tasks, budget);
+    let cells = std::mem::take(&mut rep.cells);
+    Some((ExplainResult { benchmark: benchmark.to_string(), procs: cfg.procs, scale: cfg.scale, cells }, rep))
 }
 
 /// The dominant miss class of a profile total, as a short diagnosis.
@@ -172,25 +123,21 @@ pub fn render_explain(r: &ExplainResult) -> String {
         "# explain {} — {} processors, scale {} (why is this slow?)\n",
         r.benchmark, r.procs, r.scale
     ));
-    for s in &r.strategies {
-        match &s.outcome {
-            Ok(run) => {
-                out.push_str(&format!(
-                    "\n== {} [{}]: {} cycles ==\n",
-                    s.strategy.label(),
-                    run.rung_label,
-                    run.cycles
-                ));
-                out.push_str(&run.profile.render_ranked(10));
-                let t = run.profile.total();
+    for c in &r.cells {
+        let label = strategy_label(c);
+        match profiled(c) {
+            Ok((cycles, p)) => {
+                out.push_str(&format!("\n== {label} [{}]: {cycles} cycles ==\n", p.rung));
+                out.push_str(&p.mem.render_ranked(10));
+                let t = p.mem.total();
                 out.push_str(&format!(
                     "diagnosis: {}; {:.1}% of fills remote; {} invalidations\n",
-                    dominant_class(&run.profile),
+                    dominant_class(&p.mem),
                     100.0 * t.remote_fraction(),
                     t.invalidations
                 ));
             }
-            Err(e) => out.push_str(&format!("\n== {}: failed: {e} ==\n", s.strategy.label())),
+            Err(e) => out.push_str(&format!("\n== {label}: failed: {e} ==\n")),
         }
     }
     // Cross-strategy verdicts: the paper's headline claims, measured.
@@ -225,29 +172,17 @@ pub fn explain_json(r: &ExplainResult) -> String {
     out.push_str(&format!("  \"procs\": {},\n", r.procs));
     out.push_str(&format!("  \"scale\": {},\n", r.scale));
     out.push_str("  \"strategies\": [\n");
-    for (k, s) in r.strategies.iter().enumerate() {
-        let comma = if k + 1 == r.strategies.len() { "" } else { "," };
-        match &s.outcome {
-            Ok(run) => {
-                out.push_str(&format!(
-                    "    {{\"strategy\": \"{}\", \"rung\": \"{}\", \"cycles\": {}, \"memo\": \"{:?}\", \"replayed_steps\": {}, {}, {}, \"profile\": {}}}{comma}\n",
-                    s.strategy.label(),
-                    run.rung_label,
-                    run.cycles,
-                    run.fast.memo,
-                    run.fast.replayed_steps,
-                    run.fast.reasons_json(),
-                    run.fast.observer_bytes_json(),
-                    run.profile.to_json("    ")
-                ));
-            }
-            Err(e) => {
-                out.push_str(&format!(
-                    "    {{\"strategy\": \"{}\", \"error\": \"{}\"}}{comma}\n",
-                    s.strategy.label(),
-                    crate::sweep::esc(e)
-                ));
-            }
+    for (k, c) in r.cells.iter().enumerate() {
+        let comma = if k + 1 == r.cells.len() { "" } else { "," };
+        let label = strategy_label(c);
+        match profiled(c) {
+            Ok((cycles, p)) => out.push_str(&format!(
+                "    {{\"strategy\": \"{label}\", \"rung\": \"{}\", \"cycles\": {cycles}, {}, \"profile\": {}}}{comma}\n",
+                esc(&p.rung),
+                p.host,
+                p.mem.to_json("    ")
+            )),
+            Err(e) => out.push_str(&format!("    {{\"strategy\": \"{label}\", \"error\": \"{}\"}}{comma}\n", esc(&e))),
         }
     }
     out.push_str("  ]\n}\n");
@@ -257,31 +192,36 @@ pub fn explain_json(r: &ExplainResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::CellOutcome;
+
+    fn cfg(procs: usize, scale: f64) -> SweepConfig {
+        SweepConfig::plain(procs, scale)
+    }
 
     #[test]
     fn unknown_benchmark_is_none() {
-        assert!(explain("nonesuch", 0.1, 4).is_none());
+        assert!(explain("nonesuch", &cfg(4, 0.1), ThreadBudget::clamp(1)).is_none());
     }
 
     /// A failed strategy's reason is escaped like every other JSON string,
     /// so no raw control character reaches the artifact.
     #[test]
     fn failed_strategy_error_is_escaped() {
-        let outcome = Err("bad\t\"x\"\r\nend\\".to_string());
-        let strategies = vec![StrategyExplain { strategy: Strategy::Full, outcome }];
-        let r = ExplainResult { benchmark: "stencil".into(), procs: 4, scale: 0.1, strategies };
+        let cell = Cell::new("stencil", "full", 4, 0.1, CellOutcome::Failed("bad\t\"x\"\r\nend\\".to_string()));
+        let r = ExplainResult { benchmark: "stencil".into(), procs: 4, scale: 0.1, cells: vec![cell] };
         let json = explain_json(&r);
         assert!(json.contains(r#""error": "bad\t\"x\"\u000d\nend\\""#), "{json}");
     }
 
     #[test]
     fn explain_stencil_small() {
-        let r = explain("stencil", 0.05, 4).expect("stencil is a suite benchmark");
-        assert_eq!(r.strategies.len(), Strategy::ALL.len());
-        for s in &r.strategies {
-            let run = s.outcome.as_ref().expect("cell must run");
-            assert!(run.cycles > 0);
-            let t = run.profile.total();
+        let (r, rep) = explain("stencil", &cfg(4, 0.05), ThreadBudget::clamp(2)).expect("stencil is a suite benchmark");
+        assert_eq!(r.cells.len(), Strategy::ALL.len());
+        assert_eq!((rep.executed, rep.cache_hits), (3, 0));
+        for c in &r.cells {
+            let (cycles, p) = profiled(c).expect("cell must run");
+            assert!(cycles > 0);
+            let t = p.mem.total();
             assert!(t.accesses > 0);
             assert_eq!(t.classified(), t.misses());
         }

@@ -169,10 +169,6 @@ pub fn profile_all(ids: &[String], procs: usize, scale: f64) -> Vec<FigureProfil
     specs.iter().map(|spec| profile_figure(spec, procs)).collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Render the profiles as a JSON document (no external dependencies, so
 /// the encoding is hand-rolled; all fields are numbers or plain strings).
 pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
@@ -190,14 +186,14 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
     out.push_str("  \"figures\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"id\": \"{}\",\n", json_escape(&p.id)));
-        out.push_str(&format!("      \"benchmark\": \"{}\",\n", json_escape(&p.benchmark)));
-        out.push_str(&format!("      \"size\": \"{}\",\n", json_escape(&p.size_label)));
+        out.push_str(&format!("      \"id\": \"{}\",\n", dct_ir::esc(&p.id)));
+        out.push_str(&format!("      \"benchmark\": \"{}\",\n", dct_ir::esc(&p.benchmark)));
+        out.push_str(&format!("      \"size\": \"{}\",\n", dct_ir::esc(&p.size_label)));
         out.push_str(&format!("      \"procs\": {},\n", p.procs));
         out.push_str("      \"strategies\": [\n");
         for (j, s) in p.strategies.iter().enumerate() {
             out.push_str("        {\n");
-            out.push_str(&format!("          \"strategy\": \"{}\",\n", json_escape(s.strategy)));
+            out.push_str(&format!("          \"strategy\": \"{}\",\n", dct_ir::esc(s.strategy)));
             out.push_str(&format!("          \"wall_secs\": {:.4},\n", s.wall_secs));
             out.push_str(&format!("          \"sim_accesses\": {},\n", s.accesses));
             out.push_str(&format!("          \"accesses_per_sec\": {:.0},\n", s.accesses_per_sec));

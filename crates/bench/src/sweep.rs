@@ -26,7 +26,8 @@ use crate::harness::{atomic_write_sync, par_map, ThreadBudget};
 use crate::native_check::{native_leg, NATIVE_DIVERGES};
 use crate::programs::{self, Benchmark};
 use dct_core::{rung_sim_options, Compiler};
-use dct_ir::{panic_message, CancelToken, Program};
+use dct_ir::{esc, panic_message, CancelToken, MemProfile, Program};
+use dct_spmd::exec::FastPathStats;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -76,6 +77,33 @@ pub struct Cell {
     pub race: Option<(u64, u64)>,
     /// Barriers the run executed, when the cell completed.
     pub barriers: Option<u64>,
+    /// What a completed run under the memory profiler recorded; `None`
+    /// when the profiler was off.
+    pub profile: Option<Box<CellProfile>>,
+}
+
+/// The memory profile of one completed cell, with the run facts `repro
+/// explain` prints beside it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellProfile {
+    /// The compile rung the cell ran on (after any strategy degradation).
+    pub rung: String,
+    /// The host-side JSON members of the run, as [`host_members`] wrote
+    /// them.
+    pub host: String,
+    pub mem: MemProfile,
+}
+
+/// The JSON members that say how the host ran a simulation: the replay
+/// outcome, the walk counters and the observers' footprint.
+fn host_members(fast: &FastPathStats) -> String {
+    format!(
+        "\"memo\": \"{:?}\", \"replayed_steps\": {}, {}, {}",
+        fast.memo,
+        fast.replayed_steps,
+        fast.reasons_json(),
+        fast.observer_bytes_json()
+    )
 }
 
 /// Scale as an integer key (milli-units) so float formatting can never
@@ -102,6 +130,7 @@ impl Cell {
             fingerprint: None,
             race: None,
             barriers: None,
+            profile: None,
         }
     }
 
@@ -121,21 +150,6 @@ impl Cell {
 }
 
 // ---------------------------------------------------------------- JSON --
-
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// FNV-1a, 64-bit: the envelope content checksum and the fingerprint
 /// hash. Not cryptographic — it guards against torn writes and storage
@@ -183,6 +197,12 @@ pub fn cell_to_json(c: &Cell) -> String {
     }
     if let Some(b) = c.barriers {
         s.push_str(&format!(",\"barriers\":{b}"));
+    }
+    // Last, as escaped strings: a quote inside one is always `\"`, so no
+    // text in them can read as an earlier member's `"key":`.
+    if let Some(p) = &c.profile {
+        let (rung, host, mem) = (esc(&p.rung), esc(&p.host), esc(&p.mem.encode()));
+        s.push_str(&format!(",\"rung\":\"{rung}\",\"host\":\"{host}\",\"mem\":\"{mem}\""));
     }
     s.push('}');
     s
@@ -269,6 +289,10 @@ pub fn cell_from_json(s: &str) -> Option<Cell> {
     c.fingerprint = json_hex(s, "fpr");
     c.race = json_num(s, "checked").zip(json_num(s, "sync_edges")).map(|(a, b)| (a as u64, b as u64));
     c.barriers = json_num(s, "barriers").map(|b| b as u64);
+    c.profile = (|| {
+        let mem = MemProfile::decode(&json_str(s, "mem")?)?;
+        Some(Box::new(CellProfile { rung: json_str(s, "rung")?, host: json_str(s, "host")?, mem }))
+    })();
     Some(c)
 }
 
@@ -424,11 +448,11 @@ impl SweepConfig {
 
     /// Can `cell`, found in the store, stand in for a run under this
     /// config? Only a timed-out one or a completed one that
-    /// carries its barrier count, and under the race detector only one
-    /// that carries the detector's counts.
+    /// carries its barrier count (and under the profiler its profile), and
+    /// under the race detector only one that carries the detector's counts.
     fn reusable(&self, cell: &Cell) -> bool {
         let finished = match cell.outcome {
-            CellOutcome::Cycles(_) => cell.barriers.is_some(),
+            CellOutcome::Cycles(_) => cell.barriers.is_some() && (!self.profile || cell.profile.is_some()),
             CellOutcome::Timeout => true,
             _ => false,
         };
@@ -512,16 +536,20 @@ impl SweepReport {
 }
 
 /// What a successful compute attempt measured, before it gets the cell's
-/// identity; `cycles` is `None` when the run hit its budget. It owns no
-/// heap memory: the attempt runs on its own short-lived thread, and a
-/// long-lived allocation made there after the simulation would pin the
-/// simulation's freed pages in that thread's allocator arena.
+/// identity; `cycles` is `None` when the run hit its budget. Beyond the
+/// profile the run itself built, it owns no heap memory: the attempt runs
+/// on its own short-lived thread, and a long-lived allocation made there
+/// after the simulation would pin the simulation's freed pages in that
+/// thread's allocator arena. So the [`CellProfile`] strings are built on
+/// the pool thread.
 struct CellSim {
     cycles: Option<u64>,
     checksum_bits: Option<u64>,
     fingerprint: Option<u64>,
     race: Option<(u64, u64)>,
     barriers: Option<u64>,
+    /// A completed profiled run's profile, rung label and walk counters.
+    profile: Option<(MemProfile, &'static str, FastPathStats)>,
 }
 
 /// Simulate one cell once, on one rung, under a cancellation token,
@@ -571,6 +599,7 @@ fn compute_attempt(
                 fingerprint: cell.fingerprint,
                 race: cell.race,
                 barriers: cell.barriers,
+                profile: None,
             },
             None => simulate_cell(&compiled, &opts)?,
         };
@@ -588,7 +617,7 @@ fn compute_attempt(
 /// The simulation of one compiled cell, with its bit-identity
 /// fingerprint: checksum bits plus every enabled observer's full output.
 fn simulate_cell(compiled: &dct_core::Compiled, opts: &dct_spmd::SimOptions) -> Result<CellSim, String> {
-    let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, opts).map_err(|e| e.to_string())?;
+    let mut r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, opts).map_err(|e| e.to_string())?;
     if r.cancelled {
         return Err("cancelled at a sync-point boundary (watchdog)".to_string());
     }
@@ -599,7 +628,7 @@ fn simulate_cell(compiled: &dct_core::Compiled, opts: &dct_spmd::SimOptions) -> 
     }
     let race = r.race.as_ref().map(|rep| (rep.checked, rep.sync_edges));
     if r.timed_out {
-        return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race, barriers: None });
+        return Ok(CellSim { cycles: None, checksum_bits: None, fingerprint: None, race, barriers: None, profile: None });
     }
     let bits = r.checksum.to_bits();
     let mut buf = bits.to_le_bytes().to_vec();
@@ -610,7 +639,8 @@ fn simulate_cell(compiled: &dct_core::Compiled, opts: &dct_spmd::SimOptions) -> 
         buf.extend_from_slice(format!("{:?}", mp.rows).as_bytes());
     }
     let fingerprint = Some(fnv64(&buf));
-    Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race, barriers: Some(r.barriers) })
+    let profile = r.mem_profile.take().map(|mp| (mp, compiled.rung.label(), r.fast));
+    Ok(CellSim { cycles: Some(r.cycles), checksum_bits: Some(bits), fingerprint, race, barriers: Some(r.barriers), profile })
 }
 
 /// Run one attempt on a supervised worker thread with a watchdog: if the
@@ -725,8 +755,11 @@ pub fn compute_cell_supervised(
                 return Ok(served_run(cell.clone()));
             }
             let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
-            let CellSim { checksum_bits, fingerprint, race, barriers, .. } = sim;
-            let cell = Cell { checksum_bits, fingerprint, race, barriers, ..task.cell(cfg.scale, outcome) };
+            let CellSim { checksum_bits, fingerprint, race, barriers, profile, .. } = sim;
+            let profile = profile.map(|(mem, rung, fast)| {
+                Box::new(CellProfile { rung: rung.to_string(), host: host_members(&fast), mem })
+            });
+            let cell = Cell { checksum_bits, fingerprint, race, barriers, profile, ..task.cell(cfg.scale, outcome) };
             // The store is the durable record: a cell that was computed
             // but not stored is an unfinished cell, and retries the whole
             // attempt (this is where the `cache-write-io` and `cache-torn`
@@ -839,7 +872,27 @@ mod tests {
             assert_eq!(back.fingerprint, Some(7));
             assert_eq!(back.race, Some((123_456, 9)));
             assert_eq!(back.barriers, Some(5));
+            assert_eq!(back.profile, None);
+            // A profile's strings ride escaped after every other member:
+            // names full of JSON syntax, a detector-count key among them,
+            // change no other field.
+            let awkward = "q\"b\\s,c:t\t\"checked\":1";
+            let mem = MemProfile {
+                sites: vec!["init".into(), awkward.into()],
+                init_sites: 1,
+                arrays: vec![awkward.into()],
+                nprocs: 32,
+                rows: vec![dct_ir::MemRow { site: 1, accesses: 9, coh_false: 2, ..Default::default() }],
+            };
+            let profile = Some(Box::new(CellProfile { rung: awkward.into(), host: format!("\"x\": {awkward}"), mem }));
+            let p = Cell { race: None, profile, ..c.clone() };
+            let back = cell_from_json(&cell_to_json(&p)).expect("profiled roundtrip");
+            assert_eq!(back, p);
+            assert_eq!(back.race, None, "a profile name read as the detector's counts");
         }
+        // A cell without a profile keeps its envelope bytes.
+        let plain = Cell::new("lu", "full", 32, 0.25, CellOutcome::Cycles(7));
+        assert_eq!(cell_to_json(&plain), r#"{"bench":"lu","kind":"full","procs":32,"scale_milli":250,"outcome":"cycles","cycles":7}"#);
         // A request body as `json.dumps` writes it (space after the
         // colon) reads like the compact form this crate writes.
         for body in [

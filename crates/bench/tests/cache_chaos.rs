@@ -7,7 +7,8 @@
 use dct_bench::chaos::{run_chaos, ChaosConfig, Fault, FaultInjector, FaultPlan, FaultSite};
 use dct_bench::harness::{render_table1, table1_rows};
 use dct_bench::sweep::{run_sweep_supervised, sweep_suite, Cell, CellOutcome, SweepConfig, SweepReport};
-use dct_bench::{cell_cache_key, ResultStore, NATIVE_DIVERGES};
+use dct_bench::{cell_cache_key, explain, render_explain, ResultStore, ThreadBudget, NATIVE_DIVERGES};
+use dct_core::Strategy;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -122,6 +123,59 @@ fn race_cell_without_detector_counts_is_a_miss() {
     let warm = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(warm.executed, 0, "the rewritten entries serve");
     assert_eq!(warm.cells, cold.cells);
+}
+
+/// A profiled cell carries its profile, which `explain` prints; a stored
+/// profiled cell without it is a miss and is rewritten.
+#[test]
+fn profiled_cell_without_profile_is_a_miss() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let mut cfg = small_sweep(dir.path("out"), Some(store.clone()));
+    cfg.profile = true;
+    let cold = run_sweep_supervised(&cfg).unwrap();
+    assert!(cold.cells.iter().all(|c| c.profile.is_some()), "{:?}", cold.cells);
+
+    let suite = sweep_suite(&cfg);
+    for c in &cold.cells {
+        let key = cell_cache_key("stencil", &cfg.key_inputs(&suite[0].program, &c.kind, c.procs));
+        let stripped = Cell { profile: None, ..c.clone() };
+        store.insert_cell(&key.unwrap(), &stripped, None).unwrap();
+    }
+    let rerun = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!((rerun.executed, rerun.cache_hits), (4, 0), "profile-less cells must miss");
+    assert_eq!(rerun.cells, cold.cells);
+    let warm = run_sweep_supervised(&cfg).unwrap();
+    assert_eq!(warm.executed, 0, "the rewritten entries serve");
+    assert_eq!(warm.cells, cold.cells, "a served profile is the computed one");
+}
+
+/// A strategy that fails every attempt renders the executor's quarantine
+/// reason and is not stored: the next `explain` against the same store
+/// serves the other two cells and computes that one.
+#[test]
+fn failed_explain_cell_is_not_served() {
+    let dir = Scratch::new();
+    let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
+    let mut cfg = small_sweep(dir.path("out"), Some(store.clone()));
+    // One worker runs base, comp, full in order: the first two arrive at
+    // `worker-panic` once each, so occurrences 2.. are full's attempts.
+    let attempts = cfg.retry.max_attempts;
+    let faults = (2..2 + attempts as u64).map(|occurrence| Fault { site: FaultSite::WorkerPanic, occurrence }).collect();
+    let inj = Arc::new(FaultInjector::new(&FaultPlan { seed: 0, faults }));
+    cfg.injector = Some(inj.clone());
+    let (r, rep) = explain("stencil", &cfg, ThreadBudget::clamp(1)).expect("stencil");
+    assert!(inj.unfired().is_empty(), "{:?}", inj.unfired());
+    assert_eq!((rep.executed, rep.quarantined), (3, 1));
+    assert!(r.profile_of(Strategy::Full).is_none());
+    let text = render_explain(&r);
+    assert!(text.contains(&format!("== comp decomp + data transform: failed: attempt {attempts} (rung ")), "{text}");
+    assert!(text.contains("injected: worker panic"), "{text}");
+
+    cfg.injector = None;
+    let (r, rep) = explain("stencil", &cfg, ThreadBudget::clamp(1)).expect("stencil");
+    assert_eq!((rep.executed, rep.cache_hits, rep.quarantined), (1, 2, 0), "only the failed cell computes");
+    assert!(r.profile_of(Strategy::Full).is_some());
 }
 
 /// A completed cell carries its run's barrier count, which the ablations

@@ -18,12 +18,14 @@
 //! (`explain_strategies`), because the Base cells at full scale are far
 //! slower than the claims under test.
 
-use dct_bench::explain_strategies;
+use dct_bench::sweep::SweepConfig;
+use dct_bench::{explain_strategies, ThreadBudget};
 use dct_core::Strategy;
 use dct_ir::MemRow;
 
 fn total_of(bench: &str, scale: f64, procs: usize, strategy: Strategy) -> MemRow {
-    let r = explain_strategies(bench, scale, procs, &[strategy])
+    let cfg = SweepConfig::plain(procs, scale);
+    let (r, _) = explain_strategies(bench, &cfg, ThreadBudget::clamp(1), &[strategy])
         .unwrap_or_else(|| panic!("{bench} is a suite benchmark"));
     r.profile_of(strategy)
         .unwrap_or_else(|| panic!("{bench} {strategy:?} cell must run"))

@@ -23,7 +23,7 @@ pub use cancel::CancelToken;
 pub use checksum::{checksum_arenas, ChecksumAcc};
 pub use error::{panic_message, DctError, DctResult, ErrorKind, Phase};
 pub use fingerprint::{program_fingerprint, FpHasher, FP_SCHEMA};
-pub use mem::{MemProfile, MemRow};
+pub use mem::{esc, MemProfile, MemRow};
 pub use race::{Race, RaceAccess, RaceKind, RaceReport};
 pub use expr::{Aff, BinOp, Expr};
 pub use pretty::render_program;

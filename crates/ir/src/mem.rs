@@ -14,6 +14,25 @@
 //! sharing** (a different word of the same line — the pure artifact of
 //! line granularity the paper's data transformations eliminate).
 
+/// The body of a JSON string holding `s`: `"` and `\` escaped, newline and
+/// tab by name, every other control character as `\u00XX`. The one
+/// escaper of the hand-rolled JSON writers (profiles, store envelopes,
+/// explain reports, HTTP bodies).
+pub fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// One attribution cell: everything `proc` did to `array` inside `site`.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct MemRow {
@@ -229,8 +248,71 @@ impl MemProfile {
         out
     }
 
-    fn json_escape(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
+    /// Exact text encoding, for the result store: every field in
+    /// declaration order, each number followed by a space and each name
+    /// as `<byte length>:<bytes>`. [`MemProfile::decode`] inverts it, so
+    /// no proper prefix of an encoding decodes.
+    pub fn encode(&self) -> String {
+        fn name(out: &mut String, s: &str) {
+            out.push_str(&format!("{}:{s}", s.len()));
+        }
+        let mut out = format!("{} {} {} ", self.nprocs, self.init_sites, self.sites.len());
+        self.sites.iter().for_each(|s| name(&mut out, s));
+        out.push_str(&format!("{} ", self.arrays.len()));
+        self.arrays.iter().for_each(|s| name(&mut out, s));
+        out.push_str(&format!("{} ", self.rows.len()));
+        for r in &self.rows {
+            let MemRow {
+                site, array, proc, accesses, l1_hits, l2_hits, local_mem, remote_mem, remote_dirty, cold,
+                capacity, conflict, coh_true, coh_false, invalidations, mem_cycles,
+            } = *r;
+            for n in [site as u64, array as u64, proc as u64, accesses, l1_hits, l2_hits, local_mem, remote_mem,
+                remote_dirty, cold, capacity, conflict, coh_true, coh_false, invalidations, mem_cycles]
+            {
+                out.push_str(&format!("{n} "));
+            }
+        }
+        out
+    }
+
+    /// The profile [`MemProfile::encode`] wrote; `None` for any other text,
+    /// a truncated encoding included.
+    pub fn decode(s: &str) -> Option<MemProfile> {
+        struct Reader<'a>(&'a str);
+        impl Reader<'_> {
+            fn num(&mut self) -> Option<u64> {
+                let (n, rest) = self.0.split_once(' ')?;
+                self.0 = rest;
+                n.parse().ok()
+            }
+            fn names(&mut self) -> Option<Vec<String>> {
+                let mut names = Vec::new();
+                for _ in 0..self.num()? {
+                    let (len, rest) = self.0.split_once(':')?;
+                    let len: usize = len.parse().ok()?;
+                    names.push(rest.get(..len)?.to_string());
+                    self.0 = &rest[len..];
+                }
+                Some(names)
+            }
+        }
+        let mut rd = Reader(s);
+        let (nprocs, init_sites) = (rd.num()? as usize, rd.num()? as usize);
+        let (sites, arrays) = (rd.names()?, rd.names()?);
+        let mut rows = Vec::new();
+        for _ in 0..rd.num()? {
+            let mut n = [0u64; 16];
+            for v in &mut n {
+                *v = rd.num()?;
+            }
+            let [site, array, proc, accesses, l1_hits, l2_hits, local_mem, remote_mem, remote_dirty, cold, capacity, conflict, coh_true, coh_false, invalidations, mem_cycles] = n;
+            let (site, array, proc) = (site as usize, array as usize, proc as usize);
+            rows.push(MemRow {
+                site, array, proc, accesses, l1_hits, l2_hits, local_mem, remote_mem, remote_dirty, cold,
+                capacity, conflict, coh_true, coh_false, invalidations, mem_cycles,
+            });
+        }
+        rd.0.is_empty().then_some(MemProfile { sites, init_sites, arrays, nprocs, rows })
     }
 
     /// JSON encoding (hand-rolled, like the rest of the repo's artifacts:
@@ -244,7 +326,7 @@ impl MemProfile {
             "{i1}  \"sites\": [{}],\n",
             self.sites
                 .iter()
-                .map(|s| format!("\"{}\"", Self::json_escape(s)))
+                .map(|s| format!("\"{}\"", esc(s)))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -252,7 +334,7 @@ impl MemProfile {
             "{i1}  \"arrays\": [{}],\n",
             self.arrays
                 .iter()
-                .map(|s| format!("\"{}\"", Self::json_escape(s)))
+                .map(|s| format!("\"{}\"", esc(s)))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -261,8 +343,8 @@ impl MemProfile {
         for (k, r) in rows.iter().enumerate() {
             out.push_str(&format!(
                 "{i1}    {{\"site\": \"{}\", \"array\": \"{}\", \"accesses\": {}, \"l1_hits\": {}, \"l2_hits\": {}, \"local_mem\": {}, \"remote_mem\": {}, \"remote_dirty\": {}, \"cold\": {}, \"capacity\": {}, \"conflict\": {}, \"true_sharing\": {}, \"false_sharing\": {}, \"invalidations\": {}, \"mem_cycles\": {}}}{}\n",
-                Self::json_escape(self.sites.get(r.site).map(|s| s.as_str()).unwrap_or("?")),
-                Self::json_escape(self.arrays.get(r.array).map(|s| s.as_str()).unwrap_or("?")),
+                esc(self.sites.get(r.site).map(|s| s.as_str()).unwrap_or("?")),
+                esc(self.arrays.get(r.array).map(|s| s.as_str()).unwrap_or("?")),
                 r.accesses,
                 r.l1_hits,
                 r.l2_hits,
@@ -350,6 +432,48 @@ mod tests {
         assert!(j.contains("\"false_sharing\": 4"), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    /// A name with a quote, a backslash and control characters still
+    /// renders valid JSON: every one of them escaped.
+    #[test]
+    fn control_characters_in_names_are_escaped() {
+        let mut p = profile();
+        p.sites[1] = "a\tb\"c\u{1}".into();
+        let j = p.to_json("");
+        assert!(j.contains(r#""sites": ["init", "a\tb\"c\u0001"]"#), "{j}");
+        assert!(j.contains(r#"{"site": "a\tb\"c\u0001", "array": "A""#), "{j}");
+        assert!(!j.chars().any(|c| c < ' ' && c != '\n'), "raw control character in {j:?}");
+    }
+
+    proptest::proptest! {
+        /// `decode` inverts `encode` for any names and counts, and no
+        /// proper prefix of an encoding decodes.
+        #[test]
+        fn encode_decode_roundtrip(
+            names in proptest::collection::vec(proptest::collection::vec(0u32..0x800, 0..6), 1..5),
+            rows in proptest::collection::vec((0usize..4, 0usize..4, 0usize..64, proptest::prelude::any::<u64>()), 0..5),
+            cut in 0usize..1000,
+        ) {
+            let name = |cs: &Vec<u32>| cs.iter().filter_map(|&c| char::from_u32(c)).collect::<String>();
+            let rows = rows
+                .iter()
+                .map(|&(site, array, proc, n)| MemRow { site, array, proc, accesses: n, mem_cycles: n / 3, coh_false: 7, ..MemRow::default() })
+                .collect();
+            let p = MemProfile {
+                sites: names.iter().map(name).collect(),
+                init_sites: names.len() / 2,
+                arrays: names.iter().rev().map(name).collect(),
+                nprocs: 32,
+                rows,
+            };
+            let text = p.encode();
+            proptest::prop_assert_eq!(MemProfile::decode(&text), Some(p));
+            let cut = cut % text.len();
+            if let Some(prefix) = text.get(..cut) {
+                proptest::prop_assert_eq!(MemProfile::decode(prefix), None);
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!                           # executes zero cells, byte-identical table;
 //!                           # a killed run, run again, serves every cell
 //!                           # that finished)
-//! repro explain stencil --cache     # cached explain report
+//! repro explain stencil --cache     # its three profiled cells stored:
+//!                           # a warm rerun executes none
 //! repro native --cache      # shares Table 1's cells: a table1 --cache run
 //!                           # serves their simulations, the native runs
 //!                           # still execute
@@ -47,8 +48,9 @@
 //!                           # (port 0 = ephemeral; bound port on stdout)
 //! ```
 //!
-//! `table1`, every figure and `--race-check` run their cells through one
-//! supervised executor (watchdog, retry ladder, `--cache`), `--workers`
+//! `table1`, every figure, the ablations, `explain` (its strategies as
+//! profiled cells), `native` and `--race-check` run their cells through
+//! one supervised executor (watchdog, retry ladder, `--cache`), `--workers`
 //! cells at a time. With `--cache`, the result store is the one durable
 //! record of a cell: each finished cell is stored atomically (temp file +
 //! fsync + rename) as it finishes, verified by its content checksum when
@@ -300,25 +302,16 @@ fn main() {
             die("explain needs a benchmark name (e.g. `repro explain stencil`)")
         };
         let t0 = Instant::now();
-        // With --cache the rendered text + JSON pair is an artifact in
-        // the content-addressed store: a warm repeat never simulates.
-        let result = match &store {
-            Some(s) => dct_bench::explain_cached(&bench, scale, max_procs, s),
-            None => dct_bench::explain(&bench, scale, max_procs)
-                .map(|r| (dct_bench::render_explain(&r), dct_bench::explain_json(&r))),
-        };
-        match result {
-            Some((text, json)) => {
-                print!("{text}");
+        match dct_bench::explain(&bench, &cfg, budget) {
+            Some((r, rep)) => {
+                print!("{}", dct_bench::render_explain(&r));
                 let dir = out_dir.clone().unwrap_or_else(|| "results".to_string());
                 let path = format!("{dir}/explain_{bench}.json");
-                match harness::atomic_write_sync(Path::new(&path), json.as_bytes()) {
+                match harness::atomic_write_sync(Path::new(&path), dct_bench::explain_json(&r).as_bytes()) {
                     Ok(()) => eprintln!("[explain {bench} done in {:?} -> {path}]", t0.elapsed()),
                     Err(e) => die(&format!("cannot write {path}: {e}")),
                 }
-                if let Some(s) = &store {
-                    eprintln!("[cache: {}]", s.stats_line());
-                }
+                cache_line(&rep);
             }
             None => die(&format!("unknown benchmark '{bench}' (suite: vpenta lu stencil adi erlebacher swm256 tomcatv)")),
         }

@@ -11,7 +11,7 @@
 //! | GET    | `/api/job/<id>`        | job status + per-cell states (JSON)    |
 //! | GET    | `/api/job/<id>/table`  | Table 1 as `repro table1` prints it (text; 409 until done)|
 //! | GET    | `/api/job/<id>/races`  | race certificate (text; 409 until done)|
-//! | GET    | `/api/explain/<bench>` | cached explain report (`?format=json`) |
+//! | GET    | `/api/explain/<bench>` | explain report, cells cached (`?format=json`) |
 //! | GET    | `/api/figure/<fig>`    | speedup figure, cells cached (text)    |
 //! | POST   | `/api/shutdown`        | stop accepting, drain, exit            |
 //!
@@ -214,7 +214,7 @@ fn bad_request(stream: &mut TcpStream, msg: &str) {
         stream,
         "400 Bad Request",
         "application/json",
-        &format!("{{\"error\":\"{}\"}}\n", sweep::esc(msg)),
+        &format!("{{\"error\":\"{}\"}}\n", dct_ir::esc(msg)),
     );
 }
 
@@ -326,8 +326,8 @@ fn api_job(st: &State, stream: &mut TcpStream, path: &str) {
                     // so pollers can match it without a JSON parser.
                     format!(
                         "{{\"bench\":\"{}\",\"kind\":\"{}\",\"procs\":{},\"phase\":\"{}\"}}",
-                        sweep::esc(&s.bench),
-                        sweep::esc(&s.kind),
+                        dct_ir::esc(&s.bench),
+                        dct_ir::esc(&s.kind),
                         s.procs,
                         s.phase()
                     )
@@ -416,12 +416,15 @@ fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
         Ok((scale, procs)) => (scale, procs.into_iter().max().unwrap_or(8)),
         Err(e) => return bad_request(stream, &e),
     };
-    match dct_bench::explain_cached(bench, scale, procs, &st.store) {
-        Some((text, json)) => {
+    // The strategy cells go through the store, like a figure's.
+    let mut cfg = SweepConfig::plain(procs, scale);
+    cfg.cache = Some(Arc::clone(&st.store));
+    match dct_bench::explain(bench, &cfg, ThreadBudget::clamp(1)) {
+        Some((r, _)) => {
             if query_param(query, "format").as_deref() == Some("json") {
-                respond(stream, "200 OK", "application/json", &json);
+                respond(stream, "200 OK", "application/json", &dct_bench::explain_json(&r));
             } else {
-                respond(stream, "200 OK", "text/plain", &text);
+                respond(stream, "200 OK", "text/plain", &dct_bench::render_explain(&r));
             }
         }
         None => respond(stream, "404 Not Found", "text/plain", "unknown benchmark\n"),

@@ -1,9 +1,9 @@
 //! The `repro` command line: `--procs` reaches `table1`, sizes out of
 //! range, unknown options, targets and benchmark names are refused before
 //! anything runs, `table1` prints one table under every flag, cached
-//! tables, figures and ablations rerun warm without executing a cell, a
-//! budget is part of a cell's key, and the race check, `explain`, the
-//! native check, the chaos oracle, the paper-scale table smoke and the
+//! tables, figures, ablations and `explain` rerun warm without executing a
+//! cell, a budget is part of a cell's key, and the race check, `explain`,
+//! the native check, the chaos oracle, the paper-scale table smoke and the
 //! `repro serve` service run end to end.
 
 use dct_bench::sweep::json_num;
@@ -257,6 +257,29 @@ fn explain_stencil_reports_and_replays() {
     }
     let json = std::fs::read_to_string(dir.0.join("results/explain_stencil.json")).expect("explain JSON written");
     assert_eq!(json.matches("\"memo\": \"Replayed\"").count(), 3, "{json}");
+}
+
+/// `explain --cache` stores its three strategy cells, profiles included:
+/// a warm rerun executes nothing and prints and writes the cold run's
+/// bytes, and the store holds cells only.
+#[test]
+fn cached_explain_reruns_warm() {
+    let dir = Scratch::new();
+    let args = ["explain", "stencil", "--scale", "0.1", "--procs", "32", "--cache"];
+    let json = || std::fs::read(dir.0.join("results/explain_stencil.json")).expect("explain JSON written");
+    let (cold, cold_err) = dir.repro(&args);
+    assert!(cold_err.contains("cells executed 3 served 0"), "{cold_err}");
+    let cold_json = json();
+    let (warm, warm_err) = dir.repro(&args);
+    assert!(warm_err.contains("cells executed 0 served 3"), "{warm_err}");
+    assert_eq!(warm, cold, "warm explain stdout differs");
+    assert!(json() == cold_json, "warm explain JSON differs");
+    let entries: Vec<_> = file_stamps(&dir.0.join("results/cache")).into_iter().map(|(p, ..)| p).collect();
+    assert_eq!(entries.len(), 3, "{entries:?}");
+    for p in entries {
+        let text = std::fs::read_to_string(&p).expect("store entry");
+        assert!(text.contains("\"cell\":") && !text.contains("\"artifact\""), "{}: {text}", p.display());
+    }
 }
 
 /// The paper-scale table's smoke: `repro table1 --scale 0.25` prints a

@@ -197,14 +197,21 @@ fn serve_smoke_end_to_end() {
     assert_eq!(http(port, "GET", "/api/explain/stencil?scale_milli=abc", "").0, 400);
     assert_eq!(http(port, "GET", "/api/stats", "").0, 200, "the server survived");
 
-    // Explain is served (and cached) synchronously.
+    // Explain is served synchronously from its three strategy cells; a
+    // repeat request is served from the store.
+    let cache = |key: &str| {
+        let (_, stats) = http(port, "GET", "/api/stats", "");
+        json_num(&stats, key).unwrap_or_else(|| panic!("{key} missing: {stats}"))
+    };
     let (status, text) = http(port, "GET", "/api/explain/stencil?scale_milli=50&procs=4", "");
     assert_eq!(status, 200);
     assert!(text.contains("stencil"), "explain text: {text}");
+    let (inserts, hits) = (cache("inserts"), cache("hits"));
     let (status, json) =
         http(port, "GET", "/api/explain/stencil?scale_milli=50&procs=4&format=json", "");
     assert_eq!(status, 200);
     assert!(json.trim_start().starts_with('{'), "explain json: {json}");
+    assert_eq!((cache("inserts"), cache("hits")), (inserts, hits + 3), "a repeat explain must hit its three cells");
     assert_eq!(http(port, "GET", "/api/explain/nonesuch", "").0, 404);
 
     // Clean shutdown: the endpoint answers, then wait() drains and joins.

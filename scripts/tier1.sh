@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, full test suite, the release-build
-# differentials, the repository benchmark's quick pass and the panic-site
-# ratchet. Run from the repository root:
+# differentials and the repository benchmark's quick pass. (The panic-site
+# ratchet is a test of the root package, tests/panic_ratchet.rs, so
+# `cargo test -q` runs it.) Run from the repository root:
 #
 #   scripts/tier1.sh
 set -euo pipefail
@@ -15,8 +16,8 @@ echo "== tier1: cargo test -q"
 # The whole workspace (default-members): the differential, chaos, native
 # and serve suites, the CLI smokes (crates/serve/tests/cli.rs: cached
 # runs, race check, explain, chaos, native, the `repro serve` service and
-# the `table1 --scale 0.25` smoke with its 120 s bound) and the 256-case
-# three-way fuzz smoke among them.
+# the `table1 --scale 0.25` smoke with its 120 s bound), the 256-case
+# three-way fuzz smoke and the panic-site ratchet among them.
 cargo test -q
 
 echo "== tier1: replay, cursor-memo and kernel differentials, release build"
@@ -41,27 +42,5 @@ if [ "${bench_ok:-0}" -ne 6 ]; then
     exit 1
 fi
 echo "  benchmark --quick: failed_frac 0 on all 6 workloads"
-
-echo "== tier1: panic-site ratchet"
-# New panic!/unwrap() sites must not appear in a crate or file above its
-# pinned count (scripts/panic_baseline.txt: one path and count per line).
-# Lowering a count is fine — update the baseline downward when you remove
-# panic sites. The 0 entries are the code that runs unattended or inside
-# every simulation and must never take the process down: the profiler,
-# the native backend, the serve service, the race detector, the segment
-# kernels, the shared schedule and the chaos supervisor (its one injected
-# panicking site lives in the sweep worker, under the bench count).
-while read -r path pinned; do
-    [ -z "$path" ] && continue
-    # `|| true`: grep exits 1 on zero matches, which pipefail would
-    # otherwise turn into a silent script death for panic-free paths.
-    count=$(grep -rhoE 'panic!|\.unwrap\(\)' "$path" --include='*.rs' | wc -l || true)
-    if [ "$count" -gt "$pinned" ]; then
-        echo "tier1 FAIL: $path has $count panic!/unwrap() sites (baseline $pinned)" >&2
-        echo "  use DctError/Result instead, or justify and bump scripts/panic_baseline.txt" >&2
-        exit 1
-    fi
-    echo "  $path: $count/$pinned"
-done < scripts/panic_baseline.txt
 
 echo "tier1 OK"
