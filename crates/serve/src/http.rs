@@ -122,19 +122,29 @@ struct Request {
     body: String,
 }
 
+/// Most bytes of a request head (request line plus headers).
+const MAX_HEAD_BYTES: u64 = 64 << 10;
+
 /// Parse one request off the stream. Bounded reads throughout: a slow
 /// or hostile client can cost this thread, never the server.
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    let mut r = BufReader::new(stream);
-    let mut line = String::new();
-    r.read_line(&mut line).map_err(|e| e.to_string())?;
+    let mut head = BufReader::new(stream).take(MAX_HEAD_BYTES);
+    // One line of the head; a line the cap cut off refuses the request.
+    let mut next_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line).map_err(|e| e.to_string())?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err("request head too large".to_string());
+        }
+        Ok::<_, String>(line)
+    };
+    let line = next_line()?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or("empty request line")?.to_string();
     let target = parts.next().ok_or("no request target")?.to_string();
     let mut content_len = 0usize;
     loop {
-        let mut h = String::new();
-        r.read_line(&mut h).map_err(|e| e.to_string())?;
+        let h = next_line()?;
         let h = h.trim();
         if h.is_empty() {
             break;
@@ -147,6 +157,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, String> {
         return Err("body too large".to_string());
     }
     let mut body = vec![0u8; content_len];
+    let mut r = head.into_inner();
     r.read_exact(&mut body).map_err(|e| e.to_string())?;
     let body = String::from_utf8(body).map_err(|_| "body is not utf-8")?;
     let (path, query) = match target.split_once('?') {

@@ -369,3 +369,44 @@ fn finished_jobs_beyond_the_cap_are_forgotten_oldest_first() {
     assert_eq!(queue.keys_derived(), 3, "one compile per strategy for the life of the queue");
     queue.shutdown();
 }
+
+/// A request head is read only up to its cap: a header line that never
+/// ends is answered with a 400 (or the connection is dropped) instead of
+/// being buffered while the client keeps it open, and the server still
+/// answers afterwards.
+#[test]
+fn endless_header_line_is_refused_not_buffered() {
+    let dir = Scratch::new();
+    let server = Server::start(&ServeConfig {
+        port: 0,
+        cache_dir: dir.path("cache"),
+        max_cache_bytes: None,
+        out_dir: dir.path("serve"),
+        workers: 1,
+        threads: 1,
+    })
+    .expect("server start");
+    let port = server.port;
+    let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(head.len() + (100 << 10), b'x');
+    // The server may stop reading, and reset, before all of it is sent.
+    let _ = s.write_all(&head);
+    s.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut resp = Vec::new();
+    match s.read_to_end(&mut resp) {
+        Ok(_) => {
+            let resp = String::from_utf8_lossy(&resp);
+            assert!(resp.is_empty() || resp.starts_with("HTTP/1.1 400"), "{resp}");
+            assert!(resp.is_empty() || resp.contains("request head too large"), "{resp}");
+        }
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the server kept reading an endless header line: {e}"
+        ),
+    }
+    let (status, stats) = http(port, "GET", "/api/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    server.stop();
+    server.wait();
+}

@@ -437,7 +437,7 @@ fn compile_nest(
     let pipeline = pipeline_spec(comp, nest, &sched, grid, opts)?;
 
     for (s, stmt) in nest.body.iter().enumerate() {
-        if crate::exec::expr_stack_depth(&stmt.rhs) > crate::exec::MAX_EVAL_STACK {
+        if crate::kernel::expr_stack_depth(&stmt.rhs) > crate::kernel::MAX_EVAL_STACK {
             return Err(nest_err(format!("statement {s} body too deep to evaluate")));
         }
     }

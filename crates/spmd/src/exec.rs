@@ -58,17 +58,16 @@ pub struct FastPathStats {
     /// Segments whose cursors were resolved from scratch, by reason:
     /// indexed like [`RESOLVE_NAMES`] (`Resolve as usize`).
     pub resolves: [u64; 6],
-    /// Innermost iterations executed through fused segment kernels (a
-    /// subset of `fast_iters`; the rest of the strided iterations ran the
-    /// postfix interpreter).
+    /// Innermost iterations executed through fused segment kernels: every
+    /// one of `fast_iters` but those of refused segments.
     pub kernel_iters: u64,
     /// Kernel-shape histogram, indexed like
     /// [`crate::kernel::SHAPE_NAMES`]: iterations executed per shape.
     pub kernel_shapes: [u64; 6],
-    /// Segments the fused kernels refused, so that the postfix interpreter
-    /// ran them, by reason: indexed like [`REFUSAL_NAMES`] (`Refusal as
-    /// usize`). Counted only with kernels on.
-    pub kernel_refusals: [u64; 3],
+    /// Segments the fused kernels refused, so that the reference body ran
+    /// them, by reason: indexed like [`REFUSAL_NAMES`] (`Refusal as
+    /// usize`).
+    pub kernel_refusals: [u64; 1],
     /// Kernel segments of a one-statement body that took the ordered
     /// element-major path because a read stream overlaps the write stream
     /// (bodies of several statements always take it and are not counted).
@@ -251,17 +250,13 @@ pub const RESOLVE_NAMES: [&str; 6] = [
 /// [`FastPathStats::kernel_refusals`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Refusal {
-    /// The nest body is outside the kernel envelope.
-    NoPlan = 0,
-    /// Shorter than [`kernel::MIN_KERNEL_SEG`] iterations.
-    ShortSegment = 1,
     /// A sweep would leave its arena.
-    OutOfBounds = 2,
+    OutOfBounds = 0,
 }
 
 /// Labels of [`FastPathStats::kernel_refusals`], indexed by `Refusal as
 /// usize`.
-pub const REFUSAL_NAMES: [&str; 3] = ["no_plan", "short_segment", "out_of_bounds"];
+pub const REFUSAL_NAMES: [&str; 1] = ["out_of_bounds"];
 
 /// The rectangle the last resolved innermost-loop entry vouches for, kept
 /// so that later entries need no probe and no kernel set-up.
@@ -318,82 +313,14 @@ enum Streams {
     Alone,
 }
 
-/// One postfix instruction of a flattened statement body (see
-/// [`WalkCtx`]). Postfix order is exactly [`Expr`]'s DFS evaluation
-/// order, so executing the ops performs the same machine accesses in the
-/// same order as the recursive `eval`.
-#[derive(Clone, Copy)]
-pub(crate) enum BodyOp {
-    /// Push a constant.
-    Const(f64),
-    /// Push loop index `ivec[l]`.
-    Index(usize),
-    /// Read the next cursor's element of array `x` and push it. `extra`
-    /// is the statement's per-read cost adjustment, baked in at flatten
-    /// time (postfix order equals the `read_extras` index order).
-    Read { x: usize, extra: u64 },
-    /// Pop two, push the combination.
-    Bin(BinOp),
-}
-
-/// Maximum operand-stack depth of a flattened body (compiler-generated
-/// expressions are shallow; codegen rejects deeper bodies with a
-/// [`dct_ir::DctError`] before an executor is ever built).
-pub(crate) const MAX_EVAL_STACK: usize = 32;
-
-/// Operand-stack depth needed to evaluate `e` (postfix order): used by
-/// codegen to reject too-deep statement bodies up front.
-pub(crate) fn expr_stack_depth(e: &Expr) -> usize {
-    match e {
-        Expr::Const(_) | Expr::Index(_) | Expr::Ref(_) => 1,
-        Expr::Bin(_, a, b) => expr_stack_depth(a).max(1 + expr_stack_depth(b)),
-    }
-}
-
-fn flatten_expr(e: &Expr, extras: &[u64], ri: &mut usize, out: &mut Vec<BodyOp>) {
-    match e {
-        Expr::Const(c) => out.push(BodyOp::Const(*c)),
-        Expr::Index(l) => out.push(BodyOp::Index(*l)),
-        Expr::Ref(r) => {
-            let extra = extras.get(*ri).copied().unwrap_or(0);
-            *ri += 1;
-            out.push(BodyOp::Read { x: r.array.0, extra });
-        }
-        Expr::Bin(op, a, b) => {
-            flatten_expr(a, extras, ri, out);
-            flatten_expr(b, extras, ri, out);
-            out.push(BodyOp::Bin(*op));
-        }
-    }
-}
-
-/// Stack depth needed to execute `ops`.
-fn stack_depth(ops: &[BodyOp]) -> usize {
-    let (mut depth, mut max) = (0usize, 0usize);
-    for op in ops {
-        match op {
-            BodyOp::Bin(_) => depth -= 1,
-            _ => {
-                depth += 1;
-                max = max.max(depth);
-            }
-        }
-    }
-    max
-}
-
 /// Per-nest walk context, built once per nest execution instead of per
 /// iteration: each statement's read references in evaluation (DFS) order,
-/// and its right-hand side flattened to postfix [`BodyOp`]s so the hot
-/// loop runs a linear instruction array instead of recursing through the
-/// boxed expression tree.
+/// and the body's kernel plan.
 struct WalkCtx<'n> {
     nest: &'n SpmdNest,
     /// `reads[s]` = read refs of statement `s` in `Expr::collect_refs`
     /// order (which matches `eval`'s recursion order).
     reads: Vec<Vec<&'n ArrayRef>>,
-    /// `ops[s]` = postfix code of statement `s`'s right-hand side.
-    ops: Vec<Vec<BodyOp>>,
     /// `(array, is_write)` of every segment cursor in `setup_cursors`
     /// order (per statement: the write first, then its reads) — the race
     /// detector's view of the cursor table.
@@ -406,10 +333,9 @@ struct WalkCtx<'n> {
     /// The innermost bounds do not mention the index of the loop around
     /// it, so its range is the same at every step of that loop.
     inner_fixed: bool,
-    /// Fused segment-kernel plan for this nest's body, compiled once here
-    /// (`None` = the body is outside the kernel envelope and every
-    /// segment runs the postfix interpreter).
-    plan: Option<KernelPlan>,
+    /// Fused segment-kernel plan for this nest's body, compiled once here;
+    /// every strided segment runs through it.
+    plan: KernelPlan,
 }
 
 impl<'n> WalkCtx<'n> {
@@ -441,25 +367,12 @@ impl<'n> WalkCtx<'n> {
             let b = &nest.source.bounds[depth - 1];
             b.los.iter().chain(&b.his).all(|f| f.aff.var_coeff(depth - 2) == 0)
         };
-        let ops: Vec<Vec<BodyOp>> = nest
-            .source
-            .body
-            .iter()
-            .zip(&nest.stmt_costs)
-            .map(|(s, sc)| {
-                let mut v = Vec::new();
-                let mut ri = 0usize;
-                flatten_expr(&s.rhs, &sc.read_extras, &mut ri, &mut v);
-                assert!(stack_depth(&v) <= MAX_EVAL_STACK, "statement body too deep");
-                v
-            })
-            .collect();
-        let plan = kernel::build_plan(nest, &ops);
-        WalkCtx { nest, reads, ops, ref_info, wr_of, rd_of, acc_of, inner_fixed, plan }
+        let plan = kernel::build_plan(nest);
+        WalkCtx { nest, reads, ref_info, wr_of, rd_of, acc_of, inner_fixed, plan }
     }
 }
 
-/// The interpreter.
+/// The simulated SPMD execution of one lowered program.
 pub struct Executor<'a> {
     sp: &'a SpmdProgram,
     /// The shared lowered schedule: gates and doacross plans.
@@ -473,12 +386,6 @@ pub struct Executor<'a> {
     /// (default). Disable to force the general walk everywhere — used by
     /// the differential tests that pin bit-exactness between both modes.
     pub fast_path: bool,
-    /// Execute strided segments through fused segment kernels, one
-    /// [`Machine::access_seg`] call per segment (default). Disable to force
-    /// the postfix interpreter for every segment — bit-identical by
-    /// contract, so this flag only trades speed; the differential tests pin
-    /// the equality.
-    pub seg_kernels: bool,
     /// Run the happens-before race detector alongside execution. A pure
     /// observer: cycles, statistics and results are unchanged; the run
     /// result gains a [`RaceReport`].
@@ -535,7 +442,6 @@ impl<'a> Executor<'a> {
             cost,
             barriers: 0,
             fast_path: true,
-            seg_kernels: true,
             race_detect: false,
             profile: false,
             max_cycles: None,
@@ -764,7 +670,6 @@ impl<'a> Executor<'a> {
             profiler: self.profiler.as_deref_mut(),
             race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
-            kernels: self.seg_kernels,
             values_only: self.memo.replaying(),
             scratch: &mut self.scratch,
             fast: FastPathStats::default(),
@@ -805,7 +710,6 @@ impl<'a> Executor<'a> {
             profiler: self.profiler.as_deref_mut(),
             race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
-            kernels: self.seg_kernels,
             values_only: self.memo.replaying(),
             scratch: &mut self.scratch,
             fast: FastPathStats::default(),
@@ -880,7 +784,7 @@ struct Scratch {
     /// The last resolved innermost-loop entry.
     memo: CursorMemo,
     /// Kernel-path machine access vector (per statement: reads in postfix
-    /// order, then the write — the interpreter's access order).
+    /// order, then the write — the reference walk's access order).
     seg_accs: Vec<SegAccess>,
     /// Kernel-path resolved read streams, in the same order as the plan's
     /// per-statement reads.
@@ -901,9 +805,6 @@ struct Lane<'e> {
     profiler: Option<&'e mut Profiler>,
     race: Option<&'e mut Detector>,
     fast_path: bool,
-    /// Dispatch strided segments to fused kernels when the nest has a
-    /// plan (false = postfix interpreter for every segment).
-    kernels: bool,
     /// A replayed time step: compute values and keep the race detector
     /// watching, send the machine and the profiler nothing. The busy cycles
     /// a walk then returns are meaningless; the caller takes them from the
@@ -941,6 +842,7 @@ impl Lane<'_> {
     ) -> u64 {
         let depth = ctx.nest.source.depth;
         if level == depth {
+            self.fast.slow_iters += 1;
             return self.exec_body(ctx.nest, proc, ivec, params);
         }
         if self.fast_path && level + 1 == depth {
@@ -1079,32 +981,18 @@ impl Lane<'_> {
             self.fast.segments += 1;
             self.fast.fast_iters += seg as u64;
             self.race_segment(ctx, proc, seg);
-            let kern = if self.kernels {
-                self.exec_segment_kernel(ctx, proc, ivec, level, v, step, seg, streams)
-            } else {
-                None
-            };
-            match kern {
+            match self.exec_segment_kernel(ctx, proc, ivec, level, v, step, seg, streams) {
                 Some(b) => {
                     busy += b;
                     self.fast.kernel_iters += seg as u64;
-                    if let Some(p) = &ctx.plan {
-                        self.fast.kernel_shapes[p.shape as usize] += seg as u64;
-                    }
-                    v += step * seg;
+                    self.fast.kernel_shapes[ctx.plan.shape as usize] += seg as u64;
                 }
                 None => {
-                    // The interpreter indexes the arenas, so the next kernel
-                    // segment derives its raw streams afresh.
-                    self.scratch.memo.kernel = None;
-                    for _ in 0..seg {
-                        ivec[level] = v;
-                        busy += self.cost.loop_iter + self.exec_body_fast(ctx, proc, ivec);
-                        self.advance_cursors();
-                        v += step;
-                    }
+                    let it = OwnedIter::Stepped { next: v, hi: v + step * (seg - 1), step };
+                    busy += self.exec_refused(ctx, proc, level, ivec, params, it);
                 }
             }
+            v += step * seg;
             remaining -= seg;
         }
         ivec[level] = 0;
@@ -1117,9 +1005,9 @@ impl Lane<'_> {
     /// ([`kernel::exec_values`]). A bumped entry comes with its streams and
     /// access vector already moved into place from its rectangle's proof;
     /// the entry that opens a rectangle proves it; any other segment is
-    /// proven alone. Returns `None` — with no machine, arena, or cursor
-    /// state touched — when the segment must take the interpreter path
-    /// instead, counted by [`Refusal`].
+    /// proven alone. Returns `None` — with no machine, arena, or observer
+    /// state touched — when a sweep would leave its arena, counted as
+    /// [`Refusal::OutOfBounds`].
     fn exec_segment_kernel(
         &mut self,
         ctx: &WalkCtx,
@@ -1131,10 +1019,7 @@ impl Lane<'_> {
         seg: i64,
         streams: Streams,
     ) -> Option<u64> {
-        let Some(plan) = ctx.plan.as_ref() else { return self.refuse(Refusal::NoPlan) };
-        if seg < kernel::MIN_KERNEL_SEG {
-            return self.refuse(Refusal::ShortSegment);
-        }
+        let plan = &ctx.plan;
         let unroll_safe = match streams {
             Streams::Bumped { unroll_safe } => {
                 #[cfg(debug_assertions)]
@@ -1165,8 +1050,9 @@ impl Lane<'_> {
         // by `prove_streams`, either for this segment alone or for every
         // segment of this length in the rectangle it belongs to (a bump
         // lies inside it: see `setup_cursors`). The arenas are never
-        // resized, and none was indexed since the streams were derived (an
-        // interpreted segment drops the rectangle's proof).
+        // resized, and none was indexed since the streams were derived (a
+        // refused segment, which the reference body runs, drops the
+        // rectangle's proof).
         unsafe {
             kernel::exec_values(
                 plan,
@@ -1183,9 +1069,28 @@ impl Lane<'_> {
         Some(busy)
     }
 
-    fn refuse(&mut self, why: Refusal) -> Option<u64> {
-        self.fast.kernel_refusals[why as usize] += 1;
-        None
+    /// The iterations `it` of a segment the kernels refused, through the
+    /// reference body. A refused sweep leaves an arena, so the body's
+    /// bounds-checked indexing stops the run where the reference walk
+    /// would. Cold and out of line: it never runs on the suite, and inlined
+    /// it would change the code of the per-segment loop around it.
+    #[cold]
+    #[inline(never)]
+    fn exec_refused(
+        &mut self,
+        ctx: &WalkCtx,
+        proc: usize,
+        level: usize,
+        ivec: &mut [i64],
+        params: &[i64],
+        it: OwnedIter,
+    ) -> u64 {
+        let mut busy = 0u64;
+        for v in it {
+            ivec[level] = v;
+            busy += self.cost.loop_iter + self.exec_body(ctx.nest, proc, ivec, params);
+        }
+        busy
     }
 
     /// [`Self::prove_streams`] for this segment alone; drops the memo's
@@ -1205,7 +1110,7 @@ impl Lane<'_> {
     /// per-step deltas (`kmax` 0: this segment alone). A slot is affine in
     /// both sides, so the rectangle's four corners bound every sweep: each
     /// must stay inside its arena, since a kernel must never touch memory
-    /// the interpreter would not. Returns whether the sweeps may unroll,
+    /// the reference walk would not. Returns whether the sweeps may unroll,
     /// which needs no read stream to overlap the write stream — or `None`
     /// when a corner leaves an arena or the overlap differs between outer
     /// steps. Out of line: it runs once per rectangle, and inlined it would
@@ -1237,7 +1142,7 @@ impl Lane<'_> {
             }
         }
         // Machine access vector: per statement, reads in postfix order
-        // then the write — exactly the interpreter's access order. Left
+        // then the write — exactly the reference walk's access order. Left
         // empty on a replayed step: `access_seg` of no slots does nothing.
         if !self.values_only {
             sc.seg_accs.extend(ctx.acc_of.iter().map(|&i| {
@@ -1246,11 +1151,11 @@ impl Lane<'_> {
             }));
         }
         // Unrolled sweeps require the write stream to alias no read
-        // stream (single-statement bodies only; multi-statement bodies
-        // take the ordered element-major path regardless). At outer step
-        // `k` a read overlaps the write when `a <= k*d <= b`; over the
-        // rectangle `k*d` stays between 0 and `kmax*d`.
-        if plan.stmts.len() > 1 {
+        // stream (single-statement bodies only; other bodies, an empty one
+        // among them, take the ordered element-major path regardless). At
+        // outer step `k` a read overlaps the write when `a <= k*d <= b`;
+        // over the rectangle `k*d` stays between 0 and `kmax*d`.
+        if plan.stmts.len() != 1 {
             return Some(false);
         }
         let (wx, _) = ctx.ref_info[0];
@@ -1415,24 +1320,6 @@ impl Lane<'_> {
         steps1
     }
 
-    /// Advance every cursor by its per-iteration delta. Split into
-    /// fixed-width groups of four so the adds form independent chains the
-    /// host can vectorize; this runs once per innermost iteration.
-    #[inline]
-    fn advance_cursors(&mut self) {
-        let mut chunks = self.scratch.cursors.chunks_exact_mut(4);
-        for ch in &mut chunks {
-            for c in ch {
-                c.byte = (c.byte as i64 + c.dbyte) as u64;
-                c.slot = (c.slot as i64 + c.dslot) as usize;
-            }
-        }
-        for c in chunks.into_remainder() {
-            c.byte = (c.byte as i64 + c.dbyte) as u64;
-            c.slot = (c.slot as i64 + c.dslot) as usize;
-        }
-    }
-
     /// Report a whole strided segment to the race detector: one interval
     /// per reference cursor. Exact, not an approximation — no sync can
     /// occur inside a segment and the simulator runs one processor at a
@@ -1446,58 +1333,7 @@ impl Lane<'_> {
         }
     }
 
-    /// Statement body through segment cursors and flattened postfix code;
-    /// mirrors [`Self::exec_body`] exactly (same access order, same cost
-    /// accounting).
-    fn exec_body_fast(&mut self, ctx: &WalkCtx, proc: usize, ivec: &[i64]) -> u64 {
-        let mut busy = 0u64;
-        let mut k = 0usize;
-        for ((s, sc), ops) in ctx.nest.source.body.iter().zip(&ctx.nest.stmt_costs).zip(&ctx.ops) {
-            let wcur = self.scratch.cursors[k];
-            let mut cur = k + 1;
-            let mut stack = [0f64; MAX_EVAL_STACK];
-            let mut top = 0usize;
-            for op in ops {
-                match *op {
-                    BodyOp::Const(c) => {
-                        stack[top] = c;
-                        top += 1;
-                    }
-                    BodyOp::Index(l) => {
-                        stack[top] = ivec[l] as f64;
-                        top += 1;
-                    }
-                    BodyOp::Read { x, extra } => {
-                        let c0 = self.scratch.cursors[cur];
-                        cur += 1;
-                        busy += self.access(proc, c0.byte, false) + extra;
-                        stack[top] = self.arenas[x][c0.slot];
-                        top += 1;
-                    }
-                    BodyOp::Bin(op) => {
-                        top -= 1;
-                        let b = stack[top];
-                        let a = stack[top - 1];
-                        stack[top - 1] = match op {
-                            BinOp::Add => a + b,
-                            BinOp::Sub => a - b,
-                            BinOp::Mul => a * b,
-                            BinOp::Div => a / b,
-                        };
-                    }
-                }
-            }
-            let val = stack[top - 1];
-            busy += sc.flop_cycles;
-            busy += self.access(proc, wcur.byte, true) + sc.write_extra;
-            self.arenas[s.lhs.array.0][wcur.slot] = val;
-            k = cur;
-        }
-        busy
-    }
-
     fn exec_body(&mut self, nest: &SpmdNest, proc: usize, ivec: &[i64], params: &[i64]) -> u64 {
-        self.fast.slow_iters += 1;
         let mut busy = 0u64;
         for (s, sc) in nest.source.body.iter().zip(&nest.stmt_costs) {
             let mut read_idx = 0;

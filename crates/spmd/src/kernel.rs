@@ -1,50 +1,52 @@
-//! Fused segment kernels for the strided fast path.
+//! Fused segment kernels: the engine of every strided segment.
 //!
-//! The interpreter's hot loop (`exec_body_fast`) pays per element for
-//! work that is constant across a whole strided segment: postfix
-//! dispatch, a fresh operand stack per statement, bounds-checked arena
-//! indexing, and one full machine probe per reference. This module
-//! compiles a nest's flattened postfix body once (memoized in
+//! Within a strided segment every reference moves by a constant stride, so
+//! the work that is constant across the segment is done once: postfix
+//! dispatch, operand-stack set-up, bounds checks, and one machine probe per
+//! reference. This module compiles a nest's statement bodies once (in
 //! [`crate::exec::WalkCtx`]) into a [`KernelPlan`]: each statement is
 //! classified into one of the closed-form shapes the paper's seven
 //! benchmarks actually use — copy, scale, axpy, 2-ref mul-add, k-ary
-//! sum/stencil reduction — or, failing that, into a resolved tape that
-//! still strips the per-element constant work. The executor then runs a
-//! *whole segment* per kernel call: machine accounting goes through one
-//! [`dct_machine::Machine::access_seg`] call and values through tight
-//! raw-pointer sweeps over arena slices.
+//! sum/stencil reduction — or, failing that, into a resolved postfix tape.
+//! Every body gets a plan, whatever its width. The executor then runs a
+//! *whole segment* per kernel call, of any length: machine accounting goes
+//! through one [`dct_machine::Machine::access_seg`] call and values through
+//! tight raw-pointer sweeps over arena slices.
 //!
 //! ## Bit-identity argument
 //!
 //! Values: every kernel evaluates, per element, exactly the expression
-//! dag the interpreter evaluates, with the same association and operand
-//! order — no reassociation, ever (IEEE addition is not associative;
-//! SNIPPETS.md Snippet 3 warns exactly about this). The "k >= 4
-//! independent accumulators" of the roadmap item are realized as
-//! unrolling across *independent output elements* ([`sweep`]'s 4-wide
+//! dag of the reference walk's recursive `eval`, with the same association
+//! and operand order — no reassociation, ever (IEEE addition is not
+//! associative; SNIPPETS.md Snippet 3 warns exactly about this). The "k >=
+//! 4 independent accumulators" of that snippet are realized as unrolling
+//! across *independent output elements* ([`sweep`]'s 4-wide
 //! groups), which touches no intra-element chain. Cross-element and
 //! cross-statement dependences (`a(i) = f(a(i-1))` scans, adi's
-//! two-statement coupled sweeps) are handled by the element-major
-//! ordered path, which is a verbatim re-rolling of the interpreter's
-//! loop structure minus its constant overhead. Timing: the access
+//! two-statement coupled sweeps) are handled by the element-major ordered
+//! path, which keeps the reference walk's loop order. Timing: the access
 //! vector handed to `access_seg` lists, per statement, the reads in
-//! postfix order then the write — the interpreter's exact access order —
-//! and `access_seg` is pinned bit-identical to the one-by-one walk by
-//! the machine crate's own tests. Anything outside the supported
-//! envelope (too many references, short segments, out-of-bounds sweeps)
-//! returns to the interpreter path untouched.
+//! evaluation order then the write — the reference walk's exact access
+//! order — and `access_seg` is pinned bit-identical to the one-by-one walk
+//! by the machine crate's own tests. A segment whose sweeps the executor
+//! cannot prove in bounds runs the reference body instead.
 
 use crate::codegen::SpmdNest;
-use crate::exec::{BodyOp, MAX_EVAL_STACK};
-use dct_ir::BinOp;
+use dct_ir::{BinOp, Expr};
 
-/// Segments shorter than this run the interpreter: the per-segment setup
-/// (stream resolution, bounds checks) would not amortize.
-pub(crate) const MIN_KERNEL_SEG: i64 = 4;
+/// Maximum operand-stack depth of a statement body (compiler-generated
+/// expressions are shallow; codegen rejects deeper bodies with a
+/// [`dct_ir::DctError`] before an executor is ever built).
+pub(crate) const MAX_EVAL_STACK: usize = 32;
 
-/// Most statement references (write + reads, whole body) a plan accepts;
-/// wider bodies fall back to the interpreter.
-pub(crate) const MAX_KERNEL_ACCS: usize = 24;
+/// Operand-stack depth needed to evaluate `e` (postfix order): used by
+/// codegen to reject too-deep statement bodies up front.
+pub(crate) fn expr_stack_depth(e: &Expr) -> usize {
+    match e {
+        Expr::Const(_) | Expr::Index(_) | Expr::Ref(_) => 1,
+        Expr::Bin(_, a, b) => expr_stack_depth(a).max(1 + expr_stack_depth(b)),
+    }
+}
 
 /// Kernel shape of a nest, for the telemetry histogram. Multi-statement
 /// bodies count as `Fused` regardless of their per-statement shapes.
@@ -61,9 +63,9 @@ pub enum Shape {
 /// Histogram labels, indexed by `Shape as usize`.
 pub const SHAPE_NAMES: [&str; 6] = ["copy", "scale", "axpy", "muladd", "sumk", "fused"];
 
-/// One op of a resolved postfix tape (the generic fallback kernel):
-/// [`BodyOp`] minus the per-read cost extras, which live entirely on the
-/// timing side of the split.
+/// One op of a statement's right-hand side in postfix order, which is
+/// exactly [`Expr`]'s DFS evaluation order (the generic fallback kernel
+/// runs it as a tape).
 #[derive(Clone, Copy)]
 pub(crate) enum TapeOp {
     Const(f64),
@@ -73,6 +75,19 @@ pub(crate) enum TapeOp {
     /// Next read stream's element.
     Read,
     Bin(BinOp),
+}
+
+fn flatten(e: &Expr, out: &mut Vec<TapeOp>) {
+    match e {
+        Expr::Const(c) => out.push(TapeOp::Const(*c)),
+        Expr::Index(l) => out.push(TapeOp::Index(*l)),
+        Expr::Ref(_) => out.push(TapeOp::Read),
+        Expr::Bin(op, a, b) => {
+            flatten(a, out);
+            flatten(b, out);
+            out.push(TapeOp::Bin(*op));
+        }
+    }
 }
 
 /// The scalar kernel of one statement: closed-form shapes evaluated
@@ -107,32 +122,19 @@ pub(crate) struct KernelPlan {
     pub(crate) shape: Shape,
 }
 
-/// Classify a nest body; `None` = the nest always takes the interpreter
-/// (empty body or more than [`MAX_KERNEL_ACCS`] references).
-pub(crate) fn build_plan(nest: &SpmdNest, ops: &[Vec<BodyOp>]) -> Option<KernelPlan> {
-    if nest.source.body.is_empty() {
-        return None;
-    }
-    let mut cursors = 0usize;
+/// Classify a nest body (an empty one gets a plan with no statements).
+pub(crate) fn build_plan(nest: &SpmdNest) -> KernelPlan {
     let mut extra = 0u64;
-    let mut stmts = Vec::with_capacity(ops.len());
-    for (sc, sops) in nest.stmt_costs.iter().zip(ops) {
-        let mut nreads = 0usize;
-        for o in sops {
-            if let BodyOp::Read { extra: e, .. } = o {
-                nreads += 1;
-                extra += e;
-            }
-        }
-        cursors += 1 + nreads;
-        extra += sc.flop_cycles + sc.write_extra;
-        stmts.push(StmtPlan { kernel: classify_stmt(sops), nreads });
-    }
-    if cursors > MAX_KERNEL_ACCS {
-        return None;
+    let mut stmts = Vec::with_capacity(nest.source.body.len());
+    for (s, sc) in nest.source.body.iter().zip(&nest.stmt_costs) {
+        let mut ops = Vec::new();
+        flatten(&s.rhs, &mut ops);
+        let nreads = ops.iter().filter(|o| matches!(o, TapeOp::Read)).count();
+        extra += sc.read_extras.iter().take(nreads).sum::<u64>() + sc.flop_cycles + sc.write_extra;
+        stmts.push(StmtPlan { kernel: classify_stmt(ops), nreads });
     }
     let shape = if stmts.len() == 1 { shape_of(&stmts[0].kernel) } else { Shape::Fused };
-    Some(KernelPlan { stmts, extra_cycles: extra, shape })
+    KernelPlan { stmts, extra_cycles: extra, shape }
 }
 
 fn shape_of(k: &StmtKernel) -> Shape {
@@ -146,75 +148,56 @@ fn shape_of(k: &StmtKernel) -> Shape {
     }
 }
 
-fn classify_stmt(ops: &[BodyOp]) -> StmtKernel {
-    use BodyOp as B;
-    match ops {
-        [B::Read { .. }] => StmtKernel::Copy,
-        [B::Read { .. }, B::Const(c), B::Bin(op)] => {
-            StmtKernel::Scale { op: *op, c: *c, c_left: false }
+fn classify_stmt(ops: Vec<TapeOp>) -> StmtKernel {
+    use TapeOp as T;
+    match ops[..] {
+        [T::Read] => StmtKernel::Copy,
+        [T::Read, T::Const(c), T::Bin(op)] => StmtKernel::Scale { op, c, c_left: false },
+        [T::Const(c), T::Read, T::Bin(op)] => StmtKernel::Scale { op, c, c_left: true },
+        [T::Const(c), T::Read, T::Bin(BinOp::Mul), T::Read, T::Bin(op)] => {
+            StmtKernel::Axpy { op, c, c_left: true, mul_first: true }
         }
-        [B::Const(c), B::Read { .. }, B::Bin(op)] => {
-            StmtKernel::Scale { op: *op, c: *c, c_left: true }
+        [T::Read, T::Const(c), T::Bin(BinOp::Mul), T::Read, T::Bin(op)] => {
+            StmtKernel::Axpy { op, c, c_left: false, mul_first: true }
         }
-        [B::Const(c), B::Read { .. }, B::Bin(BinOp::Mul), B::Read { .. }, B::Bin(op)] => {
-            StmtKernel::Axpy { op: *op, c: *c, c_left: true, mul_first: true }
+        [T::Read, T::Const(c), T::Read, T::Bin(BinOp::Mul), T::Bin(op)] => {
+            StmtKernel::Axpy { op, c, c_left: true, mul_first: false }
         }
-        [B::Read { .. }, B::Const(c), B::Bin(BinOp::Mul), B::Read { .. }, B::Bin(op)] => {
-            StmtKernel::Axpy { op: *op, c: *c, c_left: false, mul_first: true }
+        [T::Read, T::Read, T::Const(c), T::Bin(BinOp::Mul), T::Bin(op)] => {
+            StmtKernel::Axpy { op, c, c_left: false, mul_first: false }
         }
-        [B::Read { .. }, B::Const(c), B::Read { .. }, B::Bin(BinOp::Mul), B::Bin(op)] => {
-            StmtKernel::Axpy { op: *op, c: *c, c_left: true, mul_first: false }
-        }
-        [B::Read { .. }, B::Read { .. }, B::Const(c), B::Bin(BinOp::Mul), B::Bin(op)] => {
-            StmtKernel::Axpy { op: *op, c: *c, c_left: false, mul_first: false }
-        }
-        [B::Read { .. }, B::Read { .. }, B::Read { .. }, B::Bin(BinOp::Mul), B::Bin(op)] => {
-            StmtKernel::MulAdd { op: *op }
-        }
-        _ => try_sumk(ops).unwrap_or_else(|| tape(ops)),
+        [T::Read, T::Read, T::Read, T::Bin(BinOp::Mul), T::Bin(op)] => StmtKernel::MulAdd { op },
+        _ => try_sumk(&ops).unwrap_or(StmtKernel::Tape { ops }),
     }
 }
 
 /// Left-associated chain of adds/subs over reads, with an optional
 /// trailing constant scale: the stencil body `(b+b+b+b+b)*0.2`.
-fn try_sumk(ops: &[BodyOp]) -> Option<StmtKernel> {
-    use BodyOp as B;
+fn try_sumk(ops: &[TapeOp]) -> Option<StmtKernel> {
+    use TapeOp as T;
     let (chain, scale) = match ops {
-        [rest @ .., B::Const(c), B::Bin(op)] if rest.len() >= 3 => (rest, Some((*op, *c))),
+        [rest @ .., T::Const(c), T::Bin(op)] if rest.len() >= 3 => (rest, Some((*op, *c))),
         _ => (ops, None),
     };
     if chain.len() < 3 || chain.len() % 2 == 0 {
         return None;
     }
-    if !matches!(chain[0], B::Read { .. }) {
+    if !matches!(chain[0], T::Read) {
         return None;
     }
     let mut chain_ops = Vec::with_capacity(chain.len() / 2);
     let mut i = 1;
     while i < chain.len() {
-        if !matches!(chain[i], B::Read { .. }) {
+        if !matches!(chain[i], T::Read) {
             return None;
         }
         match chain[i + 1] {
-            B::Bin(o @ (BinOp::Add | BinOp::Sub)) => chain_ops.push(o),
+            T::Bin(o @ (BinOp::Add | BinOp::Sub)) => chain_ops.push(o),
             _ => return None,
         }
         i += 2;
     }
     Some(StmtKernel::SumK { ops: chain_ops, scale })
-}
-
-fn tape(ops: &[BodyOp]) -> StmtKernel {
-    let t = ops
-        .iter()
-        .map(|o| match *o {
-            BodyOp::Const(c) => TapeOp::Const(c),
-            BodyOp::Index(l) => TapeOp::Index(l),
-            BodyOp::Read { .. } => TapeOp::Read,
-            BodyOp::Bin(op) => TapeOp::Bin(op),
-        })
-        .collect();
-    StmtKernel::Tape { ops: t }
 }
 
 /// One resolved read stream of a segment: raw arena base plus the slot
@@ -281,9 +264,9 @@ unsafe fn sweep(w: WrStream, seg: i64, mut f: impl FnMut(i64) -> f64) {
     }
 }
 
-/// Evaluate a resolved tape for element `t`. Stack discipline (depth,
-/// never-read-before-write) is guaranteed at flatten time, so the
-/// operand stack needs no per-element zeroing.
+/// Evaluate a resolved tape for element `t`. Postfix order never reads a
+/// slot before writing it, and codegen bounds the depth, so the operand
+/// stack needs no per-element zeroing.
 #[inline]
 unsafe fn eval_tape(
     ops: &[TapeOp],
@@ -459,7 +442,7 @@ pub(crate) unsafe fn exec_values(
                 }
             }
         } else {
-            // Element-major ordered path: exact interpreter order for
+            // Element-major ordered path: the reference walk's order, for
             // cross-statement and cross-element dependences.
             for t in 0..seg {
                 let iv = iv0 + t * step;

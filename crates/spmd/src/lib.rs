@@ -3,7 +3,7 @@
 //! SPMD code generation and deterministic parallel execution over the
 //! simulated machine: iteration partitioning (block / cyclic /
 //! block-cyclic, owner-computes, localized and pipelined nests), barrier
-//! placement and elision, address-cost annotation, and the interpreter
+//! placement and elision, address-cost annotation, and the executor
 //! that produces per-processor cycle counts and coherence statistics.
 
 #![allow(clippy::needless_range_loop, clippy::manual_memcpy)]

@@ -39,7 +39,7 @@
 //! ## Fast-path segments
 //!
 //! The strided executor resolves each statement reference into a
-//! `(slot, Δslot)` cursor once per layout segment and the interpreter
+//! `(slot, Δslot)` cursor once per layout segment and the fused kernel
 //! then never recomputes addresses inside the segment. Detection piggy-
 //! backs on the same structure: one [`Detector::range_access`] call
 //! covers a whole per-reference interval. No synchronization can occur

@@ -27,9 +27,8 @@ pub struct SimOptions {
     /// (default). The general walk produces bit-identical results; the
     /// differential tests flip this to prove it.
     pub fast_path: bool,
-    /// Execute strided segments through fused segment kernels (default;
-    /// bit-identical to the postfix interpreter by contract). `false`
-    /// forces the interpreter for every segment.
+    /// Inert (never read: the fused kernels run every strided segment);
+    /// goes with the follow-up benchmark PR.
     pub seg_kernels: bool,
     /// Run the happens-before race detector alongside execution (pure
     /// observer: cycles and results are unchanged; the run result gains
@@ -85,7 +84,6 @@ fn build_executor<'a>(
     let machine = opts.machine.clone().unwrap_or_else(|| MachineConfig::dash(opts.procs));
     let mut ex = Executor::new(sp, machine, cost);
     ex.fast_path = opts.fast_path;
-    ex.seg_kernels = opts.seg_kernels;
     ex.race_detect = opts.race_detect;
     ex.profile = opts.profile;
     ex.max_cycles = opts.max_cycles;

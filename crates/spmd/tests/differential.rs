@@ -338,12 +338,6 @@ fn hand_written_time_loops_replay_only_when_time_invariant() {
                     (false, _) => (MemoOutcome::Replayed, steps as u64 - 2),
                 };
                 assert_eq!((fast.fast.memo, fast.fast.replayed_steps), want, "{what}");
-                // Same iterations on the same paths with kernels off, and
-                // the interpreter replays too.
-                let interp = SimOptions { seg_kernels: false, ..opts.clone() };
-                let ri = simulate(&prog, &dec, &interp).expect("simulate");
-                assert_same_results(&what, &ri, &slow);
-                assert_eq!((ri.fast.memo, ri.fast.replayed_steps), want, "{what}: interpreter");
             }
         }
     }
@@ -386,8 +380,8 @@ fn cycle_budget_expiring_inside_a_replayed_step() {
 }
 
 /// Fast path against the reference walk, plain and observed: cycles,
-/// clocks, counters, checksum bits, and the race and profile reports;
-/// then the same with the fused kernels off. Returns the plain fast run.
+/// clocks, counters, checksum bits, and the race and profile reports.
+/// Returns the plain fast run.
 fn assert_walks_agree(what: &str, prog: &Program, dec: &dct_decomp::Decomposition, opts: &SimOptions) -> RunResult {
     let run = |o: &SimOptions| simulate(prog, dec, o).unwrap_or_else(|e| panic!("{what}: {e}"));
     let (fast, slow) = (run(opts), run(&reference(opts)));
@@ -399,18 +393,11 @@ fn assert_walks_agree(what: &str, prog: &Program, dec: &dct_decomp::Decompositio
     assert_same_walk(what, &of, &fast);
     assert_eq!(of.race, os.race, "{what}: race report");
     assert_eq!(of.mem_profile, os.mem_profile, "{what}: memory profile");
-    let interp = run(&SimOptions { seg_kernels: false, ..opts.clone() });
-    assert_same_results(what, &interp, &slow);
     let f = fast.fast;
     assert_eq!(
         f.cursor_bumps + f.resolves.iter().sum::<u64>(),
         f.segments,
         "{what}: every segment is a bump or a resolve"
-    );
-    assert_eq!(
-        (interp.fast.cursor_bumps, interp.fast.resolves),
-        (f.cursor_bumps, f.resolves),
-        "{what}: the memo does not depend on who runs the segment"
     );
     fast
 }

@@ -1,19 +1,18 @@
-//! Differential property test for the fused segment-kernel layer: for
-//! randomized bodies covering every kernel shape (copy, scale, axpy,
-//! mul-add, k-ary sum, resolved tape, multi-statement fusion, aliased
-//! scans), executing with kernels enabled must be *bit-identical* to the
-//! postfix interpreter and to the general reference walk — cycles,
-//! clocks, machine statistics, checksum bits, race report, and memory
-//! profile — under every folding and processor count. A second suite
-//! forces each kernel fallback reason (body outside the plan envelope,
-//! segments shorter than the dispatch minimum, kernels disabled) and
-//! checks both the fallback observability (`kernel_iters == 0`, the
-//! refusal counted under its reason) and the unchanged results.
+//! Differential property test for the fused segment kernels, the engine of
+//! every strided segment: for randomized bodies covering every kernel
+//! shape (copy, scale, axpy, mul-add, k-ary sum, resolved tape,
+//! multi-statement fusion, aliased scans), the strided run must be
+//! *bit-identical* to the general reference walk — cycles, clocks, machine
+//! statistics, checksum bits, race report, and memory profile — under
+//! every folding and processor count. A second suite covers the segments a
+//! length or width limit once sent elsewhere (wide bodies, short innermost
+//! loops, single-iteration segments split at a strip boundary): each must
+//! run through a kernel, unrefused, with unchanged results.
 
 use dct_decomp::{decompose, Folding};
 use dct_dep::{analyze_nest, DepConfig};
 use dct_ir::{Aff, Expr, Program, ProgramBuilder};
-use dct_spmd::exec::Refusal;
+use dct_spmd::exec::Resolve;
 use dct_spmd::{simulate, SimOptions};
 use proptest::prelude::*;
 
@@ -121,13 +120,13 @@ fn run(prog: &Program, dec: &dct_decomp::Decomposition, opts: &SimOptions) -> dc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Kernel path vs postfix interpreter vs reference walk: identical
-    /// cycles, clocks, stats, checksums, race reports, and memory
-    /// profiles for every folding x processor count. Observers on for
-    /// one pair (the per-access observed loop), off for another
-    /// (`seg_rounds`) so both loops of `access_seg` are pinned.
+    /// Kernel path vs reference walk: identical cycles, clocks, stats,
+    /// checksums, race reports, and memory profiles for every folding x
+    /// processor count. Observers off for one pair (`access_seg` runs
+    /// `seg_rounds`), on for another (the per-access observed loop), so
+    /// both loops of `access_seg` are pinned.
     #[test]
-    fn kernels_match_interpreter_and_reference(
+    fn kernels_match_reference(
         n in 10i64..=14,
         shape in 0u8..=7,
         dj in -1i64..=1,
@@ -135,65 +134,48 @@ proptest! {
         transform in any::<bool>(),
     ) {
         let prog = program_for(n, shape, dj, scale2);
-        let cfg = DepConfig { nparams: prog.params.len(), param_min: 4 };
-        let deps: Vec<_> = prog.nests.iter().map(|nst| analyze_nest(nst, cfg)).collect();
         let params = prog.default_params();
 
         for folding in [Folding::Block, Folding::Cyclic, Folding::BlockCyclic { block: 2 }] {
-            let mut dec = decompose(&prog, &deps).unwrap();
+            let mut dec = decomposed(&prog);
             for f in dec.foldings.iter_mut() {
                 *f = folding;
             }
-            let mut any_kernel = false;
             for procs in [1usize, 2, 4] {
                 let mut kern = SimOptions::new(procs, params.clone());
                 kern.transform_data = transform;
-                let mut interp = kern.clone();
-                interp.seg_kernels = false;
-                let mut reference = kern.clone();
-                reference.fast_path = false;
+                let reference = SimOptions { fast_path: false, ..kern.clone() };
 
                 // Plain runs: no probe, so `access_seg` runs `seg_rounds`.
                 let rk = run(&prog, &dec, &kern);
-                let ri = run(&prog, &dec, &interp);
                 let rr = run(&prog, &dec, &reference);
-                any_kernel |= rk.fast.kernel_iters > 0;
-                prop_assert_eq!(ri.fast.kernel_iters, 0, "interpreter run used kernels");
+                prop_assert_eq!(rk.fast.kernel_refusals, [0; 1], "refused kernel segments");
+                prop_assert!(
+                    rk.fast.fast_iters > 0 || matches!(folding, Folding::BlockCyclic { .. }),
+                    "kernels never engaged ({:?}, P={})", folding, procs
+                );
                 // Only the scan reads the array it writes.
                 prop_assert!(shape == 7 || rk.fast.kernel_aliased == 0, "aliased kernel segments: {:?}", rk.fast);
-                assert_same(&rk, &ri, "kernel vs interpreter (plain)");
                 assert_same(&rk, &rr, "kernel vs reference (plain)");
 
                 // Observed runs: race detection + profiling attached, so
                 // the machine layer takes its exact probed path while the
                 // kernel value sweeps and race batching stay engaged.
-                let mut kern_obs = kern.clone();
-                kern_obs.race_detect = true;
-                kern_obs.profile = true;
-                let mut interp_obs = interp.clone();
-                interp_obs.race_detect = true;
-                interp_obs.profile = true;
-                let ok = run(&prog, &dec, &kern_obs);
-                let oi = run(&prog, &dec, &interp_obs);
+                let observed = |o: &SimOptions| SimOptions { race_detect: true, profile: true, ..o.clone() };
+                let ok = run(&prog, &dec, &observed(&kern));
+                let or = run(&prog, &dec, &observed(&reference));
                 prop_assert!(ok.race.is_some() && ok.mem_profile.is_some());
-                assert_same(&ok, &oi, "kernel vs interpreter (observed)");
+                assert_same(&ok, &or, "kernel vs reference (observed)");
                 prop_assert_eq!(ok.cycles, rk.cycles, "observers perturbed cycles");
-            }
-            if matches!(folding, Folding::Block) {
-                // P=1 block folding always yields segments >= the
-                // dispatch minimum, so kernels must have engaged.
-                prop_assert!(any_kernel, "kernels never engaged ({folding:?})");
             }
         }
     }
 }
 
-/// A statement with more references than `MAX_KERNEL_ACCS` gets no plan:
-/// every segment falls back to the interpreter, results unchanged. The
-/// init nest's inner extent sits below the dispatch minimum so the whole
-/// run stays kernel-free and `kernel_iters == 0` is assertable.
+/// A body of 26 references (25 reads and the write) runs through a
+/// kernel like any other: the plan has no width limit.
 #[test]
-fn fallback_too_many_refs() {
+fn wide_bodies_run_kernels() {
     let n = 40i64;
     let mut pb = ProgramBuilder::new("kern-wide");
     let np = pb.param("N", n);
@@ -205,7 +187,6 @@ fn fallback_too_many_refs() {
     let j = nb.loop_var(Aff::konst(0), Aff::konst(2)); // 3 iters: short segments
     nb.assign(b, &[Aff::var(i), Aff::var(j)], Expr::Index(i) + Expr::Index(j) * Expr::Const(2.0));
     pb.init_nest(nb.build());
-    // 25 reads + 1 write = 26 cursors > MAX_KERNEL_ACCS (24).
     let mut nb = pb.nest_builder("wide");
     let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 27);
     let j = nb.loop_var(Aff::konst(1), Aff::param(np) - 27);
@@ -215,35 +196,64 @@ fn fallback_too_many_refs() {
     }
     nb.assign(a, &[Aff::var(i), Aff::var(j)], rhs);
     pb.nest(nb.build());
-    let prog = pb.build();
-    assert_fallback_exact(&prog, |o| o, Some(Refusal::NoPlan), "too-many-refs");
+    assert_kernels_exact(&pb.build(), "wide body");
 }
 
-/// Innermost extent below `MIN_KERNEL_SEG`: every segment is too short
-/// to dispatch, results unchanged.
+/// An innermost loop of 3 iterations: every segment is short, and every
+/// one runs through a kernel.
 #[test]
-fn fallback_short_segments() {
-    let prog = short_inner_program();
-    assert_fallback_exact(&prog, |o| o, Some(Refusal::ShortSegment), "short-segment");
+fn short_segments_run_kernels() {
+    assert_kernels_exact(&short_inner_program(), "short segments");
 }
 
-/// `SimOptions::seg_kernels = false` forces the interpreter outright.
+/// A 4-point relaxation whose reads `A(i-1, j)` and `A(i+1, j)` cross a
+/// strip boundary of the transformed layout one iteration before or after
+/// the write does: each entry of the innermost loop splits into a long
+/// segment and segments of a single iteration, which are resolved, never
+/// bumped, and still run through kernels.
 #[test]
-fn fallback_kernels_disabled() {
+fn split_short_segments_run_kernels() {
+    let n = 40i64;
+    let mut pb = ProgramBuilder::new("kern-split");
+    let np = pb.param("N", n);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let b = pb.array("B", &[Aff::param(np), Aff::param(np)], 8);
+    let _t = pb.time_loop(Aff::konst(1));
+    let mut nb = pb.nest_builder("init");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], Expr::Index(i) * Expr::Const(0.25) + Expr::Index(j));
+    pb.init_nest(nb.build());
+    let mut nb = pb.nest_builder("sweep");
+    let j = nb.loop_var(Aff::konst(1), Aff::param(np) - 2);
+    let i = nb.loop_var(Aff::konst(1), Aff::param(np) - 2);
+    let rhs = (nb.read(a, &[Aff::var(i) - 1, Aff::var(j)])
+        + nb.read(a, &[Aff::var(i) + 1, Aff::var(j)])
+        + nb.read(a, &[Aff::var(i), Aff::var(j) - 1])
+        + nb.read(a, &[Aff::var(i), Aff::var(j) + 1]))
+        * Expr::Const(0.25);
+    nb.assign(b, &[Aff::var(i), Aff::var(j)], rhs);
+    pb.nest(nb.build());
+    let runs = assert_kernels_exact(&pb.build(), "split segments");
+    let split = runs.iter().map(|r| r.fast.resolves[Resolve::SplitSegment as usize]).sum::<u64>();
+    assert!(split > 0, "no entry split at a strip boundary");
+}
+
+/// `SimOptions::seg_kernels` is inert: `false` gives the default run's
+/// result, counters and all.
+#[test]
+fn seg_kernels_off_changes_nothing() {
     let prog = program_for(12, 3, 0, false);
-    assert_fallback_exact(
-        &prog,
-        |mut o| {
-            o.seg_kernels = false;
-            o
-        },
-        None,
-        "kernels-disabled",
-    );
+    let dec = decomposed(&prog);
+    for procs in [1usize, 4] {
+        let opts = SimOptions::new(procs, prog.default_params());
+        let off = SimOptions { seg_kernels: false, ..opts.clone() };
+        let (a, b) = (run(&prog, &dec, &opts), run(&prog, &dec, &off));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "P={procs}");
+    }
 }
 
-/// Build a program whose innermost loop runs 3 iterations (< the
-/// dispatch minimum of 4).
+/// Build a program whose innermost loop runs 3 iterations.
 fn short_inner_program() -> Program {
     let n = 16i64;
     let mut pb = ProgramBuilder::new("kern-short");
@@ -265,43 +275,51 @@ fn short_inner_program() -> Program {
     pb.build()
 }
 
-/// Run `prog` with kernels requested (plus `tweak`) and with the
-/// reference walk; require that no iteration was kernelized while the
-/// strided path still ran, that the refusals were counted under `why`
-/// (with kernels off, nothing is refused), and that results are
-/// bit-identical.
-fn assert_fallback_exact(
-    prog: &Program,
-    tweak: fn(SimOptions) -> SimOptions,
-    why: Option<Refusal>,
-    what: &str,
-) {
+fn decomposed(prog: &Program) -> dct_decomp::Decomposition {
     let cfg = DepConfig { nparams: prog.params.len(), param_min: 4 };
     let deps: Vec<_> = prog.nests.iter().map(|nst| analyze_nest(nst, cfg)).collect();
-    let dec = decompose(prog, &deps).unwrap();
-    let params = prog.default_params();
+    decompose(prog, &deps).unwrap()
+}
+
+/// Run `prog` observed (race detector and profiler on) and with the
+/// reference walk at P in {1, 4}; require that every innermost iteration
+/// ran through a kernel, none through the general walk, and that the
+/// results are bit-identical. Returns the kernel runs.
+fn assert_kernels_exact(prog: &Program, what: &str) -> Vec<dct_spmd::RunResult> {
+    let dec = decomposed(prog);
+    let mut runs = Vec::new();
     for procs in [1usize, 4] {
-        let mut opts = SimOptions::new(procs, params.clone());
+        let mut opts = SimOptions::new(procs, prog.default_params());
         opts.race_detect = true;
         opts.profile = true;
-        let opts = tweak(opts);
-        let mut reference = opts.clone();
-        reference.fast_path = false;
+        let reference = SimOptions { fast_path: false, ..opts.clone() };
         let rk = run(prog, &dec, &opts);
         let rr = run(prog, &dec, &reference);
-        assert_eq!(rk.fast.kernel_iters, 0, "{what}: kernels unexpectedly engaged (P={procs})");
-        assert!(rk.fast.fast_iters > 0, "{what}: strided path never ran (P={procs})");
-        assert_eq!(
-            rk.fast.kernel_shapes.iter().sum::<u64>(),
-            0,
-            "{what}: histogram counted fallback iterations"
-        );
-        let refused = rk.fast.kernel_refusals;
-        match why {
-            Some(why) => assert!(refused[why as usize] > 0, "{what}: {refused:?} (P={procs})"),
-            None => assert_eq!(refused, [0; 3], "{what} (P={procs})"),
-        }
-        assert_eq!(refused[Refusal::OutOfBounds as usize], 0, "{what} (P={procs})");
+        let f = rk.fast;
+        assert!(f.kernel_iters > 0, "{what}: kernels never ran (P={procs})");
+        assert_eq!((f.slow_iters, f.kernel_refusals), (0, [0; 1]), "{what}: general-walk iterations (P={procs})");
+        assert_eq!(f.kernel_shapes.iter().sum::<u64>(), f.kernel_iters, "{what}: shape histogram (P={procs})");
         assert_same(&rk, &rr, what);
+        runs.push(rk);
     }
+    runs
+}
+
+/// A nest with no statements gets a plan with none: its segments run
+/// through a kernel that touches nothing.
+#[test]
+fn empty_body_runs_kernels() {
+    let mut pb = ProgramBuilder::new("kern-empty");
+    let np = pb.param("N", 16);
+    let a = pb.array("A", &[Aff::param(np), Aff::param(np)], 8);
+    let mut nb = pb.nest_builder("init");
+    let j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    nb.assign(a, &[Aff::var(i), Aff::var(j)], Expr::Index(i) + Expr::Index(j));
+    pb.init_nest(nb.build());
+    let mut nb = pb.nest_builder("empty");
+    let _j = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    let _i = nb.loop_var(Aff::konst(0), Aff::param(np) - 1);
+    pb.nest(nb.build());
+    assert_kernels_exact(&pb.build(), "empty body");
 }

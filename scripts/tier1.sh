@@ -25,7 +25,7 @@ echo "== tier1: replay, cursor-memo and kernel differentials, release build"
 # re-checks the full state only under debug assertions (the test profile);
 # likewise a bumped segment entry's cursors, kernel streams and verdicts
 # are derived again and compared only there. So the release decisions
-# need their own run against the reference walk and the interpreter.
+# need their own run against the reference walk.
 cargo test --release -q -p dct-spmd --test differential
 cargo test --release -q -p dct-spmd --test kernel_differential
 
