@@ -11,14 +11,16 @@
 //!
 //! Each strategy is a cell of the one executor ([`run_cells`]) with the
 //! profiler on: the cell carries its profile ([`CellProfile`]), in the
-//! store too, so a warm `--cache` run renders the cold run's bytes
-//! without simulating.
+//! store too, so a warm `--cache` run renders the cold run's text
+//! without simulating. The JSON's host members (replay outcome, walk
+//! counters, observer bytes) describe the run that computed a cell, so a
+//! served cell prints each of them as `"served"`.
 
 use crate::ablate::Variant;
 use crate::cache::kind_strategy;
 use crate::harness::ThreadBudget;
 use crate::programs;
-use crate::sweep::{run_cells, Cell, CellProfile, CellTask, SweepConfig, SweepReport};
+use crate::sweep::{run_cells, served_host_members, Cell, CellProfile, CellTask, SweepConfig, SweepReport};
 use dct_core::Strategy;
 use dct_ir::{esc, MemProfile};
 
@@ -179,7 +181,7 @@ pub fn explain_json(r: &ExplainResult) -> String {
             Ok((cycles, p)) => out.push_str(&format!(
                 "    {{\"strategy\": \"{label}\", \"rung\": \"{}\", \"cycles\": {cycles}, {}, \"profile\": {}}}{comma}\n",
                 esc(&p.rung),
-                p.host,
+                p.host.clone().unwrap_or_else(served_host_members),
                 p.mem.to_json("    ")
             )),
             Err(e) => out.push_str(&format!("    {{\"strategy\": \"{label}\", \"error\": \"{}\"}}{comma}\n", esc(&e))),
@@ -211,6 +213,50 @@ mod tests {
         let r = ExplainResult { benchmark: "stencil".into(), procs: 4, scale: 0.1, cells: vec![cell] };
         let json = explain_json(&r);
         assert!(json.contains(r#""error": "bad\t\"x\"\u000d\nend\\""#), "{json}");
+    }
+
+    /// A served cell prints its host members as `"served"`: the store
+    /// keeps none, and a `"host"` member forged into every stored
+    /// envelope, checksum and all, is never printed.
+    #[test]
+    fn served_cells_print_no_host_counters() {
+        use crate::sweep::{cell_to_json, checkpoint_from_json, fnv64, CKPT_SCHEMA};
+        fn envelopes(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            for e in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+                let p = e.path();
+                if p.is_dir() {
+                    envelopes(&p, out);
+                } else if p.extension().is_some_and(|x| x == "json") {
+                    out.push(p);
+                }
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("dct-explain-served-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = cfg(4, 0.05);
+        cfg.cache = Some(std::sync::Arc::new(crate::cache::ResultStore::open(&dir, None).expect("store")));
+        let (cold, rep) = explain("stencil", &cfg, ThreadBudget::clamp(1)).expect("stencil is a suite benchmark");
+        assert_eq!((rep.executed, rep.cache_hits), (3, 0));
+        let cold_json = explain_json(&cold);
+        assert!(cold_json.contains("\"profiler_table_bytes\": ") && !cold_json.contains("served"), "{cold_json}");
+        let mut files = Vec::new();
+        envelopes(&dir, &mut files);
+        assert_eq!(files.len(), 3);
+        for f in &files {
+            let text = std::fs::read_to_string(f).expect("envelope");
+            assert!(!text.contains("profiler_table_bytes"), "{text}");
+            let cell = checkpoint_from_json(&text).expect("verified envelope");
+            let body = cell_to_json(&cell).replacen(",\"mem\":", ",\"host\":\"\\\"profiler_table_bytes\\\": 643999999\",\"mem\":", 1);
+            let forged = format!("{{\"schema\":{CKPT_SCHEMA},\"crc64\":\"{:016x}\",\"cell\":{body}}}", fnv64(body.as_bytes()));
+            std::fs::write(f, forged).expect("forge");
+        }
+        let (warm, rep) = explain("stencil", &cfg, ThreadBudget::clamp(1)).expect("stencil is a suite benchmark");
+        assert_eq!((rep.executed, rep.cache_hits), (0, 3), "the forged envelopes verify");
+        let json = explain_json(&warm);
+        assert!(!json.contains("643999999"), "{json}");
+        assert_eq!(json.matches(&served_host_members()).count(), 3, "{json}");
+        assert_eq!(render_explain(&warm), render_explain(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

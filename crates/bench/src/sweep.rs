@@ -88,10 +88,31 @@ pub struct Cell {
 pub struct CellProfile {
     /// The compile rung the cell ran on (after any strategy degradation).
     pub rung: String,
-    /// The host-side JSON members of the run, as [`host_members`] wrote
-    /// them.
-    pub host: String,
+    /// The host-side JSON members of the run that computed the cell, as
+    /// [`host_members`] wrote them; `None` for a cell served from the
+    /// store. They say how this engine ran the cell, the store's key does
+    /// not cover the engine, and an envelope does not keep them.
+    pub host: Option<String>,
     pub mem: MemProfile,
+}
+
+/// The members [`host_members`] writes, in order.
+pub const HOST_KEYS: [&str; 9] = [
+    "memo",
+    "replayed_steps",
+    "cursor_bumps",
+    "resolves",
+    "kernel_refusals",
+    "kernel_aliased",
+    "steps_simulated",
+    "race_shadow_bytes",
+    "profiler_table_bytes",
+];
+
+/// What stands in for [`host_members`] in a served cell: every member
+/// with the value `"served"`.
+pub fn served_host_members() -> String {
+    HOST_KEYS.map(|k| format!("\"{k}\": \"served\"")).join(", ")
 }
 
 /// The JSON members that say how the host ran a simulation: the replay
@@ -200,9 +221,10 @@ pub fn cell_to_json(c: &Cell) -> String {
     }
     // Last, as escaped strings: a quote inside one is always `\"`, so no
     // text in them can read as an earlier member's `"key":`.
+    // The host members stay out (see `CellProfile::host`).
     if let Some(p) = &c.profile {
-        let (rung, host, mem) = (esc(&p.rung), esc(&p.host), esc(&p.mem.encode()));
-        s.push_str(&format!(",\"rung\":\"{rung}\",\"host\":\"{host}\",\"mem\":\"{mem}\""));
+        let (rung, mem) = (esc(&p.rung), esc(&p.mem.encode()));
+        s.push_str(&format!(",\"rung\":\"{rung}\",\"mem\":\"{mem}\""));
     }
     s.push('}');
     s
@@ -291,7 +313,9 @@ pub fn cell_from_json(s: &str) -> Option<Cell> {
     c.barriers = json_num(s, "barriers").map(|b| b as u64);
     c.profile = (|| {
         let mem = MemProfile::decode(&json_str(s, "mem")?)?;
-        Some(Box::new(CellProfile { rung: json_str(s, "rung")?, host: json_str(s, "host")?, mem }))
+        // An envelope written before host members were left out has a
+        // `"host"` member: it is read past, never served.
+        Some(Box::new(CellProfile { rung: json_str(s, "rung")?, host: None, mem }))
     })();
     Some(c)
 }
@@ -757,7 +781,7 @@ pub fn compute_cell_supervised(
             let outcome = sim.cycles.map_or(CellOutcome::Timeout, CellOutcome::Cycles);
             let CellSim { checksum_bits, fingerprint, race, barriers, profile, .. } = sim;
             let profile = profile.map(|(mem, rung, fast)| {
-                Box::new(CellProfile { rung: rung.to_string(), host: host_members(&fast), mem })
+                Box::new(CellProfile { rung: rung.to_string(), host: Some(host_members(&fast)), mem })
             });
             let cell = Cell { checksum_bits, fingerprint, race, barriers, profile, ..task.cell(cfg.scale, outcome) };
             // The store is the durable record: a cell that was computed
@@ -884,11 +908,23 @@ mod tests {
                 nprocs: 32,
                 rows: vec![dct_ir::MemRow { site: 1, accesses: 9, coh_false: 2, ..Default::default() }],
             };
-            let profile = Some(Box::new(CellProfile { rung: awkward.into(), host: format!("\"x\": {awkward}"), mem }));
+            let profile = Some(Box::new(CellProfile { rung: awkward.into(), host: None, mem }));
             let p = Cell { race: None, profile, ..c.clone() };
             let back = cell_from_json(&cell_to_json(&p)).expect("profiled roundtrip");
             assert_eq!(back, p);
             assert_eq!(back.race, None, "a profile name read as the detector's counts");
+            // The host members of the run that computed a cell are not
+            // stored, and a stored `"host"` member (an older envelope's, or
+            // a forged one) is never read back.
+            let mut computed = p.clone();
+            if let Some(prof) = computed.profile.as_mut() {
+                prof.host = Some(format!("\"profiler_table_bytes\": 644116480, \"x\": {awkward}"));
+            }
+            assert_eq!(cell_to_json(&computed), cell_to_json(&p));
+            let body = cell_to_json(&p);
+            let forged = body.replacen(",\"mem\":", ",\"host\":\"\\\"profiler_table_bytes\\\": 644116480\",\"mem\":", 1);
+            assert!(forged.contains("644116480"), "{forged}");
+            assert_eq!(cell_from_json(&forged).expect("legacy envelope"), p);
         }
         // A cell without a profile keeps its envelope bytes.
         let plain = Cell::new("lu", "full", 32, 0.25, CellOutcome::Cycles(7));
@@ -958,6 +994,31 @@ mod tests {
         let future = json.replace("\"schema\":2", "\"schema\":3");
         let err = checkpoint_from_json(&future).expect_err("future schema refused");
         assert!(err.contains("schema 3"), "{err}");
+    }
+
+    /// [`HOST_KEYS`] names exactly the top-level members [`host_members`]
+    /// writes, so a served cell stands in for every one of them.
+    #[test]
+    fn host_keys_are_the_host_members() {
+        let members = host_members(&FastPathStats::default());
+        // A quoted string at depth 0 followed by `:` is a member's key.
+        let (mut keys, mut depth, mut open) = (Vec::new(), 0, None);
+        for (i, c) in members.char_indices() {
+            match (c, open) {
+                ('"', Some(start)) => {
+                    open = None;
+                    if depth == 0 && members[i + 1..].starts_with(':') {
+                        keys.push(&members[start + 1..i]);
+                    }
+                }
+                ('"', None) => open = Some(i),
+                ('{', None) => depth += 1,
+                ('}', None) => depth -= 1,
+                _ => {}
+            }
+        }
+        assert_eq!(keys, HOST_KEYS, "{members}");
+        assert_eq!(served_host_members().matches("\"served\"").count(), HOST_KEYS.len());
     }
 
     #[test]

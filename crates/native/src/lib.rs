@@ -14,7 +14,7 @@
 //! folding, and thread interleaving. See `run.rs` for the bit-identity
 //! argument and DESIGN.md §13 for the full design.
 //!
-//! The crate carries a zero-panic gate (`scripts/tier1.sh`): worker
+//! The crate carries a zero-panic gate (`tests/panic_ratchet.rs`): worker
 //! failure, peer death, and cancellation all surface as structured
 //! [`dct_ir::DctError`]s, never as a panic or a deadlock.
 

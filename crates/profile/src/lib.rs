@@ -18,15 +18,21 @@
 //!   coherence action removed from this processor's caches, the
 //!   byte-in-line the invalidating store wrote.
 //!
-//! All per-line state is direct-indexed by line number (the executor
-//! packs arrays into a compact address space); rare lines beyond the
-//! dense bound spill to hash maps.
+//! A line's shadow slot and touched bit share one 4-byte state word, so
+//! an access reads one word; the pending invalidation sits in a table
+//! beside it. Both tables are indexed by line number (the executor packs
+//! arrays into a compact address space) and **paged**: a page of 1024
+//! lines is allocated the first time this processor stores something in
+//! it, so a processor's tables cost the lines it touched. A replicated
+//! array spans one copy per processor, and each processor touches only
+//! its own. Rare lines beyond the dense bound spill to hash maps.
 //!
 //! Shared across processors, a **write-generation** map `line ->
 //! (writer, word mask)` tracks which words the current exclusive owner
 //! has stored since it took the line: the mask resets whenever a store
 //! from a different processor begins a new generation and ORs in a bit
-//! per 4-byte word otherwise.
+//! per 4-byte word otherwise. It is paged the same way, at 9 bytes a
+//! line (a byte of writer, 8 of mask).
 //!
 //! Every access (hit or miss) refreshes the shadow; the touched set is
 //! maintained on misses only (the caches are per-processor, so a line
@@ -69,7 +75,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dct_ir::{MemProfile, MemRow};
-use dct_machine::{AccessLevel, MemProbe, StateDigest};
+use dct_machine::{AccessLevel, MachineConfig, MemProbe, StateDigest};
 
 /// Multiply-shift hasher for u64 keys (line numbers). The default SipHash
 /// is needlessly slow for the millions of lookups classification performs.
@@ -113,9 +119,130 @@ fn gen_entry_hash(line: u64, code: u32, mask: u64) -> u64 {
 /// Lines below this bound (64 MB of address space) get dense per-line
 /// state tables; anything beyond spills to hash maps. The executor packs
 /// all arrays from page 1 up, so real programs sit far below the cap —
-/// dense tables are zero-allocated (untouched pages stay unmapped) and
-/// use `+1` sentinel encodings so a calloc'd page means "empty".
+/// the dense tables are [`Paged`] and use `+1` sentinel encodings so a
+/// fresh page means "empty".
 const LIMIT_CAP: u64 = 1 << 22;
+
+/// `log2` of the entries per page of a [`Paged`] table.
+const PAGE_BITS: u32 = 10;
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// One page of a [`Paged`] table: `PAGE` values, all [`Page::EMPTY`] when
+/// fresh.
+trait Page {
+    type Val: Copy + PartialEq;
+    const EMPTY: Self::Val;
+    fn fresh() -> Box<Self>;
+    fn at(&self, k: usize) -> Self::Val;
+    fn set(&mut self, k: usize, v: Self::Val);
+}
+
+impl Page for [u32; PAGE] {
+    type Val = u32;
+    const EMPTY: u32 = 0;
+    fn fresh() -> Box<Self> {
+        Box::new([0; PAGE])
+    }
+    #[inline]
+    fn at(&self, k: usize) -> u32 {
+        self[k]
+    }
+    #[inline]
+    fn set(&mut self, k: usize, v: u32) {
+        self[k] = v;
+    }
+}
+
+/// A page of write generations, `writer + 1` codes beside masks: a line's
+/// generation costs one directory lookup and 9 bytes.
+struct GenPage {
+    writer: [u8; PAGE],
+    mask: [u64; PAGE],
+}
+
+impl Page for GenPage {
+    type Val = (u8, u64);
+    const EMPTY: (u8, u64) = (0, 0);
+    fn fresh() -> Box<Self> {
+        Box::new(GenPage { writer: [0; PAGE], mask: [0; PAGE] })
+    }
+    #[inline]
+    fn at(&self, k: usize) -> (u8, u64) {
+        (self.writer[k], self.mask[k])
+    }
+    #[inline]
+    fn set(&mut self, k: usize, (w, m): (u8, u64)) {
+        self.writer[k] = w;
+        self.mask[k] = m;
+    }
+}
+
+/// A dense per-line table that reads [`Page::EMPTY`] wherever nothing was
+/// stored and allocates a page of `PAGE` entries the first time anything
+/// else is stored in it. A per-line table then costs what the lines its
+/// owner touched cost, not the address space: a processor touches its
+/// own replica of a replicated array, never the other processors'
+/// copies. Every allocated page is written, so what is allocated is
+/// resident, however the allocator recycles memory from one run to the
+/// next.
+struct Paged<P: Page> {
+    /// Page number -> its entries.
+    dir: Vec<Option<Box<P>>>,
+    /// Pages allocated.
+    pages: usize,
+}
+
+impl<P: Page> Paged<P> {
+    fn new(len: usize) -> Paged<P> {
+        Paged { dir: (0..len.div_ceil(PAGE)).map(|_| None).collect(), pages: 0 }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> P::Val {
+        self.dir[i >> PAGE_BITS].as_ref().map_or(P::EMPTY, |page| page.at(i & (PAGE - 1)))
+    }
+
+    /// Apply `f` to entry `i` and return the old value: one directory
+    /// lookup. A page is allocated only to store something other than
+    /// [`Page::EMPTY`].
+    #[inline]
+    fn update(&mut self, i: usize, f: impl FnOnce(P::Val) -> P::Val) -> P::Val {
+        let k = i & (PAGE - 1);
+        let slot = &mut self.dir[i >> PAGE_BITS];
+        let page = match slot {
+            Some(page) => page,
+            None => {
+                let v = f(P::EMPTY);
+                if v != P::EMPTY {
+                    self.pages += 1;
+                    slot.insert(P::fresh()).set(k, v);
+                }
+                return P::EMPTY;
+            }
+        };
+        let old = page.at(k);
+        page.set(k, f(old));
+        old
+    }
+
+    #[inline]
+    fn replace(&mut self, i: usize, v: P::Val) -> P::Val {
+        self.update(i, |_| v)
+    }
+
+    /// The entries other than [`Page::EMPTY`], in index order.
+    #[cfg(any(test, debug_assertions))]
+    fn entries(&self) -> impl Iterator<Item = (u64, P::Val)> + '_ {
+        let pages = self.dir.iter().enumerate().filter_map(|(n, p)| Some(((n << PAGE_BITS) as u64, p.as_ref()?)));
+        pages.flat_map(|(first, page)| {
+            (0..PAGE).map(move |k| (first + k as u64, page.at(k))).filter(|&(_, v)| v != P::EMPTY)
+        })
+    }
+
+    fn bytes(&self) -> usize {
+        self.dir.len() * std::mem::size_of::<Option<Box<P>>>() + self.pages * std::mem::size_of::<P>()
+    }
+}
 
 /// Recency-list node of the per-processor shadow cache.
 struct Node {
@@ -126,11 +253,15 @@ struct Node {
 
 const NIL: u32 = u32::MAX;
 
+/// Bit of a line's state word ([`ProcState::lines`]): the processor has
+/// referenced the line. The other 31 bits hold its shadow slot + 1.
+const TOUCHED: u32 = 1 << 31;
+
 /// Classifier state for one processor. The profiler observes every
-/// memory reference of a profiled run, so per-line state (shadow-cache
-/// residency, touched set, pending invalidations) is direct-indexed by
-/// line number — a hash lookup per access was the bulk of profiling
-/// overhead.
+/// memory reference of a profiled run, so a line's shadow residency and
+/// touched bit share one state word, read once per access, and its
+/// pending invalidation sits beside it; both tables are [`Paged`], so
+/// they cost the lines this processor touched.
 struct ProcState {
     /// Shadow-cache line capacity.
     cap: usize,
@@ -138,18 +269,16 @@ struct ProcState {
     nodes: Vec<Node>,
     head: u32,
     tail: u32,
-    /// Dense-table bound (lines `< limit` use the vectors below).
+    /// Dense-table bound (lines `< limit` use the tables below).
     limit: usize,
-    /// line -> shadow slot + 1; 0 = not resident.
-    slot_of: Vec<u32>,
-    /// Bit per line: ever referenced. Maintained on misses only — the
-    /// caches are per-processor, so a hit implies an earlier miss.
-    touched: Vec<u64>,
+    /// line -> [`TOUCHED`] | shadow slot + 1 (0 = not resident). The
+    /// touched bit is maintained on misses only — the caches are
+    /// per-processor, so a hit implies an earlier miss.
+    lines: Paged<[u32; PAGE]>,
     /// line -> invalidating store's byte-in-line + 1; 0 = none pending.
-    inval: Vec<u32>,
-    /// Spill maps for lines `>= limit` (same encodings where `+1` applies).
-    sp_slot: FastMap<u32>,
-    sp_touched: FastMap<()>,
+    inval: Paged<[u32; PAGE]>,
+    /// Spill maps for lines `>= limit` (same encodings, 0 = absent).
+    sp_lines: FastMap<u32>,
     sp_inval: FastMap<u32>,
     /// The line of this processor's previous access and its array slot: a
     /// repeat *hit* on it is already MRU in the shadow and in the touched
@@ -169,17 +298,17 @@ struct ProcState {
 
 impl ProcState {
     fn new(cap: usize, limit: usize) -> ProcState {
+        // A slot + 1 must fit below the touched bit.
+        let cap = cap.clamp(1, (TOUCHED - 1) as usize);
         ProcState {
-            cap: cap.max(1),
-            nodes: Vec::with_capacity(cap.max(1).min(1 << 16)),
+            cap,
+            nodes: Vec::with_capacity(cap.min(1 << 16)),
             head: NIL,
             tail: NIL,
             limit,
-            slot_of: vec![0; limit],
-            touched: vec![0; limit.div_ceil(64)],
-            inval: vec![0; limit],
-            sp_slot: FastMap::default(),
-            sp_touched: FastMap::default(),
+            lines: Paged::new(limit),
+            inval: Paged::new(limit),
+            sp_lines: FastMap::default(),
             sp_inval: FastMap::default(),
             last_line: u64::MAX,
             last_array: 0,
@@ -189,26 +318,42 @@ impl ProcState {
         }
     }
 
+    /// `line`'s state word.
     #[inline]
-    fn slot(&self, line: u64) -> u32 {
+    fn word(&self, line: u64) -> u32 {
         if (line as usize) < self.limit {
-            // 0 ("empty") wraps to NIL.
-            self.slot_of[line as usize].wrapping_sub(1)
+            self.lines.get(line as usize)
         } else {
-            self.sp_slot.get(&line).copied().unwrap_or(NIL)
+            self.sp_lines.get(&line).copied().unwrap_or(0)
         }
     }
 
+    /// Apply `f` to `line`'s state word; returns the old word.
+    #[inline]
+    fn update_word(&mut self, line: u64, f: impl FnOnce(u32) -> u32) -> u32 {
+        if (line as usize) < self.limit {
+            return self.lines.update(line as usize, f);
+        }
+        let old = self.sp_lines.get(&line).copied().unwrap_or(0);
+        match f(old) {
+            0 => self.sp_lines.remove(&line),
+            new => self.sp_lines.insert(line, new),
+        };
+        old
+    }
+
+    /// `line`'s shadow slot, or [`NIL`] when it is not resident.
+    #[inline]
+    fn slot(&self, line: u64) -> u32 {
+        // 0 ("not resident") wraps to NIL.
+        (self.word(line) & !TOUCHED).wrapping_sub(1)
+    }
+
+    /// Record `line` in `slot` ([`NIL`] = not resident), keeping its
+    /// touched bit.
     #[inline]
     fn set_slot(&mut self, line: u64, slot: u32) {
-        if (line as usize) < self.limit {
-            // NIL ("clear") wraps to 0.
-            self.slot_of[line as usize] = slot.wrapping_add(1);
-        } else if slot == NIL {
-            self.sp_slot.remove(&line);
-        } else {
-            self.sp_slot.insert(line, slot);
-        }
+        self.update_word(line, |w| w & TOUCHED | slot.wrapping_add(1));
     }
 
     fn unlink(&mut self, slot: u32) {
@@ -270,14 +415,7 @@ impl ProcState {
 
     /// Test-and-set the touched bit; returns the prior value.
     fn note_touched(&mut self, line: u64) -> bool {
-        let was = if (line as usize) < self.limit {
-            let (w, b) = ((line as usize) >> 6, 1u64 << (line & 63));
-            let was = self.touched[w] & b != 0;
-            self.touched[w] |= b;
-            was
-        } else {
-            self.sp_touched.insert(line, ()).is_some()
-        };
+        let was = self.update_word(line, |w| w | TOUCHED) & TOUCHED != 0;
         if !was {
             self.touched_count += 1;
             self.touched_hash = self.touched_hash.wrapping_add(entry_hash(line, 0));
@@ -285,10 +423,24 @@ impl ProcState {
         was
     }
 
-    /// Consume a pending invalidation; returns word + 1 (0 = none).
+    /// The touched lines: the dense ones in line order, then the spilled
+    /// ones sorted.
+    #[cfg(any(test, debug_assertions))]
+    fn touched_lines(&self) -> Vec<u64> {
+        let dense = self.lines.entries().filter(|&(_, w)| w & TOUCHED != 0).map(|(l, _)| l);
+        let mut spill: Vec<u64> = self.sp_lines.iter().filter(|(_, &w)| w & TOUCHED != 0).map(|(&l, _)| l).collect();
+        spill.sort_unstable();
+        dense.chain(spill).collect()
+    }
+
+    /// Consume a pending invalidation; returns word + 1 (0 = none). A
+    /// line with none pending is only read.
     fn take_inval(&mut self, line: u64) -> u32 {
         let code = if (line as usize) < self.limit {
-            std::mem::take(&mut self.inval[line as usize])
+            match self.inval.get(line as usize) {
+                0 => 0,
+                _ => self.inval.replace(line as usize, 0),
+            }
         } else {
             self.sp_inval.remove(&line).unwrap_or(0)
         };
@@ -301,7 +453,7 @@ impl ProcState {
     fn set_inval(&mut self, line: u64, word: u32) {
         let code = word + 1;
         let old = if (line as usize) < self.limit {
-            std::mem::replace(&mut self.inval[line as usize], code)
+            self.inval.replace(line as usize, code)
         } else {
             self.sp_inval.insert(line, code).unwrap_or(0)
         };
@@ -323,6 +475,13 @@ impl ProcState {
             slot = n.next;
             Some(n.line)
         })
+    }
+
+    /// Bytes of this processor's tables and slab as allocated.
+    fn bytes(&self) -> usize {
+        self.lines.bytes()
+            + self.inval.bytes()
+            + self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 }
 
@@ -368,9 +527,11 @@ pub struct Profiler {
     limit: usize,
     /// line -> current write generation (shared across processors):
     /// dense `writer + 1` (0 = none) / mask pair below `limit`, hash
-    /// spill above it.
-    gen_writer: Vec<u32>,
-    gen_mask: Vec<u64>,
+    /// spill above it. A byte holds `writer + 1`: a machine has at most
+    /// [`MachineConfig::MAX_PROCS`] processors (its sharer mask is a
+    /// `u64`), and the writer is clamped to `nprocs - 1` like a row's
+    /// processor.
+    gen: Paged<GenPage>,
     gens: FastMap<WriteGen>,
     /// Sum of [`gen_entry_hash`] over the generations in the tables above
     /// (the buffered one below counts once flushed).
@@ -397,24 +558,23 @@ impl Profiler {
         let slots = narrays + 1;
         let nsites = nsites.max(1);
         let limit = ranges.iter().map(|r| r.end).max().unwrap_or(0).min(LIMIT_CAP) as usize;
-        let procs =
-            (0..nprocs.max(1)).map(|_| ProcState::new(l1_lines.max(1), limit)).collect();
+        let nprocs = nprocs.clamp(1, MachineConfig::MAX_PROCS);
+        let procs = (0..nprocs).map(|_| ProcState::new(l1_lines, limit)).collect();
         Profiler {
-            nprocs: nprocs.max(1),
+            nprocs,
             slots,
             site: 0,
             nsites,
             ranges,
             procs,
             limit,
-            gen_writer: vec![0; limit],
-            gen_mask: vec![0; limit],
+            gen: Paged::new(limit),
             gens: FastMap::default(),
             gen_hash: 0,
             wline: u64::MAX,
             wproc: 0,
             wmask: 0,
-            rows: vec![MemRow::default(); nsites * slots * nprocs.max(1)],
+            rows: vec![MemRow::default(); nsites * slots * nprocs],
         }
     }
 
@@ -427,10 +587,8 @@ impl Profiler {
         }
         let (line, code, mask) = (self.wline, self.wproc + 1, self.wmask);
         let (old_code, old_mask) = if (line as usize) < self.limit {
-            (
-                std::mem::replace(&mut self.gen_writer[line as usize], code),
-                std::mem::replace(&mut self.gen_mask[line as usize], mask),
-            )
+            let (w, m) = self.gen.replace(line as usize, (code as u8, mask));
+            (w as u32, m)
         } else {
             match self.gens.insert(line, WriteGen { writer: self.wproc, mask }) {
                 Some(g) => (g.writer + 1, g.mask),
@@ -495,40 +653,30 @@ impl Profiler {
         for p in &self.procs {
             v.extend(p.recency());
             v.push(u64::MAX);
-            v.extend_from_slice(&p.touched);
-            section(&mut v, std::iter::empty(), p.sp_touched.keys().map(|&l| [l, 1, 0]));
+            v.extend(p.touched_lines());
+            v.push(u64::MAX);
             section(
                 &mut v,
-                p.inval.iter().enumerate().map(|(l, &c)| [l as u64, c as u64, 0]),
+                p.inval.entries().map(|(l, c)| [l, c as u64, 0]),
                 p.sp_inval.iter().map(|(&l, &c)| [l, c as u64, 0]),
             );
             v.extend([p.last_line, p.last_array as u64]);
         }
         section(
             &mut v,
-            (self.gen_writer.iter().zip(&self.gen_mask).enumerate())
-                .map(|(l, (&c, &m))| [l as u64, c as u64, m]),
+            self.gen.entries().map(|(l, (c, m))| [l, c as u64, m]),
             self.gens.iter().map(|(&l, g)| [l, g.writer as u64 + 1, g.mask]),
         );
         v.extend([self.wline, self.wproc as u64, self.wmask]);
         v
     }
 
-    /// Bytes of the per-line tables, the shadow slabs and the counter
-    /// rows as allocated (not resident: untouched pages of a dense table
-    /// stay unmapped). Telemetry only.
+    /// Bytes of the per-line tables' directories and pages, the shadow
+    /// slabs and the counter rows as allocated. Every allocated page is
+    /// written, so this is also about what is resident. Telemetry only.
     pub fn table_bytes(&self) -> u64 {
-        let per_proc: usize = self
-            .procs
-            .iter()
-            .map(|p| {
-                (p.slot_of.len() + p.inval.len()) * 4
-                    + p.touched.len() * 8
-                    + p.nodes.capacity() * std::mem::size_of::<Node>()
-            })
-            .sum();
-        let shared = self.gen_writer.len() * 4
-            + self.gen_mask.len() * 8
+        let per_proc: usize = self.procs.iter().map(ProcState::bytes).sum();
+        let shared = self.gen.bytes()
             + self.rows.len() * std::mem::size_of::<MemRow>();
         (per_proc + shared) as u64
     }
@@ -649,9 +797,9 @@ impl MemProbe for Profiler {
                             let truly = if line == self.wline {
                                 self.wmask & word_bit(word) != 0
                             } else if (line as usize) < self.limit {
-                                match self.gen_writer[line as usize] {
-                                    0 => iw == word + 1,
-                                    _ => self.gen_mask[line as usize] & word_bit(word) != 0,
+                                match self.gen.get(line as usize) {
+                                    (0, _) => iw == word + 1,
+                                    (_, mask) => mask & word_bit(word) != 0,
                                 }
                             } else {
                                 match self.gens.get(&line) {
@@ -677,7 +825,8 @@ impl MemProbe for Profiler {
         }
         if write {
             let bit = word_bit(word);
-            if line == self.wline && proc as u32 == self.wproc {
+            let writer = pi as u32;
+            if line == self.wline && writer == self.wproc {
                 self.wmask |= bit;
             } else {
                 // Line (or writer) changed: flush the old buffer, then
@@ -686,16 +835,17 @@ impl MemProbe for Profiler {
                 // (ownership change resets the mask).
                 self.flush_gen();
                 let (gw, gm) = if (line as usize) < self.limit {
-                    (self.gen_writer[line as usize], self.gen_mask[line as usize])
+                    let (w, m) = self.gen.get(line as usize);
+                    (w as u32, m)
                 } else {
                     match self.gens.get(&line) {
                         Some(g) => (g.writer + 1, g.mask),
                         None => (0, 0),
                     }
                 };
-                self.wmask = if gw == proc as u32 + 1 { gm | bit } else { bit };
+                self.wmask = if gw == writer + 1 { gm | bit } else { bit };
                 self.wline = line;
-                self.wproc = proc as u32;
+                self.wproc = writer;
             }
         }
         let r = self.row(array, proc);
@@ -956,9 +1106,8 @@ mod tests {
             .procs
             .iter()
             .map(|s| {
-                let dense = (0..s.limit as u64).filter(|&l| s.touched[(l >> 6) as usize] >> (l & 63) & 1 != 0);
-                let touched: Vec<u64> = dense.chain(s.sp_touched.keys().copied()).collect();
-                let dense = s.inval.iter().enumerate().filter(|(_, &c)| c != 0).map(|(l, &c)| (l as u64, c));
+                let touched = s.touched_lines();
+                let dense = s.inval.entries();
                 let inval = dense.chain(s.sp_inval.iter().map(|(&l, &c)| (l, c)));
                 (
                     touched.len() as u64,
@@ -967,8 +1116,7 @@ mod tests {
                 )
             })
             .collect();
-        let dense = p.gen_writer.iter().zip(&p.gen_mask).enumerate().filter(|(_, (&c, _))| c != 0);
-        let dense = dense.map(|(l, (&c, &m))| gen_entry_hash(l as u64, c, m));
+        let dense = p.gen.entries().map(|(l, (c, m))| gen_entry_hash(l, c as u32, m));
         let spill = p.gens.iter().map(|(&l, g)| gen_entry_hash(l, g.writer + 1, g.mask));
         (procs, sum(&mut dense.chain(spill)))
     }
@@ -1003,6 +1151,61 @@ mod tests {
             proptest::prop_assert_eq!(digest, twin.boundary_digest());
             proptest::prop_assert_eq!(digest, p.boundary_digest(), "digesting changes nothing");
         }
+    }
+
+    proptest::proptest! {
+        /// The state words find exactly the shadow's lines, in the order a
+        /// plain LRU list keeps them, and keep the touched bits the
+        /// evictions pass over: lines `32..` spill beyond the dense bound.
+        #[test]
+        fn state_words_track_an_lru_list(events in proptest::collection::vec((0u64..64, 0u8..2), 0..300)) {
+            let mut p = ProcState::new(4, 32);
+            let mut lru: Vec<u64> = Vec::new();
+            let mut touched: Vec<u64> = Vec::new();
+            for &(line, miss) in &events {
+                let was = lru.contains(&line);
+                proptest::prop_assert_eq!(p.touch_shadow(line), was, "resident before line {}", line);
+                lru.retain(|&l| l != line);
+                lru.insert(0, line);
+                lru.truncate(4);
+                proptest::prop_assert!(p.recency().eq(lru.iter().copied()));
+                if miss == 1 {
+                    proptest::prop_assert_eq!(p.note_touched(line), touched.contains(&line));
+                    if !touched.contains(&line) {
+                        touched.push(line);
+                    }
+                }
+                touched.sort_unstable();
+                let (dense, spill): (Vec<u64>, Vec<u64>) = touched.iter().partition(|&&l| l < 32);
+                proptest::prop_assert_eq!(p.touched_lines(), [dense, spill].concat());
+                for l in 0..64 {
+                    let slot = p.slot(l);
+                    if lru.contains(&l) {
+                        proptest::prop_assert_eq!(p.nodes[slot as usize].line, l);
+                    } else {
+                        proptest::prop_assert_eq!(slot, NIL, "line {} is not resident", l);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Misses on lines with no invalidation pending read the paged table
+    /// and write nothing to it, so they allocate no page.
+    #[test]
+    fn misses_without_a_pending_invalidation_allocate_nothing() {
+        let mut p = mk(2);
+        for round in 0..3 {
+            for l in 10..30 {
+                p.access(0, l, 0, false, AccessLevel::LocalMem, 100);
+            }
+            assert_eq!(p.procs[0].inval.pages, 0, "round {round}");
+        }
+        p.invalidated(0, 12, 1, 4);
+        p.access(0, 12, 4, false, AccessLevel::RemoteDirty, 132);
+        assert_eq!(p.procs[0].inval.pages, 1, "one page for the one invalidation");
+        assert_eq!(p.procs[0].inval.entries().count(), 0, "and it was consumed");
+        assert_eq!(p.procs[1].inval.pages, 0);
     }
 
     #[test]

@@ -260,8 +260,9 @@ fn explain_stencil_reports_and_replays() {
 }
 
 /// `explain --cache` stores its three strategy cells, profiles included:
-/// a warm rerun executes nothing and prints and writes the cold run's
-/// bytes, and the store holds cells only.
+/// a warm rerun executes nothing and prints the cold run's bytes, and
+/// writes the cold run's JSON with each cell's host members (how that run
+/// went on this host) as `"served"`. The store holds cells only.
 #[test]
 fn cached_explain_reruns_warm() {
     let dir = Scratch::new();
@@ -273,7 +274,17 @@ fn cached_explain_reruns_warm() {
     let (warm, warm_err) = dir.repro(&args);
     assert!(warm_err.contains("cells executed 0 served 3"), "{warm_err}");
     assert_eq!(warm, cold, "warm explain stdout differs");
-    assert!(json() == cold_json, "warm explain JSON differs");
+    let cold_json = String::from_utf8(cold_json).expect("UTF-8 JSON");
+    let served: Vec<String> = cold_json
+        .lines()
+        .map(|l| match (l.find("\"memo\": "), l.find(", \"profile\": ")) {
+            (Some(a), Some(b)) => format!("{}{}{}", &l[..a], dct_bench::sweep::served_host_members(), &l[b..]),
+            _ => l.to_string(),
+        })
+        .collect();
+    assert!(served.iter().filter(|l| l.contains("\"served\"")).count() == 3, "{cold_json}");
+    let warm_json = String::from_utf8(json()).expect("UTF-8 JSON");
+    assert_eq!(warm_json, served.join("\n") + "\n", "warm explain JSON differs");
     let entries: Vec<_> = file_stamps(&dir.0.join("results/cache")).into_iter().map(|(p, ..)| p).collect();
     assert_eq!(entries.len(), 3, "{entries:?}");
     for p in entries {

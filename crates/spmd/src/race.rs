@@ -29,8 +29,8 @@
 //!   deliberately not covered — exactly mirroring the cycle-clock
 //!   `prev_done[r] + lock_cost` pipeline timing.
 //!
-//! Every array element has a shadow cell holding the last write (packed
-//! `proc:epoch` + access site) and the read state (a packed epoch for a
+//! Every array element has a 16-byte shadow cell holding the last write
+//! (packed `site:proc:epoch`) and the read state (a packed access for a
 //! single reader, inflated to a read vector when concurrent readers
 //! accumulate). A write checks the last write and all reads; a read
 //! checks the last write. A conflict whose prior access's epoch is not
@@ -50,32 +50,52 @@
 //! access individually; both modes produce the same race verdicts (the
 //! differential tests pin this).
 //!
-//! This module must stay panic-free (`scripts/tier1.sh` greps it for
-//! panicking and unwrapping calls): out-of-model inputs degrade to skipped
-//! checks, never to a crash inside the simulator's hot loop.
+//! This module must stay panic-free (`tests/panic_ratchet.rs` pins its
+//! panicking and unwrapping calls at 0): out-of-model inputs degrade to
+//! skipped checks, never to a crash inside the simulator's hot loop.
 
 use crate::codegen::SpmdProgram;
 use dct_ir::{Race, RaceAccess, RaceKind, RaceReport};
 
-/// Packed `proc:epoch`: processor id in the top 16 bits, epoch clock in
-/// the low 48. Simulated processor counts are <= 64 and epoch clocks are
-/// bounded by the number of sync events, so the packing never saturates.
-const CLOCK_BITS: u32 = 48;
+/// Every array element has one shadow cell of two words, the last write
+/// and the read state, each a packed access:
+///
+/// | bits   | 63..48  | 47..40 | 39..0 |
+/// |--------|---------|--------|-------|
+/// | access | site id | proc   | epoch clock |
+///
+/// The read state is instead [`SHARED`] (proc field all ones) with a pool
+/// index in the clock field when concurrent readers accumulate. Epoch
+/// clocks start at 1, so a packed access is never 0 and an all-zero cell
+/// is the empty one: shadows are zero-allocated, and an element never
+/// touched costs no resident page. A processor, site or clock that does
+/// not fit its field is an input out of the model: the access is skipped,
+/// never packed wrongly.
+const CLOCK_BITS: u32 = 40;
+const PROC_BITS: u32 = 8;
 const CLOCK_MASK: u64 = (1 << CLOCK_BITS) - 1;
-/// "No access recorded" sentinel (no packed epoch can reach it).
-const NONE: u64 = u64::MAX;
-/// Read-state flag: the low bits index `Detector::pools` instead of
-/// holding a packed epoch.
-const SHARED: u64 = 1 << 62;
+/// A packed access without its site: the `proc:epoch` that orders it.
+const EPOCH_MASK: u64 = (1 << (CLOCK_BITS + PROC_BITS)) - 1;
+const SITE_SHIFT: u32 = CLOCK_BITS + PROC_BITS;
+/// Processors `0..MAX_PROC` pack; the proc field's last value marks
+/// [`SHARED`].
+const MAX_PROC: usize = (1 << PROC_BITS) - 1;
+const MAX_SITES: usize = 1 << (64 - SITE_SHIFT);
+/// "No access recorded".
+const NONE: u64 = 0;
+/// Read-state marker: the clock field indexes `Detector::pools` instead
+/// of holding an epoch.
+const SHARED: u64 = (MAX_PROC as u64) << CLOCK_BITS;
 
+/// `proc:clock`, or `None` when either does not fit its field.
 #[inline]
-fn pack(proc: usize, clock: u64) -> u64 {
-    ((proc as u64) << CLOCK_BITS) | (clock & CLOCK_MASK)
+fn pack(proc: usize, clock: u64) -> Option<u64> {
+    (proc < MAX_PROC && clock <= CLOCK_MASK).then_some(((proc as u64) << CLOCK_BITS) | clock)
 }
 
 #[inline]
 fn epoch_proc(e: u64) -> usize {
-    (e >> CLOCK_BITS) as usize
+    ((e & EPOCH_MASK) >> CLOCK_BITS) as usize
 }
 
 #[inline]
@@ -83,21 +103,19 @@ fn epoch_clock(e: u64) -> u64 {
     e & CLOCK_MASK
 }
 
-/// Shadow state of one array element.
-#[derive(Clone, Copy)]
-struct Cell {
-    /// Last write as a packed epoch, or [`NONE`].
-    w: u64,
-    /// Site id of the last write.
-    w_site: u32,
-    /// Read state: [`NONE`], a packed epoch (single reader), or
-    /// [`SHARED`]`| pool index` (concurrent readers).
-    r: u64,
-    /// Site id of the single reader (unused when shared).
-    r_site: u32,
+#[inline]
+fn site_of(e: u64) -> u32 {
+    (e >> SITE_SHIFT) as u32
 }
 
-const EMPTY_CELL: Cell = Cell { w: NONE, w_site: 0, r: NONE, r_site: 0 };
+#[inline]
+fn is_shared(r: u64) -> bool {
+    r & EPOCH_MASK & !CLOCK_MASK == SHARED
+}
+
+/// Shadow state of one array element: `[last write, read state]`, both
+/// packed accesses or [`NONE`] (the read state may be [`SHARED`]).
+type Cell = [u64; 2];
 
 /// Inflated read state: per-processor read clocks and sites.
 struct ReadVc {
@@ -144,8 +162,9 @@ pub struct Detector {
     free_pools: Vec<usize>,
     /// Site table: init nests first, then compute nests.
     sites: Vec<Site>,
-    /// Site id accesses are attributed to (set per nest execution).
-    cur_site: u32,
+    /// Site id accesses are attributed to (set per nest execution); one
+    /// that does not fit a packed access ([`MAX_SITES`]) is not checked.
+    cur_site: usize,
     array_names: Vec<String>,
     /// Dedup keys of reported races: (array, kind, prior site, current site).
     seen: Vec<(usize, RaceKind, u32, u32)>,
@@ -169,7 +188,7 @@ impl Detector {
             .map(|(l, &rs)| {
                 let size = l.layout.size().max(0) as usize;
                 let per_proc = rs > 0;
-                let cells = if per_proc { Vec::new() } else { vec![EMPTY_CELL; size] };
+                let cells = if per_proc { Vec::new() } else { vec![[NONE; 2]; size] };
                 ArrayShadow { cells, size, per_proc }
             })
             .collect();
@@ -207,7 +226,7 @@ impl Detector {
     /// Attribute subsequent accesses to the given nest (init or compute).
     pub fn set_site(&mut self, init: bool, idx: usize, ninit: usize) {
         let id = if init { idx } else { ninit + idx };
-        self.cur_site = if id < self.sites.len() { id as u32 } else { 0 };
+        self.cur_site = if id < self.sites.len() { id } else { 0 };
     }
 
     /// Global clock join: barrier or whole-nest producer-wait (the
@@ -283,8 +302,11 @@ impl Detector {
             self.checked += count as u64;
             return;
         }
-        let me = pack(proc, self.vc[proc * n + proc]);
-        let site = self.cur_site;
+        let Some(me) = pack(proc, self.vc[proc * n + proc]) else { return };
+        if self.cur_site >= MAX_SITES {
+            return;
+        }
+        let site = self.cur_site as u32;
         if is_write {
             let mut s = slot as i64;
             for _ in 0..count {
@@ -316,23 +338,24 @@ impl Detector {
         else {
             return;
         };
+        let [w, r] = *cell;
         // Same-epoch early-out: this processor already wrote this element
         // in the current epoch and nothing read it since.
-        if cell.w == me && cell.r == NONE {
+        if w & EPOCH_MASK == me && r == NONE {
             return;
         }
-        let cell = *cell;
+        *cell = [me | (site as u64) << SITE_SHIFT, NONE];
         // Write-write conflict with the previous writer.
-        if cell.w != NONE {
-            let q = epoch_proc(cell.w);
-            if q != proc && q < n && epoch_clock(cell.w) > self.vc[proc * n + q] {
-                self.report(RaceKind::WriteWrite, x, slot, q, cell.w_site, proc, site);
+        if w != NONE {
+            let q = epoch_proc(w);
+            if q != proc && q < n && epoch_clock(w) > self.vc[proc * n + q] {
+                self.report(RaceKind::WriteWrite, x, slot, q, site_of(w), proc, site);
             }
         }
         // Read-write conflicts with every unordered reader.
-        if cell.r != NONE {
-            if cell.r & SHARED != 0 {
-                let pi = (cell.r & !SHARED) as usize;
+        if r != NONE {
+            if is_shared(r) {
+                let pi = epoch_clock(r) as usize;
                 if let Some(pool) = self.pools.get(pi) {
                     let mut hits: Vec<(usize, u32)> = Vec::new();
                     for q in 0..n {
@@ -350,14 +373,11 @@ impl Detector {
                 }
                 self.free_pools.push(pi);
             } else {
-                let q = epoch_proc(cell.r);
-                if q != proc && q < n && epoch_clock(cell.r) > self.vc[proc * n + q] {
-                    self.report(RaceKind::ReadWrite, x, slot, q, cell.r_site, proc, site);
+                let q = epoch_proc(r);
+                if q != proc && q < n && epoch_clock(r) > self.vc[proc * n + q] {
+                    self.report(RaceKind::ReadWrite, x, slot, q, site_of(r), proc, site);
                 }
             }
-        }
-        if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot)) {
-            *c = Cell { w: me, w_site: site, r: NONE, r_site: 0 };
         }
     }
 
@@ -369,69 +389,56 @@ impl Detector {
         else {
             return;
         };
-        // Same-epoch early-out: already read by this processor this epoch.
-        if cell.r == me {
+        let [w, r] = *cell;
+        // Same-epoch early-out: already read by this processor this epoch
+        // (a shared read state's proc field matches no processor).
+        if r & EPOCH_MASK == me {
             return;
         }
-        let cur = *cell;
+        let mine = me | (site as u64) << SITE_SHIFT;
+        // Update the read state: a first or an ordered read takes it over;
+        // a concurrent one inflates it to a read vector below.
+        let q = epoch_proc(r);
+        let ordered = r == NONE || (!is_shared(r) && (q == proc || (q < n && epoch_clock(r) <= self.vc[proc * n + q])));
+        if ordered {
+            cell[1] = mine;
+        }
         // Write-read conflict with the last writer.
-        if cur.w != NONE {
-            let q = epoch_proc(cur.w);
-            if q != proc && q < n && epoch_clock(cur.w) > self.vc[proc * n + q] {
-                self.report(RaceKind::WriteRead, x, slot, q, cur.w_site, proc, site);
+        if w != NONE {
+            let q = epoch_proc(w);
+            if q != proc && q < n && epoch_clock(w) > self.vc[proc * n + q] {
+                self.report(RaceKind::WriteRead, x, slot, q, site_of(w), proc, site);
             }
         }
-        // Update the read state.
-        if cur.r == NONE {
-            if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot)) {
-                c.r = me;
-                c.r_site = site;
-            }
-        } else if cur.r & SHARED != 0 {
-            let pi = (cur.r & !SHARED) as usize;
+        if ordered {
+            return;
+        }
+        if is_shared(r) {
+            let pi = epoch_clock(r) as usize;
             if let Some(pool) = self.pools.get_mut(pi) {
                 if let (Some(c), Some(s)) = (pool.clocks.get_mut(proc), pool.sites.get_mut(proc)) {
                     *c = epoch_clock(me);
                     *s = site;
                 }
             }
-        } else {
-            let q = epoch_proc(cur.r);
-            if q == proc || (q < n && epoch_clock(cur.r) <= self.vc[proc * n + q]) {
-                // Same reader, or the previous read happens-before this
-                // one: exclusive ownership transfers.
-                if let Some(c) =
-                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
-                {
-                    c.r = me;
-                    c.r_site = site;
-                }
-            } else {
-                // Concurrent readers: inflate to a read vector.
-                let pi = self.alloc_pool();
-                if let Some(pool) = self.pools.get_mut(pi) {
-                    if q < n {
-                        if let (Some(c), Some(s)) =
-                            (pool.clocks.get_mut(q), pool.sites.get_mut(q))
-                        {
-                            *c = epoch_clock(cur.r);
-                            *s = cur.r_site;
-                        }
-                    }
-                    if let (Some(c), Some(s)) =
-                        (pool.clocks.get_mut(proc), pool.sites.get_mut(proc))
-                    {
-                        *c = epoch_clock(me);
-                        *s = site;
-                    }
-                }
-                if let Some(c) =
-                    self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot))
-                {
-                    c.r = SHARED | pi as u64;
-                    c.r_site = 0;
+            return;
+        }
+        // Concurrent readers: inflate to a read vector.
+        let pi = self.alloc_pool();
+        if let Some(pool) = self.pools.get_mut(pi) {
+            if q < n {
+                if let (Some(c), Some(s)) = (pool.clocks.get_mut(q), pool.sites.get_mut(q)) {
+                    *c = epoch_clock(r);
+                    *s = site_of(r);
                 }
             }
+            if let (Some(c), Some(s)) = (pool.clocks.get_mut(proc), pool.sites.get_mut(proc)) {
+                *c = epoch_clock(me);
+                *s = site;
+            }
+        }
+        if let Some(c) = self.shadows.get_mut(x).and_then(|sh| sh.cells.get_mut(slot)) {
+            c[1] = SHARED | pi as u64;
         }
     }
 
@@ -485,8 +492,9 @@ impl Detector {
         });
     }
 
-    /// Bytes allocated for shadow cells (the inflated read vectors, which
-    /// come and go, are not counted). Telemetry only.
+    /// Bytes allocated for shadow cells, 16 per shadowed element (the
+    /// inflated read vectors, which come and go, are not counted).
+    /// Telemetry only.
     pub fn shadow_bytes(&self) -> u64 {
         let cells: usize = self.shadows.iter().map(|sh| sh.cells.len()).sum();
         (cells * std::mem::size_of::<Cell>()) as u64
@@ -518,7 +526,7 @@ impl Detector {
             vc,
             shadows: sizes
                 .iter()
-                .map(|&size| ArrayShadow { cells: vec![EMPTY_CELL; size], size, per_proc: false })
+                .map(|&size| ArrayShadow { cells: vec![[NONE; 2]; size], size, per_proc: false })
                 .collect(),
             pools: Vec::new(),
             free_pools: Vec::new(),
@@ -661,6 +669,53 @@ mod tests {
         let rep = d.report_snapshot();
         assert_eq!(rep.race_count, 8);
         assert_eq!(rep.races.len(), 1, "deduped by site pair");
+    }
+
+    /// A cell is two words and all-zero when empty, so the shadow is
+    /// zero-allocated at 16 bytes an element.
+    #[test]
+    fn cells_are_sixteen_zero_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+        let mut d = Detector::synthetic(4, &[16, 9]);
+        assert_eq!(d.shadow_bytes(), 16 * 25);
+        assert!(d.shadows.iter().all(|sh| sh.cells.iter().all(|c| *c == [0, 0])));
+        d.access(3, 1, 8, false);
+        d.access(2, 1, 8, false); // inflated to a read vector
+        d.access(1, 0, 0, true);
+        let touched = d.shadows.iter().flat_map(|sh| &sh.cells).filter(|c| **c != [NONE; 2]).count();
+        assert_eq!(touched, 2, "untouched elements stay empty");
+        assert_eq!(d.shadows[1].cells[8][0], NONE);
+        assert!(is_shared(d.shadows[1].cells[8][1]));
+    }
+
+    /// Site ids ride in the packed words up to the last that fits; an
+    /// access at a site, processor or clock beyond its field is skipped,
+    /// never packed into another one's.
+    #[test]
+    fn unpackable_accesses_are_skipped() {
+        let mut d = Detector::synthetic(4, &[16]);
+        d.sites = (0..=MAX_SITES)
+            .map(|k| Site { nest: Some(k), name: format!("n{k}"), line: None })
+            .collect();
+        d.set_site(false, MAX_SITES - 1, 0);
+        d.access(0, 0, 3, true);
+        d.set_site(false, 7, 0);
+        d.access(1, 0, 3, false);
+        let rep = d.report_snapshot();
+        assert_eq!(rep.race_count, 1);
+        assert_eq!(rep.races[0].first.nest_name, format!("n{}", MAX_SITES - 1));
+        assert_eq!(rep.races[0].second.nest_name, "n7");
+        // The site past the last packable one is not checked.
+        d.set_site(false, MAX_SITES, 0);
+        d.access(2, 0, 3, true);
+        assert_eq!(d.report_snapshot().checked, rep.checked);
+        // Nor is an epoch past the clock field.
+        d.set_site(false, 0, 0);
+        d.vc[2 * 4 + 2] = CLOCK_MASK + 1;
+        d.access(2, 0, 3, true);
+        assert_eq!(d.report_snapshot(), rep);
+        assert_eq!(pack(MAX_PROC, 1), None);
+        assert_eq!(pack(MAX_PROC - 1, CLOCK_MASK).map(epoch_proc), Some(MAX_PROC - 1));
     }
 
     #[test]

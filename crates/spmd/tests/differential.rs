@@ -271,7 +271,7 @@ fn erlebacher_full_race_report_without_replicated_shadows() {
         sizes.filter(|(_, &rs)| (rs > 0) == replicated).map(|(l, _)| l.layout.size() as u64).sum()
     };
     assert!(elems(true) > 0, "no array of erlebacher/full is replicated");
-    assert_eq!(fast.fast.race_shadow_bytes, 24 * elems(false));
+    assert_eq!(fast.fast.race_shadow_bytes, 16 * elems(false));
     assert_eq!(slow.fast.race_shadow_bytes, fast.fast.race_shadow_bytes);
     assert_eq!(fast.fast.profiler_table_bytes, 0, "no profiler attached");
 }
