@@ -97,7 +97,7 @@ pub struct CellProfile {
 }
 
 /// The members [`host_members`] writes, in order.
-pub const HOST_KEYS: [&str; 9] = [
+const HOST_KEYS: [&str; 9] = [
     "memo",
     "replayed_steps",
     "cursor_bumps",

@@ -126,7 +126,8 @@ fn race_cell_without_detector_counts_is_a_miss() {
 }
 
 /// A profiled cell carries its profile, which `explain` prints; a stored
-/// profiled cell without it is a miss and is rewritten.
+/// profiled cell without it is a miss and is rewritten. A served profile
+/// is the computed one, without the computing run's host members.
 #[test]
 fn profiled_cell_without_profile_is_a_miss() {
     let dir = Scratch::new();
@@ -147,7 +148,14 @@ fn profiled_cell_without_profile_is_a_miss() {
     assert_eq!(rerun.cells, cold.cells);
     let warm = run_sweep_supervised(&cfg).unwrap();
     assert_eq!(warm.executed, 0, "the rewritten entries serve");
-    assert_eq!(warm.cells, cold.cells, "a served profile is the computed one");
+    // The host members of the run that computed a cell are not stored.
+    let without_host = |cells: &[Cell]| -> Vec<Cell> {
+        let mut cells = cells.to_vec();
+        cells.iter_mut().filter_map(|c| c.profile.as_mut()).for_each(|p| p.host = None);
+        cells
+    };
+    assert!(cold.cells.iter().all(|c| c.profile.as_ref().is_some_and(|p| p.host.is_some())));
+    assert_eq!(warm.cells, without_host(&cold.cells), "a served profile is the computed one");
 }
 
 /// A strategy that fails every attempt renders the executor's quarantine

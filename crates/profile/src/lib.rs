@@ -434,13 +434,10 @@ impl ProcState {
     }
 
     /// Consume a pending invalidation; returns word + 1 (0 = none). A
-    /// line with none pending is only read.
+    /// line on a page no invalidation reached allocates none.
     fn take_inval(&mut self, line: u64) -> u32 {
         let code = if (line as usize) < self.limit {
-            match self.inval.get(line as usize) {
-                0 => 0,
-                _ => self.inval.replace(line as usize, 0),
-            }
+            self.inval.replace(line as usize, 0)
         } else {
             self.sp_inval.remove(&line).unwrap_or(0)
         };
@@ -1190,8 +1187,8 @@ mod tests {
         }
     }
 
-    /// Misses on lines with no invalidation pending read the paged table
-    /// and write nothing to it, so they allocate no page.
+    /// Misses on lines with no invalidation pending allocate no page of
+    /// the invalidation table.
     #[test]
     fn misses_without_a_pending_invalidation_allocate_nothing() {
         let mut p = mk(2);

@@ -4,15 +4,15 @@
 //! one cell.
 //!
 //! ```text
-//! cargo run --release --example observer_footprint -- [bench] [strategy] [runs] [observers]
+//! cargo run --release --example observer_footprint -- [bench] [strategy] [runs] [observers] [scale]
 //! ```
 //!
-//! Defaults: `erlebacher full 3 profile` at paper scale on 32 processors;
-//! `observers` is `profile`, `race`, `both` or `none`. Repeated runs in one
+//! Defaults: `erlebacher full 3 profile 1.0` (paper scale) on 32
+//! processors; `observers` is `profile`, `race`, `both` or `none`. Repeated runs in one
 //! process show whether a later run reuses what an earlier one freed
 //! (`repro serve` and `repro explain` run many cells in one process).
-//! Resident sizes are read from `/proc/self/status`, so they print as `?`
-//! where that file does not exist.
+//! Resident sizes and CPU time are read from `/proc`, so they print as
+//! `?` where it does not exist.
 
 use dct_bench::programs;
 use dct_core::{Compiler, Strategy};
@@ -26,6 +26,13 @@ fn resident_mb() -> (Option<f64>, Option<f64>) {
         Some(kb / 1000.0)
     };
     (field("VmHWM:"), field("VmRSS:"))
+}
+
+/// Seconds this thread has run on a CPU (`/proc/thread-self/schedstat`),
+/// which time spent waiting for a CPU does not inflate.
+fn cpu_s() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    Some(stat.split_whitespace().next()?.parse::<f64>().ok()? / 1e9)
 }
 
 fn show(mb: Option<f64>) -> String {
@@ -43,9 +50,10 @@ fn main() {
     };
     let runs: usize = arg(2, "3").parse().unwrap_or(3);
     let observers = arg(3, "profile");
+    let scale: f64 = arg(4, "1.0").parse().unwrap_or(1.0);
     let procs = 32;
 
-    let Some(b) = programs::suite(1.0).into_iter().find(|b| b.name == bench) else {
+    let Some(b) = programs::suite(scale).into_iter().find(|b| b.name == bench) else {
         eprintln!("{bench}: not a suite benchmark");
         std::process::exit(2);
     };
@@ -55,14 +63,15 @@ fn main() {
     opts.profile = matches!(observers.as_str(), "profile" | "both");
     opts.race_detect = matches!(observers.as_str(), "race" | "both");
     println!("{bench}/{} P={procs} observers={observers}", strategy.label());
-    println!("run  cycles      wall_s  profiler_table_bytes  race_shadow_bytes  VmHWM_MB  VmRSS_MB");
+    println!("run  cycles      wall_s  cpu_s   profiler_table_bytes  race_shadow_bytes  VmHWM_MB  VmRSS_MB");
     for run in 1..=runs {
-        let start = std::time::Instant::now();
+        let (start, cpu0) = (std::time::Instant::now(), cpu_s());
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts).expect("simulate");
         let wall = start.elapsed().as_secs_f64();
+        let cpu = cpu_s().zip(cpu0).map_or("?".to_string(), |(b, a)| format!("{:.3}", b - a));
         let (hwm, rss) = resident_mb();
         println!(
-            "{run:<4} {:<11} {wall:<7.3} {:<21} {:<18} {:<9} {}",
+            "{run:<4} {:<11} {wall:<7.3} {cpu:<7} {:<21} {:<18} {:<9} {}",
             r.cycles,
             r.fast.profiler_table_bytes,
             r.fast.race_shadow_bytes,
