@@ -112,9 +112,9 @@ fn race_digest(r: &dct_ir::RaceReport) -> u64 {
 
 /// `(benchmark, strategy, fnv64 of MemProfile::encode(), race digest of
 /// the schedule as compiled, race digest with every sync deleted)` at
-/// scale 0.25 on 8 processors with both observers attached, captured
-/// before the profiler's per-line index and the race shadow were resized
-/// to what each observer can see. Both execution paths share one
+/// scale 0.25 on 8 processors with both observers attached, captured at
+/// commit d027405, before the profiler's per-line tables were paged and
+/// the race cell packed into 16 bytes. Both execution paths share one
 /// profiler and one detector, so a representation bug would move them
 /// alike; these pins are the outside reference.
 const OBSERVED: &[(&str, Strategy, u64, u64, u64)] = &[
@@ -184,7 +184,7 @@ fn observer_outputs_bit_identical_to_golden() {
 /// observers on: the peak of the observed benchmark workload. Its input
 /// array is replicated, one copy per processor, so the address space is
 /// 32 replicas wide; the observers' allocations must follow what each can
-/// see instead (a shadow of the L1 per processor, 16 bytes per shared
+/// see instead (the lines each processor touches, 16 bytes per shared
 /// element), and their outputs must not move.
 #[test]
 fn erlebacher_full_observers_sized_by_what_they_see() {

@@ -434,10 +434,14 @@ impl ProcState {
     }
 
     /// Consume a pending invalidation; returns word + 1 (0 = none). A
-    /// line on a page no invalidation reached allocates none.
+    /// line with none pending is only read: no page is allocated or
+    /// written for it.
     fn take_inval(&mut self, line: u64) -> u32 {
         let code = if (line as usize) < self.limit {
-            self.inval.replace(line as usize, 0)
+            match self.inval.get(line as usize) {
+                0 => 0,
+                _ => self.inval.replace(line as usize, 0),
+            }
         } else {
             self.sp_inval.remove(&line).unwrap_or(0)
         };
