@@ -12,7 +12,6 @@ pub mod explain;
 pub mod fuzz;
 pub mod harness;
 pub mod native_check;
-pub mod profile;
 pub mod programs;
 pub mod sweep;
 

@@ -255,6 +255,9 @@ pub fn json_str(s: &str, key: &str) -> Option<String> {
             '\\' => match chars.next()? {
                 'n' => out.push('\n'),
                 't' => out.push('\t'),
+                'r' => out.push('\r'),
+                'b' => out.push('\u{8}'),
+                'f' => out.push('\u{c}'),
                 'u' => {
                     let hex: String = (0..4).filter_map(|_| chars.next()).collect();
                     out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
@@ -267,20 +270,24 @@ pub fn json_str(s: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extract an integer field from a flat JSON object. The token must end
-/// the value (at `,`, `}`, `]`, whitespace or the end of input), so `1e3`,
-/// `4.9` or `8x` read as unparseable, not as their digit prefix.
-pub fn json_num(s: &str, key: &str) -> Option<i64> {
+/// The unquoted token that is the value of `key`: it runs to `,`, `}`,
+/// `]`, whitespace or the end of input, so `1e3`, `8x` or `true1` are
+/// whole tokens that do not parse, not a number or word prefix that does.
+fn json_token<'a>(s: &'a str, key: &str) -> Option<&'a str> {
     let v = json_value(s, key)?;
     let end = v.find(|c: char| matches!(c, ',' | '}' | ']') || c.is_ascii_whitespace()).unwrap_or(v.len());
-    v[..end].parse().ok().filter(|_| !v.starts_with('+'))
+    Some(&v[..end])
 }
 
-/// Extract a `true`/`false` field from a flat JSON object.
+/// Extract an integer field from a flat JSON object ([`json_token`]).
+pub fn json_num(s: &str, key: &str) -> Option<i64> {
+    let v = json_token(s, key)?;
+    v.parse().ok().filter(|_| !v.starts_with('+'))
+}
+
+/// Extract a `true`/`false` field from a flat JSON object ([`json_token`]).
 pub fn json_bool(s: &str, key: &str) -> Option<bool> {
-    let v = json_value(s, key)?;
-    let word = v.split(|c: char| !c.is_ascii_alphabetic()).next()?;
-    match word {
+    match json_token(s, key)? {
         "true" => Some(true),
         "false" => Some(false),
         _ => None,
@@ -876,7 +883,7 @@ mod tests {
         for outcome in [
             CellOutcome::Cycles(1234567),
             CellOutcome::Timeout,
-            CellOutcome::Failed("weird \"quote\"\nnewline".to_string()),
+            CellOutcome::Failed("weird \"quote\"\r\nnewline".to_string()),
             CellOutcome::Quarantined("attempt 4 (rung reference-walk): boom".to_string()),
         ] {
             let mut c = Cell::new("lu", "full", 32, 0.25, outcome.clone());
@@ -938,6 +945,12 @@ mod tests {
         assert_eq!(json_bool(bad, "race_check"), None);
         assert_eq!(json_str(bad, "bench"), None);
         assert_eq!(json_bool("{\"race_check\":false}", "race_check"), Some(false));
+        // A word must end the value, as a number must.
+        for bad in ["{\"race_check\":true1}", "{\"race_check\":true_x}"] {
+            assert_eq!(json_bool(bad, "race_check"), None, "{bad}");
+        }
+        // The short escapes other writers use decode to their characters.
+        assert_eq!(json_str(r#"{"e":"a\rb\bc\fd\/"}"#, "e").as_deref(), Some("a\rb\u{8}c\u{c}d/"));
     }
 
     #[test]

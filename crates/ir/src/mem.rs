@@ -175,24 +175,6 @@ impl MemProfile {
         agg
     }
 
-    /// Aggregate over sites and processors: one row per array.
-    pub fn by_array(&self) -> Vec<MemRow> {
-        let mut agg: Vec<MemRow> = Vec::new();
-        for r in &self.rows {
-            match agg.iter_mut().find(|a| a.array == r.array) {
-                Some(a) => a.absorb(r),
-                None => {
-                    let mut a = *r;
-                    a.site = usize::MAX;
-                    a.proc = usize::MAX;
-                    agg.push(a);
-                }
-            }
-        }
-        agg.sort_by(|a, b| b.mem_cycles.cmp(&a.mem_cycles).then(a.array.cmp(&b.array)));
-        agg
-    }
-
     /// Total over rows selected by predicate (e.g. one nest, one array).
     pub fn total_where(&self, mut pred: impl FnMut(&MemRow) -> bool) -> MemRow {
         let mut t = MemRow::default();

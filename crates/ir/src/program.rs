@@ -265,11 +265,6 @@ impl Program {
         self.params.iter().map(|p| p.default).collect()
     }
 
-    /// Parameter binding with every parameter set to `v`.
-    pub fn params_all(&self, v: i64) -> Vec<i64> {
-        vec![v; self.params.len()]
-    }
-
     /// Concrete number of time steps under a parameter binding.
     pub fn time_step_count(&self, params: &[i64]) -> i64 {
         match &self.time {

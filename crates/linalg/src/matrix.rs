@@ -41,16 +41,6 @@ impl IntMat {
         IntMat { rows: r, cols: c, data }
     }
 
-    /// Build a single-row matrix.
-    pub fn row_vec(row: &[i64]) -> IntMat {
-        IntMat::from_rows(&[row.to_vec()])
-    }
-
-    /// Build a single-column matrix.
-    pub fn col_vec(col: &[i64]) -> IntMat {
-        IntMat { rows: col.len(), cols: 1, data: col.to_vec() }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }

@@ -32,11 +32,6 @@ impl AccessLevel {
     pub fn is_miss(self) -> bool {
         !matches!(self, AccessLevel::L1 | AccessLevel::L2)
     }
-
-    /// True when the fill crossed the cluster boundary.
-    pub fn is_remote(self) -> bool {
-        matches!(self, AccessLevel::RemoteMem | AccessLevel::RemoteDirty)
-    }
 }
 
 /// Observer of the machine's per-access outcomes and coherence actions.

@@ -8,7 +8,6 @@
 //! repro table1 --procs 8    # ... at the largest listed count (1..=64)
 //! repro fig8 --scale 0.5    # half the paper problem size
 //! repro fig6 --procs 1,8,32 # custom processor counts
-//! repro --profile           # simulator throughput -> BENCH_sim_throughput.json
 //! repro table1 --max-wall 30 --max-cycles 2000000000
 //!                           # bound each cell; over-budget cells -> timeout
 //! repro --race-check        # certify every benchmark x strategy race-free
@@ -78,7 +77,6 @@ fn main() {
     let mut scale = 1.0f64;
     let mut procs: Vec<usize> = PAPER_PROCS.to_vec();
     let mut workers = std::thread::available_parallelism().map(|x| x.get()).unwrap_or(4);
-    let mut profile = false;
     let mut race_check = false;
     let mut out_dir: Option<String> = None;
     let mut max_cycles: Option<u64> = None;
@@ -95,7 +93,6 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--profile" => profile = true,
             "--race-check" => race_check = true,
             "--scale" => {
                 scale = it
@@ -230,23 +227,6 @@ fn main() {
         None
     };
 
-    if profile {
-        // Throughput profiling: each figure benchmark once per strategy at
-        // the paper's 32 processors (figure targets restrict the sweep).
-        let figs: Vec<String> =
-            targets.iter().filter(|t| t.starts_with("fig") && t.as_str() != "fig2" && t.as_str() != "fig3").cloned().collect();
-        let t0 = Instant::now();
-        let profiles = dct_bench::profile::profile_all(&figs, 32, scale);
-        let total = t0.elapsed().as_secs_f64();
-        print!("{}", dct_bench::profile::render_text(&profiles));
-        let json = dct_bench::profile::render_json(&profiles, total);
-        let path = "BENCH_sim_throughput.json";
-        match harness::atomic_write_sync(Path::new(path), json.as_bytes()) {
-            Ok(()) => eprintln!("[profile done in {total:.1}s -> {path}]"),
-            Err(e) => die(&format!("cannot write {path}: {e}")),
-        }
-        return;
-    }
     // The cell executor's configuration, shared by every target that
     // runs cells.
     let budget = ThreadBudget::clamp(workers);

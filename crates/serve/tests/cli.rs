@@ -102,8 +102,9 @@ fn out_of_range_sizes_are_refused() {
 
 #[test]
 fn unknown_options_and_targets_are_refused() {
-    let refused: [&[&str]; 8] = [
+    let refused: [&[&str]; 9] = [
         &["fig8", "--no-kernels"],
+        &["--profile"],
         &["table1", "--frobnicate"],
         &["table1", "--proc", "8"],
         &["fgi8"],

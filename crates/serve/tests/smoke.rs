@@ -165,12 +165,14 @@ fn serve_smoke_end_to_end() {
     assert!(cert.contains("(8 procs"), "certificate: {cert}");
     assert!(cert.contains("certificate: all 4 cells race-free"), "certificate: {cert}");
     // A known key whose value does not parse is refused, not defaulted:
-    // a number that is not an integer is not its digit prefix (these two
-    // used to run at scale 0.001 and at P = 4).
+    // a number that is not an integer is not its digit prefix, nor a word
+    // its letter prefix (these three used to run at scale 0.001, at P = 4
+    // and race-checked).
     for body in [
         "{\"bench\": \"stencil\", \"procs\": \"eight\"}",
         "{\"bench\":\"stencil\",\"scale_milli\":1e3,\"procs\":4}",
         "{\"bench\":\"stencil\",\"procs\":4.9}",
+        "{\"bench\":\"stencil\",\"scale_milli\":100,\"procs\":4,\"race_check\":true1}",
     ] {
         let (status, err) = http(port, "POST", "/api/sweep", body);
         assert_eq!(status, 400, "{body} must be refused: {err}");

@@ -114,11 +114,6 @@ impl SpmdProgram {
         }
         out
     }
-
-    /// Total element slots across all arrays (diagnostics).
-    pub fn total_elements(&self) -> i64 {
-        self.layouts.iter().map(|l| l.layout.size()).sum()
-    }
 }
 
 /// Options for code generation.

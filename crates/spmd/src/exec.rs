@@ -87,27 +87,6 @@ pub struct FastPathStats {
 }
 
 impl FastPathStats {
-    /// Fraction of innermost iterations that took the strided path.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.fast_iters + self.slow_iters;
-        if total == 0 {
-            0.0
-        } else {
-            self.fast_iters as f64 / total as f64
-        }
-    }
-
-    /// Fraction of innermost iterations executed through fused segment
-    /// kernels (0 for runs that never entered a loop).
-    pub fn kernelized_ratio(&self) -> f64 {
-        let total = self.fast_iters + self.slow_iters;
-        if total == 0 {
-            0.0
-        } else {
-            self.kernel_iters as f64 / total as f64
-        }
-    }
-
     /// The host-side reason counts as JSON object members (no braces):
     /// `"cursor_bumps": n, "resolves": {..}, "kernel_refusals": {..},
     /// "kernel_aliased": n, "steps_simulated": n`, each histogram keyed by

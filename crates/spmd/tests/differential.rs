@@ -198,6 +198,11 @@ fn suite_replays_repeating_steps_and_matches_the_reference_walk() {
                 assert_same_results(&what, &fast, &slow);
                 assert_eq!((slow.fast.memo, slow.fast.replayed_steps), (MemoOutcome::ReferenceWalk, 0));
                 assert_eq!(fast.fast.fast_iters + fast.fast.slow_iters, slow.fast.slow_iters, "{what}");
+                // Fused kernels run most innermost iterations, and the
+                // shape histogram counts each of them.
+                let f = fast.fast;
+                assert!(2 * f.kernel_iters > f.fast_iters + f.slow_iters, "{what}: {f:?}");
+                assert_eq!(f.kernel_shapes.iter().sum::<u64>(), f.kernel_iters, "{what}: shape histogram");
                 let want = match b.name {
                     "vpenta" => (MemoOutcome::NoTimeLoop, 0),
                     "lu" => (MemoOutcome::TimeDependent, 0),
